@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import traceback
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,9 @@ def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
     traj, phys_report, _ = solve_reduced(targets, contacts,
                                          max_iters=max_iters,
                                          duration_stage=duration_stage)
+    t_up = time.perf_counter()
     final = upgrade_fullbody(motion, traj)
+    upgrade_time = time.perf_counter() - t_up
     core_io.save_motion(final, out_dir / "physics.motion.json")
     _grf_trace(out_dir, traj, final, targets.mass)
 
@@ -180,9 +183,11 @@ def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
         "objective_terms": phys_report.objective_terms,
         "stages": [{"name": s.name, "objective": s.objective,
                     "max_violation": s.max_violation, "iters": s.n_iters,
-                    "status": s.status} for s in phys_report.stages],
+                    "status": s.status, "wall_time": s.wall_time}
+                   for s in phys_report.stages],
         "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t}
                              for n, c, i, t in kin_report.stages],
+        "upgrade_time": upgrade_time,
         "wall_time": time.perf_counter() - t0,
     }
     core_io.write_json(out_dir / "report.json", payload)
@@ -246,31 +251,30 @@ def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts):
                        {"name": seq_dir.name, "methods": methods})
 
 
+def _run_batch_pair(pair, args):
+    """(name, converged) of one manifest entry; None when it failed, with
+    the failure written to the sequence's error.json."""
+    entry, root = pair
+    try:
+        return entry["name"], bool(_run_batch_entry(entry, root, args))
+    except Exception as exc:   # isolate failures, summarize at the end
+        seq_dir = Path(args.out) / entry["name"]
+        seq_dir.mkdir(parents=True, exist_ok=True)
+        core_io.write_json(seq_dir / "error.json", {
+            "error": {"type": type(exc).__name__, "message": str(exc)}})
+        return entry["name"], None
+
+
 def cmd_batch(args):
     entries = list(_manifest_clips(args.manifest))
     workers = args.workers or int(os.environ.get("PHYSMOCAP_WORKERS", "1"))
-    results = {}
-
-    def run_one(pair):
-        entry, root = pair
-        try:
-            return entry["name"], bool(_run_batch_entry(entry, root, args))
-        except Exception as exc:   # isolate failures, summarize at the end
-            seq_dir = Path(args.out) / entry["name"]
-            seq_dir.mkdir(parents=True, exist_ok=True)
-            core_io.write_json(seq_dir / "error.json", {
-                "error": {"type": type(exc).__name__, "message": str(exc)}})
-            return entry["name"], None
-
+    run_one = partial(_run_batch_pair, args=args)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for name, ok in pool.map(run_one, entries):
-                results[name] = ok
+            results = dict(pool.map(run_one, entries))
     else:
-        for pair in entries:
-            name, ok = run_one(pair)
-            results[name] = ok
+        results = dict(map(run_one, entries))
 
     n = len(results)
     converged = sum(1 for v in results.values() if v)

@@ -49,7 +49,7 @@ def upgrade_fullbody(kin_motion, traj, skeleton=None, max_iters=100,
     r_old = compute_com_inertia(kin_motion).r
     out = traj.sample(times)
     shift = out["r"] - r_old
-    theta = traj.layout.com_samples(traj.x, times, which=1)
+    theta = out["theta"]
 
     targets = positions + shift[:, None, :]
     foot_ids = list(skeleton.foot_joint_ids)

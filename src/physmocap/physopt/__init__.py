@@ -1,7 +1,7 @@
 from .problem import (ReducedProblem, ReducedTargets, ReducedWeights,
                       targets_from_kinematic)
 from .solve import PhysOptReport, initial_guess, solve_reduced
-from .spline import (hermite_coeffs, hermite_delta_partial, hermite_eval,
+from .spline import (hermite_coeffs, hermite_delta_weights, hermite_eval,
                      hermite_weights, locate, segment_count)
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
@@ -9,6 +9,6 @@ __all__ = [
     "ReducedProblem", "ReducedTargets", "ReducedWeights",
     "targets_from_kinematic", "TrajectoryLayout", "CentroidalTrajectory",
     "PhysOptReport", "initial_guess", "solve_reduced",
-    "hermite_coeffs", "hermite_delta_partial", "hermite_eval",
+    "hermite_coeffs", "hermite_delta_weights", "hermite_eval",
     "hermite_weights", "locate", "segment_count",
 ]

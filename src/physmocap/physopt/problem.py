@@ -12,10 +12,21 @@ inertia from the kinematic fit rotated by the current orientation. Leg
 reach and rigid foot length are enforced on a 0.08 s grid, feet stay on or
 above the floor, and forces stay in a friction cone sampled at the force
 spline knots and segment midpoints.
+
+Every sampled track value is S @ x for a sparse sample matrix S that
+depends only on the durations (trajectory.Samples); the matrices are built
+once per duration vector. The objective is the weighted tracking and
+smoothness sum  sum_k w_k |S_k x - b_k|^2  plus a prior on the durations,
+with gradient  2 sum_k w_k J_k^T (S_k x - b_k)  (J_k is S_k plus the
+duration partials) and the constant Gauss-Newton Hessian  2 sum_k w_k
+S_k^T S_k  plus the prior's. Each constraint group is an array expression
+over the samples; its Jacobian is a block matrix of per-sample
+derivatives times the samples' Jacobians.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -68,10 +79,10 @@ class ReducedTargets:
             self.theta_bound_vel = _boundary_velocities(self.theta, self.fps)
 
     def interp(self, arr, t):
-        """Linear interpolation of per-frame data at time t."""
-        f = t * self.fps
-        i0 = int(np.clip(np.floor(f), 0, len(self.times) - 2))
-        a = f - i0
+        """Linear interpolation of per-frame data at time(s) t."""
+        f = np.asarray(t, dtype=float) * self.fps
+        i0 = np.clip(np.floor(f), 0, len(self.times) - 2).astype(int)
+        a = (f - i0)[(...,) + (None,) * (arr.ndim - 1)]
         return (1.0 - a) * arr[i0] + a * arr[i0 + 1]
 
 
@@ -114,7 +125,8 @@ def _contact_intervals(phases):
 
 
 class _Memo:
-    """Single-entry cache keyed on the variable vector."""
+    """Single-entry cache keyed on an array: the variable vector, or its
+    duration part for the sample matrices."""
 
     def __init__(self):
         self.key = None
@@ -126,6 +138,90 @@ class _Memo:
             self.value = compute(x)
             self.key = key
         return self.value
+
+
+def _blocks(blocks, cols=None, n_col_blocks=None):
+    """Sparse matrix of per-sample derivative blocks.
+
+    blocks is (m, r, c) with cols (m,), or (m, q, r, c) with cols (m, q)
+    for q blocks per block row; block row b holds blocks[b, q] (r x c) in
+    block column cols[b, q]. cols defaults to the block diagonal.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim == 3:
+        blocks = blocks[:, None]
+    m, q, r, c = blocks.shape
+    cols = np.arange(m) if cols is None else np.asarray(cols)
+    n_col_blocks = m if n_col_blocks is None else n_col_blocks
+    return sparse.bsr_matrix(
+        (np.ascontiguousarray(blocks.reshape(m * q, r, c)), cols.ravel(),
+         np.arange(0, m * q + 1, q)),
+        shape=(m * r, n_col_blocks * c))
+
+
+def _selection(cols, n_vars):
+    """3 rows per entry of cols: x[col:col + 3]."""
+    cols = np.asarray(cols, dtype=int)
+    rows = np.arange(3 * len(cols))
+    return sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, (cols[:, None] + np.arange(3)).ravel())),
+        shape=(len(rows), n_vars))
+
+
+def _mv(M, v):
+    return np.einsum("nij,nj->ni", M, v)
+
+
+def _euler_dynamics(th, thv, tha, I_b):
+    """Rate of angular momentum I_w w' + w x I_w w of stacked Euler samples
+    (angles, rates, accelerations; body inertias I_b), and its derivative
+    blocks in the angles, the rates and the accelerations."""
+    A = euler_rotation_axes(th)
+    G = euler_rotation_axes_grad(th)
+    H = euler_rotation_axes_hess(th)
+    R = euler_to_matrix(th)
+    dR = euler_to_matrix_grad(th)
+    Rt = np.swapaxes(R, -1, -2)
+    I_w = R @ I_b @ Rt
+
+    w = _mv(A, thv)
+    B = np.einsum("nick,nk->nic", G, thv)
+    wdot = _mv(A, tha) + _mv(B, thv)
+    Iw_w = _mv(I_w, w)
+    h = _mv(I_w, wdot) + np.cross(w, Iw_w)
+
+    M_th = np.empty(th.shape + (3,))
+    M_tv = np.empty(th.shape + (3,))
+    for c in range(3):
+        dIw = dR[..., c] @ I_b @ Rt + R @ I_b @ np.swapaxes(dR[..., c], -1, -2)
+        dw = _mv(G[..., c], thv)
+        dwdot = _mv(G[..., c], tha) + _mv(np.einsum("nick,nk->nic", H[..., c], thv), thv)
+        M_th[..., c] = (_mv(dIw, wdot) + _mv(I_w, dwdot) + np.cross(dw, Iw_w)
+                        + np.cross(w, _mv(dIw, w) + _mv(I_w, dw)))
+        dw_v = A[..., c]
+        dwdot_v = _mv(G[..., c], thv) + B[..., c]
+        M_tv[..., c] = (_mv(I_w, dwdot_v) + np.cross(dw_v, Iw_w)
+                        + np.cross(w, _mv(I_w, dw_v)))
+    return h, M_th, M_tv, I_w @ A
+
+
+# (group, track, derivative order, weight name, target name or None)
+OBJECTIVE_TERMS = (
+    ("data", "r", 0, "data_r", "r"),
+    ("data", "theta", 0, "data_theta", "theta"),
+    ("data", "feet", 0, "data_foot", "feet"),
+    ("velocity", "r", 1, "vel_r", None),
+    ("velocity", "theta", 1, "vel_theta", None),
+    ("velocity", "feet", 1, "vel_foot", None),
+    ("acceleration", "r", 2, "acc", None),
+    ("acceleration", "theta", 2, "acc", None),
+    ("acceleration", "feet", 2, "acc", None),
+)
+# samples the constraints read: (name, track, order)
+DYN_SAMPLES = (("acc", "r", 2), ("r", "r", 0), ("th", "theta", 0),
+               ("thv", "theta", 1), ("tha", "theta", 2), ("f", "forces", 0),
+               ("p", "feet", 0))
+KIN_SAMPLES = (("r", "r", 0), ("th", "theta", 0), ("p", "feet", 0))
 
 
 class ReducedProblem:
@@ -146,17 +242,11 @@ class ReducedProblem:
         # dynamics samples ride the COM knot grid (~DYN_DT, spans [0, total])
         self.dyn_times = np.arange(layout.n_com + 1) * layout.com_delta
         self.kin_times = np.arange(0.0, total + 1e-9, KIN_DT)
-        self.cone_samples = []          # (joint, phase, segment, at_mid)
-        for i, phases in enumerate(layout.joint_phases):
-            for j, ph in enumerate(phases):
-                if not ph.contact:
-                    continue
-                for k in range(ph.n_segs + 1):
-                    self.cone_samples.append((i, j, k, False))
-                for k in range(ph.n_segs):
-                    self.cone_samples.append((i, j, k, True))
-        self.stance_consts = [(i, j) for i, phases in enumerate(layout.joint_phases)
-                              for j, ph in enumerate(phases) if ph.contact]
+        self.n_cone = sum(2 * ph.n_segs + 1 for phases in layout.joint_phases
+                          for ph in phases if ph.contact)
+        stance_cols = [ph.const_col for phases in layout.joint_phases
+                       for ph in phases if ph.contact]
+        self.stance_sel = _selection(stance_cols, layout.n_vars)
 
         # Rigid foot length. When toe and heel are both planted the sampled
         # rows all collapse onto the two stance constants, which would give
@@ -164,43 +254,44 @@ class ReducedProblem:
         # those intervals get one row per overlapping stance pair instead.
         # Swing samples keep the 0.08 s grid (membership frozen at the
         # initial durations).
-        d0_by_joint = [np.array([ph.duration0 for ph in phases])
-                       for phases in layout.joint_phases]
+        d0 = layout.durations0()
 
-        def in_contact(i, t):
-            j, _ = layout._locate_phase(d0_by_joint[i], t)
-            return layout.joint_phases[i][j].contact
+        def in_contact(i):
+            j, _ = layout.phase_of(d0, i, self.kin_times)
+            return np.array([ph.contact for ph in layout.joint_phases[i]])[j]
 
-        self.footlen_const = []
-        self.footlen_times = []
+        pairs = []
+        self.footlen_times = []     # (toe, heel, kin_times indices)
         for toe, heel in self.FOOT_PAIRS:
             for jt, (a0, a1) in _contact_intervals(layout.joint_phases[toe]):
                 for jh, (b0, b1) in _contact_intervals(layout.joint_phases[heel]):
                     if min(a1, b1) - max(a0, b0) > 1e-9:
-                        self.footlen_const.append(
-                            (layout.joint_phases[toe][jt].const_col,
-                             layout.joint_phases[heel][jh].const_col))
-            for t in self.kin_times:
-                if not (in_contact(toe, t) and in_contact(heel, t)):
-                    self.footlen_times.append((toe, heel, t))
-        n_flen = len(self.footlen_const) + len(self.footlen_times)
-
+                        pairs.append((layout.joint_phases[toe][jt].const_col,
+                                      layout.joint_phases[heel][jh].const_col))
+            self.footlen_times.append(
+                (toe, heel, np.flatnonzero(~(in_contact(toe) & in_contact(heel)))))
+        self.footlen_sel = (_selection([c for c, _ in pairs], layout.n_vars)
+                            - _selection([c for _, c in pairs], layout.n_vars))
         nd, nk = len(self.dyn_times), len(self.kin_times)
-        self.n_rows = (3 * nd + 3 * nd + 4 * nk + n_flen
-                       + len(self.stance_consts) + 4 * nd
-                       + 5 * len(self.cone_samples))
+        sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
+                 "leg_reach": 4 * nk,
+                 "foot_length": (len(pairs) + sum(len(t) for _, _, t
+                                                  in self.footlen_times)),
+                 "stance_on_floor": len(stance_cols),
+                 "above_floor": 4 * nd, "force_cone": 5 * self.n_cone}
+        ends = np.cumsum(list(sizes.values()))
+        self.groups = {name: slice(end - size, end)
+                       for (name, size), end in zip(sizes.items(), ends)}
+        self.n_rows = int(ends[-1])
+
         lb = np.zeros(self.n_rows)
         ub = np.zeros(self.n_rows)
-        at = 6 * nd
-        at += 4 * nk
-        lb[6 * nd:at] = -np.inf          # leg reach: <= 0
-        at += n_flen                     # foot length: == 0
-        at += len(self.stance_consts)    # on floor: == 0
-        ub[at:at + 4 * nd] = np.inf      # above floor: >= 0
-        at += 4 * nd
-        ub[at:at + 5 * len(self.cone_samples)] = np.inf
-        cone = np.arange(len(self.cone_samples))
-        ub[at + 5 * cone] = FORCE_MAX    # 0 <= f.n <= FORCE_MAX
+        sl = self.groups
+        lb[sl["leg_reach"]] = -np.inf               # leg reach: <= 0
+        ub[sl["above_floor"]] = np.inf              # above floor: >= 0
+        cone = np.arange(sl["force_cone"].start, self.n_rows)
+        ub[cone] = np.inf
+        ub[cone[::5]] = FORCE_MAX                   # 0 <= f.n <= FORCE_MAX
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
@@ -209,220 +300,128 @@ class ReducedProblem:
         # interior point stalls with a collapsed trust region.
         weight = targets.mass * GRAVITY
         scale = np.ones(self.n_rows)
-        scale[:3 * nd] = 1.0 / weight
-        scale[3 * nd:6 * nd] = 1.0 / (weight * targets.l_leg)
-        scale[self.n_rows - 5 * len(self.cone_samples):] = 1.0 / weight
+        scale[sl["dynamics_linear"]] = 1.0 / weight
+        scale[sl["dynamics_angular"]] = 1.0 / (weight * targets.l_leg)
+        scale[sl["force_cone"]] = 1.0 / weight
         self.row_scale = scale
         self.c_lb, self.c_ub = lb * scale, ub * scale
 
         self._c_memo = _Memo()
         self._o_memo = _Memo()
-        self._hess = None
-        self._hess_key = None
+        self._s_memo = _Memo()
+
+    # -- sample matrices ---------------------------------------------------
+
+    def _samples(self, x):
+        """Sample matrices at the durations of x, built once per duration
+        vector: the objective terms and their Hessian, and the samples that
+        the constraints read."""
+        return self._s_memo.get(np.asarray(x, dtype=float)[self.layout.dur_base:],
+                                self._build_samples)
+
+    def _build_samples(self, durations):
+        lay, tg = self.layout, self.tg
+        terms = []
+        hess = sparse.csr_matrix((lay.n_vars, lay.n_vars))
+        for group, track, order, weight, target in OBJECTIVE_TERMS:
+            smp = lay.sampler(durations, track, tg.times, order)
+            w = getattr(self.w, weight)
+            terms.append((group, w, smp, getattr(tg, target) if target else 0.0))
+            hess = hess + (2.0 * w) * (smp.S.T @ smp.S)
+        dur_cols = np.arange(lay.dur_base, lay.n_vars)
+        hess = hess + sparse.csr_matrix(
+            (np.full(len(dur_cols), 2.0 * self.w.dur), (dur_cols, dur_cols)),
+            shape=hess.shape)
+        return SimpleNamespace(
+            terms=terms, hess=hess.tocsr(),
+            dyn={name: lay.sampler(durations, track, self.dyn_times, order)
+                 for name, track, order in DYN_SAMPLES},
+            kin={name: lay.sampler(durations, track, self.kin_times, order)
+                 for name, track, order in KIN_SAMPLES},
+            cone=lay.force_knot_sampler(durations))
 
     # -- constraint assembly ----------------------------------------------
 
     def _constraints(self, x):
+        tg, M = self.tg, self._samples(x)
+        m, up = tg.mass, self.up
+        dyn = {k: (s.values(x), s.jacobian(x)) for k, s in M.dyn.items()}
+        kin = {k: (s.values(x), s.jacobian(x)) for k, s in M.kin.items()}
+        (acc, J_acc), (r, J_r), (f, J_f), (p, J_p) = (
+            dyn[k] for k in ("acc", "r", "f", "p"))
+        nd, nk = len(self.dyn_times), len(self.kin_times)
+        per_joint = 4 * np.arange(nd)[:, None] + np.arange(4)
+        vals, jacs = [], []
+
+        # linear dynamics: m r'' - sum_i f_i = m g
+        vals.append(m * (acc - self.gravity) - f.sum(axis=1))
+        jacs.append(m * J_acc + _blocks(np.broadcast_to(-np.eye(3), (nd, 4, 3, 3)),
+                                        per_joint, 4 * nd) @ J_f)
+
+        # angular dynamics: I_w w' + w x I_w w - sum_i f_i x (r - p_i) = 0
+        h, M_th, M_tv, M_ta = _euler_dynamics(
+            dyn["th"][0], dyn["thv"][0], dyn["tha"][0],
+            tg.interp(tg.I_b, self.dyn_times))
+        d = r[:, None] - p
+        skew_f = skew(f)
+        vals.append(h - np.cross(f, d).sum(axis=1))
+        jacs.append(_blocks(M_th) @ dyn["th"][1] + _blocks(M_tv) @ dyn["thv"][1]
+                    + _blocks(M_ta) @ dyn["tha"][1]
+                    - _blocks(skew_f.sum(axis=1)) @ J_r
+                    + _blocks(skew(d), per_joint, 4 * nd) @ J_f
+                    + _blocks(skew_f, per_joint, 4 * nd) @ J_p)
+
+        # leg reach: |p_i - hip_i|^2 <= l_leg^2
+        (rk, J_rk), (thk, J_thk), (pk, J_pk) = (kin[k] for k in ("r", "th", "p"))
+        R = euler_to_matrix(thk)
+        o = tg.interp(tg.hip_offsets, self.kin_times)[:, list(self.FOOT_SIDE)]
+        d = pk - rk[:, None] - np.einsum("nab,nib->nia", R, o)
+        grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(thk), o)
+        time_of = np.repeat(np.arange(nk), 4)
+        vals.append(np.einsum("nia,nia->ni", d, d) - tg.l_leg ** 2)
+        jacs.append(_blocks(2.0 * d.reshape(-1, 1, 3)) @ J_pk
+                    + _blocks(-2.0 * d.reshape(-1, 1, 3), time_of, nk) @ J_rk
+                    + _blocks(grad_th.reshape(-1, 1, 3), time_of, nk) @ J_thk)
+
+        # rigid foot length: overlapping stance pairs, then swing samples
+        d = (self.footlen_sel @ x).reshape(-1, 3)
+        vals.append((d * d).sum(axis=1) - tg.l_foot ** 2)
+        jacs.append(_blocks(2.0 * d[:, None]) @ self.footlen_sel)
+        for toe, heel, at in self.footlen_times:
+            d = pk[at, toe] - pk[at, heel]
+            vals.append((d * d).sum(axis=1) - tg.l_foot ** 2)
+            jacs.append(_blocks(np.stack([2.0 * d, -2.0 * d], axis=1)[:, :, None],
+                                4 * at[:, None] + [toe, heel], 4 * nk) @ J_pk)
+
+        # stance constants on the floor, feet on or above it
+        stance = (self.stance_sel @ x).reshape(-1, 3)
+        vals.append(stance @ up - self.floor_h)
+        jacs.append(_blocks(np.broadcast_to(up, (len(stance), 1, 3))) @ self.stance_sel)
+        vals.append(p @ up - self.floor_h)
+        jacs.append(_blocks(np.broadcast_to(up, (4 * nd, 1, 3))) @ J_p)
+
+        # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
+        mu_up = FRICTION_RATIO * up
+        cone = np.stack([up, mu_up - self.tans[0], mu_up + self.tans[0],
+                         mu_up - self.tans[1], mu_up + self.tans[1]])
+        vals.append(M.cone.values(x) @ cone.T)
+        jacs.append(_blocks(np.broadcast_to(cone, (self.n_cone, 5, 3)))
+                    @ M.cone.jacobian(x))
+
+        vals = np.concatenate([v.ravel() for v in vals])
+        jac = sparse.vstack(jacs, format="csr")
+        return vals * self.row_scale, sparse.diags(self.row_scale) @ jac
+
+    def contact_wrench(self, x, times):
+        """Net contact force and moment about the COM that the COM motion of
+        x demands at the given times: m (r'' - g) and I_w w' + w x I_w w."""
         lay, tg = self.layout, self.tg
-        m = tg.mass
-        rows_i, cols_i, vals_i = [], [], []
-        vals = np.zeros(self.n_rows)
-
-        def put_vec(r0, entries_diag, entries_dur, scale=1.0):
-            for col, w in entries_diag:
-                for a in range(3):
-                    rows_i.append(r0 + a)
-                    cols_i.append(col + a)
-                    vals_i.append(scale * w)
-            for col, vec in entries_dur:
-                for a in range(3):
-                    rows_i.append(r0 + a)
-                    cols_i.append(col)
-                    vals_i.append(scale * vec[a])
-
-        def put_mat(r0, M, entries_diag, entries_dur):
-            """Rows r0..r0+2 += M @ d(value); M is 3x3."""
-            for col, w in entries_diag:
-                for a in range(3):
-                    for b in range(3):
-                        if M[a, b] != 0.0:
-                            rows_i.append(r0 + a)
-                            cols_i.append(col + b)
-                            vals_i.append(w * M[a, b])
-            for col, vec in entries_dur:
-                mv = M @ vec
-                for a in range(3):
-                    rows_i.append(r0 + a)
-                    cols_i.append(col)
-                    vals_i.append(mv[a])
-
-        def put_row(r0, entries_diag, entries_dur, direction):
-            """Single row r0 += direction . d(value)."""
-            for col, w in entries_diag:
-                for a in range(3):
-                    rows_i.append(r0)
-                    cols_i.append(col + a)
-                    vals_i.append(w * direction[a])
-            for col, vec in entries_dur:
-                rows_i.append(r0)
-                cols_i.append(col)
-                vals_i.append(direction @ vec)
-
-        at = 0
-        # linear dynamics
-        for t in self.dyn_times:
-            acc, acc_d = lay.com_state(x, 0, t, 2)
-            h = m * (acc - self.gravity)
-            put_vec(at, acc_d, [], scale=m)
-            for i in range(4):
-                f, fd, fdur = lay.foot_force(x, i, t)
-                h -= f
-                put_vec(at, fd, fdur, scale=-1.0)
-            vals[at:at + 3] = h
-            at += 3
-
-        # angular dynamics
-        for t in self.dyn_times:
-            at = self._angular_rows(x, t, at, rows_i, cols_i, vals_i, vals,
-                                    put_vec, put_mat)
-
-        # leg reach
-        for t in self.kin_times:
-            r, r_d = lay.com_state(x, 0, t)
-            th, th_d = lay.com_state(x, 1, t)
-            R = euler_to_matrix(th)
-            dR = euler_to_matrix_grad(th)
-            off = tg.interp(tg.hip_offsets, t)
-            for i in range(4):
-                o = off[self.FOOT_SIDE[i]]
-                hip = r + R @ o
-                p, p_d, p_dur = lay.foot_pos(x, i, t)
-                d = p - hip
-                vals[at] = d @ d - tg.l_leg ** 2
-                put_row(at, p_d, p_dur, 2.0 * d)
-                put_row(at, r_d, [], -2.0 * d)
-                dhip = np.einsum("abc,b->ac", dR, o)    # 3 x 3, cols = angles
-                grad_th = -2.0 * (d @ dhip)
-                for col, w in th_d:
-                    for c in range(3):
-                        rows_i.append(at)
-                        cols_i.append(col + c)
-                        vals_i.append(w * grad_th[c])
-                at += 1
-
-        # rigid foot length
-        for ct, ch in self.footlen_const:
-            d = x[ct:ct + 3] - x[ch:ch + 3]
-            vals[at] = d @ d - tg.l_foot ** 2
-            for a in range(3):
-                rows_i.extend((at, at))
-                cols_i.extend((ct + a, ch + a))
-                vals_i.extend((2.0 * d[a], -2.0 * d[a]))
-            at += 1
-        for toe, heel, t in self.footlen_times:
-            pt, pt_d, pt_dur = lay.foot_pos(x, toe, t)
-            ph_, ph_d, ph_dur = lay.foot_pos(x, heel, t)
-            d = pt - ph_
-            vals[at] = d @ d - tg.l_foot ** 2
-            put_row(at, pt_d, pt_dur, 2.0 * d)
-            put_row(at, ph_d, ph_dur, -2.0 * d)
-            at += 1
-
-        # stance constants on the floor
-        for i, j in self.stance_consts:
-            c = self.layout.joint_phases[i][j].const_col
-            vals[at] = self.up @ x[c:c + 3] - self.floor_h
-            for a in range(3):
-                rows_i.append(at)
-                cols_i.append(c + a)
-                vals_i.append(self.up[a])
-            at += 1
-
-        # feet on or above the floor
-        for t in self.dyn_times:
-            for i in range(4):
-                p, p_d, p_dur = lay.foot_pos(x, i, t)
-                vals[at] = self.up @ p - self.floor_h
-                put_row(at, p_d, p_dur, self.up)
-                at += 1
-
-        # friction cones
-        for i, j, k, at_mid in self.cone_samples:
-            f, f_d, f_dur = lay.force_knot_mid(x, i, j, k, at_mid)
-            fn = self.up @ f
-            vals[at] = fn
-            put_row(at, f_d, f_dur, self.up)
-            for tdir in self.tans:
-                ft = tdir @ f
-                vals[at + 1] = FRICTION_RATIO * fn - ft
-                put_row(at + 1, f_d, f_dur, FRICTION_RATIO * self.up - tdir)
-                vals[at + 2] = FRICTION_RATIO * fn + ft
-                put_row(at + 2, f_d, f_dur, FRICTION_RATIO * self.up + tdir)
-                at += 2
-            at += 1
-
-        assert at == self.n_rows
-        jac = sparse.coo_matrix(
-            (vals_i, (rows_i, cols_i)), shape=(self.n_rows, self.layout.n_vars))
-        vals = vals * self.row_scale
-        jac = jac.tocsr().multiply(self.row_scale[:, None]).tocsr()
-        return vals, jac
-
-    def _angular_rows(self, x, t, at, rows_i, cols_i, vals_i, vals,
-                      put_vec, put_mat):
-        lay, tg = self.layout, self.tg
-        th, th_d = lay.com_state(x, 1, t, 0)
-        thv, thv_d = lay.com_state(x, 1, t, 1)
-        tha, tha_d = lay.com_state(x, 1, t, 2)
-        r, r_d = lay.com_state(x, 0, t, 0)
-
-        A = euler_rotation_axes(th)
-        G = euler_rotation_axes_grad(th)
-        H = euler_rotation_axes_hess(th)
-        R = euler_to_matrix(th)
-        dR = euler_to_matrix_grad(th)
-        I_b = tg.interp(tg.I_b, t)
-        I_w = R @ I_b @ R.T
-
-        w_vec = A @ thv
-        B = np.einsum("ick,k->ic", G, thv)
-        wdot = A @ tha + B @ thv
-        Iw_w = I_w @ w_vec
-        h = I_w @ wdot + np.cross(w_vec, Iw_w)
-
-        # derivative blocks wrt theta value / rate / accel
-        M_th = np.empty((3, 3))
-        M_tv = np.empty((3, 3))
-        for c in range(3):
-            dIw = dR[..., c] @ I_b @ R.T + R @ I_b @ dR[..., c].T
-            dw = G[:, :, c] @ thv
-            dwdot = G[:, :, c] @ tha + np.einsum("ick,k->ic", H[..., c], thv) @ thv
-            M_th[:, c] = (dIw @ wdot + I_w @ dwdot
-                          + np.cross(dw, Iw_w) + np.cross(w_vec, dIw @ w_vec + I_w @ dw))
-            dw_v = A[:, c]
-            dwdot_v = G[:, :, c] @ thv + B[:, c]
-            M_tv[:, c] = (I_w @ dwdot_v + np.cross(dw_v, Iw_w)
-                          + np.cross(w_vec, I_w @ dw_v))
-        M_ta = I_w @ A
-
-        put_mat(at, M_th, th_d, [])
-        put_mat(at, M_tv, thv_d, [])
-        put_mat(at, M_ta, tha_d, [])
-
-        sum_skew_f = np.zeros((3, 3))
-        for i in range(4):
-            f, f_d, f_dur = lay.foot_force(x, i, t)
-            p, p_d, p_dur = lay.foot_pos(x, i, t)
-            d = r - p
-            h -= np.cross(f, d)
-            put_mat(at, skew(d), f_d, f_dur)      # d(-f x d)/df = skew(d)
-            put_mat(at, skew(f), p_d, p_dur)      # d(-f x d)/dp = skew(f)
-            sum_skew_f += skew(f)
-        put_mat(at, -sum_skew_f, r_d, [])         # -f x dr
-
-        vals[at:at + 3] = h
-        at += 3
-        return at
+        d = x[lay.dur_base:]
+        th, thv, tha = (lay.sampler(d, "theta", times, order).values(x)
+                        for order in range(3))
+        acc = lay.sampler(d, "r", times, 2).values(x)
+        h = _euler_dynamics(th, thv, tha, tg.interp(tg.I_b, times))[0]
+        return tg.mass * (acc - self.gravity), h
 
     # -- public constraint interface --------------------------------------
 
@@ -437,79 +436,21 @@ class ReducedProblem:
 
     # -- objective ---------------------------------------------------------
 
-    def _sample_terms(self, x):
-        """Yield (weight, value, target, diag, dur) for every tracking term."""
-        lay, tg, w = self.layout, self.tg, self.w
-        zero = np.zeros(3)
-        for fi, t in enumerate(tg.times):
-            v, d = lay.com_state(x, 0, t, 0)
-            yield w.data_r, v, tg.r[fi], d, ()
-            v, d = lay.com_state(x, 1, t, 0)
-            yield w.data_theta, v, tg.theta[fi], d, ()
-            v, d = lay.com_state(x, 0, t, 1)
-            yield w.vel_r, v, zero, d, ()
-            v, d = lay.com_state(x, 1, t, 1)
-            yield w.vel_theta, v, zero, d, ()
-            v, d = lay.com_state(x, 0, t, 2)
-            yield w.acc, v, zero, d, ()
-            v, d = lay.com_state(x, 1, t, 2)
-            yield w.acc, v, zero, d, ()
-            for i in range(4):
-                v, d, du = lay.foot_pos(x, i, t, 0)
-                yield w.data_foot, v, tg.feet[fi, i], d, du
-                v, d, du = lay.foot_pos(x, i, t, 1)
-                yield w.vel_foot, v, zero, d, du
-                v, d, du = lay.foot_pos(x, i, t, 2)
-                yield w.acc, v, zero, d, du
-
-    def _knot_hessian(self, x):
-        """Gauss-Newton Hessian over the spline-knot columns.
-
-        The knot weights depend on the durations only, so this is rebuilt
-        just when the durations change. Curvature coupling into the
-        duration columns is left to the trust region; only the soft
-        duration prior contributes there.
-        """
-        lay = self.layout
-        hrows, hcols, hvals = [], [], []
-        for weight, _v, _t, diag, _dur in self._sample_terms(x):
-            for ci, wi in diag:
-                for cj, wj in diag:
-                    v = 2.0 * weight * wi * wj
-                    for a in range(3):
-                        hrows.append(ci + a)
-                        hcols.append(cj + a)
-                        hvals.append(v)
-        dur_cols = np.arange(lay.dur_base, lay.n_vars)
-        hrows.extend(dur_cols)
-        hcols.extend(dur_cols)
-        hvals.extend(np.full(len(dur_cols), 2.0 * self.w.dur))
-        return sparse.coo_matrix((hvals, (hrows, hcols)),
-                                 shape=(lay.n_vars, lay.n_vars)).tocsr()
+    def _residuals(self, x):
+        """(group, weight, samples, residual) of every tracking term."""
+        return [(group, w, smp, (smp.values(x) - target).ravel())
+                for group, w, smp, target in self._samples(x).terms]
 
     def _objective(self, x):
         lay = self.layout
-        dur_key = x[lay.dur_base:].tobytes()
-        if dur_key != self._hess_key:
-            self._hess = self._knot_hessian(x)
-            self._hess_key = dur_key
-        grad = np.zeros(lay.n_vars)
-        total = 0.0
-        for weight, value, target, diag, dur in self._sample_terms(x):
-            res = value - target
-            total += weight * (res @ res)
-            tw = 2.0 * weight
-            for col, wgt in diag:
-                grad[col:col + 3] += (tw * wgt) * res
-            for col, vec in dur:
-                grad[col] += tw * (res @ vec)
-
-        d0 = lay.durations0()
-        dur_cols = np.arange(lay.dur_base, lay.n_vars)
-        res = x[dur_cols] - d0
+        total, grad = 0.0, np.zeros(lay.n_vars)
+        for _, w, smp, res in self._residuals(x):
+            total += w * (res @ res)
+            grad += (2.0 * w) * (smp.jacobian(x).T @ res)
+        res = x[lay.dur_base:] - lay.durations0()
         total += self.w.dur * (res @ res)
-        grad[dur_cols] += 2.0 * self.w.dur * res
-        return total, grad, self._hess
+        grad[lay.dur_base:] += 2.0 * self.w.dur * res
+        return total, grad, self._samples(x).hess
 
     def objective(self, x):
         return self._o_memo.get(np.asarray(x, dtype=float), self._objective)
@@ -525,26 +466,11 @@ class ReducedProblem:
 
     def objective_breakdown(self, x):
         """Named objective terms: tracking, smoothness, duration prior."""
-        lay, tg, w = self.layout, self.tg, self.w
         out = {"data": 0.0, "velocity": 0.0, "acceleration": 0.0}
-        for fi, t in enumerate(tg.times):
-            for which, wd, tgt in ((0, w.data_r, tg.r[fi]),
-                                   (1, w.data_theta, tg.theta[fi])):
-                res = lay.com_state(x, which, t, 0)[0] - tgt
-                out["data"] += wd * (res @ res)
-                v = lay.com_state(x, which, t, 1)[0]
-                out["velocity"] += (w.vel_r if which == 0 else w.vel_theta) * (v @ v)
-                a = lay.com_state(x, which, t, 2)[0]
-                out["acceleration"] += w.acc * (a @ a)
-            for i in range(4):
-                res = lay.foot_pos(x, i, t, 0)[0] - tg.feet[fi, i]
-                out["data"] += w.data_foot * (res @ res)
-                v = lay.foot_pos(x, i, t, 1)[0]
-                out["velocity"] += w.vel_foot * (v @ v)
-                a = lay.foot_pos(x, i, t, 2)[0]
-                out["acceleration"] += w.acc * (a @ a)
-        res = x[lay.dur_base:] - lay.durations0()
-        out["duration"] = float(w.dur * (res @ res))
+        for group, w, _, res in self._residuals(x):
+            out[group] += float(w * (res @ res))
+        res = x[self.layout.dur_base:] - self.layout.durations0()
+        out["duration"] = float(self.w.dur * (res @ res))
         return out
 
     # -- reporting ---------------------------------------------------------
@@ -553,16 +479,5 @@ class ReducedProblem:
         """Max violation of each constraint group at x."""
         vals = self.constraint_fun(x)
         over = np.maximum(vals - self.c_ub, 0.0) + np.maximum(self.c_lb - vals, 0.0)
-        nd, nk = len(self.dyn_times), len(self.kin_times)
-        n_flen = len(self.footlen_const) + len(self.footlen_times)
-        groups = [("dynamics_linear", 3 * nd), ("dynamics_angular", 3 * nd),
-                  ("leg_reach", 4 * nk), ("foot_length", n_flen),
-                  ("stance_on_floor", len(self.stance_consts)),
-                  ("above_floor", 4 * nd),
-                  ("force_cone", 5 * len(self.cone_samples))]
-        out = {}
-        at = 0
-        for name, size in groups:
-            out[name] = float(over[at:at + size].max()) if size else 0.0
-            at += size
-        return out
+        return {name: float(over[sl].max()) if sl.stop > sl.start else 0.0
+                for name, sl in self.groups.items()}

@@ -5,16 +5,19 @@ the kinematic targets (one sparse factorization; the tracking objective is
 quadratic in the knots at fixed durations), plus a static force guess that
 distributes the net contact wrench between the feet in contact. Stage
 "dynamics" runs the full nonlinear program with the contact durations
-clamped; stage
-"durations" releases them inside bounds, keeping the result only if it is
-at least as feasible and strictly better.
+clamped; stage "durations" releases them inside bounds, keeping the result
+only if it is at least as feasible and strictly better.
 
 A clamped variable is held by leaving its column out of the stage's
 decision vector, not by an ``lb == ub`` bound: trust-constr's interior
 point does not keep its iterates on such bounds. The dynamics stage leaves
 out the durations and the COM boundary velocity knots, the durations stage
 the boundary velocity knots; both take those values from the stage's start
-point, and report full-length vectors.
+point, and report full-length vectors. The durations stage also leaves out
+the last phase duration of each foot joint and derives it as the clip
+length minus the others, so the phases span the clip at every iterate; a
+linear inequality keeps it inside its bounds. Gradient, Hessian and
+Jacobian reach the stage's vector through the same linear map.
 """
 from __future__ import annotations
 
@@ -26,8 +29,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
 from scipy.sparse.linalg import splu
 
-from ..core.rotation import (euler_rotation_axes, euler_rotation_axes_grad,
-                             euler_to_matrix, skew)
+from ..core.rotation import skew
 from .problem import FORCE_MAX, ReducedProblem
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
@@ -143,60 +145,33 @@ def initial_guess(problem):
     x[cols] += splu(sub).solve(-grad[cols])
 
     # static forces: distribute the net contact wrench of the fitted motion
-    # between the feet in contact (least-squares over force and torque
-    # balance), each force clipped into the friction cone
-    mass, grav = tg.mass, problem.gravity
-    starts = [np.concatenate([[0.0], np.cumsum([p.duration0 for p in phases])])
-              for phases in lay.joint_phases]
-
-    def split_forces(t):
-        ids = [ii for ii in range(4)
-               if lay.joint_phases[ii][lay._locate_phase(
-                   lay.durations(x, ii), t)[0]].contact]
-        if not ids:
-            return {}
-        acc = lay.com_state(x, 0, t, 2)[0]
-        r = lay.com_state(x, 0, t, 0)[0]
-        A = np.zeros((6, 3 * len(ids)))
-        for k, ii in enumerate(ids):
-            p = lay.foot_pos(x, ii, t)[0]
-            A[:3, 3 * k:3 * k + 3] = np.eye(3)
-            A[3:, 3 * k:3 * k + 3] = skew(p - r)
-        rhs = np.concatenate([mass * (acc - grav), _torque_demand(problem, x, t)])
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        return {ii: sol[3 * k:3 * k + 3] for k, ii in enumerate(ids)}
-
-    for i, phases in enumerate(lay.joint_phases):
-        for j, ph in enumerate(phases):
-            if not ph.contact:
-                continue
-            delta = ph.duration0 / ph.n_segs
-            for k in range(ph.n_segs + 1):
-                t = starts[i][j] + k * delta
-                f = split_forces(t).get(i, np.zeros(3))
-                fn = np.clip(up @ f, 0.0, 0.9 * FORCE_MAX)
-                ft = np.array([tdir @ f for tdir in problem.tans])
-                ft = np.clip(ft, -0.45 * fn, 0.45 * fn)
-                f = fn * up + ft[0] * problem.tans[0] + ft[1] * problem.tans[1]
-                b = ph.force_col + 6 * k
-                x[b:b + 3] = f
-                x[b + 3:b + 6] = 0.0
+    # between the feet in contact at each force knot (least-squares over
+    # force and torque balance), each force clipped into the friction cone
+    knots = [(i, ph.force_col + 6 * k, start + k * (ph.duration0 / ph.n_segs))
+             for i, phases in enumerate(lay.joint_phases)
+             for ph, start in zip(phases, np.cumsum([0.0] + [p.duration0 for p in phases]))
+             if ph.contact for k in range(ph.n_segs + 1)]
+    joint, cols, times = (np.array(v) for v in zip(*knots))
+    d = x[lay.dur_base:]
+    wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)
+    arm = (lay.sampler(d, "feet", times).values(x)
+           - lay.sampler(d, "r", times).values(x)[:, None])
+    contact = np.stack([np.array([ph.contact for ph in phases])[lay.phase_of(d, i, times)[0]]
+                        for i, phases in enumerate(lay.joint_phases)], axis=1)
+    for i, b, w, a, on in zip(joint, cols, wrench, arm, contact):
+        f = np.zeros(3)
+        if on[i]:
+            ids = np.flatnonzero(on)
+            A = np.concatenate([np.tile(np.eye(3), len(ids)),
+                                np.concatenate(skew(a[ids]), axis=1)])
+            f = np.linalg.lstsq(A, w, rcond=None)[0].reshape(-1, 3)[
+                np.searchsorted(ids, i)]
+        fn = np.clip(up @ f, 0.0, 0.9 * FORCE_MAX)
+        ft = np.array([tdir @ f for tdir in problem.tans])
+        ft = np.clip(ft, -0.45 * fn, 0.45 * fn)
+        x[b:b + 3] = fn * up + ft[0] * problem.tans[0] + ft[1] * problem.tans[1]
+        x[b + 3:b + 6] = 0.0
     return x
-
-
-def _torque_demand(problem, x, t):
-    """Rate of angular momentum of the fitted spline state at time t."""
-    lay, tg = problem.layout, problem.tg
-    th = lay.com_state(x, 1, t, 0)[0]
-    thv = lay.com_state(x, 1, t, 1)[0]
-    tha = lay.com_state(x, 1, t, 2)[0]
-    A = euler_rotation_axes(th)
-    G = euler_rotation_axes_grad(th)
-    R = euler_to_matrix(th)
-    I_w = R @ tg.interp(tg.I_b, t) @ R.T
-    w = A @ thv
-    wdot = A @ tha + np.einsum("ick,k->ic", G, thv) @ thv
-    return I_w @ wdot + np.cross(w, I_w @ w)
 
 
 def _boundary_velocity_cols(layout):
@@ -208,69 +183,92 @@ def _boundary_velocity_cols(layout):
                      for a in range(3)])
 
 
-def _duration_sum_matrix(layout):
-    """4 x n_vars: row i sums the phase durations of foot joint i."""
-    rows, cols = [], []
-    for i, dcols in enumerate(layout.dur_cols):
-        rows.extend([i] * len(dcols))
-        cols.extend(dcols)
-    return sparse.coo_matrix((np.ones(len(cols)), (rows, cols)),
-                             shape=(4, layout.n_vars)).tocsr()
+def _stage_map(layout, x0, stage):
+    """The stage's decision vector z as x = x_fixed + P @ z.
+
+    z holds the columns the stage moves (free, in order). In the durations
+    stage the last phase duration of each foot joint is not one of them:
+    with two or more phases it is the clip length minus the joint's other
+    durations, so every iterate spans the clip exactly; a single phase keeps
+    its duration. Returns (P, x_fixed, free, derived), derived holding the
+    columns of the derived durations.
+    """
+    n = layout.n_vars
+    moved = np.ones(n, dtype=bool)
+    moved[_boundary_velocity_cols(layout)] = False
+    if stage == "dynamics":
+        moved[layout.dur_base:] = False
+    else:
+        moved[[cols[-1] for cols in layout.dur_cols]] = False
+    free = np.flatnonzero(moved)
+    joints = [cols for cols in layout.dur_cols
+              if stage == "durations" and len(cols) > 1]
+    # identity on the free columns; -1 from each derived duration to the
+    # joint's other durations
+    rows = np.concatenate([free] + [np.full(len(c) - 1, c[-1]) for c in joints])
+    cols = np.concatenate([np.arange(len(free))]
+                          + [np.searchsorted(free, c[:-1]) for c in joints])
+    vals = np.concatenate([np.ones(len(free))] + [-np.ones(len(c) - 1) for c in joints])
+    P = sparse.csr_matrix((vals, (rows, cols)), shape=(n, len(free)))
+    derived = np.array([c[-1] for c in joints], dtype=int)
+    x_fixed = np.where(moved, 0.0, x0)
+    x_fixed[derived] = layout.total
+    return P, x_fixed, free, derived
 
 
 def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
     """One trust-constr stage over the columns that the stage moves.
 
-    The other columns keep their values in x0. The returned x, and the
-    iterates passed to callback, are full-length vectors.
+    The other columns keep their values in x0, except the derived last
+    durations of the durations stage (see _stage_map). The returned x, and
+    the iterates passed to callback, are full-length vectors.
     """
     lay = problem.layout
     x0 = np.asarray(x0, dtype=float)
-    moved = np.ones(lay.n_vars, dtype=bool)
-    moved[_boundary_velocity_cols(lay)] = False
-    if stage == "dynamics":
-        moved[lay.dur_base:] = False
-    free = np.flatnonzero(moved)
+    P, x_fixed, free, derived = _stage_map(lay, x0, stage)
+    PT = P.T.tocsr()
 
     def full(z):
-        x = x0.copy()
-        x[free] = z
-        return x
+        return x_fixed + P @ z
 
     # the knot Hessian is rebuilt only when the durations change, so each
-    # build is sliced once
+    # build is projected once
     hess_memo = [None, None]
 
     def hess(z):
         H = problem.objective_hess(full(z))
         if hess_memo[0] is not H:
-            hess_memo[:] = H, H[free][:, free]
+            hess_memo[:] = H, (PT @ H @ P).tocsr()
         return hess_memo[1]
 
     nlc = NonlinearConstraint(
         lambda z: problem.constraint_fun(full(z)), problem.c_lb, problem.c_ub,
-        jac=lambda z: problem.constraint_jac(full(z))[:, free])
+        jac=lambda z: problem.constraint_jac(full(z)) @ P)
     constraints = [nlc]
     bounds = None
     if stage == "durations":
-        sum_rows = _duration_sum_matrix(lay)
-        # the phases of each foot joint span the clip
-        constraints.append(LinearConstraint(sum_rows[:, free], lay.total,
-                                            lay.total))
         d0 = lay.durations0()
+        lo = np.maximum(0.5 * d0, MIN_PHASE_FRAMES / lay.fps)
+        hi = 2.0 * d0
         lb = np.full(len(free), -np.inf)
         ub = np.full(len(free), np.inf)
         dur = free >= lay.dur_base
-        lb[dur] = np.maximum(0.5 * d0, MIN_PHASE_FRAMES / lay.fps)
-        ub[dur] = 2.0 * d0
+        lb[dur] = lo[free[dur] - lay.dur_base]
+        ub[dur] = hi[free[dur] - lay.dur_base]
         bounds = Bounds(lb, ub)
+        if len(derived):
+            # each derived duration, total + P[derived] @ z, stays inside
+            # its own bounds
+            c = derived - lay.dur_base
+            constraints.append(LinearConstraint(
+                P[derived], lo[c] - lay.total, hi[c] - lay.total))
     stage_callback = None
     if callback is not None:
         def stage_callback(z, state):
             return callback(full(z), state)
     t0 = time.perf_counter()
     res = minimize(lambda z: problem.objective_fun(full(z)), x0[free],
-                   jac=lambda z: problem.objective_grad(full(z))[free],
+                   jac=lambda z: PT @ problem.objective_grad(full(z)),
                    hess=hess, method="trust-constr",
                    constraints=constraints, bounds=bounds,
                    callback=stage_callback,
@@ -279,7 +277,8 @@ def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
     x = full(res.x)
     violations = problem.violation_by_group(x)
     if stage == "durations":
-        violations["duration_sum"] = float(np.abs(sum_rows @ x - lay.total).max())
+        violations["duration_sum"] = float(max(
+            abs(x[cols].sum() - lay.total) for cols in lay.dur_cols))
     report = StageReport(
         name=stage, objective=float(res.fun), violations=violations,
         n_iters=int(res.niter), status=int(res.status),
@@ -298,7 +297,9 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
     if layout is None:
         layout = TrajectoryLayout(contacts)
     problem = ReducedProblem(layout, targets, weights)
+    t0 = time.perf_counter()
     x0 = initial_guess(problem)
+    fit_time = time.perf_counter() - t0
 
     callback = None
     if collect_iterates is not None:
@@ -312,7 +313,7 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
     report.stages.append(StageReport(
         name="fit", objective=problem.objective_fun(x0),
         violations=problem.violation_by_group(x0),
-        n_iters=0, status=0, success=True, wall_time=0.0))
+        n_iters=0, status=0, success=True, wall_time=fit_time))
 
     if collect_iterates is not None:
         stage_name[0] = "dynamics"

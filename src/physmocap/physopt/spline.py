@@ -1,15 +1,28 @@
-"""Cubic Hermite segments in power form, with knot and duration partials.
+"""Cubic Hermite segments in power form, with knot and duration weights.
 
 A segment is parameterized by endpoint values and velocities (x0, v0, x1, v1)
 over a duration delta; evaluation uses the local coordinate u in [0, delta].
-Every quantity is linear in the knots, so gradients with respect to them are
-shared scalar weights across axes. Duration enters through the polynomial
+Every quantity is linear in the knots, so it is a weight vector applied to
+them, shared across axes. Duration enters through the polynomial
 coefficients and, for phase-structured tracks, through the sample's local
-coordinate; both partials are provided here.
+coordinate; hermite_delta_weights gives the first, the next-order weights
+the second.
 """
 from __future__ import annotations
 
+from math import perm
+
 import numpy as np
+
+# power-basis coefficients (s^0 .. s^3) of the Hermite basis functions in the
+# normalized coordinate s = u / delta; the velocity knots carry a factor delta
+_BASIS = np.array([[1.0, 0.0, -3.0, 2.0],
+                   [0.0, 1.0, -2.0, 1.0],
+                   [0.0, 0.0, 3.0, -2.0],
+                   [0.0, 0.0, -1.0, 1.0]])
+_DELTA_POWER = np.array([0.0, 1.0, 0.0, 1.0])
+# d^r/ds^r s^m = _FALLING[r, m] s^(m - r)
+_FALLING = np.array([[perm(m, r) for m in range(4)] for r in range(4)], dtype=float)
 
 
 def hermite_coeffs(x0, v0, x1, v1, delta):
@@ -36,51 +49,40 @@ def hermite_eval(x0, v0, x1, v1, delta, u, order=0):
 
 
 def hermite_weights(u, delta, order=0):
-    """Weights w such that eval = w @ (x0, v0, x1, v1). Shape (..., 4)."""
-    u = np.asarray(u, dtype=float)
-    d = delta
-    # rows of the coefficient map: a_m = B[m] @ knots
-    b2 = np.array([-3.0 / d ** 2, -2.0 / d, 3.0 / d ** 2, -1.0 / d])
-    b3 = np.array([2.0 / d ** 3, 1.0 / d ** 2, -2.0 / d ** 3, 1.0 / d ** 2])
-    if order == 0:
-        out = np.zeros(u.shape + (4,))
-        out[..., 0] = 1.0
-        out[..., 1] = u
-        return out + (u ** 2)[..., None] * b2 + (u ** 3)[..., None] * b3
-    if order == 1:
-        out = np.zeros(u.shape + (4,))
-        out[..., 1] = 1.0
-        return out + (2.0 * u)[..., None] * b2 + (3.0 * u ** 2)[..., None] * b3
-    if order == 2:
-        return np.broadcast_to(2.0 * b2, u.shape + (4,)) \
-            + (6.0 * u)[..., None] * b3
-    if order == 3:
-        return np.broadcast_to(6.0 * b3, u.shape + (4,)).copy()
-    raise ValueError(f"order {order}")
+    """Weights w such that eval = w @ (x0, v0, x1, v1). Shape (..., 4).
+
+    u and delta broadcast against each other.
+    """
+    if not 0 <= order <= 3:
+        raise ValueError(f"order {order}")
+    u, delta = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(delta, dtype=float))
+    s = (u / delta)[..., None]
+    powers = _FALLING[order] * s ** np.maximum(np.arange(4) - order, 0)
+    return (powers @ _BASIS.T) * delta[..., None] ** (_DELTA_POWER - order)
 
 
-def hermite_delta_partial(x0, v0, x1, v1, delta, u, order=0):
-    """d(eval)/d(delta) at fixed local coordinate u."""
-    d = delta
-    da2 = (6.0 * x0 + 2.0 * d * v0 - 6.0 * x1 + d * v1) / d ** 3
-    da3 = (-6.0 * x0 - 2.0 * d * v0 + 6.0 * x1 - 2.0 * d * v1) / d ** 4
-    if order == 0:
-        return u ** 2 * da2 + u ** 3 * da3
-    if order == 1:
-        return 2.0 * u * da2 + 3.0 * u ** 2 * da3
-    if order == 2:
-        return 2.0 * da2 + 6.0 * u * da3
-    raise ValueError(f"order {order}")
+def hermite_delta_weights(u, delta, order=0):
+    """d(hermite_weights)/d(delta) at fixed u.
+
+    The weights are delta^(p - order) times a function of u / delta, with p
+    the knot's power of delta, so their delta partial is a combination of
+    the weights of this order and the next.
+    """
+    u, delta = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(delta, dtype=float))
+    return ((_DELTA_POWER - order) * hermite_weights(u, delta, order)
+            - u[..., None] * hermite_weights(u, delta, order + 1)) / delta[..., None]
 
 
 def locate(t, delta, n_segs):
-    """Segment index and local coordinate for time t in a uniform track.
+    """Segment index and local coordinate for times t in a uniform track.
 
     Knot times are assigned to the segment on their right, except the final
-    endpoint which belongs to the last segment.
+    endpoint which belongs to the last segment. delta and n_segs broadcast
+    against t.
     """
-    k = int(np.floor(t / delta + 1e-12))
-    k = min(max(k, 0), n_segs - 1)
+    k = np.clip(np.floor(t / delta + 1e-12).astype(int), 0, n_segs - 1)
     return k, t - k * delta
 
 

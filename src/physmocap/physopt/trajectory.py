@@ -1,4 +1,4 @@
-"""Variable layout and evaluation for the reduced-body trajectory.
+"""Variable layout and sample matrices of the reduced-body trajectory.
 
 The decision vector holds, in order: COM position knots, COM orientation
 knots, per-foot-joint phase variables (stance position constants, stance
@@ -12,19 +12,26 @@ constants with zero velocity (the foot leaves the floor from rest and lands
 to rest), which keeps every foot trajectory C1 across phase switches; the
 tie is structural: the boundary knot simply reads the stance variable.
 
-Evaluation returns the value plus its gradient in two parts: ``diag``
-entries (col, w) add w to the three diagonal components d value[a] / d
-x[col + a], and ``dur`` entries (col, vec) give dense partials with respect
-to a duration variable.
+With the durations fixed, every sampled value is a constant sparse matrix
+applied to x (``Samples``). The durations enter the phase-structured tracks
+by the chain rule: a sample at time t in segment k of phase j (n segments,
+durations d) sits at u = t - sum_{m<j} d_m - k d_j / n in a segment of
+length delta = d_j / n, so
+
+    d value / d d_m = -S' x                          (m < j)
+    d value / d d_j = -(k / n) S' x + (1 / n) S_d x
+
+with S' the Hermite weights of the next derivative order and S_d the
+weights' partial in delta at fixed u.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .spline import (hermite_delta_partial, hermite_eval, hermite_weights,
-                     locate, segment_count)
+from .spline import hermite_delta_weights, hermite_weights, locate, segment_count
 
 COM_KNOT_DT = 0.1
 
@@ -39,6 +46,78 @@ class Phase:
     force_col: int = -1
     pos_cols: np.ndarray = field(default=None)
     vel_cols: np.ndarray = field(default=None)
+
+
+@dataclass
+class Samples:
+    """Track samples: values S @ x (3 rows per sample) and their Jacobian.
+
+    S, S_next and S_delta share one sparsity pattern and hold the Hermite
+    weights of the sample's order, of the next order, and their partial in
+    the segment duration. Duration entry e moves sample dur_sample[e] with
+    its column dur_col[e] at the rate du[e] * (S_next x) + ddelta[e] *
+    (S_delta x) of that sample.
+    """
+    shape: tuple
+    S: sparse.csr_matrix
+    S_next: sparse.csr_matrix
+    S_delta: sparse.csr_matrix
+    dur_sample: np.ndarray
+    dur_col: np.ndarray
+    du: np.ndarray
+    ddelta: np.ndarray
+
+    def values(self, x):
+        return (self.S @ x).reshape(self.shape)
+
+    def jacobian(self, x):
+        if not len(self.dur_col):
+            return self.S
+        g = (self.S_next @ x).reshape(-1, 3)[self.dur_sample]
+        h = (self.S_delta @ x).reshape(-1, 3)[self.dur_sample]
+        vals = self.du[:, None] * g + self.ddelta[:, None] * h
+        rows = 3 * self.dur_sample[:, None] + np.arange(3)
+        cols = np.broadcast_to(self.dur_col[:, None], rows.shape)
+        dur = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                shape=self.S.shape)
+        return self.S + dur
+
+
+class _SampleBuilder:
+    """Collects per-sample knot columns and weights, then builds Samples."""
+
+    def __init__(self, n_samples, n_vars, shape):
+        self.n_vars, self.shape = n_vars, shape
+        self.cols = np.full((n_samples, 4), -1)
+        self.weights = np.zeros((3, n_samples, 4))   # order, next, delta
+        self.dur = []                                # (samples, col, du, ddelta)
+
+    def put(self, s, cols, weights):
+        self.cols[s] = cols
+        for out, w in zip(self.weights, weights):
+            out[s] = w
+
+    def put_dur(self, s, col, du, ddelta):
+        s = np.asarray(s)
+        self.dur.append((s, np.full(s.shape, col), np.broadcast_to(du, s.shape),
+                         np.broadcast_to(ddelta, s.shape)))
+
+    def build(self):
+        # entries in row order (sample, axis, knot), so the CSR arrays
+        # are written directly
+        n = len(self.cols)
+        s, a, slot = np.nonzero(np.broadcast_to(
+            (self.cols >= 0)[:, None, :], (n, 3, 4)))
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(3 * s + a, minlength=3 * n))])
+        indices = self.cols[s, slot] + a
+        S, S_next, S_delta = (
+            sparse.csr_matrix((w[s, slot], indices, indptr),
+                              shape=(3 * n, self.n_vars))
+            for w in self.weights)
+        dur = [np.concatenate(part) for part in zip(*self.dur)] if self.dur \
+            else [np.zeros(0, dtype=int)] * 4
+        return Samples(self.shape, S, S_next, S_delta, *dur)
 
 
 class TrajectoryLayout:
@@ -112,133 +191,104 @@ class TrajectoryLayout:
         base = self.com_base[which] + 6 * k
         return base, base + 3
 
-    @staticmethod
-    def _locate_phase(durs, t):
-        ends = np.cumsum(durs)
-        j = int(np.searchsorted(ends, t, side="right"))
-        j = min(j, len(durs) - 1)
-        return j, t - (ends[j] - durs[j])
+    def phase_of(self, durations, i, times):
+        """Phase index of foot joint i at each time, and the time into it.
 
-    # -- evaluation -------------------------------------------------------
-
-    def com_state(self, x, which, t, order=0):
-        k, u = locate(t, self.com_delta, self.n_com)
-        p0c, v0c = self.com_knot_cols(which, k)
-        p1c, v1c = self.com_knot_cols(which, k + 1)
-        w = hermite_weights(u, self.com_delta, order)
-        value = (w[0] * x[p0c:p0c + 3] + w[1] * x[v0c:v0c + 3]
-                 + w[2] * x[p1c:p1c + 3] + w[3] * x[v1c:v1c + 3])
-        diag = [(p0c, w[0]), (v0c, w[1]), (p1c, w[2]), (v1c, w[3])]
-        return value, diag
-
-    @staticmethod
-    def _flight_knots(x, ph, k):
-        p0 = x[ph.pos_cols[k]:ph.pos_cols[k] + 3]
-        p1 = x[ph.pos_cols[k + 1]:ph.pos_cols[k + 1] + 3]
-        v0 = x[ph.vel_cols[k]:ph.vel_cols[k] + 3] if ph.vel_cols[k] >= 0 \
-            else np.zeros(3)
-        v1 = x[ph.vel_cols[k + 1]:ph.vel_cols[k + 1] + 3] if ph.vel_cols[k + 1] >= 0 \
-            else np.zeros(3)
-        return p0, v0, p1, v1
-
-    def foot_pos(self, x, i, t, order=0):
-        """Foot-joint position (or time derivative); see module docstring."""
-        durs = self.durations(x, i)
-        j, s = self._locate_phase(durs, t)
-        ph = self.joint_phases[i][j]
-        if ph.contact:
-            if order == 0:
-                c = ph.const_col
-                return x[c:c + 3].copy(), [(c, 1.0)], []
-            return np.zeros(3), [], []
-        n = ph.n_segs
-        delta = durs[j] / n
-        k = min(max(int(np.floor(s / delta + 1e-12)), 0), n - 1)
-        u = s - k * delta
-        p0, v0, p1, v1 = self._flight_knots(x, ph, k)
-        w = hermite_weights(u, delta, order)
-        value = w[0] * p0 + w[1] * v0 + w[2] * p1 + w[3] * v1
-        diag = [(ph.pos_cols[k], w[0]), (ph.pos_cols[k + 1], w[2])]
-        if ph.vel_cols[k] >= 0:
-            diag.append((ph.vel_cols[k], w[1]))
-        if ph.vel_cols[k + 1] >= 0:
-            diag.append((ph.vel_cols[k + 1], w[3]))
-        dv_du = hermite_eval(p0, v0, p1, v1, delta, u, order + 1)
-        dv_dd = hermite_delta_partial(p0, v0, p1, v1, delta, u, order)
-        dur = [(self.dur_cols[i][m], -dv_du) for m in range(j)]
-        dur.append((self.dur_cols[i][j], -(k / n) * dv_du + dv_dd / n))
-        return value, diag, dur
-
-    def foot_force(self, x, i, t, order=0):
-        """Contact force of one foot joint; identically zero in flight."""
-        durs = self.durations(x, i)
-        j, s = self._locate_phase(durs, t)
-        ph = self.joint_phases[i][j]
-        if not ph.contact:
-            return np.zeros(3), [], []
-        n = ph.n_segs
-        delta = durs[j] / n
-        k = min(max(int(np.floor(s / delta + 1e-12)), 0), n - 1)
-        u = s - k * delta
-        b = ph.force_col
-        p0 = x[b + 6 * k:b + 6 * k + 3]
-        v0 = x[b + 6 * k + 3:b + 6 * k + 6]
-        p1 = x[b + 6 * (k + 1):b + 6 * (k + 1) + 3]
-        v1 = x[b + 6 * (k + 1) + 3:b + 6 * (k + 1) + 6]
-        w = hermite_weights(u, delta, order)
-        value = w[0] * p0 + w[1] * v0 + w[2] * p1 + w[3] * v1
-        diag = [(b + 6 * k, w[0]), (b + 6 * k + 3, w[1]),
-                (b + 6 * (k + 1), w[2]), (b + 6 * (k + 1) + 3, w[3])]
-        dv_du = hermite_eval(p0, v0, p1, v1, delta, u, order + 1)
-        dv_dd = hermite_delta_partial(p0, v0, p1, v1, delta, u, order)
-        dur = [(self.dur_cols[i][m], -dv_du) for m in range(j)]
-        dur.append((self.dur_cols[i][j], -(k / n) * dv_du + dv_dd / n))
-        return value, diag, dur
-
-    def force_knot_mid(self, x, i, j, k, at_mid):
-        """Force at a spline knot (at_mid False) or segment midpoint (True).
-
-        These samples ride with the phase, so only the phase's own duration
-        enters, and knot samples carry no duration dependence at all.
+        durations is the duration part of x (x[dur_base:]).
         """
-        ph = self.joint_phases[i][j]
-        b = ph.force_col
-        if not at_mid:
-            col = b + 6 * k
-            return x[col:col + 3].copy(), [(col, 1.0)], []
-        n = ph.n_segs
-        delta = self.durations(x, i)[j] / n
-        u = 0.5 * delta
-        p0 = x[b + 6 * k:b + 6 * k + 3]
-        v0 = x[b + 6 * k + 3:b + 6 * k + 6]
-        p1 = x[b + 6 * (k + 1):b + 6 * (k + 1) + 3]
-        v1 = x[b + 6 * (k + 1) + 3:b + 6 * (k + 1) + 6]
-        w = hermite_weights(u, delta, 0)
-        value = w[0] * p0 + w[1] * v0 + w[2] * p1 + w[3] * v1
-        diag = [(b + 6 * k, w[0]), (b + 6 * k + 3, w[1]),
-                (b + 6 * (k + 1), w[2]), (b + 6 * (k + 1) + 3, w[3])]
-        dv_du = hermite_eval(p0, v0, p1, v1, delta, u, 1)
-        dv_dd = hermite_delta_partial(p0, v0, p1, v1, delta, u, 0)
-        dur = [(self.dur_cols[i][j], (0.5 * dv_du + dv_dd) / n)]
-        return value, diag, dur
+        durs = durations[self.dur_cols[i] - self.dur_base]
+        ends = np.cumsum(durs)
+        j = np.minimum(np.searchsorted(ends, times, side="right"), len(durs) - 1)
+        return j, times - (ends[j] - durs[j])
 
-    # -- dense sampling (for output and reporting) ------------------------
+    @staticmethod
+    def _spline_cols(ph, k):
+        """Knot columns (x0, v0, x1, v1) of segments k of a phase spline:
+        the force spline of a stance phase, the foot spline of a flight."""
+        if ph.contact:
+            b = ph.force_col + 6 * k
+            return np.stack([b, b + 3, b + 6, b + 9], axis=-1)
+        return np.stack([ph.pos_cols[k], ph.vel_cols[k],
+                         ph.pos_cols[k + 1], ph.vel_cols[k + 1]], axis=-1)
 
-    def com_samples(self, x, times, which=0, order=0):
-        return np.stack([self.com_state(x, which, t, order)[0] for t in times])
+    # -- sampling ---------------------------------------------------------
+
+    def sampler(self, durations, track, times, order=0):
+        """Samples of one track at the given times and derivative order.
+
+        track is "r" or "theta" (values T x 3), or "feet" or "forces"
+        (T x 4 x 3, one sample per time and foot joint). durations is the
+        duration part of x; the matrices depend on nothing else.
+        """
+        times = np.asarray(times, dtype=float)
+        T = len(times)
+        if track in ("r", "theta"):
+            out = _SampleBuilder(T, self.n_vars, (T, 3))
+            k, u = locate(times, self.com_delta, self.n_com)
+            p0 = self.com_base[track == "theta"] + 6 * k
+            out.put(slice(None), np.stack([p0, p0 + 3, p0 + 6, p0 + 9], axis=-1),
+                    [hermite_weights(u, self.com_delta, order)])
+            return out.build()
+        if track not in ("feet", "forces"):
+            raise ValueError(f"unknown track {track!r}")
+
+        out = _SampleBuilder(4 * T, self.n_vars, (T, 4, 3))
+        for i, phases in enumerate(self.joint_phases):
+            j_of, local = self.phase_of(durations, i, times)
+            dcols = self.dur_cols[i]
+            for j, ph in enumerate(phases):
+                at = np.flatnonzero(j_of == j)
+                s = 4 * at + i
+                if ph.contact != (track == "forces"):
+                    # stance foot: a constant; flight force: zero
+                    if track == "feet" and order == 0:
+                        out.put(s, [ph.const_col, -1, -1, -1], [[1.0, 0, 0, 0]])
+                    continue
+                n = ph.n_segs
+                delta = durations[dcols[j] - self.dur_base] / n
+                k, u = locate(local[at], delta, n)
+                out.put(s, self._spline_cols(ph, k),
+                        [hermite_weights(u, delta, order),
+                         hermite_weights(u, delta, order + 1),
+                         hermite_delta_weights(u, delta, order)])
+                for m in range(j):
+                    out.put_dur(s, dcols[m], -1.0, 0.0)
+                out.put_dur(s, dcols[j], -k / n, 1.0 / n)
+        return out.build()
+
+    def force_knot_sampler(self, durations):
+        """Contact forces at every force-spline knot and segment midpoint.
+
+        Per stance phase (joints, then phases, in order): its n + 1 knots,
+        then its n segment midpoints. These samples ride with their phase,
+        so only the phase's own duration enters, and only at the midpoints.
+        """
+        stance = [(i, j, ph) for i, phases in enumerate(self.joint_phases)
+                  for j, ph in enumerate(phases) if ph.contact]
+        N = sum(2 * ph.n_segs + 1 for _, _, ph in stance)
+        out = _SampleBuilder(N, self.n_vars, (N, 3))
+        at = 0
+        for i, j, ph in stance:
+            n = ph.n_segs
+            knots = at + np.arange(n + 1)
+            out.put(knots, np.stack([ph.force_col + 6 * np.arange(n + 1),
+                                     *np.full((3, n + 1), -1)], axis=-1),
+                    [[1.0, 0, 0, 0]])
+            mids = at + n + 1 + np.arange(n)
+            delta = durations[self.dur_cols[i][j] - self.dur_base] / n
+            u = np.full(n, 0.5 * delta)
+            out.put(mids, self._spline_cols(ph, np.arange(n)),
+                    [hermite_weights(u, delta), hermite_weights(u, delta, 1),
+                     hermite_delta_weights(u, delta)])
+            out.put_dur(mids, self.dur_cols[i][j], 0.5 / n, 1.0 / n)
+            at += 2 * n + 1
+        return out.build()
 
     def sample(self, x, times):
-        times = np.asarray(times, dtype=float)
-        out = {
-            "r": np.stack([self.com_state(x, 0, t)[0] for t in times]),
-            "theta": np.stack([self.com_state(x, 1, t)[0] for t in times]),
-            "r_ddot": np.stack([self.com_state(x, 0, t, 2)[0] for t in times]),
-            "feet": np.stack([[self.foot_pos(x, i, t)[0] for i in range(4)]
-                              for t in times]),
-            "forces": np.stack([[self.foot_force(x, i, t)[0] for i in range(4)]
-                                for t in times]),
-        }
-        return out
+        def at(track, order=0):
+            return self.sampler(x[self.dur_base:], track, times, order).values(x)
+        return {"r": at("r"), "theta": at("theta"), "r_ddot": at("r", 2),
+                "feet": at("feet"), "forces": at("forces")}
 
 
 @dataclass

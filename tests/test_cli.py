@@ -88,3 +88,19 @@ def test_label_requires_model_or_baseline(tmp_path, capsys):
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
+
+
+def test_batch_with_workers_isolates_failures(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"clips": [
+        {"name": name, "pose": f"{name}.pose.json",
+         "contacts": f"{name}.contacts.json"} for name in ("a", "b")]}))
+    out = tmp_path / "batch"
+    rc = cli.main(["batch", "--manifest", str(manifest), "--out", str(out),
+                   "--workers", "2"])
+    assert rc == 0
+    summary = json.loads((out / "batch.json").read_text())
+    assert sorted(summary["failed"]) == ["a", "b"]
+    for name in ("a", "b"):
+        record = json.loads((out / name / "error.json").read_text())
+        assert record["error"]["type"] == "FileNotFoundError"

@@ -10,24 +10,15 @@ from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
 
-class _EchoLayout:
-    def __init__(self, theta):
-        self._theta = theta
-
-    def com_samples(self, x, times, which=0, order=0):
-        return self._theta.copy()
-
-
 class _EchoTrajectory:
     """Duck-typed reduced trajectory that replays fixed tracks."""
 
     def __init__(self, r, theta, feet):
-        self.layout = _EchoLayout(theta)
-        self.x = None
-        self._r, self._feet = r, feet
+        self._r, self._theta, self._feet = r, theta, feet
 
     def sample(self, times):
-        return {"r": self._r.copy(), "feet": self._feet.copy()}
+        return {"r": self._r.copy(), "theta": self._theta.copy(),
+                "feet": self._feet.copy()}
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from physmocap.core.kinematics import compute_com_inertia
 from physmocap.physopt.problem import (ReducedProblem, targets_from_kinematic)
 from physmocap.physopt.solve import initial_guess, solve_reduced
-from physmocap.physopt.spline import (hermite_delta_partial, hermite_eval,
+from physmocap.physopt.spline import (hermite_delta_weights, hermite_eval,
                                       hermite_weights, locate, segment_count)
 from physmocap.physopt.trajectory import TrajectoryLayout
 from physmocap.synth.generate import generate
@@ -40,7 +40,8 @@ def test_hermite_delta_partial_matches_fd():
         delta, u, eps = 0.41, 0.33, 1e-7
         fd = (hermite_eval(x0, v0, x1, v1, delta + eps, u, order)
               - hermite_eval(x0, v0, x1, v1, delta - eps, u, order)) / (2 * eps)
-        an = hermite_delta_partial(x0, v0, x1, v1, delta, u, order)
+        w = hermite_delta_weights(u, delta, order)
+        an = w[0] * x0 + w[1] * v0 + w[2] * x1 + w[3] * v1
         assert np.abs(fd - an).max() < 1e-6
 
 
@@ -92,6 +93,12 @@ def test_layout_var_count(hop_setup):
         assert abs(d0[cols - layout.dur_base].sum() - layout.total) < 1e-12
 
 
+def _sample(layout, x, track, t, order=0):
+    """Samples of one track at one time, as (value, Jacobian)."""
+    smp = layout.sampler(x[layout.dur_base:], track, [t], order)
+    return smp.values(x)[0], smp.jacobian(x)
+
+
 def test_stance_track_is_constant(hop_setup):
     layout, _, _ = hop_setup
     rng = np.random.default_rng(3)
@@ -100,9 +107,9 @@ def test_stance_track_is_constant(hop_setup):
     assert ph.contact
     c = x[ph.const_col:ph.const_col + 3]
     for t in (0.0, 0.25 * ph.duration0, 0.9 * ph.duration0):
-        v, _, _ = layout.foot_pos(x, 0, t)
+        v = _sample(layout, x, "feet", t)[0][0]
         assert np.allclose(v, c)
-        vel, _, _ = layout.foot_pos(x, 0, t, 1)
+        vel = _sample(layout, x, "feet", t, 1)[0][0]
         assert np.allclose(vel, 0.0)
 
 
@@ -115,12 +122,12 @@ def test_flight_track_ties_to_stance(hop_setup):
     j = next(j for j, p in enumerate(phases)
              if not p.contact and 0 < j < len(phases) - 1)
     t0 = sum(p.duration0 for p in phases[:j])
-    before, _, _ = layout.foot_pos(x, 0, t0 - 1e-9)
-    after, _, _ = layout.foot_pos(x, 0, t0)
+    before = _sample(layout, x, "feet", t0 - 1e-9)[0][0]
+    after = _sample(layout, x, "feet", t0)[0][0]
     assert np.abs(before - after).max() < 1e-6
     t1 = t0 + phases[j].duration0
-    before, _, _ = layout.foot_pos(x, 0, t1 - 1e-9)
-    after, _, _ = layout.foot_pos(x, 0, t1)
+    before = _sample(layout, x, "feet", t1 - 1e-9)[0][0]
+    after = _sample(layout, x, "feet", t1)[0][0]
     assert np.abs(before - after).max() < 1e-6
 
 
@@ -131,8 +138,8 @@ def test_flight_force_is_zero(hop_setup):
     phases = layout.joint_phases[2]
     j = next(j for j, p in enumerate(phases) if not p.contact)
     t = sum(p.duration0 for p in phases[:j]) + 0.5 * phases[j].duration0
-    f, diag, dur = layout.foot_force(x, 2, t)
-    assert np.all(f == 0.0) and not diag and not dur
+    f, jac = _sample(layout, x, "forces", t)
+    assert np.all(f[2] == 0.0) and jac[6:9].nnz == 0
 
 
 def _directional_fd(fun, x, d, eps=1e-6):
@@ -140,7 +147,7 @@ def _directional_fd(fun, x, d, eps=1e-6):
 
 
 def test_track_eval_gradients_match_fd(hop_setup):
-    """diag/duration entries of the track evaluations against FD."""
+    """Sample Jacobians, duration partials included, against FD."""
     layout, _, _ = hop_setup
     rng = np.random.default_rng(6)
     x = _random_x(layout, rng)
@@ -149,22 +156,21 @@ def test_track_eval_gradients_match_fd(hop_setup):
     def check(evalfn):
         for t in times:
             for order in (0, 1, 2):
-                _, diag, dur = evalfn(x, t, order)
+                _, jac = evalfn(x, t, order)
                 d = rng.normal(size=layout.n_vars)
                 d /= np.linalg.norm(d)
-                an = np.zeros(3)
-                for col, w in diag:
-                    an += w * d[col:col + 3]
-                for col, vec in dur:
-                    an += d[col] * vec
+                an = jac @ d
                 fd = _directional_fd(lambda xx: evalfn(xx, t, order)[0], x, d)
                 assert np.abs(fd - an).max() < 1e-5, (t, order)
 
-    check(lambda xx, t, o: layout.com_state(xx, 0, t, o) + ([],))
-    check(lambda xx, t, o: layout.com_state(xx, 1, t, o) + ([],))
+    check(lambda xx, t, o: _sample(layout, xx, "r", t, o))
+    check(lambda xx, t, o: _sample(layout, xx, "theta", t, o))
     for i in range(4):
-        check(lambda xx, t, o, i=i: layout.foot_pos(xx, i, t, o))
-        check(lambda xx, t, o, i=i: layout.foot_force(xx, i, t, o))
+        for track in ("feet", "forces"):
+            def joint_i(xx, t, o, i=i, track=track):
+                v, jac = _sample(layout, xx, track, t, o)
+                return v[i], jac[3 * i:3 * i + 3]
+            check(joint_i)
 
 
 def test_problem_gradients_match_fd(hop_setup):
@@ -182,6 +188,26 @@ def test_problem_gradients_match_fd(hop_setup):
         fd = _directional_fd(problem.constraint_fun, x, d)
         err = np.abs(fd - jac @ d).max() / max(1.0, np.abs(fd).max())
         assert err < 1e-5
+
+
+def test_objective_hessian_is_exact_at_fixed_durations(hop_setup):
+    """At fixed durations the objective is quadratic in the knots, so its
+    knot block of objective_hess is exact; the dynamics stage relies on it.
+    The duration rows are left out: the Hessian holds no knot-duration
+    coupling."""
+    layout, targets, _ = hop_setup
+    problem = ReducedProblem(layout, targets)
+    rng = np.random.default_rng(9)
+    x = _random_x(layout, rng)
+    knots = slice(0, layout.dur_base)
+    hess = problem.objective_hess(x)
+    for _ in range(6):
+        d = np.zeros(layout.n_vars)
+        d[knots] = rng.normal(size=layout.dur_base)
+        d /= np.linalg.norm(d)
+        fd = _directional_fd(problem.objective_grad, x, d)[knots]
+        an = (hess @ d)[knots]
+        assert np.abs(fd - an).max() / max(1.0, np.abs(fd).max()) < 1e-6
 
 
 def _nudge_durations(problem, x, scale=1e-4):
@@ -289,3 +315,6 @@ def test_stages_hold_their_fixed_columns(hop_setup):
             assert np.array_equal(xk[vc:vc + 3], v), stage
         if stage == "dynamics":
             assert np.array_equal(xk[layout.dur_base:], d0)
+        if stage == "durations":
+            for cols in layout.dur_cols:
+                assert abs(xk[cols].sum() - layout.total) < 1e-12
