@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 import traceback
@@ -251,6 +250,12 @@ def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts):
                        {"name": seq_dir.name, "methods": methods})
 
 
+def _error_record(exc):
+    """Machine-readable failure: exception type, message, traceback tail."""
+    return {"error": {"type": type(exc).__name__, "message": str(exc)},
+            "trace": traceback.format_exc().splitlines()[-3:]}
+
+
 def _run_batch_pair(pair, args):
     """(name, converged) of one manifest entry; None when it failed, with
     the failure written to the sequence's error.json."""
@@ -260,18 +265,16 @@ def _run_batch_pair(pair, args):
     except Exception as exc:   # isolate failures, summarize at the end
         seq_dir = Path(args.out) / entry["name"]
         seq_dir.mkdir(parents=True, exist_ok=True)
-        core_io.write_json(seq_dir / "error.json", {
-            "error": {"type": type(exc).__name__, "message": str(exc)}})
+        core_io.write_json(seq_dir / "error.json", _error_record(exc))
         return entry["name"], None
 
 
 def cmd_batch(args):
     entries = list(_manifest_clips(args.manifest))
-    workers = args.workers or int(os.environ.get("PHYSMOCAP_WORKERS", "1"))
     run_one = partial(_run_batch_pair, args=args)
-    if workers > 1:
+    if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = dict(pool.map(run_one, entries))
     else:
         results = dict(map(run_one, entries))
@@ -394,8 +397,8 @@ def build_parser():
     b.add_argument("--gt-floor", action="store_true",
                    help="use each clip's stored floor instead of fitting")
     b.add_argument("--max-iters", type=int, default=1500)
-    b.add_argument("--workers", type=int, default=0,
-                   help="0 = PHYSMOCAP_WORKERS env var or 1")
+    b.add_argument("--workers", type=int, default=1,
+                   help="worker processes; below 2 runs in-process")
     b.set_defaults(func=cmd_batch)
 
     e = sub.add_parser("eval", help="plausibility report for one motion")
@@ -424,9 +427,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except Exception as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)},
-                  "trace": traceback.format_exc().splitlines()[-3:]}
-        print(json.dumps(record), file=sys.stderr)
+        print(json.dumps(_error_record(exc)), file=sys.stderr)
         return 1
 
 

@@ -75,23 +75,14 @@ def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None
     if positions is None or rotations is None:
         positions, rotations = fk_positions_rotations(skeleton, root_pos, joint_angles)
     T, J = joint_angles.shape[:2]
-    axes_local = euler_rotation_axes(joint_angles)   # T x J x 3 x 3 (columns)
-    mask = descendant_mask(skeleton)
+    axes = euler_rotation_axes(joint_angles)         # T x J x 3 x 3 (columns)
+    # world axes: the root has no parent rotation
+    axes[:, 1:] = rotations[:, skeleton.parents[1:]] @ axes[:, 1:]
+    k, j = np.nonzero(descendant_mask(skeleton))     # k is an ancestor of j
+    rel = positions[:, j] - positions[:, k]          # T x P x 3
+    cross = np.cross(np.swapaxes(axes[:, k], -1, -2), rel[:, :, None])
     jac = np.zeros((T, J, 3, J, 3))
-    for k in range(J):
-        if k == 0:
-            axes_world = axes_local[:, 0]            # root has no parent rotation
-        else:
-            axes_world = rotations[:, skeleton.parents[k]] @ axes_local[:, k]
-        desc = np.nonzero(mask[k])[0]
-        if desc.size == 0:
-            continue
-        rel = positions[:, desc] - positions[:, k:k + 1]     # T x D x 3
-        for c in range(3):
-            ax = axes_world[:, :, c]                        # T x 3
-            block = np.zeros((T, J, 3))
-            block[:, desc] = np.cross(ax[:, None, :], rel)
-            jac[:, :, :, k, c] = block
+    jac[:, j, :, k, :] = cross.transpose(1, 0, 3, 2)
     if single:
         return jac[0]
     return jac
@@ -110,12 +101,6 @@ def segment_points(skeleton, positions):
         pts.append(a + s.com_ratio * (b - a))
         masses.append(s.mass_fraction * skeleton.mass_total)
     return np.stack(pts, axis=-2), np.array(masses)
-
-
-def com_of_positions(skeleton, positions):
-    """Center of mass of the point-mass model for given joint positions."""
-    pts, masses = segment_points(skeleton, positions)
-    return np.einsum("s,...sd->...d", masses, pts) / masses.sum()
 
 
 def _finite_difference_rates(values, fps):

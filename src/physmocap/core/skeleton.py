@@ -225,9 +225,6 @@ class SkeletonModel:
         skip = {self._name_to_id[n] for n in SPINE_JOINTS if n in self._name_to_id}
         return tuple(j for j in range(self.n_joints) if j not in skip)
 
-    def lower_body_ids(self):
-        return tuple(self._name_to_id[n] for n in LOWER_BODY_JOINT_NAMES)
-
     def with_bone_lengths(self, lengths):
         return SkeletonModel(
             joint_names=self.joint_names, parents=self.parents,

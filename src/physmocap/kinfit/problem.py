@@ -1,9 +1,15 @@
 """Residuals and sparse Jacobians for the kinematic cleanup solve.
 
 Variables are the root translation and all joint Euler angles of every frame.
-Limb smoothness and 3D data terms act on root-relative joint positions, so
-global translation is pinned only by the projection term (plus its own small
-smoothness rows); contact and floor terms act on global foot positions.
+The residuals are a constant linear map of the FK joint positions,
+r = M @ pos - b, plus two other kinds: the perspective projection of the
+positions, and the wrapped angle differences between frames, a constant map
+of x itself. Of the linear rows, the 3D data and limb smoothness rows act on
+root-relative positions, so global translation is pinned only by the
+projection term (plus its own small smoothness rows); the contact stillness
+and floor height rows act on global foot positions. The Jacobian is
+therefore [projection blocks; M] times the sparse FK Jacobian, with the
+angle-difference rows below.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..core.kinematics import fk_jacobian, fk_positions_rotations
+from ..core.kinematics import descendant_mask, fk_jacobian, fk_positions_rotations
 from ..core.rotation import wrap_angle
 
 
@@ -28,6 +34,11 @@ class KinfitWeights:
     floor: float = 10.0
 
 
+def _frame_diff(T, n):
+    """(T - n) x T matrix of n-th order forward differences over frames."""
+    return sparse.csr_matrix(np.diff(np.eye(T), n=n, axis=0))
+
+
 class KinematicProblem:
     """Nonlinear least-squares problem over one clip.
 
@@ -41,48 +52,89 @@ class KinematicProblem:
         self.skeleton = skeleton
         self.contacts = contacts
         self.floor = floor
-        self.w = weights or KinfitWeights()
+        self.w = w = weights or KinfitWeights()
 
         T, J = seq.n_frames, skeleton.n_joints
         self.T, self.J = T, J
+        self.n_vars = 3 * T + 3 * J * T
         self.proj_joints = np.array(skeleton.joints_with_2d(), dtype=int)
         cx, cy = seq.principal_point
         self.target2d = (seq.joints2d[:, self.proj_joints]
                          - np.array([cx, cy])) / seq.focal
-        self.proj_w = np.sqrt(self.w.proj * np.clip(seq.conf[:, self.proj_joints],
-                                                    0.0, 1.0))
+        self.proj_w = np.sqrt(w.proj * np.clip(seq.conf[:, self.proj_joints],
+                                               0.0, 1.0))
+
+        feet = np.asarray(skeleton.foot_joint_ids, dtype=int)
+        labels = (contacts.labels if contacts is not None
+                  else np.zeros((T, len(feet)), dtype=bool))
+        still_t, still_k = np.nonzero(labels[:-1] & labels[1:])  # t to t+1
+        floor_t, floor_k = np.nonzero(labels & (floor is not None))
+        normal, offset = ((floor.normal, floor.normal @ floor.point)
+                           if floor is not None else (np.zeros(3), 0.0))
+
+        def frames(n, joints):
+            """n-th frame differences of the joints' combinations, per xyz."""
+            return sparse.kron(_frame_diff(T, n), np.kron(joints, np.eye(3)))
+
+        def feet_at(t, k, xyz=np.eye(3)):
+            """Joint positions (t, feet[k]) picked out of the T*J, per xyz."""
+            pick = sparse.csr_matrix(
+                (np.ones(len(t)), (np.arange(len(t)), t * J + feet[k])),
+                shape=(len(t), T * J))
+            return sparse.kron(pick, xyz)
+
+        eye = np.eye(J)
+        rel, root = eye[1:] - eye[:1], eye[:1]
         # root-relative 3D targets (the estimate's own pelvis as origin)
-        rel = seq.joints3d - seq.joints3d[:, :1]
-        self.data_targets = rel[:, 1:]
-        self.data_w = np.sqrt(self.w.data)
+        targets = (seq.joints3d[:, 1:] - seq.joints3d[:, :1]).ravel()
+        # (name, weight, map of the 3TJ positions, right-hand side)
+        linear = [
+            ("data3d", w.data, frames(0, rel), targets),
+            ("velocity", w.vel, frames(1, rel), 0.0),
+            ("root_velocity", w.vel, frames(1, root), 0.0),
+            ("acceleration", w.acc, frames(2, rel), 0.0),
+            ("root_acceleration", w.acc, frames(2, root), 0.0),
+            ("contact_still", w.contact,
+             feet_at(still_t + 1, still_k) - feet_at(still_t, still_k), 0.0),
+            ("floor_height", w.floor, feet_at(floor_t, floor_k, normal[None]), offset),
+        ]
+        maps = [np.sqrt(wt) * m for _, wt, m, _ in linear]
+        self.M = sparse.vstack(maps, format="csr")
+        self.b = np.concatenate([np.broadcast_to(np.sqrt(wt) * rhs, m.shape[0])
+                                 for (_, wt, _, rhs), m in zip(linear, maps)])
+        # wrapped angle differences between frames, a map of x itself
+        self.G = sparse.hstack([sparse.csr_matrix((3 * J * (T - 1), 3 * T)),
+                                sparse.kron(_frame_diff(T, 1), sparse.identity(3 * J))],
+                               format="csr")
+        self.layout = ([("projection", 2 * T * len(self.proj_joints))]
+                       + [(name, m.shape[0]) for (name, *_), m in zip(linear, maps)]
+                       + [("angle_smooth", self.G.shape[0])])
+        self.n_resid = sum(size for _, size in self.layout)
 
-        if contacts is not None:
-            labels = contacts.labels
-            feet = np.asarray(skeleton.foot_joint_ids, dtype=int)
-            t_idx, k_idx = np.nonzero(labels[:-1] & labels[1:])
-            self.still_t = t_idx          # stillness between t and t+1
-            self.still_j = feet[k_idx]
-            t_idx, k_idx = np.nonzero(labels)
-            self.floor_t = t_idx
-            self.floor_j = feet[k_idx]
-        else:
-            self.still_t = np.zeros(0, dtype=int)
-            self.still_j = np.zeros(0, dtype=int)
-            self.floor_t = np.zeros(0, dtype=int)
-            self.floor_j = np.zeros(0, dtype=int)
-        if floor is None:
-            self.floor_t = np.zeros(0, dtype=int)
-            self.floor_j = np.zeros(0, dtype=int)
-
-        self.n_vars = 3 * T + 3 * J * T
-        self.n_resid = (2 * T * len(self.proj_joints)      # projection
-                        + 3 * T * (J - 1)                  # 3D data
-                        + 3 * (T - 1) * (J - 1) + 3 * (T - 1)   # velocity + root
-                        + 3 * (T - 2) * (J - 1) + 3 * (T - 2)   # acceleration + root
-                        + 3 * (T - 1) * J                  # angle smoothness
-                        + 3 * len(self.still_t)            # contact stillness
-                        + len(self.floor_t))               # floor height
-        self._build_pattern()
+        # Sparse FK Jacobian: row (t, j, xyz) holds the root translation
+        # column of frame t and the angle columns of j's strict ancestors k.
+        # Its values are a 1 per row, then fk_jacobian's [:, j, :, k, :] over
+        # the (j, k) pairs; _jpos keeps the CSR pattern and, per stored entry,
+        # its index into those values (counted from 1, so none is zero).
+        self._fk_pairs = np.nonzero(descendant_mask(skeleton).T)   # (j, k)
+        j, k = (a[:, None, None, None] for a in self._fk_pairs)
+        t, c = np.arange(T)[:, None, None], np.arange(3)
+        rows, cols = np.broadcast_arrays(3 * (t * J + j) + c[:, None],
+                                         3 * T + 3 * (t * J + k) + c)
+        root_cols = np.broadcast_to(3 * t + c, (T, J, 3))
+        index = sparse.csr_matrix(
+            (np.arange(1, 3 * T * J + rows.size + 1),
+             (np.concatenate([np.arange(3 * T * J), rows.ravel()]),
+              np.concatenate([root_cols.ravel(), cols.ravel()]))),
+            shape=(3 * T * J, self.n_vars))
+        self._jpos = index.indices, index.indptr, index.data - 1
+        # projection rows: a 2 x 3 block per (frame, projected joint) on top of M
+        A = len(self.proj_joints)
+        pcols = 3 * (np.arange(T)[:, None] * J + self.proj_joints)[..., None, None] + c
+        proj = sparse.csr_matrix(
+            (np.ones(6 * T * A), np.broadcast_to(pcols, (T, A, 2, 3)).ravel(),
+             np.arange(0, 6 * T * A + 1, 3)), shape=(2 * T * A, 3 * T * J))
+        self._stack = sparse.vstack([proj, self.M], format="csr")
 
     # -- variable packing -------------------------------------------------
 
@@ -95,195 +147,49 @@ class KinematicProblem:
         angles = x[3 * T:].reshape(T, J, 3)
         return root, angles
 
-    def _ang_col(self, t, k):
-        """First column of joint k's angle triple at frame t."""
-        return 3 * self.T + 3 * (t * self.J + k)
+    # -- residuals and Jacobian -------------------------------------------
 
-    # -- residuals --------------------------------------------------------
+    def _projection(self, pos):
+        p = pos[:, self.proj_joints]
+        z = np.maximum(p[..., 2], 0.1)
+        return p, z
 
     def residuals(self, x):
         root, angles = self.unpack(x)
         pos, _ = fk_positions_rotations(self.skeleton, root, angles)
-        return self._residuals_from(pos, root, angles)
-
-    def _residuals_from(self, pos, root, angles):
-        T, J = self.T, self.J
-        out = []
-
-        p = pos[:, self.proj_joints]
-        z = np.maximum(p[..., 2], 0.1)
+        p, z = self._projection(pos)
         proj = np.stack([p[..., 0] / z, p[..., 1] / z], axis=-1)
-        out.append(((proj - self.target2d) * self.proj_w[..., None]).ravel())
-
-        rel = pos - pos[:, :1]
-        out.append((self.data_w * (rel[:, 1:] - self.data_targets)).ravel())
-
-        sv = np.sqrt(self.w.vel)
-        out.append((sv * np.diff(rel[:, 1:], axis=0)).ravel())
-        out.append((sv * np.diff(root, axis=0)).ravel())
-
-        sa = np.sqrt(self.w.acc)
-        out.append((sa * np.diff(rel[:, 1:], n=2, axis=0)).ravel())
-        out.append((sa * np.diff(root, n=2, axis=0)).ravel())
-
-        sg = np.sqrt(self.w.ang)
-        out.append((sg * wrap_angle(np.diff(angles, axis=0))).ravel())
-
-        sc = np.sqrt(self.w.contact)
-        still = pos[self.still_t + 1, self.still_j] - pos[self.still_t, self.still_j]
-        out.append((sc * still).ravel())
-
-        if len(self.floor_t):
-            sf = np.sqrt(self.w.floor)
-            h = self.floor.height(pos[self.floor_t, self.floor_j])
-            out.append(sf * h)
-        else:
-            out.append(np.zeros(0))
-        return np.concatenate(out)
-
-    # -- Jacobian ---------------------------------------------------------
-    #
-    # The sparsity pattern is fixed, so row/column indices are computed once
-    # here; jacobian() only fills values, in the same slab order. Entries
-    # that are structurally zero (non-ancestor angle columns) are dropped
-    # when the matrix is assembled.
-
-    def _build_pattern(self):
-        T, J = self.T, self.J
-        A = len(self.proj_joints)
-        P, F = len(self.still_t), len(self.floor_t)
-        nJ3 = 3 * J
-        acolT = 3 * T + nJ3 * np.arange(T)[:, None] + np.arange(nJ3)  # T x 3J
-        rcolT = 3 * np.arange(T)[:, None] + np.arange(3)              # T x 3
-
-        rows, cols = [], []
-
-        def add(r, c):
-            r, c = np.broadcast_arrays(r, c)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-
-        off = 0
-        proj_r = off + np.arange(2 * T * A).reshape(T, A, 2)
-        add(proj_r[..., None], acolT[:, None, None, :])
-        add(proj_r[..., None], rcolT[:, None, None, :])
-        off += 2 * T * A
-
-        data_r = off + np.arange(3 * T * (J - 1)).reshape(T, 3 * (J - 1))
-        add(data_r[..., None], acolT[:, None, :])
-        off += 3 * T * (J - 1)
-
-        vel_r = off + np.arange(3 * (T - 1) * (J - 1)).reshape(T - 1, 3 * (J - 1))
-        add(vel_r[..., None], acolT[:-1, None, :])
-        add(vel_r[..., None], acolT[1:, None, :])
-        off += 3 * (T - 1) * (J - 1)
-
-        rv = off + np.arange(3 * (T - 1))
-        add(rv, np.arange(3 * (T - 1)))
-        add(rv, np.arange(3 * (T - 1)) + 3)
-        off += 3 * (T - 1)
-
-        acc_r = off + np.arange(3 * (T - 2) * (J - 1)).reshape(T - 2, 3 * (J - 1))
-        for dt in range(3):
-            add(acc_r[..., None], acolT[dt:dt + T - 2, None, :])
-        off += 3 * (T - 2) * (J - 1)
-
-        ra = off + np.arange(3 * (T - 2))
-        for dt in range(3):
-            add(ra, np.arange(3 * (T - 2)) + 3 * dt)
-        off += 3 * (T - 2)
-
-        ang_r = off + np.arange(nJ3 * (T - 1))
-        add(ang_r, acolT[:-1].ravel())
-        add(ang_r, acolT[1:].ravel())
-        off += nJ3 * (T - 1)
-
-        cont_r = off + np.arange(3 * P).reshape(P, 3)
-        add(cont_r[..., None], acolT[self.still_t][:, None, :])
-        add(cont_r, rcolT[self.still_t])
-        add(cont_r[..., None], acolT[self.still_t + 1][:, None, :])
-        add(cont_r, rcolT[self.still_t + 1])
-        off += 3 * P
-
-        floor_r = off + np.arange(F)
-        add(floor_r[:, None], acolT[self.floor_t])
-        add(floor_r[:, None], rcolT[self.floor_t])
-        off += F
-
-        assert off == self.n_resid
-        self._jac_rows = np.concatenate(rows)
-        self._jac_cols = np.concatenate(cols)
-
-        sv, sa = np.sqrt(self.w.vel), np.sqrt(self.w.acc)
-        sg, sc = np.sqrt(self.w.ang), np.sqrt(self.w.contact)
-        self._static = {
-            "rootvel": (np.full(3 * (T - 1), -sv), np.full(3 * (T - 1), sv)),
-            "rootacc": tuple(np.full(3 * (T - 2), sa * c) for c in (1.0, -2.0, 1.0)),
-            "ang": (np.full(nJ3 * (T - 1), -sg), np.full(nJ3 * (T - 1), sg)),
-            "controot": (np.full((P, 3), -sc), np.full((P, 3), sc)),
-        }
+        return np.concatenate([
+            ((proj - self.target2d) * self.proj_w[..., None]).ravel(),
+            self.M @ pos.ravel() - self.b,
+            np.sqrt(self.w.ang) * wrap_angle(self.G @ x)])
 
     def jacobian(self, x):
         root, angles = self.unpack(x)
         pos, rots = fk_positions_rotations(self.skeleton, root, angles)
         jac = fk_jacobian(self.skeleton, root, angles, positions=pos, rotations=rots)
-        T, J = self.T, self.J
-        jflat = jac.reshape(T, J, 3, 3 * J)   # per frame: d pos[j] / d angles
+        indices, indptr, order = self._jpos
+        j, k = self._fk_pairs
+        values = np.concatenate([np.ones(3 * self.T * self.J), jac[:, j, :, k].ravel()])
+        jpos = sparse.csr_matrix((values[order], indices, indptr),
+                                 shape=(3 * self.T * self.J, self.n_vars))
 
-        p = pos[:, self.proj_joints]
-        z = np.maximum(p[..., 2], 0.1)
+        p, z = self._projection(pos)
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
         dproj[..., 0, 0] = 1.0 / z
         dproj[..., 1, 1] = 1.0 / z
         dproj[..., 0, 2] = -p[..., 0] / z ** 2
         dproj[..., 1, 2] = -p[..., 1] / z ** 2
-        dproj *= self.proj_w[..., None, None]
-        jf_proj = jflat[:, self.proj_joints]     # T x A x 3 x 3J
+        stack = self._stack.copy()
+        stack.data[:dproj.size] = (dproj * self.proj_w[..., None, None]).ravel()
 
-        sv, sa = np.sqrt(self.w.vel), np.sqrt(self.w.acc)
-        sc, sf = np.sqrt(self.w.contact), np.sqrt(self.w.floor)
-        st = self._static
-        limb = jflat[:, 1:].reshape(T, -1, 3 * J)
-
-        vals = [
-            np.einsum("tapc,tacq->tapq", dproj, jf_proj),
-            dproj,
-            self.data_w * limb,
-            -sv * limb[:-1], sv * limb[1:],
-            st["rootvel"][0], st["rootvel"][1],
-            sa * limb[:-2], -2.0 * sa * limb[1:-1], sa * limb[2:],
-            st["rootacc"][0], st["rootacc"][1], st["rootacc"][2],
-            st["ang"][0], st["ang"][1],
-            -sc * jflat[self.still_t, self.still_j],
-            st["controot"][0],
-            sc * jflat[self.still_t + 1, self.still_j],
-            st["controot"][1],
-        ]
-        if len(self.floor_t):
-            n = self.floor.normal
-            vals.append(sf * np.einsum("c,pcq->pq", n, jflat[self.floor_t, self.floor_j]))
-            vals.append(np.tile(sf * n, (len(self.floor_t), 1)))
-        mat = sparse.coo_matrix(
-            (np.concatenate([np.ravel(v) for v in vals]),
-             (self._jac_rows, self._jac_cols)),
-            shape=(self.n_resid, self.n_vars)).tocsr()
+        mat = sparse.vstack([stack @ jpos, np.sqrt(self.w.ang) * self.G], format="csr")
         mat.eliminate_zeros()
         return mat
 
     def cost_breakdown(self, x):
         """Sum of squares per term, for reporting."""
         r = self.residuals(x)
-        T, J = self.T, self.J
-        sizes = [2 * T * len(self.proj_joints), 3 * T * (J - 1),
-                 3 * (T - 1) * (J - 1), 3 * (T - 1),
-                 3 * (T - 2) * (J - 1), 3 * (T - 2),
-                 3 * (T - 1) * J, 3 * len(self.still_t), len(self.floor_t)]
-        names = ["projection", "data3d", "velocity", "root_velocity",
-                 "acceleration", "root_acceleration", "angle_smooth",
-                 "contact_still", "floor_height"]
-        out = {}
-        at = 0
-        for name, size in zip(names, sizes):
-            out[name] = float(np.sum(r[at:at + size] ** 2))
-            at += size
-        return out
+        bounds = np.cumsum([0] + [size for _, size in self.layout])
+        return {name: float(np.sum(r[a:b] ** 2))
+                for (name, _), a, b in zip(self.layout, bounds[:-1], bounds[1:])}

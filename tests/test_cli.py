@@ -104,3 +104,4 @@ def test_batch_with_workers_isolates_failures(tmp_path):
     for name in ("a", "b"):
         record = json.loads((out / name / "error.json").read_text())
         assert record["error"]["type"] == "FileNotFoundError"
+        assert isinstance(record["trace"], list) and record["trace"]

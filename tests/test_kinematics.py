@@ -82,6 +82,10 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
             pm, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t], am)
             fd = (pp - pm) / (2 * h)
             assert np.allclose(jac[:, :, k, c], fd, atol=2e-7), (k, c)
+    batch = kin.fk_jacobian(skeleton, motion.root_pos, motion.joint_angles)
+    assert np.array_equal(batch, np.stack([
+        kin.fk_jacobian(skeleton, motion.root_pos[f], motion.joint_angles[f])
+        for f in range(motion.n_frames)]))
 
 
 def test_com_matches_weighted_sum_oracle(skeleton, rng):
