@@ -26,7 +26,6 @@ from .contact.predict import load_classifier, predict_contacts, save_classifier
 from .contact.sequence import ContactSequence, load_contacts, save_contacts
 from .contact.train import TrainingConfig, build_windows, train_classifier
 from .core import io as core_io
-from .core.kinematics import compute_com_inertia
 from .core.skeleton import default_skeleton
 from .fullbody import upgrade_fullbody
 from .kinfit.solve import run_kinematic_init
@@ -57,10 +56,6 @@ def _provenance(args, seed=None):
 def _write_provenance(out_dir, args, seed=None):
     core_io.write_json(Path(out_dir) / "provenance.json",
                        _provenance(args, seed))
-
-
-def _load_pose(path):
-    return core_io.load_pose_sequence(path)
 
 
 # -- generate ---------------------------------------------------------------
@@ -96,7 +91,7 @@ def _manifest_clips(manifest_path):
 def cmd_train(args):
     pairs = []
     for entry, root in _manifest_clips(args.dataset):
-        seq = _load_pose(root / entry["pose"])
+        seq = core_io.load_pose_sequence(root / entry["pose"])
         contacts = load_contacts(root / entry["contacts"])
         pairs.append((seq, contacts, entry["name"]))
     dataset = build_windows(pairs)
@@ -116,7 +111,7 @@ def cmd_train(args):
 # -- label ------------------------------------------------------------------
 
 def cmd_label(args):
-    seq = _load_pose(args.pose)
+    seq = core_io.load_pose_sequence(args.pose)
     if args.model:
         contacts = predict_contacts(load_classifier(args.model), seq)
     elif args.baseline == "2d":
@@ -194,7 +189,7 @@ def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
 
 
 def cmd_optimize(args):
-    seq = _load_pose(args.pose)
+    seq = core_io.load_pose_sequence(args.pose)
     contacts = load_contacts(args.contacts)
     floor = core_io.load_floor(args.floor) if args.floor else None
     payload = optimize_sequence(seq, contacts, args.out, floor=floor,
@@ -212,14 +207,14 @@ def cmd_optimize(args):
 def _batch_contacts(entry, root, args):
     if args.contacts_from == "files":
         return load_contacts(root / entry["contacts"])
-    seq = _load_pose(root / entry["pose"])
+    seq = core_io.load_pose_sequence(root / entry["pose"])
     if args.contacts_from == "classifier":
         return predict_contacts(load_classifier(args.model), seq)
     return velocity_baseline_3d(seq)
 
 
 def _run_batch_entry(entry, root, args):
-    seq = _load_pose(root / entry["pose"])
+    seq = core_io.load_pose_sequence(root / entry["pose"])
     contacts = _batch_contacts(entry, root, args)
     floor = core_io.load_floor(root / entry["floor"]) if args.gt_floor else None
     seq_dir = Path(args.out) / entry["name"]
@@ -228,11 +223,14 @@ def _run_batch_entry(entry, root, args):
     gt_motion = core_io.load_motion(root / entry["motion"])
     gt_floor = core_io.load_floor(root / entry["floor"])
     gt_contacts = load_contacts(root / entry["contacts"])
-    _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts)
+    _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts,
+                payload["converged"])
     return payload["converged"]
 
 
-def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts):
+def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts, converged):
+    """Score the input, kinematic and physics motions of one sequence
+    directory; the physics row also records whether its solve converged."""
     seq_dir = Path(seq_dir)
     skeleton = gt_motion.skeleton
     methods = {"input": positions_report(
@@ -245,7 +243,7 @@ def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts):
     forces = np.load(seq_dir / "forces.npy")
     methods["physics"] = plausibility_report(
         phys, gt_floor, gt_contacts, forces=forces,
-        gt_motion=gt_motion).as_dict()
+        gt_motion=gt_motion).as_dict() | {"converged": float(converged)}
     core_io.write_json(seq_dir / "eval.json",
                        {"name": seq_dir.name, "methods": methods})
 
@@ -320,7 +318,10 @@ def cmd_report(args):
         return 1
 
     methods = sorted({m for row in rows for m in row["methods"]})
-    keys = list(rows[0]["methods"][methods[0]].keys())
+    # every key of every method, in the order of first appearance
+    keys = list(dict.fromkeys(key for row in rows
+                              for scores in row["methods"].values()
+                              for key in scores))
     table = {}
     for method in methods:
         agg = {}

@@ -11,7 +11,6 @@ from .train import TrainingConfig, WindowDataset, build_windows, split_motions, 
 from .predict import (
     ContactClassifier,
     load_classifier,
-    per_offset_accuracy,
     predict_contacts,
     save_classifier,
 )

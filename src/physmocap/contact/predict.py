@@ -53,24 +53,6 @@ def predict_contacts(classifier, seq):
     return ContactSequence(fps=seq.fps, labels=labels)
 
 
-def per_offset_accuracy(classifier, pairs):
-    """Accuracy of each window slot on its own (no voting), over (seq, gt) pairs.
-
-    Returns an array of 5 accuracies; index 2 is the center frame.
-    """
-    correct = np.zeros(5)
-    count = np.zeros(5)
-    for seq, gt in pairs:
-        preds = predict_window_probs(classifier, seq) > 0.5
-        T = seq.n_frames
-        for k in range(5):
-            t = np.arange(T) + k - 2
-            ok = (t >= 0) & (t < T)
-            correct[k] += np.sum(preds[ok, k] == gt.labels[t[ok]])
-            count[k] += int(ok.sum()) * 4
-    return correct / np.maximum(count, 1)
-
-
 def save_classifier(classifier, path):
     state = classifier.state
     meta = {

@@ -1,6 +1,5 @@
 from .skeleton import SkeletonModel, default_skeleton
 from .types import (
-    CentroidalState,
     CentroidalStates,
     FloorPlane,
     JointAngleMotion,

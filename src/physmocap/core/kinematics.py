@@ -35,14 +35,10 @@ def fk_positions_rotations(skeleton, root_pos, joint_angles):
     return pos, W
 
 
-def forward_kinematics(motion, frame=None):
-    """World joint positions of a JointAngleMotion; one frame or all frames."""
-    if frame is None:
-        pos, _ = fk_positions_rotations(motion.skeleton, motion.root_pos,
-                                        motion.joint_angles)
-        return pos
-    pos, _ = fk_positions_rotations(motion.skeleton, motion.root_pos[frame],
-                                    motion.joint_angles[frame])
+def forward_kinematics(motion):
+    """World joint positions of a JointAngleMotion, T x J x 3."""
+    pos, _ = fk_positions_rotations(motion.skeleton, motion.root_pos,
+                                    motion.joint_angles)
     return pos
 
 

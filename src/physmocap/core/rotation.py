@@ -157,23 +157,8 @@ def euler_to_matrix_grad(angles):
     return out
 
 
-def angular_velocity(angles, rates):
-    """World angular velocity from Euler angles and their time derivatives."""
-    A = euler_rotation_axes(angles)
-    return (A @ np.asarray(rates)[..., None])[..., 0]
-
-
 def wrap_angle(a):
     """Wrap to (-pi, pi]."""
     a = np.asarray(a)
     out = np.mod(-a + np.pi, 2.0 * np.pi)
     return -(out - np.pi)
-
-
-def gimbal_frames(angles_seq, tol=1e-3):
-    """Frame indices whose pitch sits within tol of +-pi/2 (ill-conditioned)."""
-    ay = np.asarray(angles_seq)[..., 1]
-    bad = np.abs(np.abs(ay) - 0.5 * np.pi) < tol
-    if bad.ndim > 1:
-        bad = bad.any(axis=tuple(range(1, bad.ndim)))
-    return np.nonzero(bad)[0]

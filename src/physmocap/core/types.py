@@ -138,27 +138,6 @@ class FloorPlane:
 
 
 @dataclass(frozen=True, eq=False)
-class CentroidalState:
-    """Centroidal snapshot for one frame: COM, orientation, rates, body inertia."""
-    r: np.ndarray           # COM position, m
-    theta: np.ndarray       # COM orientation (root orientation), Euler Z-Y-X
-    r_dot: np.ndarray
-    theta_dot: np.ndarray
-    I_b: np.ndarray         # 3 x 3 inertia about the COM in the root-aligned frame
-
-    def __post_init__(self):
-        for name in ("r", "theta", "r_dot", "theta_dot", "I_b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.I_b.shape != (3, 3):
-            raise ValueError(f"I_b shape {self.I_b.shape}")
-        if not np.allclose(self.I_b, self.I_b.T, atol=1e-9):
-            raise ValueError("I_b must be symmetric")
-        eigs = np.linalg.eigvalsh(self.I_b)
-        if eigs[0] <= 0:
-            raise ValueError(f"I_b must be positive definite, eigenvalues {eigs}")
-
-
-@dataclass(frozen=True, eq=False)
 class CentroidalStates:
     """Centroidal trajectory over a clip, stored as arrays (one row per frame)."""
     fps: float
@@ -182,7 +161,3 @@ class CentroidalStates:
     @property
     def n_frames(self):
         return self.r.shape[0]
-
-    def state(self, t):
-        return CentroidalState(self.r[t], self.theta[t], self.r_dot[t],
-                               self.theta_dot[t], self.I_b[t])

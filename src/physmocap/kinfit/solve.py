@@ -29,11 +29,6 @@ class KinfitReport:
     stages: list = field(default_factory=list)   # (name, cost, iters, seconds)
     cost_breakdown: dict = field(default_factory=dict)
 
-    def summary(self):
-        lines = [f"  {name}: cost {cost:.6g}, {n} iters, {sec:.1f}s"
-                 for name, cost, n, sec in self.stages]
-        return "\n".join(lines)
-
 
 def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
     """Levenberg-Marquardt with direct sparse normal-equation solves.

@@ -1,11 +1,14 @@
 """Plausibility and positional metrics for recovered motions.
 
-Ground-reaction forces are read off a physics trajectory directly or implied
-from a kinematic motion by twice differencing its COM; they are reported as a
-percentage of the idle body-weight force. Foot metrics count frames where a
-foot floats, penetrates the floor, or skates during ground-truth contact.
-Positional metrics are global mean per-joint errors in millimetres, with an
-extra variant that aligns the root of the first frame only.
+Every report is computed from per-frame joint positions through one path;
+a joint-angle motion reaches it through forward kinematics, the noisy pose
+input directly. Ground-reaction forces are those of a physics trajectory
+when given, and otherwise implied by twice differencing the segment-model
+COM; they are reported as a percentage of the idle body-weight force. Foot
+metrics count frames where a foot floats, penetrates the floor, or skates
+during ground-truth contact. Positional metrics are global mean per-joint
+errors in millimetres against the ground-truth motion's FK, with an extra
+variant that aligns the root of the first frame only.
 """
 from __future__ import annotations
 
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.kinematics import (compute_com_inertia, fk_positions_rotations,
-                              segment_points)
+from .core.kinematics import forward_kinematics, segment_points
 
 GRAVITY = 9.8
 FLOAT_THRESHOLD = 0.03        # m above the floor while labelled in contact
@@ -62,29 +64,35 @@ def _central_second_difference(track, fps):
     return acc * fps * fps
 
 
+def _com_forces(pts, masses, fps, floor, mass=None):
+    """Net contact force m (r'' - g) implied by the segment-model COM, T x 3.
+
+    pts, masses: segment_points of the joint positions. r'' comes from
+    second differences, and gravity points against the floor normal.
+    """
+    if len(pts) < 3:
+        raise ValueError("need at least 3 frames to difference the COM")
+    if mass is None:
+        mass = masses.sum()
+    com = np.einsum("s,tsd->td", masses, pts) / masses.sum()
+    return mass * (_central_second_difference(com, fps) + GRAVITY * floor.normal)
+
+
 def implied_grf(source, mass=None, floor=None):
     """Per-frame net contact force, T x 3.
 
     A physics trajectory carries its contact forces, so they are summed
-    directly at the frame grid. A kinematic motion implies them through
-    m (r'' - g), with r'' from second differences of the segment-model COM
-    and gravity pointing against the floor normal.
+    directly at the frame grid. A kinematic motion implies them from the
+    second differences of its segment-model COM (see _com_forces).
     """
     if hasattr(source, "layout"):       # CentroidalTrajectory
         fps = source.layout.fps
         times = np.arange(round(source.layout.total * fps)) / fps
         return source.sample(times)["forces"].sum(axis=1)
-    motion = source
-    if motion.n_frames < 3:
-        raise ValueError("need at least 3 frames to difference the COM")
     if floor is None:
         raise ValueError("kinematic motions need the floor for gravity")
-    states = compute_com_inertia(motion)
-    if mass is None:
-        mass = states.mass
-    acc = _central_second_difference(states.r, motion.fps)
-    gravity = -GRAVITY * floor.normal
-    return mass * (acc - gravity)
+    pts, masses = segment_points(source.skeleton, forward_kinematics(source))
+    return _com_forces(pts, masses, source.fps, floor, mass)
 
 
 def grf_metrics(forces, contacts_gt, mass):
@@ -99,7 +107,9 @@ def grf_metrics(forces, contacts_gt, mass):
     return float(percent.mean()), float(percent.max()), ballistic
 
 
-def _foot_counts(feet, floor, labels):
+def _foot_counts(positions, skeleton, floor, labels):
+    """(floating, penetration, skate) fractions of the four foot joints."""
+    feet = positions[:, list(skeleton.foot_joint_ids)]          # T x 4 x 3
     height = feet @ floor.normal - floor.normal @ floor.point
     n_contact = labels.sum()
     floating = float((labels & (height > FLOAT_THRESHOLD)).sum()
@@ -118,10 +128,27 @@ def foot_metrics(motion, floor, contacts_gt):
     > 3 cm below the floor at any frame. Skate: moved > 2 cm from the
     previous frame while both frames are labelled in contact.
     """
-    positions, _ = fk_positions_rotations(
-        motion.skeleton, motion.root_pos, motion.joint_angles)
-    feet = positions[:, list(motion.skeleton.foot_joint_ids)]   # T x 4 x 3
-    return _foot_counts(feet, floor, contacts_gt.labels)
+    return _foot_counts(forward_kinematics(motion), motion.skeleton, floor,
+                        contacts_gt.labels)
+
+
+def _mpjpe(positions, skeleton, gt, joint_names=None):
+    """(feet, body, body_align1) mean per-joint errors in mm against the FK
+    of the motion gt. body_align1 first shifts every frame by the frame-0
+    root (joint 0) offset."""
+    if joint_names is None:
+        joint_names = BODY_EVAL_JOINTS
+    gt_pos = forward_kinematics(gt)
+
+    def mpjpe(pos, names):
+        ids = [skeleton.joint_id(n) for n in names]
+        ids_gt = [gt.skeleton.joint_id(n) for n in names]
+        err = np.linalg.norm(pos[:, ids] - gt_pos[:, ids_gt], axis=2)
+        return float(err.mean() * 1000.0)
+
+    shift = positions[0, 0] - gt_pos[0, 0]
+    return (mpjpe(positions, FEET_EVAL_JOINTS), mpjpe(positions, joint_names),
+            mpjpe(positions - shift, joint_names))
 
 
 def positional_metrics(pred, gt, joint_names=None):
@@ -130,23 +157,28 @@ def positional_metrics(pred, gt, joint_names=None):
     body_align1 subtracts the frame-0 root offset from every predicted
     frame before measuring, removing any constant trajectory shift.
     """
-    if joint_names is None:
-        joint_names = BODY_EVAL_JOINTS
-    pred_pos, _ = fk_positions_rotations(
-        pred.skeleton, pred.root_pos, pred.joint_angles)
-    gt_pos, _ = fk_positions_rotations(gt.skeleton, gt.root_pos, gt.joint_angles)
+    return _mpjpe(forward_kinematics(pred), pred.skeleton, gt, joint_names)
 
-    def mpjpe(a, b, names):
-        ids_a = [pred.skeleton.joint_id(n) for n in names]
-        ids_b = [gt.skeleton.joint_id(n) for n in names]
-        err = np.linalg.norm(a[:, ids_a] - b[:, ids_b], axis=2)
-        return float(err.mean() * 1000.0)
 
-    feet = mpjpe(pred_pos, gt_pos, FEET_EVAL_JOINTS)
-    body = mpjpe(pred_pos, gt_pos, joint_names)
-    shift = pred.root_pos[0] - gt.root_pos[0]
-    body_align1 = mpjpe(pred_pos - shift, gt_pos, joint_names)
-    return feet, body, body_align1
+def _report(positions, skeleton, fps, floor, contacts_gt, mass, forces,
+            gt_motion):
+    """PlausibilityReport of per-frame joint positions, T x J x 3."""
+    pts, masses = segment_points(skeleton, positions)
+    if mass is None:
+        mass = float(masses.sum())
+    if forces is None:
+        forces = _com_forces(pts, masses, fps, floor, mass)
+    mean, peak, ballistic = grf_metrics(forces, contacts_gt, mass)
+    floating, penetration, skate = _foot_counts(positions, skeleton, floor,
+                                                contacts_gt.labels)
+    report = PlausibilityReport(
+        mean_grf=mean, max_grf=peak, ballistic_grf=ballistic,
+        floating=100.0 * floating, penetration=100.0 * penetration,
+        skate=100.0 * skate)
+    if gt_motion is not None:
+        (report.feet_mpjpe, report.body_mpjpe,
+         report.body_align1_mpjpe) = _mpjpe(positions, skeleton, gt_motion)
+    return report
 
 
 def plausibility_report(motion, floor, contacts_gt, mass=None, forces=None,
@@ -157,63 +189,13 @@ def plausibility_report(motion, floor, contacts_gt, mass=None, forces=None,
     they are implied from the motion's COM (the right choice for raw inputs
     and kinematic-only results).
     """
-    if mass is None:
-        mass = compute_com_inertia(motion).mass
-    if forces is None:
-        forces = implied_grf(motion, mass=mass, floor=floor)
-    mean, peak, ballistic = grf_metrics(forces, contacts_gt, mass)
-    floating, penetration, skate = foot_metrics(motion, floor, contacts_gt)
-    report = PlausibilityReport(
-        mean_grf=mean, max_grf=peak, ballistic_grf=ballistic,
-        floating=100.0 * floating, penetration=100.0 * penetration,
-        skate=100.0 * skate)
-    if gt_motion is not None:
-        feet, body, align1 = positional_metrics(motion, gt_motion)
-        report.feet_mpjpe, report.body_mpjpe = feet, body
-        report.body_align1_mpjpe = align1
-    return report
+    return _report(forward_kinematics(motion), motion.skeleton, motion.fps,
+                   floor, contacts_gt, mass, forces, gt_motion)
 
 
 def positions_report(positions, skeleton, fps, floor, contacts_gt, mass=None,
                      gt_motion=None):
-    """Report for raw per-frame joint positions (the noisy pose input).
-
-    There is no joint-angle motion to differentiate, so forces are implied
-    from the segment-model COM of the given positions.
-    """
-    positions = np.asarray(positions, dtype=float)
-    pts, masses = segment_points(skeleton, positions)
-    if mass is None:
-        mass = float(masses.sum())
-    com = np.einsum("s,tsd->td", masses, pts) / masses.sum()
-    acc = _central_second_difference(com, fps)
-    forces = mass * (acc + GRAVITY * floor.normal)
-    mean, peak, ballistic = grf_metrics(forces, contacts_gt, mass)
-    feet = positions[:, list(skeleton.foot_joint_ids)]
-    floating, penetration, skate = _foot_counts(feet, floor,
-                                                contacts_gt.labels)
-    report = PlausibilityReport(
-        mean_grf=mean, max_grf=peak, ballistic_grf=ballistic,
-        floating=100.0 * floating, penetration=100.0 * penetration,
-        skate=100.0 * skate)
-    if gt_motion is not None:
-        gt_pos, _ = fk_positions_rotations(
-            gt_motion.skeleton, gt_motion.root_pos, gt_motion.joint_angles)
-
-        def mpjpe(names):
-            ids_p = [skeleton.joint_id(n) for n in names]
-            ids_g = [gt_motion.skeleton.joint_id(n) for n in names]
-            err = np.linalg.norm(positions[:, ids_p] - gt_pos[:, ids_g], axis=2)
-            return float(err.mean() * 1000.0)
-
-        report.feet_mpjpe = mpjpe(FEET_EVAL_JOINTS)
-        report.body_mpjpe = mpjpe(BODY_EVAL_JOINTS)
-        root_p = positions[0, skeleton.joint_id("pelvis")]
-        root_g = gt_pos[0, gt_motion.skeleton.joint_id("pelvis")]
-        shift = root_p - root_g
-        ids_p = [skeleton.joint_id(n) for n in BODY_EVAL_JOINTS]
-        ids_g = [gt_motion.skeleton.joint_id(n) for n in BODY_EVAL_JOINTS]
-        err = np.linalg.norm(positions[:, ids_p] - shift - gt_pos[:, ids_g],
-                             axis=2)
-        report.body_align1_mpjpe = float(err.mean() * 1000.0)
-    return report
+    """Report for raw per-frame joint positions (the noisy pose input),
+    with forces implied from their segment-model COM."""
+    return _report(np.asarray(positions, dtype=float), skeleton, fps, floor,
+                   contacts_gt, mass, None, gt_motion)

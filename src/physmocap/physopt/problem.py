@@ -113,17 +113,6 @@ def targets_from_kinematic(motion, states, floor):
         l_leg=skeleton.l_leg, l_foot=skeleton.l_foot)
 
 
-def _contact_intervals(phases):
-    """[(phase_index, (start, end))] of the contact phases, initial timing."""
-    out = []
-    at = 0.0
-    for j, ph in enumerate(phases):
-        if ph.contact:
-            out.append((j, (at, at + ph.duration0)))
-        at += ph.duration0
-    return out
-
-
 class _Memo:
     """Single-entry cache keyed on an array: the variable vector, or its
     duration part for the sample matrices."""
@@ -263,11 +252,12 @@ class ReducedProblem:
         pairs = []
         self.footlen_times = []     # (toe, heel, kin_times indices)
         for toe, heel in self.FOOT_PAIRS:
-            for jt, (a0, a1) in _contact_intervals(layout.joint_phases[toe]):
-                for jh, (b0, b1) in _contact_intervals(layout.joint_phases[heel]):
-                    if min(a1, b1) - max(a0, b0) > 1e-9:
-                        pairs.append((layout.joint_phases[toe][jt].const_col,
-                                      layout.joint_phases[heel][jh].const_col))
+            for a in layout.joint_phases[toe]:
+                for b in layout.joint_phases[heel]:
+                    if (a.contact and b.contact
+                            and min(a.start0 + a.duration0, b.start0 + b.duration0)
+                            - max(a.start0, b.start0) > 1e-9):
+                        pairs.append((a.const_col, b.const_col))
             self.footlen_times.append(
                 (toe, heel, np.flatnonzero(~(in_contact(toe) & in_contact(heel)))))
         self.footlen_sel = (_selection([c for c, _ in pairs], layout.n_vars)

@@ -66,26 +66,6 @@ class PhysOptReport:
         return bool(self.stages and self.stages[-1].success
                     and self.max_violation < VIOLATION_TOL)
 
-    def summary(self):
-        lines = []
-        for st in self.stages:
-            lines.append(f"{st.name:9s} obj={st.objective:10.4f} "
-                         f"viol={st.max_violation:8.2e} iters={st.n_iters:4d} "
-                         f"status={st.status} {st.wall_time:6.1f}s")
-        terms = " ".join(f"{k}={v:.4f}" for k, v in self.objective_terms.items())
-        lines.append(f"terms: {terms}")
-        return "\n".join(lines)
-
-
-def _phase_frame_ranges(phases):
-    """[(first_frame, n_frames)] for each phase of one joint."""
-    out = []
-    at = 0
-    for ph in phases:
-        out.append((at, ph.n_frames))
-        at += ph.n_frames
-    return out
-
 
 def initial_guess(problem):
     """Linear least-squares knot fit plus a static contact-force guess."""
@@ -97,27 +77,25 @@ def initial_guess(problem):
 
     # stance constants: phase-mean foot target projected onto the floor
     for i, phases in enumerate(lay.joint_phases):
-        for (first, count), ph in zip(_phase_frame_ranges(phases), phases):
+        for ph in phases:
             if not ph.contact:
                 continue
-            c = tg.feet[first:first + count, i].mean(axis=0)
+            c = tg.feet[ph.first_frame:ph.first_frame + ph.n_frames, i].mean(axis=0)
             c -= (up @ c - floor_h) * up
             x[ph.const_col:ph.const_col + 3] = c
 
     # flight knots: start from the interpolated foot targets
     for i, phases in enumerate(lay.joint_phases):
-        start = 0.0
         for ph in phases:
             if not ph.contact:
                 n = ph.n_segs
                 delta = ph.duration0 / n
                 for k in range(n + 1):
-                    t = min(start + k * delta, tg.times[-1])
+                    t = min(ph.start0 + k * delta, tg.times[-1])
                     if ph.pos_cols[k] >= 0 and ph.vel_cols[k] >= 0:
                         pc, vc = ph.pos_cols[k], ph.vel_cols[k]
                         x[pc:pc + 3] = tg.interp(tg.feet, t)[i]
                         x[vc:vc + 3] = 0.0
-            start += ph.duration0
 
     # COM knots: sample the targets, then one exact Newton step on the
     # quadratic tracking objective over the free knot columns
@@ -147,10 +125,9 @@ def initial_guess(problem):
     # static forces: distribute the net contact wrench of the fitted motion
     # between the feet in contact at each force knot (least-squares over
     # force and torque balance), each force clipped into the friction cone
-    knots = [(i, ph.force_col + 6 * k, start + k * (ph.duration0 / ph.n_segs))
+    knots = [(i, ph.force_col + 6 * k, ph.start0 + k * (ph.duration0 / ph.n_segs))
              for i, phases in enumerate(lay.joint_phases)
-             for ph, start in zip(phases, np.cumsum([0.0] + [p.duration0 for p in phases]))
-             if ph.contact for k in range(ph.n_segs + 1)]
+             for ph in phases if ph.contact for k in range(ph.n_segs + 1)]
     joint, cols, times = (np.array(v) for v in zip(*knots))
     d = x[lay.dur_base:]
     wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)
@@ -287,15 +264,13 @@ def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
 
 
 def solve_reduced(targets, contacts, weights=None, max_iters=3000,
-                  duration_stage=True, verbose=0, collect_iterates=None,
-                  layout=None):
+                  duration_stage=True, verbose=0, collect_iterates=None):
     """Run the staged trajectory optimization.
 
     Returns (CentroidalTrajectory, report, problem). If collect_iterates
     is a list, solver iterates are appended to it as (x, stage-name) pairs.
     """
-    if layout is None:
-        layout = TrajectoryLayout(contacts)
+    layout = TrajectoryLayout(contacts)
     problem = ReducedProblem(layout, targets, weights)
     t0 = time.perf_counter()
     x0 = initial_guess(problem)

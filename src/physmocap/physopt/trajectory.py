@@ -39,7 +39,9 @@ COM_KNOT_DT = 0.1
 @dataclass
 class Phase:
     contact: bool
+    first_frame: int
     n_frames: int
+    start0: float       # initial start time: the durations before it, summed
     duration0: float
     n_segs: int
     const_col: int = -1
@@ -134,17 +136,18 @@ class TrajectoryLayout:
         self.joint_phases = []
         for i in range(4):
             phases = []
+            first, start = 0, 0.0
             for kind, n in contacts.phases(i):
                 dur = n / self.fps
-                if kind == "contact":
-                    ph = Phase(True, n, dur, segment_count(dur))
+                ph = Phase(kind == "contact", first, n, start, dur,
+                           segment_count(dur))
+                if ph.contact:
                     ph.const_col = col
                     col += 3
                     ph.force_col = col
                     col += 6 * (ph.n_segs + 1)
-                else:
-                    ph = Phase(False, n, dur, segment_count(dur))
                 phases.append(ph)
+                first, start = first + n, start + dur
             self.joint_phases.append(phases)
 
         # flight knots: boundaries read the neighbor stance constant, zero

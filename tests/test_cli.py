@@ -3,6 +3,8 @@ import json
 import numpy as np
 
 from physmocap import cli
+from physmocap.contact.sequence import load_contacts
+from physmocap.core import io as core_io
 
 
 def _tiny_dataset(tmp_path):
@@ -105,3 +107,28 @@ def test_batch_with_workers_isolates_failures(tmp_path):
         record = json.loads((out / name / "error.json").read_text())
         assert record["error"]["type"] == "FileNotFoundError"
         assert isinstance(record["trace"], list) and record["trace"]
+
+
+def test_eval_and_report_flag_unconverged_physics(tmp_path):
+    out, entry = _tiny_dataset(tmp_path)
+    gt_motion = core_io.load_motion(out / entry["motion"])
+    batch = tmp_path / "batch"
+    seq_dir = batch / "stand_t"
+    seq_dir.mkdir(parents=True)
+    for name in ("kinematic", "physics"):
+        core_io.save_motion(gt_motion, seq_dir / f"{name}.motion.json")
+    np.save(seq_dir / "forces.npy", np.zeros((gt_motion.n_frames, 3)))
+    cli._write_eval(seq_dir, core_io.load_pose_sequence(out / entry["pose"]),
+                    gt_motion, core_io.load_floor(out / entry["floor"]),
+                    load_contacts(out / entry["contacts"]), converged=False)
+    methods = json.loads((seq_dir / "eval.json").read_text())["methods"]
+    assert methods["physics"]["converged"] == 0.0
+    assert "converged" not in methods["input"]
+    assert isinstance(methods["input"]["body_mpjpe"], float)
+
+    assert cli.main(["report", "--dir", str(batch)]) == 0
+    table = json.loads((batch / "summary.json").read_text())["methods"]
+    assert table["physics"]["converged"] == 0.0
+    assert table["input"]["converged"] == "n/a"
+    header = (batch / "summary.csv").read_text().splitlines()[0].split(",")
+    assert "converged" in header

@@ -3,11 +3,13 @@ import pytest
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core.kinematics import (compute_com_inertia,
-                                       fk_positions_rotations, transform_motion)
+                                       fk_positions_rotations,
+                                       forward_kinematics, transform_motion)
 from physmocap.core.skeleton import default_skeleton
 from physmocap.core.types import FloorPlane, JointAngleMotion
 from physmocap.metrics import (GRAVITY, foot_metrics, grf_metrics, implied_grf,
-                               plausibility_report, positional_metrics)
+                               plausibility_report, positional_metrics,
+                               positions_report)
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
@@ -175,3 +177,18 @@ def test_report_serializes_missing_ballistic(stand_clip):
     assert d["ballistic_grf"] == "n/a"
     assert d["feet_mpjpe"] == "n/a"
     assert isinstance(d["mean_grf"], float)
+
+
+def test_positions_report_of_fk_equals_motion_report(stand_clip):
+    """The pose-input row and a motion's row are one computation: the
+    report of a motion's FK positions is the motion's report, exactly."""
+    rng = np.random.default_rng(9)
+    motion, floor, contacts = (stand_clip.motion, stand_clip.floor,
+                               stand_clip.contacts)
+    pred = motion.with_frames(
+        motion.root_pos + rng.normal(0.0, 0.02, motion.root_pos.shape),
+        motion.joint_angles + rng.normal(0.0, 0.03, motion.joint_angles.shape))
+    got = positions_report(forward_kinematics(pred), pred.skeleton, pred.fps,
+                           floor, contacts, gt_motion=motion)
+    want = plausibility_report(pred, floor, contacts, gt_motion=motion)
+    assert got.as_dict() == want.as_dict()

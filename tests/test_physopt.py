@@ -240,10 +240,10 @@ def _nudge_durations(problem, x, scale=1e-4):
 
 def test_gradients_match_fd_at_solver_iterates(hop_setup):
     """First derivatives stay exact along the path of a real solve."""
-    layout, targets, _ = hop_setup
+    layout, targets, clip = hop_setup
     iterates = []
-    solve_reduced(targets, None, max_iters=30, duration_stage=False,
-                  collect_iterates=iterates, layout=layout)
+    solve_reduced(targets, clip.contacts, max_iters=30, duration_stage=False,
+                  collect_iterates=iterates)
     assert len(iterates) >= 20
     rng = np.random.default_rng(8)
     problem = ReducedProblem(layout, targets)
@@ -286,7 +286,7 @@ def test_short_solve_reduces_violation(hop_setup):
     x0_prob = ReducedProblem(layout, targets)
     v0 = max(x0_prob.violation_by_group(initial_guess(x0_prob)).values())
     traj, report, _ = solve_reduced(
-        targets, None, max_iters=250, duration_stage=False, layout=layout)
+        targets, clip.contacts, max_iters=250, duration_stage=False)
     v = report.stages[-1].max_violation
     assert v < 1e-3 and v < 1e-3 * v0
     out = traj.sample(targets.times)
@@ -300,10 +300,10 @@ def test_stages_hold_their_fixed_columns(hop_setup):
     The dynamics stage holds the phase durations and the COM boundary
     velocity knots; the durations stage holds the boundary velocity knots.
     """
-    layout, targets, _ = hop_setup
+    layout, targets, clip = hop_setup
     iterates = []
-    solve_reduced(targets, None, max_iters=3, duration_stage=True,
-                  collect_iterates=iterates, layout=layout)
+    solve_reduced(targets, clip.contacts, max_iters=3, duration_stage=True,
+                  collect_iterates=iterates)
     stages = [stage for _, stage in iterates]
     assert "dynamics" in stages and "durations" in stages
     vel_cols = [layout.com_knot_cols(which, k)[1]
