@@ -47,9 +47,6 @@ class ContactSequence:
                 start = t
         return runs
 
-    def phase_durations(self, foot):
-        return [(kind, n / self.fps) for kind, n in self.phases(foot)]
-
     def joint_names(self):
         return CONTACT_JOINT_NAMES
 

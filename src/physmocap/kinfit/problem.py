@@ -1,6 +1,9 @@
 """Residuals and sparse Jacobians for the kinematic cleanup solve.
 
-Variables are the root translation and all joint Euler angles of every frame.
+Variables are ordered frame by frame: x holds [root translation (3), joint
+Euler angles (3J)] for each of the T frames in turn, so a frame's variables
+are one contiguous block of 3 + 3J. Every term couples frames at most two
+apart (the acceleration rows), so J^T J is a band matrix in this order.
 The residuals are a constant linear map of the FK joint positions,
 r = M @ pos - b, plus two other kinds: the perspective projection of the
 positions, and the wrapped angle differences between frames, a constant map
@@ -56,7 +59,7 @@ class KinematicProblem:
 
         T, J = seq.n_frames, skeleton.n_joints
         self.T, self.J = T, J
-        self.n_vars = 3 * T + 3 * J * T
+        self.n_vars = T * (3 + 3 * J)
         self.proj_joints = np.array(skeleton.joints_with_2d(), dtype=int)
         cx, cy = seq.principal_point
         self.target2d = (seq.joints2d[:, self.proj_joints]
@@ -103,25 +106,26 @@ class KinematicProblem:
         self.b = np.concatenate([np.broadcast_to(np.sqrt(wt) * rhs, m.shape[0])
                                  for (_, wt, _, rhs), m in zip(linear, maps)])
         # wrapped angle differences between frames, a map of x itself
-        self.G = sparse.hstack([sparse.csr_matrix((3 * J * (T - 1), 3 * T)),
-                                sparse.kron(_frame_diff(T, 1), sparse.identity(3 * J))],
-                               format="csr")
+        angle_cols = sparse.eye(3 * J, 3 + 3 * J, k=3)
+        self.G = sparse.kron(_frame_diff(T, 1), angle_cols, format="csr")
         self.layout = ([("projection", 2 * T * len(self.proj_joints))]
                        + [(name, m.shape[0]) for (name, *_), m in zip(linear, maps)]
                        + [("angle_smooth", self.G.shape[0])])
         self.n_resid = sum(size for _, size in self.layout)
 
         # Sparse FK Jacobian: row (t, j, xyz) holds the root translation
-        # column of frame t and the angle columns of j's strict ancestors k.
+        # columns of frame t and the angle columns of j's strict ancestors k
+        # in frame t.
         # Its values are a 1 per row, then fk_jacobian's [:, j, :, k, :] over
         # the (j, k) pairs; _jpos keeps the CSR pattern and, per stored entry,
         # its index into those values (counted from 1, so none is zero).
         self._fk_pairs = np.nonzero(descendant_mask(skeleton).T)   # (j, k)
         j, k = (a[:, None, None, None] for a in self._fk_pairs)
         t, c = np.arange(T)[:, None, None], np.arange(3)
+        frame = (3 + 3 * J) * t
         rows, cols = np.broadcast_arrays(3 * (t * J + j) + c[:, None],
-                                         3 * T + 3 * (t * J + k) + c)
-        root_cols = np.broadcast_to(3 * t + c, (T, J, 3))
+                                         frame + 3 + 3 * k + c)
+        root_cols = np.broadcast_to(frame + c, (T, J, 3))
         index = sparse.csr_matrix(
             (np.arange(1, 3 * T * J + rows.size + 1),
              (np.concatenate([np.arange(3 * T * J), rows.ravel()]),
@@ -139,13 +143,12 @@ class KinematicProblem:
     # -- variable packing -------------------------------------------------
 
     def pack(self, root_pos, joint_angles):
-        return np.concatenate([np.ravel(root_pos), np.ravel(joint_angles)])
+        return np.hstack([np.reshape(root_pos, (self.T, 3)),
+                          np.reshape(joint_angles, (self.T, 3 * self.J))]).ravel()
 
     def unpack(self, x):
-        T, J = self.T, self.J
-        root = x[:3 * T].reshape(T, 3)
-        angles = x[3 * T:].reshape(T, J, 3)
-        return root, angles
+        frames = x.reshape(self.T, 3 + 3 * self.J)
+        return frames[:, :3], frames[:, 3:].reshape(self.T, self.J, 3)
 
     # -- residuals and Jacobian -------------------------------------------
 

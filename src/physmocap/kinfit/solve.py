@@ -5,8 +5,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from ..core.kinematics import compute_com_inertia, fk_positions_rotations
 from ..core.preprocess import preprocess_low_confidence
@@ -30,18 +29,36 @@ class KinfitReport:
     cost_breakdown: dict = field(default_factory=dict)
 
 
-def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
-    """Levenberg-Marquardt with direct sparse normal-equation solves.
+def splu(ab):
+    """Banded Cholesky factorization, in place.
 
-    Damping is scaled by the diagonal of J^T J, which keeps the mixed
-    translation/angle units well conditioned. Stops on relative cost
-    decrease below ftol, gradient below gtol, or max_iters.
+    ab is the lower band of a symmetric matrix in LAPACK's Fortran-ordered
+    storage (ab[i - j, j] = a[i, j] for j <= i); it is overwritten by the
+    factor, which is returned. Raises LinAlgError if the matrix is not
+    positive definite. The name is an older one that perfbench's tracer
+    still times the kinfit factorization under.
+    """
+    return cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+
+
+def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
+    """Levenberg-Marquardt with banded Cholesky normal-equation solves.
+
+    The problem's frame-major variables make J^T J a band matrix. Its lower
+    triangle is built once per iteration, the bandwidth read from its
+    pattern, and each damped matrix is factored in one band buffer that is
+    kept across iterations. Damping is scaled by the diagonal of J^T J,
+    which keeps the mixed translation/angle units well conditioned; a
+    matrix that is not positive definite raises the damping. Stops on
+    relative cost decrease below ftol, gradient below gtol, or max_iters.
     """
     x = np.asarray(x0, dtype=float).copy()
+    n = x.size
     r = problem.residuals(x)
     cost = float(r @ r)
     lam = 1e-4
     converged = False
+    band = np.zeros((0, n), order="F")   # grown to the bandwidth below
     it = 0
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
@@ -49,14 +66,25 @@ def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
         if np.abs(g).max() < gtol * (1.0 + cost):
             converged = True
             break
+        # lower triangle of H, entry by entry: row - column, column, value
         H = (J.T @ J).tocsc()
+        cols = np.repeat(np.arange(n), np.diff(H.indptr))
+        depth = H.indices - cols
+        lower = depth >= 0
+        depth, cols, values = depth[lower], cols[lower], H.data[lower]
+        if depth.max() >= band.shape[0]:
+            band = np.zeros((depth.max() + 1, n), order="F")
+            flat = band.reshape(-1, order="F")   # a view of band's memory
+        at = depth + band.shape[0] * cols       # band[depth, cols] in flat
         d = np.maximum(H.diagonal(), 1e-10)
         accepted = False
         for _ in range(12):
-            M = H + sparse.diags(lam * d, format="csc")
+            flat.fill(0.0)
+            flat[at] = values
+            band[0] += lam * d
             try:
-                step = splu(M).solve(-g)
-            except RuntimeError:
+                step = cho_solve_banded((splu(band), True), -g, check_finite=False)
+            except LinAlgError:
                 lam *= 10.0
                 continue
             x_new = x + step

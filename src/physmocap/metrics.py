@@ -108,7 +108,12 @@ def grf_metrics(forces, contacts_gt, mass):
 
 
 def _foot_counts(positions, skeleton, floor, labels):
-    """(floating, penetration, skate) fractions of the four foot joints."""
+    """(floating, penetration, skate) fractions of the four foot joints.
+
+    Floating: > 3 cm above the floor while labelled in contact. Penetration:
+    > 3 cm below the floor at any frame. Skate: moved > 2 cm from the
+    previous frame while both frames are labelled in contact.
+    """
     feet = positions[:, list(skeleton.foot_joint_ids)]          # T x 4 x 3
     height = feet @ floor.normal - floor.normal @ floor.point
     n_contact = labels.sum()
@@ -121,23 +126,10 @@ def _foot_counts(positions, skeleton, floor, labels):
     return floating, penetration, skate
 
 
-def foot_metrics(motion, floor, contacts_gt):
-    """(floating, penetration, skate) fractions for the four contact joints.
-
-    Floating: > 3 cm above the floor while labelled in contact. Penetration:
-    > 3 cm below the floor at any frame. Skate: moved > 2 cm from the
-    previous frame while both frames are labelled in contact.
-    """
-    return _foot_counts(forward_kinematics(motion), motion.skeleton, floor,
-                        contacts_gt.labels)
-
-
-def _mpjpe(positions, skeleton, gt, joint_names=None):
+def _mpjpe(positions, skeleton, gt):
     """(feet, body, body_align1) mean per-joint errors in mm against the FK
     of the motion gt. body_align1 first shifts every frame by the frame-0
     root (joint 0) offset."""
-    if joint_names is None:
-        joint_names = BODY_EVAL_JOINTS
     gt_pos = forward_kinematics(gt)
 
     def mpjpe(pos, names):
@@ -147,17 +139,8 @@ def _mpjpe(positions, skeleton, gt, joint_names=None):
         return float(err.mean() * 1000.0)
 
     shift = positions[0, 0] - gt_pos[0, 0]
-    return (mpjpe(positions, FEET_EVAL_JOINTS), mpjpe(positions, joint_names),
-            mpjpe(positions - shift, joint_names))
-
-
-def positional_metrics(pred, gt, joint_names=None):
-    """(feet, body, body_align1) global mean per-joint errors in mm.
-
-    body_align1 subtracts the frame-0 root offset from every predicted
-    frame before measuring, removing any constant trajectory shift.
-    """
-    return _mpjpe(forward_kinematics(pred), pred.skeleton, gt, joint_names)
+    return (mpjpe(positions, FEET_EVAL_JOINTS), mpjpe(positions, BODY_EVAL_JOINTS),
+            mpjpe(positions - shift, BODY_EVAL_JOINTS))
 
 
 def _report(positions, skeleton, fps, floor, contacts_gt, mass, forces,

@@ -267,6 +267,8 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
                   duration_stage=True, verbose=0, collect_iterates=None):
     """Run the staged trajectory optimization.
 
+    The durations stage runs only when some foot joint has two or more
+    phases, so that there is a duration to move.
     Returns (CentroidalTrajectory, report, problem). If collect_iterates
     is a list, solver iterates are appended to it as (x, stage-name) pairs.
     """
@@ -295,7 +297,7 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
     x, st = _run_stage(problem, x0, "dynamics", max_iters, verbose, callback)
     report.stages.append(st)
 
-    if duration_stage:
+    if duration_stage and any(len(cols) > 1 for cols in layout.dur_cols):
         if collect_iterates is not None:
             stage_name[0] = "durations"
         x3, st3 = _run_stage(problem, x, "durations", max_iters, verbose, callback)

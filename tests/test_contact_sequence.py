@@ -30,7 +30,7 @@ def test_phases_alternate_and_reconstruct(rng):
 def test_phase_durations_sum_to_clip_duration(rng):
     contacts = _random_contacts(rng, T=97)
     for f in range(4):
-        total = sum(d for _, d in contacts.phase_durations(f))
+        total = sum(n / contacts.fps for _, n in contacts.phases(f))
         assert abs(total - contacts.duration) < 1e-9
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
@@ -11,7 +12,7 @@ from physmocap.core.kinematics import (fk_positions_rotations,
 from physmocap.core.types import FloorPlane, PoseSequence
 from physmocap.kinfit import (KinematicProblem, estimate_bone_lengths, fit_floor,
                               fit_floor_from_motion, initialize_from_3d,
-                              run_kinematic_init)
+                              run_kinematic_init, solve_stage)
 from physmocap.synth import MotionScript, generate
 
 from conftest import random_motion
@@ -127,6 +128,42 @@ def test_problem_jacobian_matches_fd(skeleton, rng, with_floor):
         an = jac @ v
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(an - fd).max() / denom < 1e-5
+
+
+def test_problem_variables_are_frame_major(skeleton, rng):
+    problem, _ = _toy_problem(skeleton, rng)
+    T, J = problem.T, problem.J
+    root = rng.normal(size=(T, 3))
+    angles = rng.normal(size=(T, J, 3))
+    x = problem.pack(root, angles)
+    back_root, back_angles = problem.unpack(x)
+    assert np.array_equal(back_root, root)
+    assert np.array_equal(back_angles, angles)
+    frames = x.reshape(T, 3 + 3 * J)
+    assert np.array_equal(frames[:, :3], root)
+    # terms couple frames at most two apart, so J^T J is a band
+    jac = problem.jacobian(x)
+    rows, cols = sparse.tril(jac.T @ jac).nonzero()
+    assert (rows - cols).max() < 3 * (3 + 3 * J)
+
+
+def test_solve_stage_step_matches_dense_normal_equations(skeleton, rng):
+    problem, x0 = _toy_problem(skeleton, rng)
+    # the ground truth is far from the smoothed optimum, where a lightly
+    # damped Gauss-Newton step overshoots; start near the optimum instead
+    fitted = solve_stage(problem, x0, max_iters=10).x
+    x = fitted + np.random.default_rng(0).normal(0.0, 0.02, x0.shape)
+    jac = problem.jacobian(x).toarray()
+    r = problem.residuals(x)
+    H = jac.T @ jac
+    d = np.maximum(np.diag(H), 1e-10)
+    want = x + np.linalg.solve(H + 1e-4 * np.diag(d), -jac.T @ r)
+    # the first damping try lowers the cost, so LM takes this step
+    r_want = problem.residuals(want)
+    assert r_want @ r_want < r @ r
+    res = solve_stage(problem, x, max_iters=1)
+    assert res.n_iters == 1
+    assert np.abs(res.x - want).max() < 1e-9 * np.abs(want - x).max()
 
 
 def test_problem_residual_layout(skeleton, rng):

@@ -7,9 +7,8 @@ from physmocap.core.kinematics import (compute_com_inertia,
                                        forward_kinematics, transform_motion)
 from physmocap.core.skeleton import default_skeleton
 from physmocap.core.types import FloorPlane, JointAngleMotion
-from physmocap.metrics import (GRAVITY, foot_metrics, grf_metrics, implied_grf,
-                               plausibility_report, positional_metrics,
-                               positions_report)
+from physmocap.metrics import (GRAVITY, grf_metrics, implied_grf,
+                               plausibility_report, positions_report)
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
@@ -80,8 +79,19 @@ def test_grf_metrics_hand_toy():
     assert ballistic == 0.0
 
 
+def _foot_percents(motion, floor, contacts):
+    report = plausibility_report(motion, floor, contacts)
+    return report.floating, report.penetration, report.skate
+
+
+def _mpjpes(clip, pred):
+    report = plausibility_report(pred, clip.floor, clip.contacts,
+                                 gt_motion=clip.motion)
+    return report.feet_mpjpe, report.body_mpjpe, report.body_align1_mpjpe
+
+
 def test_foot_metrics_clean_stand_is_zero(stand_clip):
-    floating, penetration, skate = foot_metrics(
+    floating, penetration, skate = _foot_percents(
         stand_clip.motion, stand_clip.floor, stand_clip.contacts)
     assert floating == 0.0
     assert penetration == 0.0
@@ -101,26 +111,26 @@ def test_foot_metrics_counts_constructed_offsets(stand_clip):
     up = floor.normal
     lifted = motion.with_frames(motion.root_pos + lift * up,
                                 motion.joint_angles)
-    floating, penetration, skate = foot_metrics(lifted, floor, contacts)
-    assert floating == pytest.approx(10 * 4 / (T * 4))
+    floating, penetration, skate = _foot_percents(lifted, floor, contacts)
+    assert floating == pytest.approx(100.0 * 10 * 4 / (T * 4))
     assert penetration == 0.0
-    assert skate == pytest.approx(2 * 4 / ((T - 1) * 4))
+    assert skate == pytest.approx(100.0 * 2 * 4 / ((T - 1) * 4))
 
     sunk = motion.with_frames(motion.root_pos - lift * up,
                               motion.joint_angles)
-    floating, penetration, _ = foot_metrics(sunk, floor, contacts)
+    floating, penetration, _ = _foot_percents(sunk, floor, contacts)
     assert floating == 0.0
-    assert penetration == pytest.approx(10 * 4 / (T * 4))
+    assert penetration == pytest.approx(100.0 * 10 * 4 / (T * 4))
 
 
 def test_positional_metrics_identity_and_offset(stand_clip):
     motion = stand_clip.motion
-    feet, body, align1 = positional_metrics(motion, motion)
+    feet, body, align1 = _mpjpes(stand_clip, motion)
     assert feet == 0.0 and body == 0.0 and align1 == 0.0
 
     d = np.array([0.02, -0.01, 0.03])
     shifted = motion.with_frames(motion.root_pos + d, motion.joint_angles)
-    feet, body, align1 = positional_metrics(shifted, motion)
+    feet, body, align1 = _mpjpes(stand_clip, shifted)
     assert body == pytest.approx(np.linalg.norm(d) * 1000.0, rel=1e-9)
     assert feet == pytest.approx(np.linalg.norm(d) * 1000.0, rel=1e-9)
     assert align1 == pytest.approx(0.0, abs=1e-9)
@@ -132,7 +142,7 @@ def test_positional_metrics_match_brute_force(stand_clip):
     other = motion.with_frames(
         motion.root_pos + rng.normal(0.0, 0.03, motion.root_pos.shape),
         motion.joint_angles + rng.normal(0.0, 0.05, motion.joint_angles.shape))
-    feet, body, align1 = positional_metrics(other, motion)
+    feet, body, align1 = _mpjpes(stand_clip, other)
 
     pred, _ = fk_positions_rotations(other.skeleton, other.root_pos,
                                      other.joint_angles)

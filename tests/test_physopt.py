@@ -318,3 +318,19 @@ def test_stages_hold_their_fixed_columns(hop_setup):
         if stage == "durations":
             for cols in layout.dur_cols:
                 assert abs(xk[cols].sum() - layout.total) < 1e-12
+
+
+def test_durations_stage_skipped_without_a_duration_to_move():
+    """A stand keeps every foot joint in one contact phase, so the
+    durations stage has nothing to move and does not run."""
+    clip = generate(MotionScript(name="s", kind="stand", duration=1.0), seed=4)
+    assert all(len(clip.contacts.phases(f)) == 1 for f in range(4))
+    states = compute_com_inertia(clip.motion)
+    targets = targets_from_kinematic(clip.motion, states, clip.floor)
+    iterates = []
+    _, report, _ = solve_reduced(targets, clip.contacts, max_iters=3,
+                                 duration_stage=True,
+                                 collect_iterates=iterates)
+    stages = [stage for _, stage in iterates]
+    assert "dynamics" in stages and "durations" not in stages
+    assert [st.name for st in report.stages] == ["fit", "dynamics"]
