@@ -29,8 +29,7 @@ from .core import io as core_io
 from .core.skeleton import default_skeleton
 from .fullbody import upgrade_fullbody
 from .kinfit.solve import run_kinematic_init
-from .metrics import (GRAVITY, implied_grf, plausibility_report,
-                      positions_report)
+from .metrics import GRAVITY, plausibility_report, positions_report
 from .physopt.problem import targets_from_kinematic
 from .physopt.solve import solve_reduced
 from .synth import dataset as synth_dataset
@@ -148,8 +147,7 @@ def _grf_trace(out_dir, traj, motion, mass):
                         *(f"{v:.5f}" for v in out["r"][k])])
 
 
-def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
-                      duration_stage=True):
+def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500):
     """Kinematic init, reduced physics solve, full-body upgrade. Writes the
     sequence directory and returns the report payload."""
     out_dir = Path(out_dir)
@@ -162,9 +160,7 @@ def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
     save_contacts(contacts, out_dir / "contacts.used.json")
 
     targets = targets_from_kinematic(motion, states, floor)
-    traj, phys_report, _ = solve_reduced(targets, contacts,
-                                         max_iters=max_iters,
-                                         duration_stage=duration_stage)
+    traj, phys_report, _ = solve_reduced(targets, contacts, max_iters=max_iters)
     t_up = time.perf_counter()
     final = upgrade_fullbody(motion, traj)
     upgrade_time = time.perf_counter() - t_up
@@ -175,6 +171,7 @@ def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500,
         "converged": phys_report.converged,
         "max_violation": phys_report.max_violation,
         "objective_terms": phys_report.objective_terms,
+        "kinematic_cost_terms": kin_report.cost_breakdown,
         "stages": [{"name": s.name, "objective": s.objective,
                     "max_violation": s.max_violation, "iters": s.n_iters,
                     "status": s.status, "wall_time": s.wall_time}
@@ -193,8 +190,7 @@ def cmd_optimize(args):
     contacts = load_contacts(args.contacts)
     floor = core_io.load_floor(args.floor) if args.floor else None
     payload = optimize_sequence(seq, contacts, args.out, floor=floor,
-                                max_iters=args.max_iters,
-                                duration_stage=not args.no_durations)
+                                max_iters=args.max_iters)
     _write_provenance(args.out, args)
     state = "converged" if payload["converged"] else "did not converge"
     print(f"{state}: max violation {payload['max_violation']:.2e}, "
@@ -384,8 +380,6 @@ def build_parser():
     o.add_argument("--floor", help="known ground plane (skips floor fitting)")
     o.add_argument("--out", required=True)
     o.add_argument("--max-iters", type=int, default=1500)
-    o.add_argument("--no-durations", action="store_true",
-                   help="skip the contact-timing stage")
     o.set_defaults(func=cmd_optimize)
 
     b = sub.add_parser("batch", help="optimize every sequence in a dataset")

@@ -2,8 +2,7 @@
 training loop with early stopping."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +31,6 @@ class TrainingConfig:
     seed: int = 0
     feature_scale: float = 0.005
     hidden_sizes: tuple = LAYER_SIZES
-
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump({"format_version": 1, "kind": "training_config",
-                       **asdict(self)}, f, indent=1)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as f:
-            raw = json.load(f)
-        raw.pop("format_version", None)
-        raw.pop("kind", None)
-        if "hidden_sizes" in raw:
-            raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
-        return cls(**raw)
 
 
 @dataclass

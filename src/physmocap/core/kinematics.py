@@ -99,18 +99,6 @@ def segment_points(skeleton, positions):
     return np.stack(pts, axis=-2), np.array(masses)
 
 
-def _finite_difference_rates(values, fps):
-    """Central differences with one-sided boundaries. values: T x D."""
-    T = values.shape[0]
-    out = np.zeros_like(values)
-    if T == 1:
-        return out
-    out[1:-1] = (values[2:] - values[:-2]) * (0.5 * fps)
-    out[0] = (values[1] - values[0]) * fps
-    out[-1] = (values[-1] - values[-2]) * fps
-    return out
-
-
 def compute_com_inertia(motion):
     """Centroidal trajectory of a joint-angle motion.
 
@@ -131,15 +119,8 @@ def compute_com_inertia(motion):
     I_b = np.einsum("s,ts,ij->tij", masses, sq, eye) \
         - np.einsum("s,tsi,tsj->tij", masses, d_body, d_body)
     theta = np.unwrap(motion.joint_angles[:, 0], axis=0)
-    return CentroidalStates(
-        fps=motion.fps,
-        mass=float(M),
-        r=r,
-        theta=theta,
-        r_dot=_finite_difference_rates(r, motion.fps),
-        theta_dot=_finite_difference_rates(theta, motion.fps),
-        I_b=I_b,
-    )
+    return CentroidalStates(fps=motion.fps, mass=float(M), r=r, theta=theta,
+                            I_b=I_b)
 
 
 def transform_motion(motion, R, t):

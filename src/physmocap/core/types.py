@@ -144,16 +144,13 @@ class CentroidalStates:
     mass: float
     r: np.ndarray          # T x 3
     theta: np.ndarray      # T x 3, unwrapped over time per component
-    r_dot: np.ndarray      # T x 3
-    theta_dot: np.ndarray  # T x 3
     I_b: np.ndarray        # T x 3 x 3
 
     def __post_init__(self):
-        for name in ("r", "theta", "r_dot", "theta_dot", "I_b"):
+        for name in ("r", "theta", "I_b"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         T = self.r.shape[0]
-        for name, shape in (("r", (T, 3)), ("theta", (T, 3)), ("r_dot", (T, 3)),
-                            ("theta_dot", (T, 3)), ("I_b", (T, 3, 3))):
+        for name, shape in (("r", (T, 3)), ("theta", (T, 3)), ("I_b", (T, 3, 3))):
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} shape {got}, expected {shape}")

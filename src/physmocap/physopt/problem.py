@@ -1,8 +1,8 @@
 """Objective and constraints of the reduced-body trajectory optimization.
 
 The model is a single rigid body: COM position r(t), orientation theta(t)
-(Euler Z-Y-X), four foot contact points p_i(t) with forces f_i(t), and the
-contact phase durations. Dynamics are enforced at 0.1 s samples:
+(Euler Z-Y-X), and four foot contact points p_i(t) with forces f_i(t), over
+the contact phases of the labels. Dynamics are enforced at 0.1 s samples:
 
     m r''         = sum_i f_i + m g
     I_w w' + w x I_w w = sum_i f_i x (r - p_i)
@@ -13,20 +13,17 @@ reach and rigid foot length are enforced on a 0.08 s grid, feet stay on or
 above the floor, and forces stay in a friction cone sampled at the force
 spline knots and segment midpoints.
 
-Every sampled track value is S @ x for a sparse sample matrix S that
-depends only on the durations (trajectory.Samples); the matrices are built
-once per duration vector. The objective is the weighted tracking and
-smoothness sum  sum_k w_k |S_k x - b_k|^2  plus a prior on the durations,
-with gradient  2 sum_k w_k J_k^T (S_k x - b_k)  (J_k is S_k plus the
-duration partials) and the constant Gauss-Newton Hessian  2 sum_k w_k
-S_k^T S_k  plus the prior's. Each constraint group is an array expression
-over the samples; its Jacobian is a block matrix of per-sample
-derivatives times the samples' Jacobians.
+Every sampled track value is S @ x for a constant sparse sample matrix S
+(trajectory.Samples), built once with the problem. The objective is the
+weighted tracking and smoothness sum  sum_k w_k |S_k x - b_k|^2, with
+gradient  2 sum_k w_k S_k^T (S_k x - b_k)  and the constant Hessian
+2 sum_k w_k S_k^T S_k. Each constraint group is an array expression over
+the samples; its Jacobian is a block matrix of per-sample derivatives times
+the samples' matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +45,6 @@ class ReducedWeights:
     data_r: float = 0.4
     data_theta: float = 1.7
     data_foot: float = 0.3
-    dur: float = 0.1
     vel_r: float = 1e-3
     vel_theta: float = 1e-3
     vel_foot: float = 0.1
@@ -114,8 +110,7 @@ def targets_from_kinematic(motion, states, floor):
 
 
 class _Memo:
-    """Single-entry cache keyed on an array: the variable vector, or its
-    duration part for the sample matrices."""
+    """Single-entry cache keyed on the variable vector."""
 
     def __init__(self):
         self.key = None
@@ -241,12 +236,9 @@ class ReducedProblem:
         # rows all collapse onto the two stance constants, which would give
         # duplicated equality rows and a singular constraint Jacobian, so
         # those intervals get one row per overlapping stance pair instead.
-        # Swing samples keep the 0.08 s grid (membership frozen at the
-        # initial durations).
-        d0 = layout.durations0()
-
+        # Swing samples keep the 0.08 s grid.
         def in_contact(i):
-            j, _ = layout.phase_of(d0, i, self.kin_times)
+            j, _ = layout.phase_of(i, self.kin_times)
             return np.array([ph.contact for ph in layout.joint_phases[i]])[j]
 
         pairs = []
@@ -296,47 +288,32 @@ class ReducedProblem:
         self.row_scale = scale
         self.c_lb, self.c_ub = lb * scale, ub * scale
 
+        # constant sample matrices: the objective terms and their Hessian,
+        # and the samples that the constraints read
+        self.terms = []
+        hess = sparse.csr_matrix((layout.n_vars, layout.n_vars))
+        for group, track, order, w_name, target in OBJECTIVE_TERMS:
+            smp = layout.sampler(track, targets.times, order)
+            w = getattr(self.w, w_name)
+            self.terms.append((group, w, smp,
+                               getattr(targets, target) if target else 0.0))
+            hess = hess + (2.0 * w) * (smp.S.T @ smp.S)
+        self.hess = hess
+        self.dyn = {name: layout.sampler(track, self.dyn_times, order)
+                    for name, track, order in DYN_SAMPLES}
+        self.kin = {name: layout.sampler(track, self.kin_times, order)
+                    for name, track, order in KIN_SAMPLES}
+        self.cone = layout.force_knot_sampler()
+
         self._c_memo = _Memo()
         self._o_memo = _Memo()
-        self._s_memo = _Memo()
-
-    # -- sample matrices ---------------------------------------------------
-
-    def _samples(self, x):
-        """Sample matrices at the durations of x, built once per duration
-        vector: the objective terms and their Hessian, and the samples that
-        the constraints read."""
-        return self._s_memo.get(np.asarray(x, dtype=float)[self.layout.dur_base:],
-                                self._build_samples)
-
-    def _build_samples(self, durations):
-        lay, tg = self.layout, self.tg
-        terms = []
-        hess = sparse.csr_matrix((lay.n_vars, lay.n_vars))
-        for group, track, order, weight, target in OBJECTIVE_TERMS:
-            smp = lay.sampler(durations, track, tg.times, order)
-            w = getattr(self.w, weight)
-            terms.append((group, w, smp, getattr(tg, target) if target else 0.0))
-            hess = hess + (2.0 * w) * (smp.S.T @ smp.S)
-        dur_cols = np.arange(lay.dur_base, lay.n_vars)
-        hess = hess + sparse.csr_matrix(
-            (np.full(len(dur_cols), 2.0 * self.w.dur), (dur_cols, dur_cols)),
-            shape=hess.shape)
-        return SimpleNamespace(
-            terms=terms, hess=hess.tocsr(),
-            dyn={name: lay.sampler(durations, track, self.dyn_times, order)
-                 for name, track, order in DYN_SAMPLES},
-            kin={name: lay.sampler(durations, track, self.kin_times, order)
-                 for name, track, order in KIN_SAMPLES},
-            cone=lay.force_knot_sampler(durations))
 
     # -- constraint assembly ----------------------------------------------
 
     def _constraints(self, x):
-        tg, M = self.tg, self._samples(x)
-        m, up = tg.mass, self.up
-        dyn = {k: (s.values(x), s.jacobian(x)) for k, s in M.dyn.items()}
-        kin = {k: (s.values(x), s.jacobian(x)) for k, s in M.kin.items()}
+        tg, m, up = self.tg, self.tg.mass, self.up
+        dyn = {k: (s.values(x), s.S) for k, s in self.dyn.items()}
+        kin = {k: (s.values(x), s.S) for k, s in self.kin.items()}
         (acc, J_acc), (r, J_r), (f, J_f), (p, J_p) = (
             dyn[k] for k in ("acc", "r", "f", "p"))
         nd, nk = len(self.dyn_times), len(self.kin_times)
@@ -394,9 +371,8 @@ class ReducedProblem:
         mu_up = FRICTION_RATIO * up
         cone = np.stack([up, mu_up - self.tans[0], mu_up + self.tans[0],
                          mu_up - self.tans[1], mu_up + self.tans[1]])
-        vals.append(M.cone.values(x) @ cone.T)
-        jacs.append(_blocks(np.broadcast_to(cone, (self.n_cone, 5, 3)))
-                    @ M.cone.jacobian(x))
+        vals.append(self.cone.values(x) @ cone.T)
+        jacs.append(_blocks(np.broadcast_to(cone, (self.n_cone, 5, 3))) @ self.cone.S)
 
         vals = np.concatenate([v.ravel() for v in vals])
         jac = sparse.vstack(jacs, format="csr")
@@ -406,10 +382,9 @@ class ReducedProblem:
         """Net contact force and moment about the COM that the COM motion of
         x demands at the given times: m (r'' - g) and I_w w' + w x I_w w."""
         lay, tg = self.layout, self.tg
-        d = x[lay.dur_base:]
-        th, thv, tha = (lay.sampler(d, "theta", times, order).values(x)
+        th, thv, tha = (lay.sampler("theta", times, order).values(x)
                         for order in range(3))
-        acc = lay.sampler(d, "r", times, 2).values(x)
+        acc = lay.sampler("r", times, 2).values(x)
         h = _euler_dynamics(th, thv, tha, tg.interp(tg.I_b, times))[0]
         return tg.mass * (acc - self.gravity), h
 
@@ -429,18 +404,14 @@ class ReducedProblem:
     def _residuals(self, x):
         """(group, weight, samples, residual) of every tracking term."""
         return [(group, w, smp, (smp.values(x) - target).ravel())
-                for group, w, smp, target in self._samples(x).terms]
+                for group, w, smp, target in self.terms]
 
     def _objective(self, x):
-        lay = self.layout
-        total, grad = 0.0, np.zeros(lay.n_vars)
+        total, grad = 0.0, np.zeros(self.layout.n_vars)
         for _, w, smp, res in self._residuals(x):
             total += w * (res @ res)
-            grad += (2.0 * w) * (smp.jacobian(x).T @ res)
-        res = x[lay.dur_base:] - lay.durations0()
-        total += self.w.dur * (res @ res)
-        grad[lay.dur_base:] += 2.0 * self.w.dur * res
-        return total, grad, self._samples(x).hess
+            grad += (2.0 * w) * (smp.S.T @ res)
+        return total, grad, self.hess
 
     def objective(self, x):
         return self._o_memo.get(np.asarray(x, dtype=float), self._objective)
@@ -452,15 +423,13 @@ class ReducedProblem:
         return self.objective(x)[1]
 
     def objective_hess(self, x):
-        return self.objective(x)[2]
+        return self.hess
 
     def objective_breakdown(self, x):
-        """Named objective terms: tracking, smoothness, duration prior."""
+        """Named objective terms: tracking and smoothness."""
         out = {"data": 0.0, "velocity": 0.0, "acceleration": 0.0}
         for group, w, _, res in self._residuals(x):
             out[group] += float(w * (res @ res))
-        res = x[self.layout.dur_base:] - self.layout.durations0()
-        out["duration"] = float(self.w.dur * (res @ res))
         return out
 
     # -- reporting ---------------------------------------------------------

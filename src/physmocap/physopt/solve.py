@@ -2,22 +2,16 @@
 
 Stage "fit" is a linear least-squares fill-in of the spline knots against
 the kinematic targets (one sparse factorization; the tracking objective is
-quadratic in the knots at fixed durations), plus a static force guess that
-distributes the net contact wrench between the feet in contact. Stage
-"dynamics" runs the full nonlinear program with the contact durations
-clamped; stage "durations" releases them inside bounds, keeping the result
-only if it is at least as feasible and strictly better.
+quadratic in the knots), plus a static force guess that distributes the net
+contact wrench between the feet in contact. Stage "dynamics" runs the full
+nonlinear program from there. The contact phase durations are those of the
+labels throughout.
 
-A clamped variable is held by leaving its column out of the stage's
-decision vector, not by an ``lb == ub`` bound: trust-constr's interior
-point does not keep its iterates on such bounds. The dynamics stage leaves
-out the durations and the COM boundary velocity knots, the durations stage
-the boundary velocity knots; both take those values from the stage's start
-point, and report full-length vectors. The durations stage also leaves out
-the last phase duration of each foot joint and derives it as the clip
-length minus the others, so the phases span the clip at every iterate; a
-linear inequality keeps it inside its bounds. Gradient, Hessian and
-Jacobian reach the stage's vector through the same linear map.
+The dynamics stage holds the COM boundary velocity knots at their fitted
+values by leaving their columns out of its decision vector, not by an
+``lb == ub`` bound: trust-constr's interior point does not keep its
+iterates on such bounds. Gradient, Hessian and Jacobian reach the stage's
+vector through the same column selection.
 """
 from __future__ import annotations
 
@@ -26,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, NonlinearConstraint, minimize
+from scipy.optimize import NonlinearConstraint, minimize
 from scipy.sparse.linalg import splu
 
 from ..core.rotation import skew
@@ -34,7 +28,6 @@ from .problem import FORCE_MAX, ReducedProblem
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
 VIOLATION_TOL = 1e-6
-MIN_PHASE_FRAMES = 2
 
 
 @dataclass
@@ -72,8 +65,6 @@ def initial_guess(problem):
     lay, tg = problem.layout, problem.tg
     up, floor_h = problem.up, problem.floor_h
     x = np.zeros(lay.n_vars)
-    d0 = lay.durations0()
-    x[lay.dur_base:] = d0
 
     # stance constants: phase-mean foot target projected onto the floor
     for i, phases in enumerate(lay.joint_phases):
@@ -108,7 +99,6 @@ def initial_guess(problem):
     x[bound_vel] = np.concatenate([tg.r_bound_vel, tg.theta_bound_vel]).ravel()
 
     free = np.ones(lay.n_vars, dtype=bool)
-    free[lay.dur_base:] = False
     for i, phases in enumerate(lay.joint_phases):
         for ph in phases:
             if ph.contact:
@@ -129,11 +119,10 @@ def initial_guess(problem):
              for i, phases in enumerate(lay.joint_phases)
              for ph in phases if ph.contact for k in range(ph.n_segs + 1)]
     joint, cols, times = (np.array(v) for v in zip(*knots))
-    d = x[lay.dur_base:]
     wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)
-    arm = (lay.sampler(d, "feet", times).values(x)
-           - lay.sampler(d, "r", times).values(x)[:, None])
-    contact = np.stack([np.array([ph.contact for ph in phases])[lay.phase_of(d, i, times)[0]]
+    arm = (lay.sampler("feet", times).values(x)
+           - lay.sampler("r", times).values(x)[:, None])
+    contact = np.stack([np.array([ph.contact for ph in phases])[lay.phase_of(i, times)[0]]
                         for i, phases in enumerate(lay.joint_phases)], axis=1)
     for i, b, w, a, on in zip(joint, cols, wrench, arm, contact):
         f = np.zeros(3)
@@ -160,85 +149,40 @@ def _boundary_velocity_cols(layout):
                      for a in range(3)])
 
 
-def _stage_map(layout, x0, stage):
+def _stage_map(layout, x0):
     """The stage's decision vector z as x = x_fixed + P @ z.
 
-    z holds the columns the stage moves (free, in order). In the durations
-    stage the last phase duration of each foot joint is not one of them:
-    with two or more phases it is the clip length minus the joint's other
-    durations, so every iterate spans the clip exactly; a single phase keeps
-    its duration. Returns (P, x_fixed, free, derived), derived holding the
-    columns of the derived durations.
+    z holds every column but the COM boundary velocities, in order; P
+    selects them, and x_fixed holds x0's boundary velocities.
     """
     n = layout.n_vars
     moved = np.ones(n, dtype=bool)
     moved[_boundary_velocity_cols(layout)] = False
-    if stage == "dynamics":
-        moved[layout.dur_base:] = False
-    else:
-        moved[[cols[-1] for cols in layout.dur_cols]] = False
     free = np.flatnonzero(moved)
-    joints = [cols for cols in layout.dur_cols
-              if stage == "durations" and len(cols) > 1]
-    # identity on the free columns; -1 from each derived duration to the
-    # joint's other durations
-    rows = np.concatenate([free] + [np.full(len(c) - 1, c[-1]) for c in joints])
-    cols = np.concatenate([np.arange(len(free))]
-                          + [np.searchsorted(free, c[:-1]) for c in joints])
-    vals = np.concatenate([np.ones(len(free))] + [-np.ones(len(c) - 1) for c in joints])
-    P = sparse.csr_matrix((vals, (rows, cols)), shape=(n, len(free)))
-    derived = np.array([c[-1] for c in joints], dtype=int)
-    x_fixed = np.where(moved, 0.0, x0)
-    x_fixed[derived] = layout.total
-    return P, x_fixed, free, derived
+    P = sparse.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
+                          shape=(n, len(free)))
+    return P, np.where(moved, 0.0, x0), free
 
 
 def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
-    """One trust-constr stage over the columns that the stage moves.
+    """One trust-constr stage, named stage, over the columns it moves.
 
-    The other columns keep their values in x0, except the derived last
-    durations of the durations stage (see _stage_map). The returned x, and
-    the iterates passed to callback, are full-length vectors.
+    The other columns keep their values in x0 (see _stage_map). The
+    returned x, and the iterates passed to callback, are full-length
+    vectors.
     """
-    lay = problem.layout
     x0 = np.asarray(x0, dtype=float)
-    P, x_fixed, free, derived = _stage_map(lay, x0, stage)
+    P, x_fixed, free = _stage_map(problem.layout, x0)
     PT = P.T.tocsr()
 
     def full(z):
         return x_fixed + P @ z
 
-    # the knot Hessian is rebuilt only when the durations change, so each
-    # build is projected once
-    hess_memo = [None, None]
-
-    def hess(z):
-        H = problem.objective_hess(full(z))
-        if hess_memo[0] is not H:
-            hess_memo[:] = H, (PT @ H @ P).tocsr()
-        return hess_memo[1]
-
+    # the objective Hessian is constant, so it is projected once
+    hess = PT @ problem.objective_hess(x0) @ P
     nlc = NonlinearConstraint(
         lambda z: problem.constraint_fun(full(z)), problem.c_lb, problem.c_ub,
         jac=lambda z: problem.constraint_jac(full(z)) @ P)
-    constraints = [nlc]
-    bounds = None
-    if stage == "durations":
-        d0 = lay.durations0()
-        lo = np.maximum(0.5 * d0, MIN_PHASE_FRAMES / lay.fps)
-        hi = 2.0 * d0
-        lb = np.full(len(free), -np.inf)
-        ub = np.full(len(free), np.inf)
-        dur = free >= lay.dur_base
-        lb[dur] = lo[free[dur] - lay.dur_base]
-        ub[dur] = hi[free[dur] - lay.dur_base]
-        bounds = Bounds(lb, ub)
-        if len(derived):
-            # each derived duration, total + P[derived] @ z, stays inside
-            # its own bounds
-            c = derived - lay.dur_base
-            constraints.append(LinearConstraint(
-                P[derived], lo[c] - lay.total, hi[c] - lay.total))
     stage_callback = None
     if callback is not None:
         def stage_callback(z, state):
@@ -246,31 +190,27 @@ def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
     t0 = time.perf_counter()
     res = minimize(lambda z: problem.objective_fun(full(z)), x0[free],
                    jac=lambda z: PT @ problem.objective_grad(full(z)),
-                   hess=hess, method="trust-constr",
-                   constraints=constraints, bounds=bounds,
-                   callback=stage_callback,
+                   hess=lambda z: hess, method="trust-constr",
+                   constraints=[nlc], callback=stage_callback,
                    options={"maxiter": max_iters, "gtol": 1e-6, "xtol": 1e-10,
                             "verbose": verbose})
     x = full(res.x)
-    violations = problem.violation_by_group(x)
-    if stage == "durations":
-        violations["duration_sum"] = float(max(
-            abs(x[cols].sum() - lay.total) for cols in lay.dur_cols))
     report = StageReport(
-        name=stage, objective=float(res.fun), violations=violations,
+        name=stage, objective=float(res.fun),
+        violations=problem.violation_by_group(x),
         n_iters=int(res.niter), status=int(res.status),
         success=bool(res.status in (1, 2)), wall_time=time.perf_counter() - t0)
     return x, report
 
 
 def solve_reduced(targets, contacts, weights=None, max_iters=3000,
-                  duration_stage=True, verbose=0, collect_iterates=None):
-    """Run the staged trajectory optimization.
+                  duration_stage=None, verbose=0, collect_iterates=None):
+    """Run the staged trajectory optimization: fit, then dynamics.
 
-    The durations stage runs only when some foot joint has two or more
-    phases, so that there is a duration to move.
+    duration_stage has no effect. perfbench's microtimings still pass it;
+    ROADMAP item 4's benchmark change drops that, and then this keyword.
     Returns (CentroidalTrajectory, report, problem). If collect_iterates
-    is a list, solver iterates are appended to it as (x, stage-name) pairs.
+    is a list, the dynamics stage's iterates are appended to it.
     """
     layout = TrajectoryLayout(contacts)
     problem = ReducedProblem(layout, targets, weights)
@@ -280,10 +220,8 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
 
     callback = None
     if collect_iterates is not None:
-        stage_name = ["fit"]
-
         def callback(xk, _state):
-            collect_iterates.append((np.array(xk), stage_name[0]))
+            collect_iterates.append(np.array(xk))
             return False
 
     report = PhysOptReport()
@@ -291,22 +229,7 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
         name="fit", objective=problem.objective_fun(x0),
         violations=problem.violation_by_group(x0),
         n_iters=0, status=0, success=True, wall_time=fit_time))
-
-    if collect_iterates is not None:
-        stage_name[0] = "dynamics"
     x, st = _run_stage(problem, x0, "dynamics", max_iters, verbose, callback)
     report.stages.append(st)
-
-    if duration_stage and any(len(cols) > 1 for cols in layout.dur_cols):
-        if collect_iterates is not None:
-            stage_name[0] = "durations"
-        x3, st3 = _run_stage(problem, x, "durations", max_iters, verbose, callback)
-        v2, v3 = st.max_violation, st3.max_violation
-        accept = (v3 <= VIOLATION_TOL < v2
-                  or (v3 <= max(VIOLATION_TOL, v2) and st3.objective < st.objective))
-        if accept:
-            x = x3
-            report.stages.append(st3)
-
     report.objective_terms = problem.objective_breakdown(x)
     return CentroidalTrajectory(layout, x), report, problem

@@ -1,12 +1,9 @@
-"""Cubic Hermite segments in power form, with knot and duration weights.
+"""Cubic Hermite segments in power form, and their knot weights.
 
 A segment is parameterized by endpoint values and velocities (x0, v0, x1, v1)
 over a duration delta; evaluation uses the local coordinate u in [0, delta].
 Every quantity is linear in the knots, so it is a weight vector applied to
-them, shared across axes. Duration enters through the polynomial
-coefficients and, for phase-structured tracks, through the sample's local
-coordinate; hermite_delta_weights gives the first, the next-order weights
-the second.
+them, shared across axes.
 """
 from __future__ import annotations
 
@@ -60,19 +57,6 @@ def hermite_weights(u, delta, order=0):
     s = (u / delta)[..., None]
     powers = _FALLING[order] * s ** np.maximum(np.arange(4) - order, 0)
     return (powers @ _BASIS.T) * delta[..., None] ** (_DELTA_POWER - order)
-
-
-def hermite_delta_weights(u, delta, order=0):
-    """d(hermite_weights)/d(delta) at fixed u.
-
-    The weights are delta^(p - order) times a function of u / delta, with p
-    the knot's power of delta, so their delta partial is a combination of
-    the weights of this order and the next.
-    """
-    u, delta = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                   np.asarray(delta, dtype=float))
-    return ((_DELTA_POWER - order) * hermite_weights(u, delta, order)
-            - u[..., None] * hermite_weights(u, delta, order + 1)) / delta[..., None]
 
 
 def locate(t, delta, n_segs):

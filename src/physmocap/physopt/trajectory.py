@@ -1,28 +1,19 @@
 """Variable layout and sample matrices of the reduced-body trajectory.
 
 The decision vector holds, in order: COM position knots, COM orientation
-knots, per-foot-joint phase variables (stance position constants, stance
-force splines, flight position splines), and per-foot-joint phase durations.
-COM tracks are Hermite splines with one segment per 0.1 s on a fixed grid;
-foot tracks are phase-structured, so their segment durations scale with the
-phase duration variables.
+knots, and per-foot-joint phase variables (stance position constants,
+stance force splines, flight position splines). COM tracks are Hermite
+splines with one segment per 0.1 s on a fixed grid; foot tracks are
+phase-structured, each phase split into equal segments. The phase durations
+are those of the contact labels and are constants of the layout.
 
 A flight spline's boundary knots are tied to the neighboring stance
 constants with zero velocity (the foot leaves the floor from rest and lands
 to rest), which keeps every foot trajectory C1 across phase switches; the
 tie is structural: the boundary knot simply reads the stance variable.
 
-With the durations fixed, every sampled value is a constant sparse matrix
-applied to x (``Samples``). The durations enter the phase-structured tracks
-by the chain rule: a sample at time t in segment k of phase j (n segments,
-durations d) sits at u = t - sum_{m<j} d_m - k d_j / n in a segment of
-length delta = d_j / n, so
-
-    d value / d d_m = -S' x                          (m < j)
-    d value / d d_j = -(k / n) S' x + (1 / n) S_d x
-
-with S' the Hermite weights of the next derivative order and S_d the
-weights' partial in delta at fixed u.
+Every sampled value is therefore a constant sparse matrix applied to x
+(``Samples``), which is also its Jacobian.
 """
 from __future__ import annotations
 
@@ -31,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .spline import hermite_delta_weights, hermite_weights, locate, segment_count
+from .spline import hermite_weights, locate, segment_count
 
 COM_KNOT_DT = 0.1
 
@@ -41,7 +32,7 @@ class Phase:
     contact: bool
     first_frame: int
     n_frames: int
-    start0: float       # initial start time: the durations before it, summed
+    start0: float       # start time: the durations before it, summed
     duration0: float
     n_segs: int
     const_col: int = -1
@@ -52,37 +43,12 @@ class Phase:
 
 @dataclass
 class Samples:
-    """Track samples: values S @ x (3 rows per sample) and their Jacobian.
-
-    S, S_next and S_delta share one sparsity pattern and hold the Hermite
-    weights of the sample's order, of the next order, and their partial in
-    the segment duration. Duration entry e moves sample dur_sample[e] with
-    its column dur_col[e] at the rate du[e] * (S_next x) + ddelta[e] *
-    (S_delta x) of that sample.
-    """
+    """Track samples: values S @ x, 3 rows per sample, reshaped to shape."""
     shape: tuple
     S: sparse.csr_matrix
-    S_next: sparse.csr_matrix
-    S_delta: sparse.csr_matrix
-    dur_sample: np.ndarray
-    dur_col: np.ndarray
-    du: np.ndarray
-    ddelta: np.ndarray
 
     def values(self, x):
         return (self.S @ x).reshape(self.shape)
-
-    def jacobian(self, x):
-        if not len(self.dur_col):
-            return self.S
-        g = (self.S_next @ x).reshape(-1, 3)[self.dur_sample]
-        h = (self.S_delta @ x).reshape(-1, 3)[self.dur_sample]
-        vals = self.du[:, None] * g + self.ddelta[:, None] * h
-        rows = 3 * self.dur_sample[:, None] + np.arange(3)
-        cols = np.broadcast_to(self.dur_col[:, None], rows.shape)
-        dur = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                                shape=self.S.shape)
-        return self.S + dur
 
 
 class _SampleBuilder:
@@ -91,18 +57,11 @@ class _SampleBuilder:
     def __init__(self, n_samples, n_vars, shape):
         self.n_vars, self.shape = n_vars, shape
         self.cols = np.full((n_samples, 4), -1)
-        self.weights = np.zeros((3, n_samples, 4))   # order, next, delta
-        self.dur = []                                # (samples, col, du, ddelta)
+        self.weights = np.zeros((n_samples, 4))
 
     def put(self, s, cols, weights):
         self.cols[s] = cols
-        for out, w in zip(self.weights, weights):
-            out[s] = w
-
-    def put_dur(self, s, col, du, ddelta):
-        s = np.asarray(s)
-        self.dur.append((s, np.full(s.shape, col), np.broadcast_to(du, s.shape),
-                         np.broadcast_to(ddelta, s.shape)))
+        self.weights[s] = weights
 
     def build(self):
         # entries in row order (sample, axis, knot), so the CSR arrays
@@ -113,13 +72,9 @@ class _SampleBuilder:
         indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(3 * s + a, minlength=3 * n))])
         indices = self.cols[s, slot] + a
-        S, S_next, S_delta = (
-            sparse.csr_matrix((w[s, slot], indices, indptr),
+        S = sparse.csr_matrix((self.weights[s, slot], indices, indptr),
                               shape=(3 * n, self.n_vars))
-            for w in self.weights)
-        dur = [np.concatenate(part) for part in zip(*self.dur)] if self.dur \
-            else [np.zeros(0, dtype=int)] * 4
-        return Samples(self.shape, S, S_next, S_delta, *dur)
+        return Samples(self.shape, S)
 
 
 class TrajectoryLayout:
@@ -171,35 +126,22 @@ class TrajectoryLayout:
                         col += 6
                 ph.pos_cols, ph.vel_cols = pos, vel
 
-        self.dur_base = col
-        self.dur_cols = []
-        for phases in self.joint_phases:
-            self.dur_cols.append(np.arange(col, col + len(phases)))
-            col += len(phases)
         self.n_vars = col
+        # Where the duration columns once began: perfbench's microtimings
+        # still mask x[dur_base:], an empty slice. ROADMAP item 4's
+        # benchmark change removes the mask, and then this name.
+        self.dur_base = col
 
     # -- accessors --------------------------------------------------------
-
-    def durations0(self):
-        d = np.zeros(self.n_vars - self.dur_base)
-        for phases, cols in zip(self.joint_phases, self.dur_cols):
-            d[cols - self.dur_base] = [ph.duration0 for ph in phases]
-        return d
-
-    def durations(self, x, i):
-        return x[self.dur_cols[i]]
 
     def com_knot_cols(self, which, k):
         """(pos_col, vel_col) of COM knot k; which is 0 for r, 1 for theta."""
         base = self.com_base[which] + 6 * k
         return base, base + 3
 
-    def phase_of(self, durations, i, times):
-        """Phase index of foot joint i at each time, and the time into it.
-
-        durations is the duration part of x (x[dur_base:]).
-        """
-        durs = durations[self.dur_cols[i] - self.dur_base]
+    def phase_of(self, i, times):
+        """Phase index of foot joint i at each time, and the time into it."""
+        durs = np.array([ph.duration0 for ph in self.joint_phases[i]])
         ends = np.cumsum(durs)
         j = np.minimum(np.searchsorted(ends, times, side="right"), len(durs) - 1)
         return j, times - (ends[j] - durs[j])
@@ -216,12 +158,11 @@ class TrajectoryLayout:
 
     # -- sampling ---------------------------------------------------------
 
-    def sampler(self, durations, track, times, order=0):
+    def sampler(self, track, times, order=0):
         """Samples of one track at the given times and derivative order.
 
         track is "r" or "theta" (values T x 3), or "feet" or "forces"
-        (T x 4 x 3, one sample per time and foot joint). durations is the
-        duration part of x; the matrices depend on nothing else.
+        (T x 4 x 3, one sample per time and foot joint).
         """
         times = np.asarray(times, dtype=float)
         T = len(times)
@@ -230,66 +171,52 @@ class TrajectoryLayout:
             k, u = locate(times, self.com_delta, self.n_com)
             p0 = self.com_base[track == "theta"] + 6 * k
             out.put(slice(None), np.stack([p0, p0 + 3, p0 + 6, p0 + 9], axis=-1),
-                    [hermite_weights(u, self.com_delta, order)])
+                    hermite_weights(u, self.com_delta, order))
             return out.build()
         if track not in ("feet", "forces"):
             raise ValueError(f"unknown track {track!r}")
 
         out = _SampleBuilder(4 * T, self.n_vars, (T, 4, 3))
         for i, phases in enumerate(self.joint_phases):
-            j_of, local = self.phase_of(durations, i, times)
-            dcols = self.dur_cols[i]
+            j_of, local = self.phase_of(i, times)
             for j, ph in enumerate(phases):
                 at = np.flatnonzero(j_of == j)
                 s = 4 * at + i
                 if ph.contact != (track == "forces"):
                     # stance foot: a constant; flight force: zero
                     if track == "feet" and order == 0:
-                        out.put(s, [ph.const_col, -1, -1, -1], [[1.0, 0, 0, 0]])
+                        out.put(s, [ph.const_col, -1, -1, -1], [1.0, 0, 0, 0])
                     continue
-                n = ph.n_segs
-                delta = durations[dcols[j] - self.dur_base] / n
-                k, u = locate(local[at], delta, n)
-                out.put(s, self._spline_cols(ph, k),
-                        [hermite_weights(u, delta, order),
-                         hermite_weights(u, delta, order + 1),
-                         hermite_delta_weights(u, delta, order)])
-                for m in range(j):
-                    out.put_dur(s, dcols[m], -1.0, 0.0)
-                out.put_dur(s, dcols[j], -k / n, 1.0 / n)
+                delta = ph.duration0 / ph.n_segs
+                k, u = locate(local[at], delta, ph.n_segs)
+                out.put(s, self._spline_cols(ph, k), hermite_weights(u, delta, order))
         return out.build()
 
-    def force_knot_sampler(self, durations):
+    def force_knot_sampler(self):
         """Contact forces at every force-spline knot and segment midpoint.
 
         Per stance phase (joints, then phases, in order): its n + 1 knots,
-        then its n segment midpoints. These samples ride with their phase,
-        so only the phase's own duration enters, and only at the midpoints.
+        then its n segment midpoints.
         """
-        stance = [(i, j, ph) for i, phases in enumerate(self.joint_phases)
-                  for j, ph in enumerate(phases) if ph.contact]
-        N = sum(2 * ph.n_segs + 1 for _, _, ph in stance)
+        stance = [ph for phases in self.joint_phases for ph in phases if ph.contact]
+        N = sum(2 * ph.n_segs + 1 for ph in stance)
         out = _SampleBuilder(N, self.n_vars, (N, 3))
         at = 0
-        for i, j, ph in stance:
+        for ph in stance:
             n = ph.n_segs
             knots = at + np.arange(n + 1)
             out.put(knots, np.stack([ph.force_col + 6 * np.arange(n + 1),
                                      *np.full((3, n + 1), -1)], axis=-1),
-                    [[1.0, 0, 0, 0]])
-            mids = at + n + 1 + np.arange(n)
-            delta = durations[self.dur_cols[i][j] - self.dur_base] / n
-            u = np.full(n, 0.5 * delta)
-            out.put(mids, self._spline_cols(ph, np.arange(n)),
-                    [hermite_weights(u, delta), hermite_weights(u, delta, 1),
-                     hermite_delta_weights(u, delta)])
-            out.put_dur(mids, self.dur_cols[i][j], 0.5 / n, 1.0 / n)
+                    [1.0, 0, 0, 0])
+            delta = ph.duration0 / n
+            out.put(at + n + 1 + np.arange(n), self._spline_cols(ph, np.arange(n)),
+                    hermite_weights(np.full(n, 0.5 * delta), delta))
             at += 2 * n + 1
         return out.build()
 
     def sample(self, x, times):
         def at(track, order=0):
-            return self.sampler(x[self.dur_base:], track, times, order).values(x)
+            return self.sampler(track, times, order).values(x)
         return {"r": at("r"), "theta": at("theta"), "r_ddot": at("r", 2),
                 "feet": at("feet"), "forces": at("forces")}
 
@@ -302,9 +229,6 @@ class CentroidalTrajectory:
 
     def sample(self, times):
         return self.layout.sample(self.x, times)
-
-    def durations(self, joint):
-        return self.layout.durations(self.x, joint)
 
     @property
     def total(self):

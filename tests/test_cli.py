@@ -5,6 +5,7 @@ import numpy as np
 from physmocap import cli
 from physmocap.contact.sequence import load_contacts
 from physmocap.core import io as core_io
+from physmocap.synth import dataset as synth_dataset
 
 
 def _tiny_dataset(tmp_path):
@@ -132,3 +133,27 @@ def test_eval_and_report_flag_unconverged_physics(tmp_path):
     assert table["input"]["converged"] == "n/a"
     header = (batch / "summary.csv").read_text().splitlines()[0].split(",")
     assert "converged" in header
+
+
+def test_optimize_writes_report_and_outputs(tmp_path):
+    """optimize end to end on an exact-suite hop with its GT floor."""
+    hop = next(s for s in synth_dataset.exact_suite() if s.name == "hop_a")
+    scripts_file = tmp_path / "scripts.json"
+    scripts_file.write_text(json.dumps([hop.to_json()]))
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--scripts", str(scripts_file),
+                     "--out", str(data), "--seed", "0"]) == 0
+    entry = json.loads((data / "manifest.json").read_text())["clips"][0]
+    out = tmp_path / "run"
+    rc = cli.main(["optimize", "--pose", str(data / entry["pose"]),
+                   "--contacts", str(data / entry["contacts"]),
+                   "--floor", str(data / entry["floor"]),
+                   "--out", str(out), "--max-iters", "2"])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [s["name"] for s in report["stages"]] == ["fit", "dynamics"]
+    assert set(report["kinematic_cost_terms"]) == {
+        "projection", "data3d", "velocity", "root_velocity", "acceleration",
+        "root_acceleration", "contact_still", "floor_height", "angle_smooth"}
+    for name in ("physics.motion.json", "forces.npy", "grf_trace.csv"):
+        assert (out / name).exists()

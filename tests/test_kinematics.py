@@ -132,16 +132,6 @@ def test_com_orientation_is_root_orientation(skeleton, rng):
     assert np.allclose(states.theta, motion.joint_angles[:, 0], atol=1e-12)
 
 
-def test_com_rates_are_finite_differences(skeleton, rng):
-    motion = random_motion(skeleton, rng, n_frames=6)
-    states = kin.compute_com_inertia(motion)
-    fps = motion.fps
-    mid = (states.r[2:] - states.r[:-2]) * fps / 2
-    assert np.allclose(states.r_dot[1:-1], mid, atol=1e-12)
-    assert np.allclose(states.r_dot[0], (states.r[1] - states.r[0]) * fps, atol=1e-12)
-    assert np.allclose(states.r_dot[-1], (states.r[-1] - states.r[-2]) * fps, atol=1e-12)
-
-
 def test_projection_basics():
     pts = np.array([[0.0, 0.0, 2.0], [0.5, -0.25, 2.5]])
     px = kin.project_perspective(pts, 2000.0, (960.0, 540.0))

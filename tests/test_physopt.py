@@ -5,8 +5,8 @@ import pytest
 from physmocap.core.kinematics import compute_com_inertia
 from physmocap.physopt.problem import (ReducedProblem, targets_from_kinematic)
 from physmocap.physopt.solve import initial_guess, solve_reduced
-from physmocap.physopt.spline import (hermite_delta_weights, hermite_eval,
-                                      hermite_weights, locate, segment_count)
+from physmocap.physopt.spline import (hermite_eval, hermite_weights, locate,
+                                      segment_count)
 from physmocap.physopt.trajectory import TrajectoryLayout
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
@@ -31,18 +31,6 @@ def test_hermite_interpolates_knots():
     assert np.allclose(hermite_eval(x0, v0, x1, v1, delta, delta), x1)
     assert np.allclose(hermite_eval(x0, v0, x1, v1, delta, 0.0, 1), v0)
     assert np.allclose(hermite_eval(x0, v0, x1, v1, delta, delta, 1), v1)
-
-
-def test_hermite_delta_partial_matches_fd():
-    rng = np.random.default_rng(2)
-    for order in range(3):
-        x0, v0, x1, v1 = rng.normal(size=(4, 3))
-        delta, u, eps = 0.41, 0.33, 1e-7
-        fd = (hermite_eval(x0, v0, x1, v1, delta + eps, u, order)
-              - hermite_eval(x0, v0, x1, v1, delta - eps, u, order)) / (2 * eps)
-        w = hermite_delta_weights(u, delta, order)
-        an = w[0] * x0 + w[1] * v0 + w[2] * x1 + w[3] * v1
-        assert np.abs(fd - an).max() < 1e-6
 
 
 def test_segment_count():
@@ -77,32 +65,42 @@ def hop_setup(hop_clip):
     return layout, targets, hop_clip
 
 
-def _random_x(layout, rng, dur_jitter=True):
-    x = rng.normal(scale=0.3, size=layout.n_vars)
-    d0 = layout.durations0()
-    jit = rng.uniform(0.9, 1.1, size=len(d0)) if dur_jitter else 1.0
-    x[layout.dur_base:] = d0 * jit
-    return x
+def _random_x(layout, rng):
+    return rng.normal(scale=0.3, size=layout.n_vars)
 
 
 def test_layout_var_count(hop_setup):
+    """Every column is a knot of exactly one track, and each foot joint's
+    phases span the clip."""
     layout, _, _ = hop_setup
-    assert layout.dur_base < layout.n_vars
-    d0 = layout.durations0()
-    for cols in layout.dur_cols:
-        assert abs(d0[cols - layout.dur_base].sum() - layout.total) < 1e-12
+    starts = [layout.com_knot_cols(which, k)[a] for which in (0, 1)
+              for k in range(layout.n_com + 1) for a in (0, 1)]
+    for phases in layout.joint_phases:
+        start = 0.0
+        for ph in phases:
+            assert ph.start0 == start
+            start += ph.duration0
+            if ph.contact:
+                starts += [ph.const_col]
+                starts += list(ph.force_col + 3 * np.arange(2 * (ph.n_segs + 1)))
+            else:   # tied boundary knots read a stance constant
+                free = ph.vel_cols >= 0
+                starts += [*ph.pos_cols[free], *ph.vel_cols[free]]
+        assert abs(start - layout.total) < 1e-12
+    cols = np.concatenate([c + np.arange(3) for c in starts])
+    assert np.array_equal(np.sort(cols), np.arange(layout.n_vars))
 
 
 def _sample(layout, x, track, t, order=0):
     """Samples of one track at one time, as (value, Jacobian)."""
-    smp = layout.sampler(x[layout.dur_base:], track, [t], order)
-    return smp.values(x)[0], smp.jacobian(x)
+    smp = layout.sampler(track, [t], order)
+    return smp.values(x)[0], smp.S
 
 
 def test_stance_track_is_constant(hop_setup):
     layout, _, _ = hop_setup
     rng = np.random.default_rng(3)
-    x = _random_x(layout, rng, dur_jitter=False)
+    x = _random_x(layout, rng)
     ph = layout.joint_phases[0][0]
     assert ph.contact
     c = x[ph.const_col:ph.const_col + 3]
@@ -117,7 +115,7 @@ def test_flight_track_ties_to_stance(hop_setup):
     """Flight boundary knots read the neighbouring stance constants."""
     layout, _, _ = hop_setup
     rng = np.random.default_rng(4)
-    x = _random_x(layout, rng, dur_jitter=False)
+    x = _random_x(layout, rng)
     phases = layout.joint_phases[0]
     j = next(j for j, p in enumerate(phases)
              if not p.contact and 0 < j < len(phases) - 1)
@@ -134,7 +132,7 @@ def test_flight_track_ties_to_stance(hop_setup):
 def test_flight_force_is_zero(hop_setup):
     layout, _, _ = hop_setup
     rng = np.random.default_rng(5)
-    x = _random_x(layout, rng, dur_jitter=False)
+    x = _random_x(layout, rng)
     phases = layout.joint_phases[2]
     j = next(j for j, p in enumerate(phases) if not p.contact)
     t = sum(p.duration0 for p in phases[:j]) + 0.5 * phases[j].duration0
@@ -147,7 +145,7 @@ def _directional_fd(fun, x, d, eps=1e-6):
 
 
 def test_track_eval_gradients_match_fd(hop_setup):
-    """Sample Jacobians, duration partials included, against FD."""
+    """Sample Jacobians against FD."""
     layout, _, _ = hop_setup
     rng = np.random.default_rng(6)
     x = _random_x(layout, rng)
@@ -191,66 +189,32 @@ def test_problem_gradients_match_fd(hop_setup):
 
 
 def test_objective_hessian_is_exact_at_fixed_durations(hop_setup):
-    """At fixed durations the objective is quadratic in the knots, so its
-    knot block of objective_hess is exact; the dynamics stage relies on it.
-    The duration rows are left out: the Hessian holds no knot-duration
-    coupling."""
+    """With the phase durations fixed the objective is quadratic in x, so
+    objective_hess is exact in every direction; the dynamics stage relies
+    on it."""
     layout, targets, _ = hop_setup
     problem = ReducedProblem(layout, targets)
     rng = np.random.default_rng(9)
     x = _random_x(layout, rng)
-    knots = slice(0, layout.dur_base)
     hess = problem.objective_hess(x)
     for _ in range(6):
-        d = np.zeros(layout.n_vars)
-        d[knots] = rng.normal(size=layout.dur_base)
+        d = rng.normal(size=layout.n_vars)
         d /= np.linalg.norm(d)
-        fd = _directional_fd(problem.objective_grad, x, d)[knots]
-        an = (hess @ d)[knots]
-        assert np.abs(fd - an).max() / max(1.0, np.abs(fd).max()) < 1e-6
-
-
-def _nudge_durations(problem, x, scale=1e-4):
-    """Move phase boundaries off the constraint sample times.
-
-    The track evaluations are only piecewise smooth in the durations; at a
-    solver iterate with the durations still at their initial values, many
-    sample times sit exactly on phase boundaries and a central difference
-    would straddle the switch. A sub-millisecond duration offset moves
-    every interior boundary clear of the sample grids without changing
-    what is being tested.
-    """
-    lay = problem.layout
-    x = np.array(x)
-    for i, cols in enumerate(lay.dur_cols):
-        if len(cols) < 2:
-            continue
-        d = scale * (1.0 + 0.3 * i)
-        x[cols[0]] += d
-        x[cols[-1]] -= d
-    sample_times = np.concatenate(
-        [problem.dyn_times, problem.kin_times, problem.tg.times])
-    for i, cols in enumerate(lay.dur_cols):
-        ends = np.cumsum(x[cols])[:-1]
-        if len(ends):
-            gap = np.abs(sample_times[:, None] - ends[None, :]).min()
-            assert gap > 2e-5, "nudge failed to clear the sample grid"
-    return x
+        fd = _directional_fd(problem.objective_grad, x, d)
+        assert np.abs(fd - hess @ d).max() / max(1.0, np.abs(fd).max()) < 1e-6
 
 
 def test_gradients_match_fd_at_solver_iterates(hop_setup):
     """First derivatives stay exact along the path of a real solve."""
     layout, targets, clip = hop_setup
     iterates = []
-    solve_reduced(targets, clip.contacts, max_iters=30, duration_stage=False,
-                  collect_iterates=iterates)
+    solve_reduced(targets, clip.contacts, max_iters=30, collect_iterates=iterates)
     assert len(iterates) >= 20
     rng = np.random.default_rng(8)
     problem = ReducedProblem(layout, targets)
     step = max(1, len(iterates) // 20)
     checked = 0
-    for xk, _stage in iterates[::step]:
-        x = _nudge_durations(problem, xk)
+    for x in iterates[::step]:
         _, grad, _ = problem.objective(x)
         _, jac = problem.constraints(x)
         d = rng.normal(size=layout.n_vars)
@@ -285,8 +249,7 @@ def test_short_solve_reduces_violation(hop_setup):
     layout, targets, clip = hop_setup
     x0_prob = ReducedProblem(layout, targets)
     v0 = max(x0_prob.violation_by_group(initial_guess(x0_prob)).values())
-    traj, report, _ = solve_reduced(
-        targets, clip.contacts, max_iters=250, duration_stage=False)
+    traj, report, _ = solve_reduced(targets, clip.contacts, max_iters=250)
     v = report.stages[-1].max_violation
     assert v < 1e-3 and v < 1e-3 * v0
     out = traj.sample(targets.times)
@@ -295,42 +258,17 @@ def test_short_solve_reduces_violation(hop_setup):
 
 
 def test_stages_hold_their_fixed_columns(hop_setup):
-    """Clamped columns stay bit-for-bit fixed at every solver iterate.
-
-    The dynamics stage holds the phase durations and the COM boundary
-    velocity knots; the durations stage holds the boundary velocity knots.
-    """
+    """The dynamics stage holds the COM boundary velocity knots bit-for-bit
+    at every solver iterate, and fit and dynamics are the only stages."""
     layout, targets, clip = hop_setup
     iterates = []
-    solve_reduced(targets, clip.contacts, max_iters=3, duration_stage=True,
-                  collect_iterates=iterates)
-    stages = [stage for _, stage in iterates]
-    assert "dynamics" in stages and "durations" in stages
+    _, report, _ = solve_reduced(targets, clip.contacts, max_iters=3,
+                                 collect_iterates=iterates)
+    assert [st.name for st in report.stages] == ["fit", "dynamics"]
+    assert iterates
     vel_cols = [layout.com_knot_cols(which, k)[1]
                 for which in (0, 1) for k in (0, layout.n_com)]
     bound_vel = np.concatenate([targets.r_bound_vel, targets.theta_bound_vel])
-    d0 = layout.durations0()
-    for xk, stage in iterates:
+    for xk in iterates:
         for vc, v in zip(vel_cols, bound_vel):
-            assert np.array_equal(xk[vc:vc + 3], v), stage
-        if stage == "dynamics":
-            assert np.array_equal(xk[layout.dur_base:], d0)
-        if stage == "durations":
-            for cols in layout.dur_cols:
-                assert abs(xk[cols].sum() - layout.total) < 1e-12
-
-
-def test_durations_stage_skipped_without_a_duration_to_move():
-    """A stand keeps every foot joint in one contact phase, so the
-    durations stage has nothing to move and does not run."""
-    clip = generate(MotionScript(name="s", kind="stand", duration=1.0), seed=4)
-    assert all(len(clip.contacts.phases(f)) == 1 for f in range(4))
-    states = compute_com_inertia(clip.motion)
-    targets = targets_from_kinematic(clip.motion, states, clip.floor)
-    iterates = []
-    _, report, _ = solve_reduced(targets, clip.contacts, max_iters=3,
-                                 duration_stage=True,
-                                 collect_iterates=iterates)
-    stages = [stage for _, stage in iterates]
-    assert "dynamics" in stages and "durations" not in stages
-    assert [st.name for st in report.stages] == ["fit", "dynamics"]
+            assert np.array_equal(xk[vc:vc + 3], v)
