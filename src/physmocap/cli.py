@@ -24,7 +24,7 @@ from . import __version__
 from .contact.heuristic import velocity_baseline_2d, velocity_baseline_3d
 from .contact.predict import load_classifier, predict_contacts, save_classifier
 from .contact.sequence import ContactSequence, load_contacts, save_contacts
-from .contact.train import TrainingConfig, build_windows, train_classifier
+from .contact.train import build_windows, train_classifier
 from .core import io as core_io
 from .core.skeleton import default_skeleton
 from .fullbody import upgrade_fullbody
@@ -94,8 +94,9 @@ def cmd_train(args):
         contacts = load_contacts(root / entry["contacts"])
         pairs.append((seq, contacts, entry["name"]))
     dataset = build_windows(pairs)
-    config = TrainingConfig(seed=args.seed, max_epochs=args.epochs)
-    classifier, history = train_classifier(dataset, config, verbose=args.verbose)
+    classifier, history = train_classifier(dataset, seed=args.seed,
+                                           max_epochs=args.epochs,
+                                           verbose=args.verbose)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_classifier(classifier, out)

@@ -7,7 +7,7 @@ from .heuristic import (
     velocity_baseline_3d,
 )
 from .features import make_features, make_features_batch
-from .train import TrainingConfig, WindowDataset, build_windows, split_motions, train_classifier
+from .train import WindowDataset, build_windows, split_motions, train_classifier
 from .predict import (
     ContactClassifier,
     load_classifier,

@@ -9,6 +9,7 @@ WINDOW = 9              # input frames per window, centered on the target
 PRED_WINDOW = 5         # output frames per window, centered on the target
 N_JOINTS = len(LOWER_BODY_JOINT_NAMES)   # 13
 FEATURE_DIM = WINDOW * N_JOINTS * 3      # 351
+FEATURE_SCALE = 0.005   # pixels to feature units
 
 
 def window_frames(target, n_frames, window=WINDOW):
@@ -17,7 +18,7 @@ def window_frames(target, n_frames, window=WINDOW):
     return np.clip(np.arange(target - half, target + half + 1), 0, n_frames - 1)
 
 
-def make_features(seq, target_frame, feature_scale=0.005):
+def make_features(seq, target_frame, feature_scale=FEATURE_SCALE):
     """Feature vector for one target frame: (x, y, conf) of the 13 lower-body
     joints over the 9-frame window, positions taken relative to the target
     frame's pelvis and scaled to roughly [-1, 1].
@@ -28,7 +29,7 @@ def make_features(seq, target_frame, feature_scale=0.005):
                                feature_scale=feature_scale)[0]
 
 
-def make_features_batch(seq, targets, feature_scale=0.005):
+def make_features_batch(seq, targets, feature_scale=FEATURE_SCALE):
     """Feature matrix for many target frames at once. len(targets) x 351."""
     ids = [seq.joint_id(n) for n in LOWER_BODY_JOINT_NAMES]
     xy = seq.joints2d[:, ids]          # T x 13 x 2

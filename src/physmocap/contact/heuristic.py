@@ -9,21 +9,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.kinematics import forward_kinematics
+from ..core.skeleton import CONTACT_JOINT_NAMES
 from .sequence import ContactSequence
 
+MOVE_TOL = 0.02     # meters per frame
+HEIGHT_TOL = 0.05   # meters above the floor
 
-def heuristic_label(motion, floor, move_tol=0.02, height_tol=0.05):
-    """A foot joint is in contact when it moved less than move_tol since the
-    previous frame and sits below height_tol above the floor. Frame 0 reuses
+
+def heuristic_label(motion, floor):
+    """A foot joint is in contact when it moved less than MOVE_TOL since the
+    previous frame and sits below HEIGHT_TOL above the floor. Frame 0 reuses
     frame 1's movement test."""
     pos = forward_kinematics(motion)[:, list(motion.skeleton.foot_joint_ids)]
     disp = np.linalg.norm(np.diff(pos, axis=0), axis=2)       # (T-1) x 4
     if len(disp) == 0:
         moved = np.zeros((1, 4), dtype=bool)
     else:
-        moved = np.concatenate([disp[:1], disp], axis=0) < move_tol
+        moved = np.concatenate([disp[:1], disp], axis=0) < MOVE_TOL
     height = floor.height(pos)
-    return ContactSequence(fps=motion.fps, labels=moved & (height < height_tol))
+    return ContactSequence(fps=motion.fps, labels=moved & (height < HEIGHT_TOL))
 
 
 def _displacement_labels(points, threshold, fps):
@@ -38,13 +42,13 @@ def _displacement_labels(points, threshold, fps):
 
 def velocity_baseline_2d(seq, threshold=5.0):
     """2D pixel-velocity baseline over the four contact joints."""
-    ids = [seq.joint_id(n) for n in ("left_toe", "left_heel", "right_toe", "right_heel")]
+    ids = [seq.joint_id(n) for n in CONTACT_JOINT_NAMES]
     return _displacement_labels(seq.joints2d[:, ids], threshold, seq.fps)
 
 
 def velocity_baseline_3d(seq, threshold=0.02):
     """3D velocity baseline on the (noisy) input joint positions."""
-    ids = [seq.joint_id(n) for n in ("left_toe", "left_heel", "right_toe", "right_heel")]
+    ids = [seq.joint_id(n) for n in CONTACT_JOINT_NAMES]
     return _displacement_labels(seq.joints3d[:, ids], threshold, seq.fps)
 
 

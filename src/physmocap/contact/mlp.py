@@ -35,7 +35,7 @@ class MlpState:
         return len(self.W)
 
 
-def init_mlp(sizes=LAYER_SIZES, seed=0, dropout_p=0.3, dropout_layer=1):
+def init_mlp(sizes=LAYER_SIZES, seed=0):
     rng = np.random.default_rng(seed)
     W, b, gamma, beta, run_mean, run_var = [], [], [], [], [], []
     for i in range(len(sizes) - 1):
@@ -48,8 +48,7 @@ def init_mlp(sizes=LAYER_SIZES, seed=0, dropout_p=0.3, dropout_layer=1):
             run_mean.append(np.zeros(fan_out))
             run_var.append(np.ones(fan_out))
     return MlpState(sizes=tuple(sizes), W=W, b=b, gamma=gamma, beta=beta,
-                    run_mean=run_mean, run_var=run_var,
-                    dropout_p=dropout_p, dropout_layer=dropout_layer)
+                    run_mean=run_mean, run_var=run_var)
 
 
 def mlp_forward(state, X, training=False, dropout_mask=None):

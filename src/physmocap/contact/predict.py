@@ -15,7 +15,7 @@ from .sequence import ContactSequence
 class ContactClassifier:
     """Frozen trained network plus the feature configuration it was trained with."""
     state: MlpState
-    feature_scale: float = 0.005
+    feature_scale: float = feat.FEATURE_SCALE
     seed: int = 0
     window: int = feat.WINDOW
     pred_window: int = feat.PRED_WINDOW

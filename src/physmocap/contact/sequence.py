@@ -47,9 +47,6 @@ class ContactSequence:
                 start = t
         return runs
 
-    def joint_names(self):
-        return CONTACT_JOINT_NAMES
-
 
 def labels_from_phases(phase_runs, fps):
     """Rebuild the per-frame label column from (kind, n_frames) runs."""

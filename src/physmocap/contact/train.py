@@ -19,18 +19,11 @@ from .mlp import (
 )
 from .predict import ContactClassifier
 
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-4
-    noise_sigma: float = 0.005
-    batch_size: int = 64
-    patience: int = 10
-    max_epochs: int = 200
-    seed: int = 0
-    feature_scale: float = 0.005
-    hidden_sizes: tuple = LAYER_SIZES
+LEARNING_RATE = 1e-4
+WEIGHT_DECAY = 1e-4
+NOISE_SIGMA = 0.005   # std of the noise added to normalized position features
+BATCH_SIZE = 64
+PATIENCE = 10         # epochs without a validation gain before stopping
 
 
 @dataclass
@@ -43,7 +36,7 @@ class WindowDataset:
     group: np.ndarray    # N, str
 
 
-def build_windows(pairs, feature_scale=0.005):
+def build_windows(pairs):
     """pairs: iterable of (PoseSequence, ContactSequence, motion_name)."""
     X, Y, M, G = [], [], [], []
     for seq, contacts, name in pairs:
@@ -52,7 +45,7 @@ def build_windows(pairs, feature_scale=0.005):
                 f"{name}: pose has {seq.n_frames} frames, contacts "
                 f"{contacts.n_frames}")
         targets = np.arange(seq.n_frames)
-        X.append(feat.make_features_batch(seq, targets, feature_scale))
+        X.append(feat.make_features_batch(seq, targets))
         for t in targets:
             y, m = feat.window_labels(contacts, t)
             Y.append(y)
@@ -98,45 +91,45 @@ def _eval_loss(state, X, Y, mask, batch=1024):
     return total / max(1, count)
 
 
-def train_classifier(dataset, config, split=None, verbose=False):
+def train_classifier(dataset, seed=0, max_epochs=200, verbose=False):
     """Train on a WindowDataset. Returns (ContactClassifier, history dict).
 
-    The split assigns motion names to train/val/test; windows of test motions
-    are never touched here. Gaussian noise (config.noise_sigma) is added to the
-    normalized position features of each training batch.
+    split_motions(seed) assigns motion names to train/val/test; windows of
+    test motions are never touched here. The seed also draws the initial
+    weights, batch order, noise and dropout. Gaussian noise (NOISE_SIGMA) is
+    added to the normalized position features of each training batch.
+    Training stops after max_epochs, or after PATIENCE epochs without a
+    validation gain, and keeps the best validation epoch's parameters.
     """
-    if split is None:
-        split = split_motions(dataset.group, config.seed)
+    split = split_motions(dataset.group, seed)
     train_ds = _subset(dataset, [n for n, s in split.items() if s == "train"])
     val_ds = _subset(dataset, [n for n, s in split.items() if s == "val"])
     if len(train_ds.X) == 0 or len(val_ds.X) == 0:
         raise ValueError("empty train or val split; need at least 2 motions")
 
-    sizes = (feat.FEATURE_DIM,) + tuple(config.hidden_sizes[1:])
-    state = init_mlp(sizes=sizes, seed=config.seed)
+    state = init_mlp(sizes=(feat.FEATURE_DIM,) + LAYER_SIZES[1:], seed=seed)
     opt = AdamState()
-    rng = np.random.default_rng(config.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     pos_mask = feat.position_feature_mask()
 
     best = {"val": np.inf, "epoch": -1, "params": None}
     history = {"train_loss": [], "val_loss": []}
     n = len(train_ds.X)
     stale = 0
-    for epoch in range(config.max_epochs):
+    for epoch in range(max_epochs):
         order = rng.permutation(n)
         epoch_loss, seen = 0.0, 0
-        for s in range(0, n, config.batch_size):
-            idx = order[s:s + config.batch_size]
+        for s in range(0, n, BATCH_SIZE):
+            idx = order[s:s + BATCH_SIZE]
             X = train_ds.X[idx].copy()
-            X[:, pos_mask] += rng.normal(0.0, config.noise_sigma,
+            X[:, pos_mask] += rng.normal(0.0, NOISE_SIGMA,
                                          (len(idx), int(pos_mask.sum())))
             drop = rng.random((len(idx), state.sizes[state.dropout_layer + 1]))
             drop = drop >= state.dropout_p
             loss, grads, cache = mlp_loss_and_grads(
                 state, X, train_ds.Y[idx], train_ds.mask[idx], dropout_mask=drop)
             update_running_stats(state, cache)
-            adam_step(state, grads, opt, config.learning_rate,
-                      config.weight_decay)
+            adam_step(state, grads, opt, LEARNING_RATE, WEIGHT_DECAY)
             epoch_loss += loss * len(idx)
             seen += len(idx)
         val_loss = _eval_loss(state, val_ds.X, val_ds.Y, val_ds.mask)
@@ -149,15 +142,13 @@ def train_classifier(dataset, config, split=None, verbose=False):
             stale = 0
         else:
             stale += 1
-            if stale >= config.patience:
+            if stale >= PATIENCE:
                 break
     if best["params"] is not None:
         _restore(state, best["params"])
     history["best_epoch"] = best["epoch"]
     history["best_val_loss"] = best["val"]
-    clf = ContactClassifier(state=state, feature_scale=config.feature_scale,
-                            seed=config.seed)
-    return clf, history
+    return ContactClassifier(state=state, seed=seed), history
 
 
 def _snapshot(state):

@@ -5,6 +5,9 @@ import numpy as np
 
 from .kinematics import fk_jacobian, fk_positions_rotations
 
+DAMPING = 1e-3   # initial Levenberg-Marquardt damping
+TOL = 1e-8       # stop when a step lowers the cost by less than this share
+
 
 def _frame_residual(skeleton, root_pos, angles, targets, weights):
     pos, rots = fk_positions_rotations(skeleton, root_pos[None], angles[None])
@@ -12,8 +15,7 @@ def _frame_residual(skeleton, root_pos, angles, targets, weights):
     return diff.ravel(), pos[0], rots
 
 
-def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0,
-                   max_iters=100, damping=1e-3, tol=1e-8):
+def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100):
     """Fit root position + joint angles so FK matches weighted 3D targets.
 
     Levenberg-Marquardt with multiplicative damping updates: steps that do not
@@ -28,7 +30,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0,
 
     r, pos, rots = _frame_residual(skeleton, root, angles, targets, weights)
     cost = r @ r
-    lam = damping
+    lam = DAMPING
     for _ in range(max_iters):
         jac_angles = fk_jacobian(skeleton, root[None], angles[None],
                                  positions=pos[None], rotations=rots)[0]
@@ -61,7 +63,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0,
             lam *= 10.0
         else:
             break
-        if improvement < tol * max(cost, 1e-12):
+        if improvement < TOL * max(cost, 1e-12):
             break
     n_eff = max(np.count_nonzero(weights), 1)
     rms = float(np.sqrt(cost / (3 * n_eff)))
@@ -69,7 +71,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0,
 
 
 def ik_solve_sequence(skeleton, targets, weights, root_pos0=None, angles0=None,
-                      max_iters=100, damping=1e-3):
+                      max_iters=100):
     """Per-frame IK over a sequence, warm-starting each frame from the last.
 
     targets: T x J x 3, weights: T x J. Returns (root_pos, angles, rms) arrays.
@@ -85,8 +87,7 @@ def ik_solve_sequence(skeleton, targets, weights, root_pos0=None, angles0=None,
         if root_pos0 is None and t > 0:
             root = root_out[t - 1] + (targets[t, 0] - targets[t - 1, 0])
         root, angles, rms = ik_solve_frame(
-            skeleton, targets[t], weights[t], root, angles,
-            max_iters=max_iters, damping=damping)
+            skeleton, targets[t], weights[t], root, angles, max_iters=max_iters)
         root_out[t] = root
         ang_out[t] = angles
         rms_out[t] = rms

@@ -32,8 +32,7 @@ def _upgrade_weights(skeleton):
     return w
 
 
-def upgrade_fullbody(kin_motion, traj, skeleton=None, max_iters=100,
-                     damping=1e-3):
+def upgrade_fullbody(kin_motion, traj):
     """Rebuild a full-body motion around the optimized reduced trajectory.
 
     Each frame is solved by damped least-squares IK, warm-started from the
@@ -41,7 +40,7 @@ def upgrade_fullbody(kin_motion, traj, skeleton=None, max_iters=100,
     beyond leg reach are projected back onto the reachable sphere around
     the hip and reported once with a frame count.
     """
-    skeleton = skeleton or kin_motion.skeleton
+    skeleton = kin_motion.skeleton
     T = kin_motion.n_frames
     times = np.arange(T) / kin_motion.fps
     positions, _ = fk_positions_rotations(
@@ -76,8 +75,7 @@ def upgrade_fullbody(kin_motion, traj, skeleton=None, max_iters=100,
                 clipped = True
         clipped_frames += clipped
         root_out[t], ang_out[t], _ = ik_solve_frame(
-            skeleton, targets[t], weights, root0, angles0,
-            max_iters=max_iters, damping=damping)
+            skeleton, targets[t], weights, root0, angles0)
     if clipped_frames:
         warnings.warn(f"{clipped_frames} frames had foot targets beyond leg "
                       "reach; projected onto the reachable sphere")

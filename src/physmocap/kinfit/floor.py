@@ -9,6 +9,8 @@ from ..contact.sequence import ContactSequence
 from ..core.types import FloorPlane
 
 HUBER_DELTA = 0.01   # meters; residuals beyond 3*delta are treated as mislabels
+MAX_ITERS = 100      # reweighting passes of the plane fit
+TOL = 1e-12          # stop once the plane moves less than this
 
 
 def _plane_from_weighted(points, w):
@@ -19,45 +21,45 @@ def _plane_from_weighted(points, w):
     return eigvec[:, 0], centroid
 
 
-def fit_floor(foot_points, reference_points=None, delta=HUBER_DELTA,
-              max_iters=100, tol=1e-12):
+def fit_floor(foot_points, reference_points=None):
     """Huber-robust orthogonal plane fit.
 
     foot_points: N x 3 positions believed to lie on the floor. The normal is
     oriented so reference_points (e.g. all body joints) sit mostly above.
     Returns (FloorPlane, inlier_mask) where the mask flags residuals within
-    3*delta.
+    3*HUBER_DELTA.
     """
     pts = np.asarray(foot_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise ValueError(f"need at least 3 floor points, got shape {pts.shape}")
     w = np.ones(len(pts))
     normal, centroid = _plane_from_weighted(pts, w)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         r = (pts - centroid) @ normal
         absr = np.abs(r)
-        w_new = np.where(absr <= delta, 1.0, delta / np.maximum(absr, 1e-12))
+        w_new = np.where(absr <= HUBER_DELTA, 1.0,
+                         HUBER_DELTA / np.maximum(absr, 1e-12))
         normal_new, centroid_new = _plane_from_weighted(pts, w_new)
         if normal_new @ normal < 0:
             normal_new = -normal_new
         shift = np.linalg.norm(normal_new - normal) + abs(
             (centroid_new - centroid) @ normal_new)
         normal, centroid, w = normal_new, centroid_new, w_new
-        if shift < tol:
+        if shift < TOL:
             break
     if reference_points is not None:
         ref = np.asarray(reference_points, dtype=float).reshape(-1, 3)
         if np.median((ref - centroid) @ normal) < 0:
             normal = -normal
-    inliers = np.abs((pts - centroid) @ normal) <= 3.0 * delta
+    inliers = np.abs((pts - centroid) @ normal) <= 3.0 * HUBER_DELTA
     return FloorPlane(normal, centroid), inliers
 
 
-def fit_floor_from_motion(positions, contacts, skeleton, delta=HUBER_DELTA):
+def fit_floor_from_motion(positions, contacts, skeleton):
     """Fit the floor to contact-labeled foot joints of an FK position array.
 
-    Residuals beyond 3*delta are treated as label mistakes and cleared in the
-    returned ContactSequence. positions: T x J x 3.
+    Residuals beyond 3*HUBER_DELTA are treated as label mistakes and cleared
+    in the returned ContactSequence. positions: T x J x 3.
     """
     labels = contacts.labels
     feet = skeleton.foot_joint_ids
@@ -65,7 +67,7 @@ def fit_floor_from_motion(positions, contacts, skeleton, delta=HUBER_DELTA):
     if len(t_idx) < 3:
         raise ValueError(f"only {len(t_idx)} contact samples; cannot fit a floor")
     pts = positions[t_idx, np.asarray(feet)[k_idx]]
-    floor, inliers = fit_floor(pts, reference_points=positions, delta=delta)
+    floor, inliers = fit_floor(pts, reference_points=positions)
     new_labels = labels.copy()
     bad = ~inliers
     new_labels[t_idx[bad], k_idx[bad]] = False

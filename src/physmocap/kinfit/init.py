@@ -5,8 +5,11 @@ import numpy as np
 
 from ..core.ik import ik_solve_sequence
 
+MIN_CONF = 0.3   # bone samples need both endpoints at least this confident
+IK_ITERS = 60    # per-frame IK iterations of the initial fit
 
-def estimate_bone_lengths(seq, skeleton, min_conf=0.3):
+
+def estimate_bone_lengths(seq, skeleton):
     """Median observed parent-child distance per bone.
 
     Frames where either endpoint has low confidence are skipped; bones never
@@ -15,7 +18,7 @@ def estimate_bone_lengths(seq, skeleton, min_conf=0.3):
     lengths = skeleton.bone_lengths.copy()
     for j in range(1, skeleton.n_joints):
         par = skeleton.parents[j]
-        ok = (seq.conf[:, j] >= min_conf) & (seq.conf[:, par] >= min_conf)
+        ok = (seq.conf[:, j] >= MIN_CONF) & (seq.conf[:, par] >= MIN_CONF)
         if not np.any(ok):
             continue
         d = np.linalg.norm(seq.joints3d[ok, j] - seq.joints3d[ok, par], axis=-1)
@@ -25,7 +28,7 @@ def estimate_bone_lengths(seq, skeleton, min_conf=0.3):
     return lengths
 
 
-def initialize_from_3d(seq, skeleton, ik_iters=60):
+def initialize_from_3d(seq, skeleton):
     """Scaled skeleton + per-frame IK fit to the 3D estimates.
 
     Returns (skeleton, root_pos, joint_angles).
@@ -33,5 +36,5 @@ def initialize_from_3d(seq, skeleton, ik_iters=60):
     skeleton = skeleton.with_bone_lengths(estimate_bone_lengths(seq, skeleton))
     weights = np.clip(seq.conf, 0.05, 1.0)
     root, angles, _ = ik_solve_sequence(skeleton, seq.joints3d, weights,
-                                        max_iters=ik_iters)
+                                        max_iters=IK_ITERS)
     return skeleton, root, angles

@@ -16,8 +16,6 @@ angle-difference rows below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
@@ -25,16 +23,11 @@ from ..core.kinematics import descendant_mask, fk_jacobian, fk_positions_rotatio
 from ..core.rotation import wrap_angle
 
 
-@dataclass(frozen=True)
-class KinfitWeights:
-    """Square roots of these scale the residual blocks."""
-    proj: float = 0.5
-    data: float = 0.3
-    vel: float = 0.1
-    ang: float = 0.1
-    acc: float = 0.5
-    contact: float = 10.0
-    floor: float = 10.0
+# Term weights; each residual block is scaled by the square root of its
+# weight. The weights of the terms linear in the joint positions are in
+# KinematicProblem's table; ANGLE_WEIGHT is the angle_smooth term's.
+PROJECTION_WEIGHT = 0.5
+ANGLE_WEIGHT = 0.1
 
 
 def _frame_diff(T, n):
@@ -50,12 +43,11 @@ class KinematicProblem:
     terms are active.
     """
 
-    def __init__(self, seq, skeleton, contacts=None, floor=None, weights=None):
+    def __init__(self, seq, skeleton, contacts=None, floor=None):
         self.seq = seq
         self.skeleton = skeleton
         self.contacts = contacts
         self.floor = floor
-        self.w = w = weights or KinfitWeights()
 
         T, J = seq.n_frames, skeleton.n_joints
         self.T, self.J = T, J
@@ -64,8 +56,8 @@ class KinematicProblem:
         cx, cy = seq.principal_point
         self.target2d = (seq.joints2d[:, self.proj_joints]
                          - np.array([cx, cy])) / seq.focal
-        self.proj_w = np.sqrt(w.proj * np.clip(seq.conf[:, self.proj_joints],
-                                               0.0, 1.0))
+        self.proj_w = np.sqrt(PROJECTION_WEIGHT
+                              * np.clip(seq.conf[:, self.proj_joints], 0.0, 1.0))
 
         feet = np.asarray(skeleton.foot_joint_ids, dtype=int)
         labels = (contacts.labels if contacts is not None
@@ -92,14 +84,14 @@ class KinematicProblem:
         targets = (seq.joints3d[:, 1:] - seq.joints3d[:, :1]).ravel()
         # (name, weight, map of the 3TJ positions, right-hand side)
         linear = [
-            ("data3d", w.data, frames(0, rel), targets),
-            ("velocity", w.vel, frames(1, rel), 0.0),
-            ("root_velocity", w.vel, frames(1, root), 0.0),
-            ("acceleration", w.acc, frames(2, rel), 0.0),
-            ("root_acceleration", w.acc, frames(2, root), 0.0),
-            ("contact_still", w.contact,
+            ("data3d", 0.3, frames(0, rel), targets),
+            ("velocity", 0.1, frames(1, rel), 0.0),
+            ("root_velocity", 0.1, frames(1, root), 0.0),
+            ("acceleration", 0.5, frames(2, rel), 0.0),
+            ("root_acceleration", 0.5, frames(2, root), 0.0),
+            ("contact_still", 10.0,
              feet_at(still_t + 1, still_k) - feet_at(still_t, still_k), 0.0),
-            ("floor_height", w.floor, feet_at(floor_t, floor_k, normal[None]), offset),
+            ("floor_height", 10.0, feet_at(floor_t, floor_k, normal[None]), offset),
         ]
         maps = [np.sqrt(wt) * m for _, wt, m, _ in linear]
         self.M = sparse.vstack(maps, format="csr")
@@ -165,7 +157,7 @@ class KinematicProblem:
         return np.concatenate([
             ((proj - self.target2d) * self.proj_w[..., None]).ravel(),
             self.M @ pos.ravel() - self.b,
-            np.sqrt(self.w.ang) * wrap_angle(self.G @ x)])
+            np.sqrt(ANGLE_WEIGHT) * wrap_angle(self.G @ x)])
 
     def jacobian(self, x):
         root, angles = self.unpack(x)
@@ -186,7 +178,7 @@ class KinematicProblem:
         stack = self._stack.copy()
         stack.data[:dproj.size] = (dproj * self.proj_w[..., None, None]).ravel()
 
-        mat = sparse.vstack([stack @ jpos, np.sqrt(self.w.ang) * self.G], format="csr")
+        mat = sparse.vstack([stack @ jpos, np.sqrt(ANGLE_WEIGHT) * self.G], format="csr")
         mat.eliminate_zeros()
         return mat
 

@@ -12,7 +12,10 @@ from ..core.preprocess import preprocess_low_confidence
 from ..core.types import JointAngleMotion
 from .floor import fit_floor_from_motion
 from .init import initialize_from_3d
-from .problem import KinematicProblem, KinfitWeights
+from .problem import KinematicProblem
+
+FTOL = 1e-6   # stop when an accepted step lowers the cost by less than this share
+GTOL = 1e-8   # stop when the gradient's max entry is below this times (1 + cost)
 
 
 @dataclass
@@ -41,7 +44,7 @@ def splu(ab):
     return cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
 
 
-def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
+def solve_stage(problem, x0, max_iters=30):
     """Levenberg-Marquardt with banded Cholesky normal-equation solves.
 
     The problem's frame-major variables make J^T J a band matrix. Its lower
@@ -49,8 +52,8 @@ def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
     pattern, and each damped matrix is factored in one band buffer that is
     kept across iterations. Damping is scaled by the diagonal of J^T J,
     which keeps the mixed translation/angle units well conditioned; a
-    matrix that is not positive definite raises the damping. Stops on
-    relative cost decrease below ftol, gradient below gtol, or max_iters.
+    matrix that is not positive definite raises the damping. Stops on a
+    relative cost decrease below FTOL, a gradient below GTOL, or max_iters.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -63,7 +66,7 @@ def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
         g = J.T @ r
-        if np.abs(g).max() < gtol * (1.0 + cost):
+        if np.abs(g).max() < GTOL * (1.0 + cost):
             converged = True
             break
         # lower triangle of H, entry by entry: row - column, column, value
@@ -100,16 +103,13 @@ def solve_stage(problem, x0, max_iters=30, ftol=1e-6, gtol=1e-8, verbose=0):
         drop = cost - c_new
         x, r, cost = x_new, r_new, c_new
         lam = max(lam / 3.0, 1e-12)
-        if verbose:
-            print(f"    iter {it}: cost {cost:.6g} lambda {lam:.1e}")
-        if drop < ftol * max(cost, 1e-12):
+        if drop < FTOL * max(cost, 1e-12):
             converged = True
             break
     return StageResult(x=x, cost=cost, n_iters=it, converged=converged)
 
 
-def run_kinematic_init(seq, skeleton, contacts, weights=None, max_iters=30,
-                       verbose=0, floor=None):
+def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     """Full kinematic stage of the pipeline.
 
     Scales the skeleton to the clip, fits pose to the 2D/3D estimates, fits
@@ -120,7 +120,6 @@ def run_kinematic_init(seq, skeleton, contacts, weights=None, max_iters=30,
 
     Returns (motion, floor, contacts, states, report).
     """
-    weights = weights or KinfitWeights()
     report = KinfitReport()
     seq = preprocess_low_confidence(seq)
 
@@ -128,10 +127,9 @@ def run_kinematic_init(seq, skeleton, contacts, weights=None, max_iters=30,
     skeleton, root, angles = initialize_from_3d(seq, skeleton)
     report.stages.append(("init", float("nan"), 0, time.perf_counter() - t0))
 
-    problem = KinematicProblem(seq, skeleton, weights=weights)
+    problem = KinematicProblem(seq, skeleton)
     t0 = time.perf_counter()
-    res = solve_stage(problem, problem.pack(root, angles),
-                      max_iters=max_iters, verbose=verbose)
+    res = solve_stage(problem, problem.pack(root, angles), max_iters=max_iters)
     root, angles = problem.unpack(res.x)
     report.stages.append(("pose", res.cost, res.n_iters,
                           time.perf_counter() - t0))
@@ -140,10 +138,9 @@ def run_kinematic_init(seq, skeleton, contacts, weights=None, max_iters=30,
     if floor is None:
         floor, contacts = fit_floor_from_motion(positions, contacts, skeleton)
 
-    problem = KinematicProblem(seq, skeleton, contacts=contacts, floor=floor,
-                               weights=weights)
+    problem = KinematicProblem(seq, skeleton, contacts=contacts, floor=floor)
     t0 = time.perf_counter()
-    res = solve_stage(problem, res.x, max_iters=max_iters, verbose=verbose)
+    res = solve_stage(problem, res.x, max_iters=max_iters)
     root, angles = problem.unpack(res.x)
     motion = JointAngleMotion(skeleton=skeleton, fps=seq.fps,
                               root_pos=root, joint_angles=angles)

@@ -40,17 +40,6 @@ DYN_DT = 0.1
 KIN_DT = 0.08
 
 
-@dataclass(frozen=True)
-class ReducedWeights:
-    data_r: float = 0.4
-    data_theta: float = 1.7
-    data_foot: float = 0.3
-    vel_r: float = 1e-3
-    vel_theta: float = 1e-3
-    vel_foot: float = 0.1
-    acc: float = 1e-4
-
-
 @dataclass
 class ReducedTargets:
     """Tracking targets and model constants from the kinematic stage."""
@@ -65,14 +54,12 @@ class ReducedTargets:
     floor: object
     l_leg: float
     l_foot: float
-    r_bound_vel: np.ndarray = field(default=None)   # 2 x 3
-    theta_bound_vel: np.ndarray = field(default=None)
+    r_bound_vel: np.ndarray = field(init=False)   # 2 x 3
+    theta_bound_vel: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.r_bound_vel is None:
-            self.r_bound_vel = _boundary_velocities(self.r, self.fps)
-        if self.theta_bound_vel is None:
-            self.theta_bound_vel = _boundary_velocities(self.theta, self.fps)
+        self.r_bound_vel = _boundary_velocities(self.r, self.fps)
+        self.theta_bound_vel = _boundary_velocities(self.theta, self.fps)
 
     def interp(self, arr, t):
         """Linear interpolation of per-frame data at time(s) t."""
@@ -189,17 +176,17 @@ def _euler_dynamics(th, thv, tha, I_b):
     return h, M_th, M_tv, I_w @ A
 
 
-# (group, track, derivative order, weight name, target name or None)
+# (group, track, derivative order, weight, target name or None)
 OBJECTIVE_TERMS = (
-    ("data", "r", 0, "data_r", "r"),
-    ("data", "theta", 0, "data_theta", "theta"),
-    ("data", "feet", 0, "data_foot", "feet"),
-    ("velocity", "r", 1, "vel_r", None),
-    ("velocity", "theta", 1, "vel_theta", None),
-    ("velocity", "feet", 1, "vel_foot", None),
-    ("acceleration", "r", 2, "acc", None),
-    ("acceleration", "theta", 2, "acc", None),
-    ("acceleration", "feet", 2, "acc", None),
+    ("data", "r", 0, 0.4, "r"),
+    ("data", "theta", 0, 1.7, "theta"),
+    ("data", "feet", 0, 0.3, "feet"),
+    ("velocity", "r", 1, 1e-3, None),
+    ("velocity", "theta", 1, 1e-3, None),
+    ("velocity", "feet", 1, 0.1, None),
+    ("acceleration", "r", 2, 1e-4, None),
+    ("acceleration", "theta", 2, 1e-4, None),
+    ("acceleration", "feet", 2, 1e-4, None),
 )
 # samples the constraints read: (name, track, order)
 DYN_SAMPLES = (("acc", "r", 2), ("r", "r", 0), ("th", "theta", 0),
@@ -213,10 +200,9 @@ class ReducedProblem:
     FOOT_SIDE = (0, 0, 1, 1)
     FOOT_PAIRS = ((0, 1), (2, 3))
 
-    def __init__(self, layout, targets, weights=None):
+    def __init__(self, layout, targets):
         self.layout = layout
         self.tg = targets
-        self.w = weights or ReducedWeights()
         self.up = targets.floor.normal
         self.tans = targets.floor.tangents
         self.floor_h = float(targets.floor.normal @ targets.floor.point)
@@ -292,9 +278,8 @@ class ReducedProblem:
         # and the samples that the constraints read
         self.terms = []
         hess = sparse.csr_matrix((layout.n_vars, layout.n_vars))
-        for group, track, order, w_name, target in OBJECTIVE_TERMS:
+        for group, track, order, w, target in OBJECTIVE_TERMS:
             smp = layout.sampler(track, targets.times, order)
-            w = getattr(self.w, w_name)
             self.terms.append((group, w, smp,
                                getattr(targets, target) if target else 0.0))
             hess = hess + (2.0 * w) * (smp.S.T @ smp.S)

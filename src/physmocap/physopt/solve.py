@@ -164,7 +164,7 @@ def _stage_map(layout, x0):
     return P, np.where(moved, 0.0, x0), free
 
 
-def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
+def _run_stage(problem, x0, stage, max_iters, callback=None):
     """One trust-constr stage, named stage, over the columns it moves.
 
     The other columns keep their values in x0 (see _stage_map). The
@@ -192,8 +192,7 @@ def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
                    jac=lambda z: PT @ problem.objective_grad(full(z)),
                    hess=lambda z: hess, method="trust-constr",
                    constraints=[nlc], callback=stage_callback,
-                   options={"maxiter": max_iters, "gtol": 1e-6, "xtol": 1e-10,
-                            "verbose": verbose})
+                   options={"maxiter": max_iters, "gtol": 1e-6, "xtol": 1e-10})
     x = full(res.x)
     report = StageReport(
         name=stage, objective=float(res.fun),
@@ -203,8 +202,8 @@ def _run_stage(problem, x0, stage, max_iters, verbose, callback=None):
     return x, report
 
 
-def solve_reduced(targets, contacts, weights=None, max_iters=3000,
-                  duration_stage=None, verbose=0, collect_iterates=None):
+def solve_reduced(targets, contacts, max_iters=3000, duration_stage=None,
+                  collect_iterates=None):
     """Run the staged trajectory optimization: fit, then dynamics.
 
     duration_stage has no effect. perfbench's microtimings still pass it;
@@ -213,7 +212,7 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
     is a list, the dynamics stage's iterates are appended to it.
     """
     layout = TrajectoryLayout(contacts)
-    problem = ReducedProblem(layout, targets, weights)
+    problem = ReducedProblem(layout, targets)
     t0 = time.perf_counter()
     x0 = initial_guess(problem)
     fit_time = time.perf_counter() - t0
@@ -229,7 +228,7 @@ def solve_reduced(targets, contacts, weights=None, max_iters=3000,
         name="fit", objective=problem.objective_fun(x0),
         violations=problem.violation_by_group(x0),
         n_iters=0, status=0, success=True, wall_time=fit_time))
-    x, st = _run_stage(problem, x0, "dynamics", max_iters, verbose, callback)
+    x, st = _run_stage(problem, x0, "dynamics", max_iters, callback)
     report.stages.append(st)
     report.objective_terms = problem.objective_breakdown(x)
     return CentroidalTrajectory(layout, x), report, problem

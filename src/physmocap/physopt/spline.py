@@ -20,6 +20,8 @@ _BASIS = np.array([[1.0, 0.0, -3.0, 2.0],
 _DELTA_POWER = np.array([0.0, 1.0, 0.0, 1.0])
 # d^r/ds^r s^m = _FALLING[r, m] s^(m - r)
 _FALLING = np.array([[perm(m, r) for m in range(4)] for r in range(4)], dtype=float)
+MAX_BLOCK_TIME = 2.0   # seconds
+SEGS_PER_BLOCK = 6
 
 
 def hermite_coeffs(x0, v0, x1, v1, delta):
@@ -70,6 +72,8 @@ def locate(t, delta, n_segs):
     return k, t - k * delta
 
 
-def segment_count(duration, max_seg_time=2.0, per_block=6):
-    """Number of polynomials for a foot or force phase of the given duration."""
-    return max(per_block, int(np.ceil(duration / max_seg_time)) * per_block)
+def segment_count(duration):
+    """Number of polynomials for a foot or force phase of the given duration:
+    SEGS_PER_BLOCK for each started MAX_BLOCK_TIME seconds."""
+    return max(SEGS_PER_BLOCK,
+               int(np.ceil(duration / MAX_BLOCK_TIME)) * SEGS_PER_BLOCK)

@@ -25,6 +25,7 @@ from .scripts import MotionScript
 
 GRAVITY = 9.8
 KNOT_DT = 0.1   # node grid of the vertical profiles; matches the physics splines
+MAX_LEG_EXTENSION = 0.999   # largest dance hip-ankle distance, in leg lengths
 
 UPPER_BODY_SEGMENTS = (
     MassSegment("head", 0.12, "neck", "nose", 0.7),
@@ -264,6 +265,18 @@ def _build_dance(script, skeleton):
     root_pos[:, :2] = root_xy
     dips = foot_lift["left"] + foot_lift["right"]
     root_pos[:, 2] = p["root_height"] - p["bob"] * dips / max(p["step_lift"], 1e-9)
+    # long steps would straighten a leg past its reach: lower the root there,
+    # easing in and out over a swing time (no change where both legs reach)
+    need = np.zeros(T)
+    for side, sign in (("left", 1.0), ("right", -1.0)):
+        leg = [skeleton.joint_id(f"{side}_{j}") for j in ("knee", "ankle")]
+        reach = MAX_LEG_EXTENSION * skeleton.bone_lengths[leg].sum()
+        flat = np.linalg.norm(foot_xy[side] - root_xy - [0.0, sign * 0.09], axis=1)
+        height = np.sqrt(np.maximum(reach ** 2 - flat ** 2, 0.0))
+        need = np.maximum(need, root_pos[:, 2] - ANKLE_DROP - foot_lift[side] - height)
+    k = np.arange(-n_sw, n_sw + 1)
+    window = np.pad(need, n_sw)[np.arange(T)[:, None] + k + n_sw]
+    root_pos[:, 2] -= (window * np.cos(0.5 * np.pi * k / (n_sw + 1)) ** 2).max(axis=1)
 
     angles = arms_down_angles(skeleton, T)
     for f in range(T):

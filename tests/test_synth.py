@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from physmocap.core.kinematics import compute_com_inertia, forward_kinematics
-from physmocap.synth import (MotionScript, exact_suite, generate, upper_body_skeleton,
-                             write_dataset)
+from physmocap.synth import (MotionScript, classifier_suite, exact_suite, generate,
+                             plausibility_suite, upper_body_skeleton, write_dataset)
 from physmocap.synth.profiles import (design_stance_accel, integrate_pwl_accel,
                                       sample_pwl_accel, swing_lift, swing_shift)
 from physmocap.synth.rig import solve_leg, two_bone_ik
@@ -184,6 +184,14 @@ def test_dance_builds_and_keeps_support():
     labels = clip.contacts.labels
     assert labels.any(axis=1).all()
     assert (labels.all(axis=1)).mean() > 0.3   # generous double-support share
+
+
+def test_every_suite_script_generates():
+    # the longest dance steps must still keep each ankle target within reach
+    for suite in (exact_suite, plausibility_suite, classifier_suite):
+        for script in suite():
+            clip = generate(script, seed=0)
+            assert clip.contacts.n_frames == clip.pose.n_frames
 
 
 def test_generate_deterministic_per_seed():
