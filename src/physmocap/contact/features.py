@@ -12,21 +12,20 @@ FEATURE_DIM = WINDOW * N_JOINTS * 3      # 351
 FEATURE_SCALE = 0.005   # pixels to feature units
 
 
-def window_frames(target, n_frames, window=WINDOW):
+def window_frames(target, n_frames):
     """Frame indices of the window, clamped to the sequence (edge replication)."""
-    half = window // 2
+    half = WINDOW // 2
     return np.clip(np.arange(target - half, target + half + 1), 0, n_frames - 1)
 
 
-def make_features(seq, target_frame, feature_scale=FEATURE_SCALE):
+def make_features(seq, target_frame):
     """Feature vector for one target frame: (x, y, conf) of the 13 lower-body
     joints over the 9-frame window, positions taken relative to the target
     frame's pelvis and scaled to roughly [-1, 1].
 
     Layout is frame-major then joint, channels (x, y, conf) last.
     """
-    return make_features_batch(seq, np.array([target_frame]),
-                               feature_scale=feature_scale)[0]
+    return make_features_batch(seq, np.array([target_frame]))[0]
 
 
 def make_features_batch(seq, targets, feature_scale=FEATURE_SCALE):

@@ -14,6 +14,9 @@ import numpy as np
 
 LAYER_SIZES = (351, 1024, 512, 128, 32, 20)
 BN_EPS = 1e-5
+ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator guard
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -158,8 +161,7 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(state, grads, opt, lr, weight_decay=0.0,
-              beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(state, grads, opt, lr, weight_decay=0.0):
     """In-place Adam update. L2 weight decay applies to linear weights only."""
     opt.t += 1
     t = opt.t
@@ -173,10 +175,10 @@ def adam_step(state, grads, opt, lr, weight_decay=0.0,
             slot = (key, i)
             m = opt.m.get(slot, 0.0)
             v = opt.v.get(slot, 0.0)
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g * g
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
             opt.m[slot] = m
             opt.v[slot] = v
-            mhat = m / (1 - beta1 ** t)
-            vhat = v / (1 - beta2 ** t)
-            params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            mhat = m / (1 - ADAM_BETA1 ** t)
+            vhat = v / (1 - ADAM_BETA2 ** t)
+            params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

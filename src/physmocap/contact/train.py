@@ -24,6 +24,9 @@ WEIGHT_DECAY = 1e-4
 NOISE_SIGMA = 0.005   # std of the noise added to normalized position features
 BATCH_SIZE = 64
 PATIENCE = 10         # epochs without a validation gain before stopping
+VAL_FRACTION = 0.1    # shares of the motions split_motions sets aside
+TEST_FRACTION = 0.1
+EVAL_BATCH = 1024     # windows per forward pass of the validation loss
 
 
 @dataclass
@@ -55,14 +58,14 @@ def build_windows(pairs):
                          mask=np.array(M), group=np.array(G))
 
 
-def split_motions(names, seed, fractions=(0.8, 0.1, 0.1)):
+def split_motions(names, seed):
     """Deterministic 80/10/10 split of unique motion names."""
     unique = sorted(set(names))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(unique))
     n = len(unique)
-    n_test = max(1, int(round(fractions[2] * n))) if n >= 3 else 0
-    n_val = max(1, int(round(fractions[1] * n))) if n >= 2 else 0
+    n_test = max(1, int(round(TEST_FRACTION * n))) if n >= 3 else 0
+    n_val = max(1, int(round(VAL_FRACTION * n))) if n >= 2 else 0
     split = {}
     for rank, idx in enumerate(order):
         if rank < n_test:
@@ -79,12 +82,12 @@ def _subset(ds, names):
     return WindowDataset(ds.X[sel], ds.Y[sel], ds.mask[sel], ds.group[sel])
 
 
-def _eval_loss(state, X, Y, mask, batch=1024):
+def _eval_loss(state, X, Y, mask):
     total, count = 0.0, 0
-    for s in range(0, len(X), batch):
-        logits, _ = mlp_forward(state, X[s:s + batch], training=False)
-        m = mask[s:s + batch]
-        loss, _ = bce_loss(logits, Y[s:s + batch], m)
+    for s in range(0, len(X), EVAL_BATCH):
+        logits, _ = mlp_forward(state, X[s:s + EVAL_BATCH], training=False)
+        m = mask[s:s + EVAL_BATCH]
+        loss, _ = bce_loss(logits, Y[s:s + EVAL_BATCH], m)
         n = int(m.sum())
         total += loss * n
         count += n

@@ -274,5 +274,5 @@ def validate_skeleton(skel):
         raise ValueError(f"mass_total must be positive, got {skel.mass_total}")
 
 
-def default_skeleton(mass_total=73.0):
-    return SkeletonModel(mass_total=mass_total)
+def default_skeleton():
+    return SkeletonModel()

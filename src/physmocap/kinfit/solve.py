@@ -5,6 +5,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from ..core.kinematics import compute_com_inertia, fk_positions_rotations
@@ -39,29 +40,42 @@ def splu(ab):
     storage (ab[i - j, j] = a[i, j] for j <= i); it is overwritten by the
     factor, which is returned. Raises LinAlgError if the matrix is not
     positive definite. The name is an older one that perfbench's tracer
-    still times the kinfit factorization under.
+    still times the kinfit factorization under (its kinfit.splu_* rows).
     """
     return cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+
+
+def _sheared(blocks):
+    """LAPACK's lower band of H, ab[d, t nf + c] at [t, c, d], as a strided view
+    of blocks[t, o] = H[t + o, t] (T x 4 x nf x nf, blocks[:, 3] zero)."""
+    T, _, nf, _ = blocks.shape
+    step = blocks.itemsize
+    return as_strided(blocks, (T, nf, 3 * nf), (4 * nf * nf * step, (nf + 1) * step,
+                                                nf * step), writeable=False)
 
 
 def solve_stage(problem, x0, max_iters=30):
     """Levenberg-Marquardt with banded Cholesky normal-equation solves.
 
-    The problem's frame-major variables make J^T J a band matrix. Its lower
-    triangle is built once per iteration, the bandwidth read from its
-    pattern, and each damped matrix is factored in one band buffer that is
-    kept across iterations. Damping is scaled by the diagonal of J^T J,
-    which keeps the mixed translation/angle units well conditioned; a
+    The problem's frame-major variables make J^T J a band of frame-pair
+    blocks two frames deep, so the layout fixes its lower bandwidth at
+    3 nf - 1 (nf variables per frame). The Jacobian writes the blocks into a
+    buffer kept across iterations; each damped matrix is copied from it into
+    one band buffer and factored there. Damping is scaled by the diagonal of
+    J^T J, which keeps the mixed translation/angle units well conditioned; a
     matrix that is not positive definite raises the damping. Stops on a
     relative cost decrease below FTOL, a gradient below GTOL, or max_iters.
     """
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
+    n, T = x.size, problem.T
+    nf = n // T
     r = problem.residuals(x)
     cost = float(r @ r)
     lam = 1e-4
     converged = False
-    band = np.zeros((0, n), order="F")   # grown to the bandwidth below
+    blocks = np.zeros((T, 4, nf, nf))
+    band = np.empty((3 * nf, n), order="F")
+    sheared, band_rows = _sheared(blocks), band.T.reshape(T, nf, 3 * nf)
     it = 0
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
@@ -69,21 +83,11 @@ def solve_stage(problem, x0, max_iters=30):
         if np.abs(g).max() < GTOL * (1.0 + cost):
             converged = True
             break
-        # lower triangle of H, entry by entry: row - column, column, value
-        H = (J.T @ J).tocsc()
-        cols = np.repeat(np.arange(n), np.diff(H.indptr))
-        depth = H.indices - cols
-        lower = depth >= 0
-        depth, cols, values = depth[lower], cols[lower], H.data[lower]
-        if depth.max() >= band.shape[0]:
-            band = np.zeros((depth.max() + 1, n), order="F")
-            flat = band.reshape(-1, order="F")   # a view of band's memory
-        at = depth + band.shape[0] * cols       # band[depth, cols] in flat
-        d = np.maximum(H.diagonal(), 1e-10)
+        J.normal_blocks(blocks[:, :3])
+        d = np.maximum(sheared[..., 0].ravel(), 1e-10)
         accepted = False
         for _ in range(12):
-            flat.fill(0.0)
-            flat[at] = values
+            band_rows[...] = sheared
             band[0] += lam * d
             try:
                 step = cho_solve_banded((splu(band), True), -g, check_finite=False)

@@ -38,6 +38,7 @@ FORCE_MAX = 1000.0
 FRICTION_RATIO = 0.5
 DYN_DT = 0.1
 KIN_DT = 0.08
+BOUNDARY_FRAMES = 5   # frames averaged for each end's boundary velocity
 
 
 @dataclass
@@ -69,10 +70,9 @@ class ReducedTargets:
         return (1.0 - a) * arr[i0] + a * arr[i0 + 1]
 
 
-def _boundary_velocities(track, fps, n=5):
-    """Mean finite-difference velocity over the first and last n frames."""
-    T = len(track)
-    n = min(n, T - 1)
+def _boundary_velocities(track, fps):
+    """Mean finite-difference velocity over the first and last BOUNDARY_FRAMES."""
+    n = min(BOUNDARY_FRAMES, len(track) - 1)
     v0 = (track[n] - track[0]) * fps / n
     v1 = (track[-1] - track[-1 - n]) * fps / n
     return np.stack([v0, v1])

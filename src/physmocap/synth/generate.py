@@ -80,15 +80,14 @@ def _script_params(script, defaults):
     return merged
 
 
-def _leg_angles_inplace(angles, skeleton, frame, root, ankle_targets, foot_pitch=0.0):
+def _leg_angles_inplace(angles, skeleton, frame, root, ankle_targets):
     """Solve both legs for one frame and write the joint angles."""
     for side, sign in (("left", 1.0), ("right", -1.0)):
         hip = root + np.array([0.0, sign * 0.09, 0.0])
         hip_j = skeleton.joint_id(f"{side}_hip")
         knee_j = skeleton.joint_id(f"{side}_knee")
         ankle_j = skeleton.joint_id(f"{side}_ankle")
-        hip_a, knee_a, ankle_a = solve_leg(
-            skeleton, side, hip, ankle_targets[side], foot_pitch)
+        hip_a, knee_a, ankle_a = solve_leg(skeleton, side, hip, ankle_targets[side])
         angles[frame, hip_j] = hip_a
         angles[frame, knee_j] = knee_a
         angles[frame, ankle_j] = ankle_a

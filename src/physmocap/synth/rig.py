@@ -12,10 +12,11 @@ import numpy as np
 from ..core.rotation import euler_to_matrix, matrix_to_euler
 
 ANKLE_DROP = 0.070  # flat-foot ankle height above the sole plane
+FORWARD = np.array([1.0, 0.0, 0.0])   # the knee bends toward this hint
 
 
-def two_bone_ik(hip, ankle, len1, len2, forward=(1.0, 0.0, 0.0)):
-    """Knee position for a hip->knee->ankle chain bending toward `forward`."""
+def two_bone_ik(hip, ankle, len1, len2):
+    """Knee position for a hip->knee->ankle chain bending toward FORWARD."""
     hip = np.asarray(hip, dtype=float)
     ankle = np.asarray(ankle, dtype=float)
     chord = ankle - hip
@@ -26,8 +27,7 @@ def two_bone_ik(hip, ankle, len1, len2, forward=(1.0, 0.0, 0.0)):
     if d < abs(len1 - len2) + 1e-6:
         raise ValueError(f"ankle target too close to hip: |hip-ankle|={d:.4f}")
     c_hat = chord / d
-    f = np.asarray(forward, dtype=float)
-    n = np.cross(f, c_hat)
+    n = np.cross(FORWARD, c_hat)
     n_norm = np.linalg.norm(n)
     if n_norm < 1e-8:
         raise ValueError("bend hint is parallel to the leg chord")
@@ -38,26 +38,26 @@ def two_bone_ik(hip, ankle, len1, len2, forward=(1.0, 0.0, 0.0)):
     base = hip + a * c_hat
     k1 = base + h * m_hat
     k2 = base - h * m_hat
-    return k1 if np.dot(k1 - base, f) >= np.dot(k2 - base, f) else k2
+    return k1 if np.dot(k1 - base, FORWARD) >= np.dot(k2 - base, FORWARD) else k2
 
 
-def solve_leg(skeleton, side, hip_world, ankle_target, foot_pitch=0.0,
-              forward=(1.0, 0.0, 0.0), root_rotation=None):
+def solve_leg(skeleton, side, hip_world, ankle_target):
     """Joint angles (hip, knee, ankle) putting the ankle at ankle_target.
 
-    The foot keeps zero yaw/roll in world; foot_pitch rotates it about the
-    lateral axis. Assumes the given joints form a hip->knee->ankle chain with
-    the rest thigh/shank both pointing straight down.
+    The foot stays flat: its world rotation is the identity. The root is
+    unrotated, so the hip's local rotation is its world rotation. Assumes the
+    given joints form a hip->knee->ankle chain with the rest thigh/shank both
+    pointing straight down.
     """
     len1 = skeleton.bone_lengths[skeleton.joint_id(f"{side}_knee")]
     len2 = skeleton.bone_lengths[skeleton.joint_id(f"{side}_ankle")]
     hip_world = np.asarray(hip_world, dtype=float)
     ankle_target = np.asarray(ankle_target, dtype=float)
-    knee = two_bone_ik(hip_world, ankle_target, len1, len2, forward)
+    knee = two_bone_ik(hip_world, ankle_target, len1, len2)
 
     thigh = (knee - hip_world) / len1
     shank = (ankle_target - knee) / len2
-    n = np.cross(np.asarray(forward, dtype=float), ankle_target - hip_world)
+    n = np.cross(FORWARD, ankle_target - hip_world)
     n_hat = n / np.linalg.norm(n)
 
     # world rotation of the hip: rest thigh (0,0,-1) -> thigh, lateral axis -> n_hat
@@ -72,18 +72,10 @@ def solve_leg(skeleton, side, hip_world, ankle_target, foot_pitch=0.0,
     beta = np.arctan2(sinb, cosb)
 
     w_knee = w_hip @ euler_to_matrix(np.array([0.0, beta, 0.0]))
-    w_foot = euler_to_matrix(np.array([0.0, foot_pitch, 0.0]))
-
-    if root_rotation is None:
-        hip_local = w_hip
-    else:
-        hip_local = np.asarray(root_rotation, dtype=float).T @ w_hip
-    ankle_local = w_knee.T @ w_foot
-
     return (
-        matrix_to_euler(hip_local),
+        matrix_to_euler(w_hip),
         np.array([0.0, beta, 0.0]),
-        matrix_to_euler(ankle_local),
+        matrix_to_euler(w_knee.T),
     )
 
 

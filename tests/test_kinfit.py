@@ -13,6 +13,7 @@ from physmocap.core.types import FloorPlane, PoseSequence
 from physmocap.kinfit import (KinematicProblem, estimate_bone_lengths, fit_floor,
                               fit_floor_from_motion, initialize_from_3d,
                               run_kinematic_init, solve_stage)
+from physmocap.kinfit.solve import _sheared
 from physmocap.synth import MotionScript, generate
 
 from conftest import random_motion
@@ -142,9 +143,32 @@ def test_problem_variables_are_frame_major(skeleton, rng):
     frames = x.reshape(T, 3 + 3 * J)
     assert np.array_equal(frames[:, :3], root)
     # terms couple frames at most two apart, so J^T J is a band
-    jac = problem.jacobian(x)
+    jac = problem.jacobian(x).toarray()
     rows, cols = sparse.tril(jac.T @ jac).nonzero()
     assert (rows - cols).max() < 3 * (3 + 3 * J)
+
+
+@pytest.mark.parametrize("with_floor", [True, False])
+def test_normal_equations_match_dense_products(skeleton, rng, with_floor):
+    problem, x0 = _toy_problem(skeleton, rng, with_floor)
+    x = x0 + rng.normal(0.0, 0.02, x0.shape)
+    jac = problem.jacobian(x)
+    r = problem.residuals(x)
+    dense = jac.toarray()
+    H, g = dense.T @ dense, dense.T @ r
+    # the LM's band: H's frame-pair blocks, read as LAPACK's lower band
+    n, T = problem.n_vars, problem.T
+    nf = n // T
+    blocks = np.zeros((T, 4, nf, nf))
+    blocks[:, :3] = np.nan   # normal_blocks must write every entry
+    jac.normal_blocks(blocks[:, :3])
+    band = _sheared(blocks).reshape(n, 3 * nf).T
+    want = np.zeros((3 * nf, n))
+    for d in range(3 * nf):
+        want[d, :n - d] = np.diagonal(H, -d)
+    assert np.abs(band - want).max() <= 1e-12 * np.abs(H).max()
+    assert not np.tril(H, -3 * nf).any()   # nothing below the band
+    assert np.abs(jac.T @ r - g).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_solve_stage_step_matches_dense_normal_equations(skeleton, rng):
