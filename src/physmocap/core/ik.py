@@ -31,13 +31,15 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     r, pos, rots = _frame_residual(skeleton, root, angles, targets, weights)
     cost = r @ r
     lam = DAMPING
+    # rows: 3 per joint; cols: [root (3) | angles (3J)]; leaf angle columns stay 0
+    Jm = np.zeros((3 * J, 3 + 3 * J))
+    posed_cols = 3 + (3 * np.array(skeleton.posed_joints())[:, None]
+                      + np.arange(3)).ravel()
     for _ in range(max_iters):
         jac_angles = fk_jacobian(skeleton, root[None], angles[None],
                                  positions=pos[None], rotations=rots)[0]
-        # rows: 3 per joint; cols: [root (3) | angles (3J)]
-        Jm = np.empty((3 * J, 3 + 3 * J))
         Jm[:, :3] = np.tile(np.eye(3), (J, 1))
-        Jm[:, 3:] = jac_angles.reshape(3 * J, 3 * J)
+        Jm[:, posed_cols] = jac_angles.reshape(3 * J, -1)
         Jm *= np.repeat(weights, 3)[:, None]
 
         JtJ = Jm.T @ Jm

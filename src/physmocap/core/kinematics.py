@@ -55,11 +55,13 @@ def descendant_mask(skeleton):
 
 
 def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None):
-    """d(world position)/d(joint angles), batched over frames.
+    """d(world position)/d(posed joints' angles), batched over frames.
 
-    Returns jac with shape T x J x 3 x J x 3: jac[t, j, :, k, c] is the
-    derivative of joint j's position w.r.t. angle component c of joint k.
-    Root translation is not included (its derivative is the identity on every
+    Returns jac with shape T x J x 3 x K x 3 over the K posed joints
+    (skeleton.posed_joints()): jac[t, j, :, i, c] is the derivative of joint
+    j's position w.r.t. angle component c of the i-th posed joint. A leaf's
+    angles move no position, so their all-zero columns are left out. Root
+    translation is not included (its derivative is the identity on every
     joint). Pass positions/rotations from fk_positions_rotations to reuse them.
     """
     root_pos = np.asarray(root_pos, dtype=float)
@@ -77,8 +79,9 @@ def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None
     k, j = np.nonzero(descendant_mask(skeleton))     # k is an ancestor of j
     rel = positions[:, j] - positions[:, k]          # T x P x 3
     cross = np.cross(np.swapaxes(axes[:, k], -1, -2), rel[:, :, None])
-    jac = np.zeros((T, J, 3, J, 3))
-    jac[:, j, :, k, :] = cross.transpose(1, 0, 3, 2)
+    posed = skeleton.posed_joints()
+    jac = np.zeros((T, J, 3, len(posed), 3))
+    jac[:, j, :, np.searchsorted(posed, k), :] = cross.transpose(1, 0, 3, 2)
     if single:
         return jac[0]
     return jac

@@ -225,6 +225,11 @@ class SkeletonModel:
         skip = {self._name_to_id[n] for n in SPINE_JOINTS if n in self._name_to_id}
         return tuple(j for j in range(self.n_joints) if j not in skip)
 
+    def posed_joints(self):
+        """Indices of joints with at least one child: the joints whose angles
+        move some joint position (a leaf's angles move none)."""
+        return tuple(sorted(set(self.parents[1:])))
+
     def with_bone_lengths(self, lengths):
         return SkeletonModel(
             joint_names=self.joint_names, parents=self.parents,

@@ -1,7 +1,10 @@
 """Residuals and per-frame Jacobian blocks for the kinematic cleanup solve.
 
-Variables are ordered frame by frame: x holds [root translation (3), joint
-Euler angles (3J)] for each of the T frames in turn, nf = 3 + 3J per frame.
+Variables are ordered frame by frame: x holds [root translation (3), posed
+joints' Euler angles (3K)] for each of the T frames in turn, nf = 3 + 3K per
+frame. The K posed joints are those with a child (skeleton.posed_joints(),
+20 of the default skeleton's 28); a leaf's angles move no position, so they
+are not variables and stay 0.
 The residuals are the perspective projection of the FK joint positions, a
 constant linear map of the positions, r = M @ pos - b, and the wrapped angle
 differences between frames, a constant map G of x itself. Of the linear
@@ -53,7 +56,8 @@ class KinematicProblem:
 
         T, J = seq.n_frames, skeleton.n_joints
         self.T, self.J = T, J
-        nf = 3 + 3 * J
+        self.posed = np.array(skeleton.posed_joints())
+        nf = 3 + 3 * len(self.posed)
         self.n_vars = T * nf
         self.proj_joints = np.array(skeleton.joints_with_2d(), dtype=int)
         cx, cy = seq.principal_point
@@ -105,7 +109,7 @@ class KinematicProblem:
         self.b = np.concatenate([np.broadcast_to(np.sqrt(wt) * rhs, m.shape[0])
                                  for (_, wt, _, rhs), m in zip(linear, maps)])
         # wrapped angle differences between frames, a map of x itself
-        angle_cols = sparse.eye(3 * J, nf, k=3)
+        angle_cols = sparse.eye(nf - 3, nf, k=3)
         self.G = sparse.kron(_frame_diff(T, 1), angle_cols, format="csr")
         self.layout = ([("projection", 2 * T * len(self.proj_joints))]
                        + [(name, m.shape[0]) for (name, *_), m in zip(linear, maps)]
@@ -135,12 +139,19 @@ class KinematicProblem:
     # -- variable packing -------------------------------------------------
 
     def pack(self, root_pos, joint_angles):
+        """x from root positions (T x 3) and joint angles (T x J x 3); the
+        leaf joints' angles are dropped."""
+        angles = np.reshape(joint_angles, (self.T, self.J, 3))[:, self.posed]
         return np.hstack([np.reshape(root_pos, (self.T, 3)),
-                          np.reshape(joint_angles, (self.T, 3 * self.J))]).ravel()
+                          angles.reshape(self.T, -1)]).ravel()
 
     def unpack(self, x):
-        frames = x.reshape(self.T, 3 + 3 * self.J)
-        return frames[:, :3], frames[:, 3:].reshape(self.T, self.J, 3)
+        """(root positions T x 3, joint angles T x J x 3) from x; the leaf
+        joints' angles come back as 0."""
+        frames = x.reshape(self.T, -1)
+        angles = np.zeros((self.T, self.J, 3))
+        angles[:, self.posed] = frames[:, 3:].reshape(self.T, -1, 3)
+        return frames[:, :3], angles
 
     # -- residuals and Jacobian -------------------------------------------
 
@@ -162,20 +173,20 @@ class KinematicProblem:
     def jacobian(self, x):
         """The residuals' Jacobian at x, as a FrameJacobian. perfbench times
         this call in its kinfit.jacobian_calls, _s and _ms_x0 rows."""
-        T, J = self.T, self.J
+        T, J, nf = self.T, self.J, self.n_vars // self.T
         root, angles = self.unpack(x)
         pos, rots = fk_positions_rotations(self.skeleton, root, angles)
-        fk = np.empty((T, J, 3, 3 + 3 * J))
+        fk = np.empty((T, J, 3, nf))
         fk[..., :3] = np.eye(3)
         fk[..., 3:] = fk_jacobian(self.skeleton, root, angles, positions=pos,
-                                  rotations=rots).reshape(T, J, 3, 3 * J)
+                                  rotations=rots).reshape(T, J, 3, nf - 3)
         p, z = self._projection(pos)
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
         dproj[..., [0, 1], [0, 1]] = 1.0 / z[..., None]
         dproj[..., 2] = -p[..., :2] / z[..., None] ** 2
         proj = (dproj * self.proj_w[..., None, None]) @ fk[:, self.proj_joints]
         return FrameJacobian(self, fk.reshape(T, 3 * J, -1),
-                             proj.reshape(T, -1, 3 + 3 * J))
+                             proj.reshape(T, -1, nf))
 
     def cost_breakdown(self, x):
         """Sum of squares per term, for reporting."""

@@ -59,9 +59,10 @@ def solve_stage(problem, x0, max_iters=30):
 
     The problem's frame-major variables make J^T J a band of frame-pair
     blocks two frames deep, so the layout fixes its lower bandwidth at
-    3 nf - 1 (nf variables per frame). The Jacobian writes the blocks into a
-    buffer kept across iterations; each damped matrix is copied from it into
-    one band buffer and factored there. Damping is scaled by the diagonal of
+    3 nf - 1 (nf variables per frame; 188 for the default skeleton, whose
+    frames hold 63). The Jacobian writes the blocks into a buffer kept
+    across iterations; each damped matrix is copied from it into one band
+    buffer and factored there. Damping is scaled by the diagonal of
     J^T J, which keeps the mixed translation/angle units well conditioned; a
     matrix that is not positive definite raises the damping. Stops on a
     relative cost decrease below FTOL, a gradient below GTOL, or max_iters.

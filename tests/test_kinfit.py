@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import cholesky_banded
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
-from physmocap.core.ik import ik_solve_sequence
+from physmocap.core.ik import ik_solve_frame, ik_solve_sequence
 from physmocap.core.kinematics import (fk_positions_rotations,
                                        forward_kinematics, project_perspective)
 from physmocap.core.types import FloorPlane, PoseSequence
@@ -87,6 +88,20 @@ def test_estimate_bone_lengths(skeleton, rng):
     assert np.allclose(est[1:], scaled.bone_lengths[1:], atol=1e-9)
 
 
+def test_ik_solve_frame_keeps_leaf_angles(skeleton, rng):
+    # retarget copies source angles in, leaves included; they move no joint,
+    # so the IK must hand them back as they came
+    motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.35)
+    targets = forward_kinematics(motion)[1]
+    angles0 = motion.joint_angles[0]
+    leaves = sorted(set(range(skeleton.n_joints)) - set(skeleton.posed_joints()))
+    assert np.abs(angles0[leaves]).min() > 0.0
+    _, angles, rms = ik_solve_frame(skeleton, targets, np.ones(skeleton.n_joints),
+                                    motion.root_pos[0], angles0)
+    assert rms < 1e-3
+    assert np.array_equal(angles[leaves], angles0[leaves])
+
+
 def test_ik_round_trip(skeleton, rng):
     motion = random_motion(skeleton, rng, n_frames=5, angle_scale=0.35)
     targets = forward_kinematics(motion)
@@ -134,18 +149,36 @@ def test_problem_jacobian_matches_fd(skeleton, rng, with_floor):
 def test_problem_variables_are_frame_major(skeleton, rng):
     problem, _ = _toy_problem(skeleton, rng)
     T, J = problem.T, problem.J
+    posed = list(skeleton.posed_joints())
+    leaves = sorted(set(range(J)) - set(posed))
+    K = len(posed)
     root = rng.normal(size=(T, 3))
     angles = rng.normal(size=(T, J, 3))
     x = problem.pack(root, angles)
     back_root, back_angles = problem.unpack(x)
     assert np.array_equal(back_root, root)
-    assert np.array_equal(back_angles, angles)
-    frames = x.reshape(T, 3 + 3 * J)
+    assert np.array_equal(back_angles[:, posed], angles[:, posed])
+    assert not back_angles[:, leaves].any()   # leaf angles are not variables
+    frames = x.reshape(T, 3 + 3 * K)
     assert np.array_equal(frames[:, :3], root)
     # terms couple frames at most two apart, so J^T J is a band
     jac = problem.jacobian(x).toarray()
     rows, cols = sparse.tril(jac.T @ jac).nonzero()
-    assert (rows - cols).max() < 3 * (3 + 3 * J)
+    assert (rows - cols).max() < 3 * (3 + 3 * K)
+
+
+@pytest.mark.parametrize("with_floor", [True, False])
+def test_undamped_normal_equations_factor(skeleton, rng, with_floor):
+    # every variable moves some residual, so J^T J is positive definite
+    # without the LM's damping (a leaf joint's angle columns would be zero)
+    problem, x0 = _toy_problem(skeleton, rng, with_floor)
+    T, K = problem.T, len(skeleton.posed_joints())
+    assert problem.n_vars == T * (3 + 3 * K)
+    nf = problem.n_vars // T
+    blocks = np.zeros((T, 4, nf, nf))
+    problem.jacobian(x0 + rng.normal(0.0, 0.02, x0.shape)).normal_blocks(blocks[:, :3])
+    band = np.asfortranarray(_sheared(blocks).reshape(problem.n_vars, 3 * nf).T)
+    cholesky_banded(band, lower=True)
 
 
 @pytest.mark.parametrize("with_floor", [True, False])
