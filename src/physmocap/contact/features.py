@@ -28,7 +28,7 @@ def make_features(seq, target_frame):
     return make_features_batch(seq, np.array([target_frame]))[0]
 
 
-def make_features_batch(seq, targets, feature_scale=FEATURE_SCALE):
+def make_features_batch(seq, targets):
     """Feature matrix for many target frames at once. len(targets) x 351."""
     ids = [seq.joint_id(n) for n in LOWER_BODY_JOINT_NAMES]
     xy = seq.joints2d[:, ids]          # T x 13 x 2
@@ -36,7 +36,7 @@ def make_features_batch(seq, targets, feature_scale=FEATURE_SCALE):
     root = seq.joints2d[:, seq.joint_id("pelvis")]   # T x 2
     targets = np.asarray(targets, dtype=int)
     frames = np.stack([window_frames(t, seq.n_frames) for t in targets])  # N x 9
-    rel = (xy[frames] - root[targets][:, None, None, :]) * feature_scale  # N x 9 x 13 x 2
+    rel = (xy[frames] - root[targets][:, None, None, :]) * FEATURE_SCALE  # N x 9 x 13 x 2
     feats = np.concatenate([rel, conf[frames][..., None]], axis=-1)       # N x 9 x 13 x 3
     return feats.reshape(len(targets), FEATURE_DIM)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 LAYER_SIZES = (351, 1024, 512, 128, 32, 20)
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1   # weight of the batch statistics in the running ones
 ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator guard
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -31,7 +32,6 @@ class MlpState:
     run_var: list
     dropout_p: float = 0.3
     dropout_layer: int = 1   # dropout after this hidden layer's ReLU
-    bn_momentum: float = 0.1
 
     @property
     def n_layers(self):
@@ -67,7 +67,7 @@ def mlp_forward(state, X, training=False, dropout_mask=None):
         h = h[None]
     n_hidden = state.n_layers - 1
     cache = {"inputs": [], "z": [], "xhat": [], "mean": [], "var": [],
-             "y": [], "relu_in": [], "dropout_mask": dropout_mask}
+             "y": [], "dropout_mask": dropout_mask}
     for i in range(state.n_layers):
         cache["inputs"].append(h)
         z = h @ state.W[i].T + state.b[i]
@@ -96,7 +96,7 @@ def mlp_forward(state, X, training=False, dropout_mask=None):
 
 
 def update_running_stats(state, cache):
-    m = state.bn_momentum
+    m = BN_MOMENTUM
     for i in range(len(state.gamma)):
         state.run_mean[i] = (1 - m) * state.run_mean[i] + m * cache["mean"][i]
         state.run_var[i] = (1 - m) * state.run_var[i] + m * cache["var"][i]

@@ -13,21 +13,22 @@ from .sequence import ContactSequence
 
 @dataclass(frozen=True, eq=False)
 class ContactClassifier:
-    """Frozen trained network plus the feature configuration it was trained with."""
+    """Frozen trained network; the features module's constants fix its input."""
     state: MlpState
-    feature_scale: float = feat.FEATURE_SCALE
     seed: int = 0
-    window: int = feat.WINDOW
-    pred_window: int = feat.PRED_WINDOW
+
+
+# feature constants a checkpoint records; loading rejects any other values
+_FEATURE_META = {"feature_scale": feat.FEATURE_SCALE, "window": feat.WINDOW,
+                 "pred_window": feat.PRED_WINDOW}
 
 
 def predict_window_probs(classifier, seq):
     """Per-target-frame contact probabilities, T x 5 x 4 (window frame, joint)."""
-    X = feat.make_features_batch(seq, np.arange(seq.n_frames),
-                                 classifier.feature_scale)
+    X = feat.make_features_batch(seq, np.arange(seq.n_frames))
     logits, _ = mlp_forward(classifier.state, X, training=False)
     probs = 1.0 / (1.0 + np.exp(-logits))
-    return probs.reshape(seq.n_frames, classifier.pred_window, 4)
+    return probs.reshape(seq.n_frames, feat.PRED_WINDOW, 4)
 
 
 def vote_labels(window_preds, n_frames):
@@ -61,10 +62,8 @@ def save_classifier(classifier, path):
         "layer_sizes": list(state.sizes),
         "dropout_p": state.dropout_p,
         "dropout_layer": state.dropout_layer,
-        "feature_scale": classifier.feature_scale,
         "seed": classifier.seed,
-        "window": classifier.window,
-        "pred_window": classifier.pred_window,
+        **_FEATURE_META,
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for i, (w, b) in enumerate(zip(state.W, state.b)):
@@ -83,6 +82,10 @@ def load_classifier(path):
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("kind") != "contact_classifier" or meta.get("format_version") != 1:
         raise ValueError(f"{path}: not a contact classifier checkpoint")
+    for key, value in _FEATURE_META.items():
+        if meta.get(key) != value:
+            raise ValueError(f"{path}: {key} is {meta.get(key)!r}; this program's "
+                             f"features need {value!r}")
     sizes = tuple(meta["layer_sizes"])
     n_layers = len(sizes) - 1
     state = MlpState(
@@ -96,6 +99,4 @@ def load_classifier(path):
         dropout_p=meta["dropout_p"],
         dropout_layer=meta["dropout_layer"],
     )
-    return ContactClassifier(state=state, feature_scale=meta["feature_scale"],
-                             seed=meta["seed"], window=meta["window"],
-                             pred_window=meta["pred_window"])
+    return ContactClassifier(state=state, seed=meta["seed"])

@@ -5,6 +5,10 @@ written with Python's shortest round-trip repr, so save/load is bit-exact for
 finite values; non-finite values are rejected on both sides. Contact and
 trajectory files live next to their types (contact.sequence, physopt.trajectory)
 and reuse the helpers here.
+
+A motion's skeleton block holds only what SkeletonModel cannot derive; the
+leg-layout keys of older files (foot_joints, hip_joints, l_foot, l_leg) are
+ignored on load.
 """
 from __future__ import annotations
 
@@ -114,17 +118,12 @@ def _skeleton_payload(skel):
              "distal": s.distal, "com_ratio": s.com_ratio}
             for s in skel.segments
         ],
-        "foot_joints": [skel.joint_names[i] for i in skel.foot_joint_ids],
-        "hip_joints": [skel.joint_names[i] for i in skel.hip_joint_ids],
-        "l_foot": skel.l_foot,
-        "l_leg": skel.l_leg,
     }
 
 
 def _skeleton_from_payload(raw, path="skeleton"):
     names = tuple(need(raw, "joint_names", path))
     J = len(names)
-    ids = {n: i for i, n in enumerate(names)}
     segs = tuple(
         MassSegment(need(s, "name", f"{path}.segments[{i}]"),
                     float(need(s, "mass_fraction", f"{path}.segments[{i}]")),
@@ -140,10 +139,6 @@ def _skeleton_from_payload(raw, path="skeleton"):
         bone_lengths=_array(raw, "bone_lengths", (J,), path),
         mass_total=float(need(raw, "mass_total", path)),
         segments=segs,
-        foot_joint_ids=tuple(ids[n] for n in need(raw, "foot_joints", path)),
-        hip_joint_ids=tuple(ids[n] for n in need(raw, "hip_joints", path)),
-        l_foot=float(need(raw, "l_foot", path)),
-        l_leg=float(need(raw, "l_leg", path)),
     )
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rotation import euler_rotation_axes, euler_to_matrix
+from .rotation import euler_rotation_axes, euler_to_matrix, matrix_to_euler
 from .types import CentroidalStates
 
 
@@ -132,13 +132,11 @@ def transform_motion(motion, R, t):
     Only the root is touched; joint-local angles are invariant under a world
     transform. FK positions of the result equal R @ fk(motion) + t.
     """
-    from .rotation import euler_to_matrix as e2m, matrix_to_euler as m2e
-
     R = np.asarray(R, dtype=float)
     t = np.asarray(t, dtype=float)
     root_pos = motion.root_pos @ R.T + t
     angles = motion.joint_angles.copy()
-    angles[:, 0] = m2e(R @ e2m(motion.joint_angles[:, 0]))
+    angles[:, 0] = matrix_to_euler(R @ euler_to_matrix(motion.joint_angles[:, 0]))
     return motion.with_frames(root_pos, angles)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -155,7 +156,10 @@ class SkeletonModel:
     bone_dirs[j] is the unit rest direction of the bone parent(j) -> j in the
     parent's frame (all frames coincide in the zero-angle pose); the root row
     is zero. bone_lengths are in meters. Joint angles everywhere are intrinsic
-    Z-Y-X Euler.
+    Z-Y-X Euler. The leg layout is derived, so dataclasses.replace recomputes
+    it: foot_joint_ids (CONTACT_JOINT_NAMES), foot_hip_ids (per foot joint,
+    its ancestor that hangs from the root), l_foot (rest toe-heel distance)
+    and l_leg (bone lengths summed from the first foot's hip down to it).
     """
     joint_names: tuple = JOINT_NAMES
     parents: tuple = PARENTS
@@ -163,48 +167,40 @@ class SkeletonModel:
     bone_lengths: np.ndarray = None  # J
     mass_total: float = 73.0
     segments: tuple = None
-    foot_joint_ids: tuple = None    # (left_toe, left_heel, right_toe, right_heel)
-    hip_joint_ids: tuple = None     # (left_hip, right_hip)
-    l_foot: float = None
-    l_leg: float = None
-    _name_to_id: dict = field(default=None, repr=False, compare=False)
+    foot_joint_ids: tuple = field(init=False)
+    foot_hip_ids: tuple = field(init=False)
+    l_foot: float = field(init=False)
+    l_leg: float = field(init=False)
+    _name_to_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_name_to_id",
-                           {n: i for i, n in enumerate(self.joint_names)})
+        set_ = partial(object.__setattr__, self)
+        set_("_name_to_id", {n: i for i, n in enumerate(self.joint_names)})
         if self.bone_dirs is None or self.bone_lengths is None:
-            dirs = np.zeros((len(self.joint_names), 3))
-            lens = np.zeros(len(self.joint_names))
-            for j, name in enumerate(self.joint_names):
-                d, l = _REST_BONES[name]
-                dirs[j] = d
-                lens[j] = l
-            object.__setattr__(self, "bone_dirs", dirs)
-            object.__setattr__(self, "bone_lengths", lens)
+            rest = [_REST_BONES[name] for name in self.joint_names]
+            set_("bone_dirs", np.array([d for d, _ in rest]))
+            set_("bone_lengths", np.array([l for _, l in rest]))
         dirs = np.asarray(self.bone_dirs, dtype=float).copy()
         norms = np.linalg.norm(dirs, axis=1)
         nonzero = norms > 1e-12
         dirs[nonzero] /= norms[nonzero, None]   # exactly unit so FK lengths are exact
-        object.__setattr__(self, "bone_dirs", dirs)
-        object.__setattr__(self, "bone_lengths", np.asarray(self.bone_lengths, dtype=float))
+        set_("bone_dirs", dirs)
+        set_("bone_lengths", np.array(self.bone_lengths, dtype=float))
         if self.segments is None:
-            object.__setattr__(self, "segments", load_default_segments())
-        if self.foot_joint_ids is None:
-            object.__setattr__(self, "foot_joint_ids",
-                               tuple(self._name_to_id[n] for n in CONTACT_JOINT_NAMES))
-        if self.hip_joint_ids is None:
-            object.__setattr__(self, "hip_joint_ids",
-                               (self._name_to_id["left_hip"], self._name_to_id["right_hip"]))
-        if self.l_foot is None:
-            rest = self.rest_positions()
-            toe, heel = self.foot_joint_ids[0], self.foot_joint_ids[1]
-            object.__setattr__(self, "l_foot", float(np.linalg.norm(rest[toe] - rest[heel])))
-        if self.l_leg is None:
-            # kinematic maximum: stretched hip -> knee -> ankle -> toe chain
-            chain = ("left_knee", "left_ankle", "left_toe")
-            object.__setattr__(self, "l_leg",
-                               float(sum(self.bone_lengths[self._name_to_id[n]] for n in chain)))
+            set_("segments", load_default_segments())
         validate_skeleton(self)
+        feet = tuple(self._name_to_id[n] for n in CONTACT_JOINT_NAMES)
+        chains = []   # per foot joint, the joints from its hip down to it
+        for j in feet:
+            chain = [j]
+            while self.parents[chain[0]] > 0:
+                chain.insert(0, self.parents[chain[0]])
+            chains.append(chain)
+        set_("foot_joint_ids", feet)
+        set_("foot_hip_ids", tuple(chain[0] for chain in chains))
+        rest = self.rest_positions()
+        set_("l_foot", float(np.linalg.norm(rest[feet[0]] - rest[feet[1]])))
+        set_("l_leg", float(sum(self.bone_lengths[j] for j in chains[0][1:])))
 
     def joint_id(self, name):
         return self._name_to_id[name]
@@ -229,19 +225,6 @@ class SkeletonModel:
         """Indices of joints with at least one child: the joints whose angles
         move some joint position (a leaf's angles move none)."""
         return tuple(sorted(set(self.parents[1:])))
-
-    def with_bone_lengths(self, lengths):
-        return SkeletonModel(
-            joint_names=self.joint_names, parents=self.parents,
-            bone_dirs=self.bone_dirs.copy(), bone_lengths=np.asarray(lengths, dtype=float),
-            mass_total=self.mass_total, segments=self.segments,
-            foot_joint_ids=self.foot_joint_ids, hip_joint_ids=self.hip_joint_ids,
-            l_foot=None, l_leg=None,
-        )
-
-    def scaled(self, factor):
-        """Uniformly scaled copy (bone lengths only; mass kept)."""
-        return self.with_bone_lengths(self.bone_lengths * float(factor))
 
 
 def validate_skeleton(skel):

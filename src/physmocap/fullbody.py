@@ -55,8 +55,6 @@ def upgrade_fullbody(kin_motion, traj):
     targets[:, foot_ids] = out["feet"]
     weights = _upgrade_weights(skeleton)
 
-    hip_of_foot = [skeleton.hip_joint_ids[0], skeleton.hip_joint_ids[0],
-                   skeleton.hip_joint_ids[1], skeleton.hip_joint_ids[1]]
     root_out = np.empty((T, 3))
     ang_out = np.empty_like(kin_motion.joint_angles)
     clipped_frames = 0
@@ -64,10 +62,9 @@ def upgrade_fullbody(kin_motion, traj):
         root0 = kin_motion.root_pos[t] + shift[t]
         angles0 = kin_motion.joint_angles[t].copy()
         angles0[0] = theta[t]
-        hips = positions[t, list(skeleton.hip_joint_ids)] + shift[t]
+        hips = positions[t, list(skeleton.foot_hip_ids)] + shift[t]
         clipped = False
-        for k, j in enumerate(foot_ids):
-            hip = hips[0] if hip_of_foot[k] == skeleton.hip_joint_ids[0] else hips[1]
+        for hip, j in zip(hips, foot_ids):
             d = targets[t, j] - hip
             reach = np.linalg.norm(d)
             if reach > skeleton.l_leg:

@@ -1,6 +1,8 @@
 """Initial skeleton scale and pose from the raw 3D estimates."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.ik import ik_solve_sequence
@@ -33,7 +35,7 @@ def initialize_from_3d(seq, skeleton):
 
     Returns (skeleton, root_pos, joint_angles).
     """
-    skeleton = skeleton.with_bone_lengths(estimate_bone_lengths(seq, skeleton))
+    skeleton = replace(skeleton, bone_lengths=estimate_bone_lengths(seq, skeleton))
     weights = np.clip(seq.conf, 0.05, 1.0)
     root, angles, _ = ik_solve_sequence(skeleton, seq.joints3d, weights,
                                         max_iters=IK_ITERS)

@@ -51,7 +51,7 @@ class ReducedTargets:
     theta: np.ndarray        # T x 3, unwrapped
     feet: np.ndarray         # T x 4 x 3
     I_b: np.ndarray          # T x 3 x 3
-    hip_offsets: np.ndarray  # T x 2 x 3, body frame COM -> (left, right) hip
+    hip_offsets: np.ndarray  # T x 4 x 3, body frame COM -> each foot's hip
     floor: object
     l_leg: float
     l_foot: float
@@ -84,7 +84,7 @@ def targets_from_kinematic(motion, states, floor):
     positions, rotations = fk_positions_rotations(
         skeleton, motion.root_pos, motion.joint_angles)
     feet = positions[:, list(skeleton.foot_joint_ids)]
-    hips = positions[:, list(skeleton.hip_joint_ids)]
+    hips = positions[:, list(skeleton.foot_hip_ids)]
     root_R = rotations[:, 0]
     offsets = np.einsum("tji,thj->thi", root_R, hips - states.r[:, None, :])
     T = motion.n_frames
@@ -197,7 +197,6 @@ KIN_SAMPLES = (("r", "r", 0), ("th", "theta", 0), ("p", "feet", 0))
 
 class ReducedProblem:
     # foot joints are ordered (left toe, left heel, right toe, right heel)
-    FOOT_SIDE = (0, 0, 1, 1)
     FOOT_PAIRS = ((0, 1), (2, 3))
 
     def __init__(self, layout, targets):
@@ -326,7 +325,7 @@ class ReducedProblem:
         # leg reach: |p_i - hip_i|^2 <= l_leg^2
         (rk, J_rk), (thk, J_thk), (pk, J_pk) = (kin[k] for k in ("r", "th", "p"))
         R = euler_to_matrix(thk)
-        o = tg.interp(tg.hip_offsets, self.kin_times)[:, list(self.FOOT_SIDE)]
+        o = tg.interp(tg.hip_offsets, self.kin_times)
         d = pk - rk[:, None] - np.einsum("nab,nib->nia", R, o)
         grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(thk), o)
         time_of = np.repeat(np.arange(nk), 4)

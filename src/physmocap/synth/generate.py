@@ -11,13 +11,13 @@ exactly -g at liftoff and touchdown, and the flight arc is an exact parabola.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..contact.heuristic import heuristic_label
 from ..core.kinematics import forward_kinematics, project_perspective, transform_motion
-from ..core.skeleton import SPINE_JOINTS, MassSegment, SkeletonModel, default_skeleton
+from ..core.skeleton import SPINE_JOINTS, MassSegment, default_skeleton
 from ..core.types import FloorPlane, JointAngleMotion, PoseSequence
 from .profiles import design_stance_accel, sample_pwl_accel, swing_lift, swing_shift
 from .rig import ANKLE_DROP, arms_down_angles, solve_leg
@@ -56,11 +56,7 @@ class GeneratedClip:
 
 def upper_body_skeleton(skeleton):
     """Copy of the skeleton with all mass in the (frozen) upper body."""
-    return SkeletonModel(
-        joint_names=skeleton.joint_names, parents=skeleton.parents,
-        bone_dirs=skeleton.bone_dirs.copy(), bone_lengths=skeleton.bone_lengths.copy(),
-        mass_total=skeleton.mass_total, segments=UPPER_BODY_SEGMENTS,
-    )
+    return replace(skeleton, segments=UPPER_BODY_SEGMENTS)
 
 
 def _grid_count(value, name):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 
 from physmocap.contact import mlp
 from physmocap.contact.predict import (
@@ -50,11 +53,11 @@ def test_vote_labels_tie_is_contact():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     state = mlp.init_mlp(sizes=(12, 16, 10, 6, 5, 8), seed=9)
-    clf = ContactClassifier(state=state, feature_scale=0.004, seed=9)
+    clf = ContactClassifier(state=state, seed=9)
     path = tmp_path / "clf.npz"
     save_classifier(clf, path)
     back = load_classifier(path)
-    assert back.feature_scale == 0.004
+    assert back.seed == 9
     assert back.state.sizes == state.sizes
     for a, b in zip(state.W, back.state.W):
         assert np.array_equal(a, b)
@@ -64,3 +67,16 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     la, _ = mlp.mlp_forward(state, X, training=False)
     lb, _ = mlp.mlp_forward(back.state, X, training=False)
     assert np.array_equal(la, lb)
+
+
+def test_checkpoint_with_other_feature_constants_rejected(tmp_path):
+    clf = ContactClassifier(state=mlp.init_mlp(sizes=(12, 16, 10, 6, 5, 8), seed=9))
+    path = tmp_path / "clf.npz"
+    save_classifier(clf, path)
+    arrays = dict(np.load(path))
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["feature_scale"] = 0.004
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="feature_scale"):
+        load_classifier(path)

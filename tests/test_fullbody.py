@@ -76,8 +76,7 @@ def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
 def test_retarget_round_trip_recovers_angles(stand_clip):
     motion = stand_clip.motion
     src = motion.skeleton
-    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 1.3,
-                              l_foot=None, l_leg=None)
+    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 1.3)
     fwd = retarget(motion, src, tgt, identity_joint_map(src))
     back = retarget(fwd, tgt, src, identity_joint_map(src))
     diff = np.abs(wrap_angle(back.joint_angles - motion.joint_angles))
@@ -87,8 +86,7 @@ def test_retarget_round_trip_recovers_angles(stand_clip):
 def test_retarget_preserves_bone_lengths_exactly(stand_clip):
     motion = stand_clip.motion
     src = motion.skeleton
-    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 0.8,
-                              l_foot=None, l_leg=None)
+    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 0.8)
     out = retarget(motion, src, tgt, identity_joint_map(src))
     pos, _ = fk_positions_rotations(tgt, out.root_pos, out.joint_angles)
     for j in range(1, tgt.n_joints):

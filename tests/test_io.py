@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ def test_motion_round_trip_bit_exact(tmp_path, skeleton, rng):
     assert np.array_equal(back.skeleton.bone_lengths, skeleton.bone_lengths)
     assert back.skeleton.l_foot == skeleton.l_foot
     assert [s.name for s in back.skeleton.segments] == [s.name for s in skeleton.segments]
+
+
+def test_motion_file_legacy_skeleton_keys_ignored(tmp_path, skeleton, rng):
+    # older files also stored the derived leg layout; a stale value there
+    # must not override what the bones give
+    motion = random_motion(skeleton, rng, n_frames=2)
+    path = tmp_path / "motion.json"
+    io.save_motion(motion, path)
+    raw = json.loads(path.read_text())
+    assert not {"foot_joints", "hip_joints", "l_foot", "l_leg"} & set(raw["skeleton"])
+    raw["skeleton"].update(foot_joints=["left_toe", "left_heel", "right_toe", "right_heel"],
+                           hip_joints=["left_hip", "right_hip"], l_foot=0.2, l_leg=99.0)
+    io.write_json(path, raw)
+    back = io.load_motion(path).skeleton
+    assert back.l_leg == skeleton.l_leg
+    assert back.l_foot == skeleton.l_foot
+    assert back.foot_hip_ids == skeleton.foot_hip_ids
 
 
 def test_floor_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -78,7 +80,7 @@ def test_fit_floor_from_motion_clears_outliers(skeleton, rng):
 
 
 def test_estimate_bone_lengths(skeleton, rng):
-    scaled = skeleton.with_bone_lengths(skeleton.bone_lengths * 1.07)
+    scaled = dataclasses.replace(skeleton, bone_lengths=skeleton.bone_lengths * 1.07)
     motion = random_motion(scaled, rng, n_frames=8)
     pos = forward_kinematics(motion)
     seq = PoseSequence(scaled.joint_names, 30.0,
