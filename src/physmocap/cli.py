@@ -36,6 +36,8 @@ from .synth import dataset as synth_dataset
 from .synth.generate import generate
 from .synth.scripts import MotionScript
 
+MAX_ITERS = 1500   # physics-stage iterations of optimize and batch (--max-iters)
+
 
 def _versions():
     import scipy
@@ -148,7 +150,7 @@ def _grf_trace(out_dir, traj, motion, mass):
                         *(f"{v:.5f}" for v in out["r"][k])])
 
 
-def optimize_sequence(seq, contacts, out_dir, floor=None, max_iters=1500):
+def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
     """Kinematic init, reduced physics solve, full-body upgrade. Writes the
     sequence directory and returns the report payload."""
     out_dir = Path(out_dir)
@@ -380,7 +382,7 @@ def build_parser():
     o.add_argument("--contacts", required=True)
     o.add_argument("--floor", help="known ground plane (skips floor fitting)")
     o.add_argument("--out", required=True)
-    o.add_argument("--max-iters", type=int, default=1500)
+    o.add_argument("--max-iters", type=int, default=MAX_ITERS)
     o.set_defaults(func=cmd_optimize)
 
     b = sub.add_parser("batch", help="optimize every sequence in a dataset")
@@ -392,7 +394,7 @@ def build_parser():
     b.add_argument("--model", help="classifier file for --contacts-from classifier")
     b.add_argument("--gt-floor", action="store_true",
                    help="use each clip's stored floor instead of fitting")
-    b.add_argument("--max-iters", type=int, default=1500)
+    b.add_argument("--max-iters", type=int, default=MAX_ITERS)
     b.add_argument("--workers", type=int, default=1,
                    help="worker processes; below 2 runs in-process")
     b.set_defaults(func=cmd_batch)

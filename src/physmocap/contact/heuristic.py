@@ -18,16 +18,12 @@ HEIGHT_TOL = 0.05   # meters above the floor
 
 def heuristic_label(motion, floor):
     """A foot joint is in contact when it moved less than MOVE_TOL since the
-    previous frame and sits below HEIGHT_TOL above the floor. Frame 0 reuses
-    frame 1's movement test."""
+    previous frame (the baselines' stillness test, _displacement_labels) and
+    sits below HEIGHT_TOL above the floor."""
     pos = forward_kinematics(motion)[:, list(motion.skeleton.foot_joint_ids)]
-    disp = np.linalg.norm(np.diff(pos, axis=0), axis=2)       # (T-1) x 4
-    if len(disp) == 0:
-        moved = np.zeros((1, 4), dtype=bool)
-    else:
-        moved = np.concatenate([disp[:1], disp], axis=0) < MOVE_TOL
+    still = _displacement_labels(pos, MOVE_TOL, motion.fps).labels
     height = floor.height(pos)
-    return ContactSequence(fps=motion.fps, labels=moved & (height < HEIGHT_TOL))
+    return ContactSequence(fps=motion.fps, labels=still & (height < HEIGHT_TOL))
 
 
 def _displacement_labels(points, threshold, fps):

@@ -18,6 +18,8 @@ BN_MOMENTUM = 0.1   # weight of the batch statistics in the running ones
 ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator guard
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+DROPOUT_P = 0.3      # share of activations dropped while training
+DROPOUT_LAYER = 1    # dropout after this hidden layer's ReLU
 
 
 @dataclass
@@ -30,8 +32,6 @@ class MlpState:
     beta: list
     run_mean: list
     run_var: list
-    dropout_p: float = 0.3
-    dropout_layer: int = 1   # dropout after this hidden layer's ReLU
 
     @property
     def n_layers(self):
@@ -81,8 +81,8 @@ def mlp_forward(state, X, training=False, dropout_mask=None):
             xhat = (z - mu) / np.sqrt(var + BN_EPS)
             y = state.gamma[i] * xhat + state.beta[i]
             h = np.maximum(y, 0.0)
-            if training and i == state.dropout_layer and dropout_mask is not None:
-                h = h * dropout_mask / (1.0 - state.dropout_p)
+            if training and i == DROPOUT_LAYER and dropout_mask is not None:
+                h = h * dropout_mask / (1.0 - DROPOUT_P)
             cache["z"].append(z)
             cache["xhat"].append(xhat)
             cache["mean"].append(mu)
@@ -127,8 +127,8 @@ def mlp_backward(state, cache, dlogits):
     g = dlogits
     for i in reversed(range(state.n_layers)):
         if i < n_hidden:
-            if i == state.dropout_layer and cache["dropout_mask"] is not None:
-                g = g * cache["dropout_mask"] / (1.0 - state.dropout_p)
+            if i == DROPOUT_LAYER and cache["dropout_mask"] is not None:
+                g = g * cache["dropout_mask"] / (1.0 - DROPOUT_P)
             g = g * (cache["y"][i] > 0.0)
             xhat = cache["xhat"][i]
             grads["gamma"][i] = (g * xhat).sum(axis=0)

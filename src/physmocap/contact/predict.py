@@ -60,8 +60,6 @@ def save_classifier(classifier, path):
         "format_version": 1,
         "kind": "contact_classifier",
         "layer_sizes": list(state.sizes),
-        "dropout_p": state.dropout_p,
-        "dropout_layer": state.dropout_layer,
         "seed": classifier.seed,
         **_FEATURE_META,
     }
@@ -78,6 +76,8 @@ def save_classifier(classifier, path):
 
 
 def load_classifier(path):
+    """Read a save_classifier checkpoint. Older checkpoints also store the
+    dropout settings; inference never drops out, so they are ignored."""
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("kind") != "contact_classifier" or meta.get("format_version") != 1:
@@ -96,7 +96,5 @@ def load_classifier(path):
         beta=[data[f"beta{i}"] for i in range(n_layers - 1)],
         run_mean=[data[f"run_mean{i}"] for i in range(n_layers - 1)],
         run_var=[data[f"run_var{i}"] for i in range(n_layers - 1)],
-        dropout_p=meta["dropout_p"],
-        dropout_layer=meta["dropout_layer"],
     )
     return ContactClassifier(state=state, seed=meta["seed"])

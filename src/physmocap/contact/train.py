@@ -8,6 +8,8 @@ import numpy as np
 
 from . import features as feat
 from .mlp import (
+    DROPOUT_LAYER,
+    DROPOUT_P,
     AdamState,
     LAYER_SIZES,
     adam_step,
@@ -127,8 +129,8 @@ def train_classifier(dataset, seed=0, max_epochs=200, verbose=False):
             X = train_ds.X[idx].copy()
             X[:, pos_mask] += rng.normal(0.0, NOISE_SIGMA,
                                          (len(idx), int(pos_mask.sum())))
-            drop = rng.random((len(idx), state.sizes[state.dropout_layer + 1]))
-            drop = drop >= state.dropout_p
+            drop = rng.random((len(idx), state.sizes[DROPOUT_LAYER + 1]))
+            drop = drop >= DROPOUT_P
             loss, grads, cache = mlp_loss_and_grads(
                 state, X, train_ds.Y[idx], train_ds.mask[idx], dropout_mask=drop)
             update_running_stats(state, cache)

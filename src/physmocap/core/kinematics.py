@@ -6,6 +6,8 @@ import numpy as np
 from .rotation import euler_rotation_axes, euler_to_matrix, matrix_to_euler
 from .types import CentroidalStates
 
+GRAVITY = 9.8   # m/s^2
+
 
 def fk_positions_rotations(skeleton, root_pos, joint_angles):
     """World joint positions and rotations for a batch of frames.

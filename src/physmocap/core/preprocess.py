@@ -5,11 +5,13 @@ import numpy as np
 
 from dataclasses import replace
 
+CONF_THRESHOLD = 0.3   # detections below this confidence are interpolated over
 
-def preprocess_low_confidence(seq, threshold=0.3):
+
+def preprocess_low_confidence(seq):
     """Replace 3D positions of low-confidence detections by linear interpolation.
 
-    Works per joint: frames with conf < threshold get joints3d interpolated in
+    Works per joint: frames with conf < CONF_THRESHOLD get joints3d interpolated in
     time between the nearest confident frames of that joint; runs touching the
     sequence boundary copy the nearest confident frame. A joint with no
     confident frame at all is an error.
@@ -18,13 +20,13 @@ def preprocess_low_confidence(seq, threshold=0.3):
     T, J = conf.shape
     out = seq.joints3d.copy()
     for j in range(J):
-        good = conf[:, j] >= threshold
+        good = conf[:, j] >= CONF_THRESHOLD
         if good.all():
             continue
         if not good.any():
             raise ValueError(
                 f"joint {seq.joint_names[j]!r} has no frame with confidence >= "
-                f"{threshold}; cannot interpolate")
+                f"{CONF_THRESHOLD}; cannot interpolate")
         idx = np.nonzero(good)[0]
         t = np.arange(T)
         for d in range(3):

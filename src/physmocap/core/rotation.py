@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# basis vectors, used in a few axis formulas below
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
+GIMBAL_EPS = 1e-8   # cos(ay) below which matrix_to_euler treats ay as +-pi/2
 
 
 def skew(v):
@@ -51,14 +48,14 @@ def euler_to_matrix(angles):
     return R
 
 
-def matrix_to_euler(R, eps=1e-8):
+def matrix_to_euler(R):
     """Inverse of euler_to_matrix. Near gimbal lock (|ay| ~ pi/2) ax is set to 0."""
     R = np.asarray(R)
     sy = -R[..., 2, 0]
     sy_c = np.clip(sy, -1.0, 1.0)
     ay = np.arcsin(sy_c)
     cb = np.sqrt(np.maximum(0.0, 1.0 - sy_c * sy_c))
-    regular = cb > eps
+    regular = cb > GIMBAL_EPS
     ax = np.where(regular, np.arctan2(R[..., 2, 1], R[..., 2, 2]), 0.0)
     az = np.where(
         regular,

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.kinematics import forward_kinematics, segment_points
+from .core.kinematics import GRAVITY, forward_kinematics, segment_points
 
-GRAVITY = 9.8
 FLOAT_THRESHOLD = 0.03        # m above the floor while labelled in contact
 PENETRATION_THRESHOLD = 0.03  # m below the floor, any frame
 SKATE_THRESHOLD = 0.02        # m moved between consecutive contact frames
@@ -64,21 +63,21 @@ def _central_second_difference(track, fps):
     return acc * fps * fps
 
 
-def _com_forces(pts, masses, fps, floor, mass=None):
+def _com_forces(pts, masses, fps, floor):
     """Net contact force m (r'' - g) implied by the segment-model COM, T x 3.
 
-    pts, masses: segment_points of the joint positions. r'' comes from
-    second differences, and gravity points against the floor normal.
+    pts, masses: segment_points of the joint positions; m is their total.
+    r'' comes from second differences, and gravity points against the floor
+    normal.
     """
     if len(pts) < 3:
         raise ValueError("need at least 3 frames to difference the COM")
-    if mass is None:
-        mass = masses.sum()
-    com = np.einsum("s,tsd->td", masses, pts) / masses.sum()
+    mass = masses.sum()
+    com = np.einsum("s,tsd->td", masses, pts) / mass
     return mass * (_central_second_difference(com, fps) + GRAVITY * floor.normal)
 
 
-def implied_grf(source, mass=None, floor=None):
+def implied_grf(source, floor=None):
     """Per-frame net contact force, T x 3.
 
     A physics trajectory carries its contact forces, so they are summed
@@ -92,7 +91,7 @@ def implied_grf(source, mass=None, floor=None):
     if floor is None:
         raise ValueError("kinematic motions need the floor for gravity")
     pts, masses = segment_points(source.skeleton, forward_kinematics(source))
-    return _com_forces(pts, masses, source.fps, floor, mass)
+    return _com_forces(pts, masses, source.fps, floor)
 
 
 def grf_metrics(forces, contacts_gt, mass):
@@ -143,14 +142,12 @@ def _mpjpe(positions, skeleton, gt):
             mpjpe(positions - shift, BODY_EVAL_JOINTS))
 
 
-def _report(positions, skeleton, fps, floor, contacts_gt, mass, forces,
-            gt_motion):
+def _report(positions, skeleton, fps, floor, contacts_gt, forces, gt_motion):
     """PlausibilityReport of per-frame joint positions, T x J x 3."""
     pts, masses = segment_points(skeleton, positions)
-    if mass is None:
-        mass = float(masses.sum())
+    mass = float(masses.sum())
     if forces is None:
-        forces = _com_forces(pts, masses, fps, floor, mass)
+        forces = _com_forces(pts, masses, fps, floor)
     mean, peak, ballistic = grf_metrics(forces, contacts_gt, mass)
     floating, penetration, skate = _foot_counts(positions, skeleton, floor,
                                                 contacts_gt.labels)
@@ -164,8 +161,7 @@ def _report(positions, skeleton, fps, floor, contacts_gt, mass, forces,
     return report
 
 
-def plausibility_report(motion, floor, contacts_gt, mass=None, forces=None,
-                        gt_motion=None):
+def plausibility_report(motion, floor, contacts_gt, forces=None, gt_motion=None):
     """Assemble the full report for one motion.
 
     forces: per-frame net contact force from the physics stage; when None
@@ -173,12 +169,12 @@ def plausibility_report(motion, floor, contacts_gt, mass=None, forces=None,
     and kinematic-only results).
     """
     return _report(forward_kinematics(motion), motion.skeleton, motion.fps,
-                   floor, contacts_gt, mass, forces, gt_motion)
+                   floor, contacts_gt, forces, gt_motion)
 
 
-def positions_report(positions, skeleton, fps, floor, contacts_gt, mass=None,
+def positions_report(positions, skeleton, fps, floor, contacts_gt,
                      gt_motion=None):
     """Report for raw per-frame joint positions (the noisy pose input),
     with forces implied from their segment-model COM."""
     return _report(np.asarray(positions, dtype=float), skeleton, fps, floor,
-                   contacts_gt, mass, None, gt_motion)
+                   contacts_gt, None, gt_motion)

@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from ..core.kinematics import fk_positions_rotations
+from ..core.kinematics import GRAVITY, fk_positions_rotations
 from ..core.rotation import (euler_rotation_axes, euler_rotation_axes_grad,
                              euler_rotation_axes_hess, euler_to_matrix,
                              euler_to_matrix_grad, skew)
 
-GRAVITY = 9.8
 FORCE_MAX = 1000.0
 FRICTION_RATIO = 0.5
 DYN_DT = 0.1

@@ -202,7 +202,7 @@ def _run_stage(problem, x0, stage, max_iters, callback=None):
     return x, report
 
 
-def solve_reduced(targets, contacts, max_iters=3000, duration_stage=None,
+def solve_reduced(targets, contacts, max_iters, duration_stage=None,
                   collect_iterates=None):
     """Run the staged trajectory optimization: fit, then dynamics.
 

@@ -215,10 +215,8 @@ class TrajectoryLayout:
         return out.build()
 
     def sample(self, x, times):
-        def at(track, order=0):
-            return self.sampler(track, times, order).values(x)
-        return {"r": at("r"), "theta": at("theta"), "r_ddot": at("r", 2),
-                "feet": at("feet"), "forces": at("forces")}
+        return {track: self.sampler(track, times).values(x)
+                for track in ("r", "theta", "feet", "forces")}
 
 
 @dataclass
@@ -229,7 +227,3 @@ class CentroidalTrajectory:
 
     def sample(self, times):
         return self.layout.sample(self.x, times)
-
-    @property
-    def total(self):
-        return self.layout.total

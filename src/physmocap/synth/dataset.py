@@ -99,9 +99,9 @@ def classifier_suite():
     return scripts
 
 
-def generate_suite(scripts, skeleton=None, seed=0):
+def generate_suite(scripts, seed=0):
     """Generate one clip per script; clip seeds derive from the base seed."""
-    return [generate(s, skeleton=skeleton, seed=seed + 101 * i)
+    return [generate(s, seed=seed + 101 * i)
             for i, s in enumerate(scripts)]
 
 

@@ -8,6 +8,11 @@ for the centroidal physics stage: leg segments carry no mass and the upper
 body is frozen, so the center of mass is the root plus a constant offset; the
 vertical acceleration is piecewise linear on the physics knot grid, reaches
 exactly -g at liftoff and touchdown, and the flight arc is an exact parabola.
+
+Each script builder returns the root track, the upper body's joint angles and
+both ankle tracks (T x 3 per side); `generate` then poses both legs of every
+frame with one `solve_leg` call per side. The hips' offsets from the root, in
+the builders and in that call, are the skeleton's rest positions.
 """
 from __future__ import annotations
 
@@ -16,14 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..contact.heuristic import heuristic_label
-from ..core.kinematics import forward_kinematics, project_perspective, transform_motion
+from ..core.kinematics import (GRAVITY, forward_kinematics, project_perspective,
+                               transform_motion)
 from ..core.skeleton import SPINE_JOINTS, MassSegment, default_skeleton
 from ..core.types import FloorPlane, JointAngleMotion, PoseSequence
 from .profiles import design_stance_accel, sample_pwl_accel, swing_lift, swing_shift
 from .rig import ANKLE_DROP, arms_down_angles, solve_leg
 from .scripts import MotionScript
 
-GRAVITY = 9.8
 KNOT_DT = 0.1   # node grid of the vertical profiles; matches the physics splines
 MAX_LEG_EXTENSION = 0.999   # largest dance hip-ankle distance, in leg lengths
 
@@ -76,20 +81,7 @@ def _script_params(script, defaults):
     return merged
 
 
-def _leg_angles_inplace(angles, skeleton, frame, root, ankle_targets):
-    """Solve both legs for one frame and write the joint angles."""
-    for side, sign in (("left", 1.0), ("right", -1.0)):
-        hip = root + np.array([0.0, sign * 0.09, 0.0])
-        hip_j = skeleton.joint_id(f"{side}_hip")
-        knee_j = skeleton.joint_id(f"{side}_knee")
-        ankle_j = skeleton.joint_id(f"{side}_ankle")
-        hip_a, knee_a, ankle_a = solve_leg(skeleton, side, hip, ankle_targets[side])
-        angles[frame, hip_j] = hip_a
-        angles[frame, knee_j] = knee_a
-        angles[frame, ankle_j] = ankle_a
-
-
-def _build_vertical(script, skeleton):
+def _build_vertical(script, skeleton, hips):
     """stand / hop / jump: still stance, optional crouch-push-flight-land arc."""
     p = _script_params(script, dict(
         root_height=0.82, flight_time=0.0, push_time=0.5, land_time=0.5,
@@ -138,13 +130,9 @@ def _build_vertical(script, skeleton):
         tau = (inner - f1) / (f2 - f1)
         lift[inner] = p["tuck"] * swing_lift(tau)
 
-    angles = arms_down_angles(skeleton, T)
-    for f in range(T):
-        targets = {
-            side: np.array([0.0, sign * 0.09, ANKLE_DROP + lift[f]])
-            for side, sign in (("left", 1.0), ("right", -1.0))
-        }
-        _leg_angles_inplace(angles, skeleton, f, root_pos[f], targets)
+    ankles = {side: np.column_stack([np.broadcast_to(hip[:2], (T, 2)),
+                                     ANKLE_DROP + lift])
+              for side, hip in hips.items()}
 
     expected = np.ones((T, 4), dtype=bool)
     if flight_frames is not None:
@@ -152,10 +140,10 @@ def _build_vertical(script, skeleton):
         # as moving, so the expected flight run ends at f2 inclusive
         f1, f2 = flight_frames
         expected[f1 + 1:f2 + 1] = False
-    return root_pos, angles, expected
+    return root_pos, arms_down_angles(skeleton, T), ankles, expected
 
 
-def _build_walk(script, skeleton):
+def _build_walk(script, skeleton, hips):
     """Steady-state gait along +x with a 60% duty cycle."""
     p = _script_params(script, dict(
         cycle_time=1.0, stride=0.55, root_height=0.83, bob=0.015, sway=0.04,
@@ -176,7 +164,7 @@ def _build_walk(script, skeleton):
     root_pos[:, 1] = p["sway"] * np.sin(2.0 * np.pi * frames / C - 0.1 * np.pi)
     root_pos[:, 2] = p["root_height"] - p["bob"] * np.cos(4.0 * np.pi * frames / C)
 
-    def ankle_path(offset, anchor_shift):
+    def ankle_path(side, offset, anchor_shift):
         g = frames + offset
         k = g // C
         c = g % C
@@ -187,10 +175,10 @@ def _build_walk(script, skeleton):
         x = x.astype(float)
         x[swing] += S * swing_shift(tau)
         zl[swing] += p["step_lift"] * swing_lift(tau)
-        return x, zl
+        return np.column_stack([x, np.full(T, hips[side][1]), zl])
 
-    xl, zl = ankle_path(0, 0.0)
-    xr, zr = ankle_path(C // 2, 0.5)
+    ankles = {"left": ankle_path("left", 0, 0.0),
+              "right": ankle_path("right", C // 2, 0.5)}
 
     angles = arms_down_angles(skeleton, T)
     swing_arm = p["arm_swing"] * np.sin(2.0 * np.pi * frames / C - 1.1 * np.pi)
@@ -200,17 +188,10 @@ def _build_walk(script, skeleton):
     angles[:, rs, 1] = -swing_arm
     angles[:, skeleton.joint_id("left_elbow"), 2] = -0.25
     angles[:, skeleton.joint_id("right_elbow"), 2] = 0.25
-
-    for f in range(T):
-        targets = {
-            "left": np.array([xl[f], 0.09, zl[f]]),
-            "right": np.array([xr[f], -0.09, zr[f]]),
-        }
-        _leg_angles_inplace(angles, skeleton, f, root_pos[f], targets)
-    return root_pos, angles, None
+    return root_pos, angles, ankles, None
 
 
-def _build_dance(script, skeleton):
+def _build_dance(script, skeleton, hips):
     """Box-step pattern: slow weight shifts, one foot moving at a time."""
     p = _script_params(script, dict(
         step_len=0.15, side=0.12, root_height=0.82, bob=0.012, step_lift=0.06,
@@ -221,9 +202,9 @@ def _build_dance(script, skeleton):
     move = n_sw + n_p
     T = round(script.duration * fps)
 
-    base_l, base_r = np.array([0.0, 0.09]), np.array([0.0, -0.09])
-    fwd_l = np.array([p["step_len"], 0.09 + p["side"]])
-    fwd_r = np.array([p["step_len"], -0.09 - p["side"]])
+    base_l, base_r = hips["left"][:2], hips["right"][:2]
+    fwd_l = base_l + [p["step_len"], p["side"]]
+    fwd_r = base_r + [p["step_len"], -p["side"]]
     # box step: one foot moves per quarter cycle, the other stands still
     moves = [("left", base_l, fwd_l), ("right", base_r, fwd_r),
              ("left", fwd_l, base_l), ("right", fwd_r, base_r)]
@@ -263,25 +244,19 @@ def _build_dance(script, skeleton):
     # long steps would straighten a leg past its reach: lower the root there,
     # easing in and out over a swing time (no change where both legs reach)
     need = np.zeros(T)
-    for side, sign in (("left", 1.0), ("right", -1.0)):
+    for side, hip in hips.items():
         leg = [skeleton.joint_id(f"{side}_{j}") for j in ("knee", "ankle")]
         reach = MAX_LEG_EXTENSION * skeleton.bone_lengths[leg].sum()
-        flat = np.linalg.norm(foot_xy[side] - root_xy - [0.0, sign * 0.09], axis=1)
+        flat = np.linalg.norm(foot_xy[side] - root_xy - hip[:2], axis=1)
         height = np.sqrt(np.maximum(reach ** 2 - flat ** 2, 0.0))
         need = np.maximum(need, root_pos[:, 2] - ANKLE_DROP - foot_lift[side] - height)
     k = np.arange(-n_sw, n_sw + 1)
     window = np.pad(need, n_sw)[np.arange(T)[:, None] + k + n_sw]
     root_pos[:, 2] -= (window * np.cos(0.5 * np.pi * k / (n_sw + 1)) ** 2).max(axis=1)
 
-    angles = arms_down_angles(skeleton, T)
-    for f in range(T):
-        targets = {
-            side: np.array([foot_xy[side][f, 0], foot_xy[side][f, 1],
-                            ANKLE_DROP + foot_lift[side][f]])
-            for side in ("left", "right")
-        }
-        _leg_angles_inplace(angles, skeleton, f, root_pos[f], targets)
-    return root_pos, angles, None
+    ankles = {side: np.column_stack([foot_xy[side], ANKLE_DROP + foot_lift[side]])
+              for side in ("left", "right")}
+    return root_pos, arms_down_angles(skeleton, T), ankles, None
 
 
 _BUILDERS = {
@@ -309,13 +284,20 @@ def _camera_pose(script, target, rng):
     return R, -R @ cam
 
 
-def generate(script, skeleton=None, seed=0):
-    """Build one clip. Deterministic in (script, seed)."""
-    base = default_skeleton() if skeleton is None else skeleton
-    skel = upper_body_skeleton(base) if script.mass_override == "upper_body" else base
+def generate(script, seed=0):
+    """Build one clip on the default skeleton. Deterministic in (script, seed)."""
+    skel = default_skeleton()
+    if script.mass_override == "upper_body":
+        skel = upper_body_skeleton(skel)
     rng = np.random.default_rng(seed)
 
-    root_pos, angles, expected = _BUILDERS[script.kind](script, skel)
+    rest = skel.rest_positions()   # root at the origin: the hips' root offsets
+    hips = {side: rest[skel.joint_id(f"{side}_hip")] for side in ("left", "right")}
+    root_pos, angles, ankles, expected = _BUILDERS[script.kind](script, skel, hips)
+    for side, hip in hips.items():
+        legs = [skel.joint_id(f"{side}_{j}") for j in ("hip", "knee", "ankle")]
+        angles[:, legs] = np.stack(
+            solve_leg(skel, side, root_pos + hip, ankles[side]), axis=1)
     motion_world = JointAngleMotion(skel, script.fps, root_pos, angles)
     floor_world = FloorPlane(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 

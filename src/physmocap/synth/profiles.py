@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.kinematics import GRAVITY
+
+STANCE_ACCEL_MIN = -GRAVITY   # below this the contact force would pull
+STANCE_ACCEL_MAX = 22.0       # m/s^2, the strongest push a stance may plan
+
 
 def integrate_pwl_accel(nodes, dt, v0=0.0, z0=0.0):
     """Velocity and position at the nodes of a piecewise-linear acceleration.
@@ -62,8 +67,7 @@ def _integral_rows(n_seg, dt):
     return cv, cz
 
 
-def design_stance_accel(n_seg, dt, a_start, a_end, v_start, dv, dz,
-                        a_min=-9.8, a_max=22.0):
+def design_stance_accel(n_seg, dt, a_start, a_end, v_start, dv, dz):
     """Piecewise-linear acceleration hitting end values, a velocity change and
     a net displacement, bounded below so the implied contact force stays
     nonnegative.
@@ -91,7 +95,8 @@ def design_stance_accel(n_seg, dt, a_start, a_end, v_start, dv, dz,
     A = A_full[:, 1:-1]
     b = targets - A_full[:, [0, -1]] @ ends
     interior = _solve_box_qp(H, g, A, b,
-                             np.full(n - 2, a_min), np.full(n - 2, a_max))
+                             np.full(n - 2, STANCE_ACCEL_MIN),
+                             np.full(n - 2, STANCE_ACCEL_MAX))
     nodes = np.concatenate([[a_start], interior, [a_end]])
     resid = np.abs(A_full @ nodes - targets).max()
     if resid > 1e-9 or np.isnan(nodes).any():

@@ -64,6 +64,12 @@ def test_frame0_copies_frame1_motion_test(skeleton):
     assert not contacts.labels[3:].any()
 
 
+def test_one_standing_frame_is_all_contact(skeleton):
+    floor = FloorPlane(normal=[0, 0, 1.0], point=[0, 0, 0])
+    contacts = heuristic_label(_standing_motion(skeleton, T=1), floor)
+    assert contacts.labels.shape == (1, 4) and contacts.labels.all()
+
+
 def test_heuristic_invariant_under_rigid_rotation(skeleton, rng):
     motion = _standing_motion(skeleton, T=12)
     root = motion.root_pos.copy()

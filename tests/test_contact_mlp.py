@@ -21,7 +21,7 @@ def test_bce_gradient_matches_finite_differences_every_layer():
     X = rng.normal(0, 1, (7, 12))
     y = (rng.random((7, 8)) < 0.5).astype(float)
     mask = rng.random((7, 8)) < 0.9
-    drop = rng.random((7, state.sizes[state.dropout_layer + 1])) >= state.dropout_p
+    drop = rng.random((7, state.sizes[mlp.DROPOUT_LAYER + 1])) >= mlp.DROPOUT_P
 
     _, grads, _ = mlp.mlp_loss_and_grads(state, X, y, mask, dropout_mask=drop)
     h = 1e-6
@@ -87,7 +87,7 @@ def test_adam_reduces_loss_on_tiny_problem():
     opt = mlp.AdamState()
     first = None
     for it in range(500):
-        drop = rng.random((32, state.sizes[state.dropout_layer + 1])) >= state.dropout_p
+        drop = rng.random((32, state.sizes[mlp.DROPOUT_LAYER + 1])) >= mlp.DROPOUT_P
         loss, grads, cache = mlp.mlp_loss_and_grads(state, X, y, dropout_mask=drop)
         mlp.update_running_stats(state, cache)
         mlp.adam_step(state, grads, opt, lr=3e-3)

@@ -20,7 +20,7 @@ def test_interior_run_interpolated_linearly():
     conf[3:6, 1] = 0.0
     joints3d = np.zeros((T, J, 3))
     joints3d[:, 1, 0] = np.arange(T, dtype=float) ** 2   # nonlinear so interp shows
-    out = preprocess_low_confidence(_seq(conf, joints3d), threshold=0.3)
+    out = preprocess_low_confidence(_seq(conf, joints3d))
     # frames 3..5 must be linear between frames 2 (value 4) and 6 (value 36)
     expected = 4.0 + (36.0 - 4.0) * np.array([1, 2, 3]) / 4.0
     assert np.allclose(out.joints3d[3:6, 1, 0], expected, atol=1e-12)
@@ -38,7 +38,7 @@ def test_boundary_run_copies_nearest_confident_frame():
     conf[-1, 0] = 0.0
     joints3d = np.zeros((T, J, 3))
     joints3d[:, 0, 1] = [9.0, 9.0, 2.0, 3.0, 4.0, 9.0]
-    out = preprocess_low_confidence(_seq(conf, joints3d), threshold=0.3)
+    out = preprocess_low_confidence(_seq(conf, joints3d))
     assert np.allclose(out.joints3d[0, 0, 1], 2.0)
     assert np.allclose(out.joints3d[1, 0, 1], 2.0)
     assert np.allclose(out.joints3d[-1, 0, 1], 4.0)
@@ -49,7 +49,7 @@ def test_joint_with_no_confident_frame_raises():
     conf = np.ones((T, J))
     conf[:, 1] = 0.0
     with pytest.raises(ValueError, match=JOINT_NAMES[1]):
-        preprocess_low_confidence(_seq(conf, np.zeros((T, J, 3))), threshold=0.3)
+        preprocess_low_confidence(_seq(conf, np.zeros((T, J, 3))))
 
 
 def test_all_confident_is_identity():

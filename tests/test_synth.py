@@ -67,6 +67,26 @@ def test_two_bone_ik_rejects_unreachable():
         two_bone_ik(np.zeros(3), np.array([0.0, 0.0, -0.81]), 0.4, 0.4)
 
 
+def test_two_bone_ik_batch_rejects_one_unreachable_frame():
+    hip = np.zeros((5, 3))
+    ankle = np.tile([0.05, 0.0, -0.7], (5, 1))
+    ankle[3, 2] = -0.81
+    with pytest.raises(ValueError, match="out of reach"):
+        two_bone_ik(hip, ankle, 0.4, 0.4)
+
+
+def test_solve_leg_batch_equals_single_frames(skeleton, rng):
+    T = 40
+    hip = np.array([0.0, 0.09, 0.83]) + rng.normal(0.0, 0.02, (T, 3))
+    ankle = np.column_stack([rng.uniform(-0.3, 0.3, T), rng.uniform(0.0, 0.2, T),
+                             rng.uniform(0.07, 0.3, T)])
+    batch = solve_leg(skeleton, "left", hip, ankle)
+    for t in range(T):
+        single = solve_leg(skeleton, "left", hip[t], ankle[t])
+        for b, s in zip(batch, single):
+            assert np.array_equal(b[t], s)
+
+
 def test_solve_leg_fk_roundtrip(skeleton):
     from physmocap.core.types import JointAngleMotion
 
