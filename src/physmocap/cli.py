@@ -203,10 +203,9 @@ def cmd_optimize(args):
 
 # -- batch ------------------------------------------------------------------
 
-def _batch_contacts(entry, root, args):
+def _batch_contacts(entry, root, args, seq):
     if args.contacts_from == "files":
         return load_contacts(root / entry["contacts"])
-    seq = core_io.load_pose_sequence(root / entry["pose"])
     if args.contacts_from == "classifier":
         return predict_contacts(load_classifier(args.model), seq)
     return velocity_baseline_3d(seq)
@@ -214,7 +213,7 @@ def _batch_contacts(entry, root, args):
 
 def _run_batch_entry(entry, root, args):
     seq = core_io.load_pose_sequence(root / entry["pose"])
-    contacts = _batch_contacts(entry, root, args)
+    contacts = _batch_contacts(entry, root, args, seq)
     floor = core_io.load_floor(root / entry["floor"]) if args.gt_floor else None
     seq_dir = Path(args.out) / entry["name"]
     payload = optimize_sequence(seq, contacts, seq_dir, floor=floor,

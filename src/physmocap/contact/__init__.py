@@ -6,7 +6,7 @@ from .heuristic import (
     velocity_baseline_2d,
     velocity_baseline_3d,
 )
-from .features import make_features, make_features_batch
+from .features import make_features_batch
 from .train import WindowDataset, build_windows, split_motions, train_classifier
 from .predict import (
     ContactClassifier,

@@ -22,6 +22,11 @@ DROPOUT_P = 0.3      # share of activations dropped while training
 DROPOUT_LAYER = 1    # dropout after this hidden layer's ReLU
 
 
+# MlpState's parameter lists, as checkpoints name them (key + layer index);
+# the last four exist for the hidden layers only
+PARAMS = ("W", "b", "gamma", "beta", "run_mean", "run_var")
+
+
 @dataclass
 class MlpState:
     """Parameters and batch-norm running statistics."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as feat
-from .mlp import MlpState, mlp_forward
+from .mlp import PARAMS, MlpState, mlp_forward
 from .sequence import ContactSequence
 
 
@@ -34,17 +34,15 @@ def predict_window_probs(classifier, seq):
 def vote_labels(window_preds, n_frames):
     """Majority vote of overlapping window predictions; ties count as contact.
 
-    window_preds: T x 5 x 4 booleans, slot k of target t predicts frame t+k-2.
+    window_preds: T x 5 x 4 booleans, target t's output window by the window
+    rule (features.py). Each frame gets a vote from every slot that holds it.
     """
-    half = window_preds.shape[1] // 2
-    pos = np.zeros((n_frames, 4), dtype=int)
-    total = np.zeros((n_frames, 4), dtype=int)
-    for k in range(window_preds.shape[1]):
-        t = np.arange(n_frames) + k - half
-        ok = (t >= 0) & (t < n_frames)
-        pos[t[ok]] += window_preds[ok, k].astype(int)
-        total[t[ok]] += 1
-    return 2 * pos >= total
+    frames, inside = feat.window_frames(np.arange(n_frames),
+                                        window_preds.shape[1], n_frames)
+    pos = np.zeros((n_frames, window_preds.shape[2]), dtype=int)
+    np.add.at(pos, frames[inside], window_preds[inside])
+    total = np.bincount(frames[inside], minlength=n_frames)
+    return 2 * pos >= total[:, None]
 
 
 def predict_contacts(classifier, seq):
@@ -64,14 +62,8 @@ def save_classifier(classifier, path):
         **_FEATURE_META,
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(state.W, state.b)):
-        arrays[f"W{i}"] = w
-        arrays[f"b{i}"] = b
-    for i in range(len(state.gamma)):
-        arrays[f"gamma{i}"] = state.gamma[i]
-        arrays[f"beta{i}"] = state.beta[i]
-        arrays[f"run_mean{i}"] = state.run_mean[i]
-        arrays[f"run_var{i}"] = state.run_var[i]
+    arrays |= {f"{key}{i}": a for key in PARAMS
+               for i, a in enumerate(getattr(state, key))}
     np.savez(path, **arrays)
 
 
@@ -88,13 +80,8 @@ def load_classifier(path):
                              f"features need {value!r}")
     sizes = tuple(meta["layer_sizes"])
     n_layers = len(sizes) - 1
-    state = MlpState(
-        sizes=sizes,
-        W=[data[f"W{i}"] for i in range(n_layers)],
-        b=[data[f"b{i}"] for i in range(n_layers)],
-        gamma=[data[f"gamma{i}"] for i in range(n_layers - 1)],
-        beta=[data[f"beta{i}"] for i in range(n_layers - 1)],
-        run_mean=[data[f"run_mean{i}"] for i in range(n_layers - 1)],
-        run_var=[data[f"run_var{i}"] for i in range(n_layers - 1)],
-    )
+    # W and b per layer, the batch-norm arrays (PARAMS[2:]) per hidden layer
+    state = MlpState(sizes, **{
+        key: [data[f"{key}{i}"] for i in range(n_layers - (key in PARAMS[2:]))]
+        for key in PARAMS})
     return ContactClassifier(state=state, seed=meta["seed"])

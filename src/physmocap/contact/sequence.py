@@ -33,19 +33,17 @@ class ContactSequence:
         return self.n_frames / self.fps
 
     def phases(self, foot):
-        """Alternating (kind, n_frames) runs for one foot joint.
+        """Alternating (kind, n_frames) runs for one foot joint, in frame order.
 
-        kind is "contact" or "flight". Durations in seconds are n_frames / fps;
-        summing them reproduces the clip duration exactly up to float addition.
+        kind is "contact" or "flight", and n_frames a Python int; a 0-frame
+        clip has no runs. Durations in seconds are n_frames / fps; summing them
+        reproduces the clip duration exactly up to float addition.
         """
         col = self.labels[:, foot]
-        runs = []
-        start = 0
-        for t in range(1, len(col) + 1):
-            if t == len(col) or col[t] != col[start]:
-                runs.append(("contact" if col[start] else "flight", t - start))
-                start = t
-        return runs
+        starts = np.flatnonzero(np.diff(col, prepend=~col[:1]))
+        lengths = np.diff(starts, append=len(col))
+        return [("contact" if col[s] else "flight", int(n))
+                for s, n in zip(starts, lengths)]
 
 
 def labels_from_phases(phase_runs, fps):

@@ -2,6 +2,7 @@
 training loop with early stopping."""
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,12 @@ def build_windows(pairs):
                 f"{contacts.n_frames}")
         targets = np.arange(seq.n_frames)
         X.append(feat.make_features_batch(seq, targets))
-        for t in targets:
-            y, m = feat.window_labels(contacts, t)
-            Y.append(y)
-            M.append(m)
+        y, m = feat.window_labels(contacts, targets)
+        Y.append(y)
+        M.append(m)
         G.extend([name] * seq.n_frames)
-    return WindowDataset(X=np.concatenate(X), Y=np.array(Y),
-                         mask=np.array(M), group=np.array(G))
+    return WindowDataset(X=np.concatenate(X), Y=np.concatenate(Y),
+                         mask=np.concatenate(M), group=np.array(G))
 
 
 def split_motions(names, seed):
@@ -117,7 +117,7 @@ def train_classifier(dataset, seed=0, max_epochs=200, verbose=False):
     rng = np.random.default_rng(seed + 1)
     pos_mask = feat.position_feature_mask()
 
-    best = {"val": np.inf, "epoch": -1, "params": None}
+    best, best_val, best_epoch = state, np.inf, -1
     history = {"train_loss": [], "val_loss": []}
     n = len(train_ds.X)
     stale = 0
@@ -142,35 +142,13 @@ def train_classifier(dataset, seed=0, max_epochs=200, verbose=False):
         history["val_loss"].append(val_loss)
         if verbose:
             print(f"epoch {epoch:3d}  train {epoch_loss / seen:.4f}  val {val_loss:.4f}")
-        if val_loss < best["val"] - 1e-6:
-            best.update(val=val_loss, epoch=epoch, params=_snapshot(state))
+        if val_loss < best_val - 1e-6:
+            best, best_val, best_epoch = copy.deepcopy(state), val_loss, epoch
             stale = 0
         else:
             stale += 1
             if stale >= PATIENCE:
                 break
-    if best["params"] is not None:
-        _restore(state, best["params"])
-    history["best_epoch"] = best["epoch"]
-    history["best_val_loss"] = best["val"]
-    return ContactClassifier(state=state, seed=seed), history
-
-
-def _snapshot(state):
-    return {
-        "W": [w.copy() for w in state.W],
-        "b": [b.copy() for b in state.b],
-        "gamma": [g.copy() for g in state.gamma],
-        "beta": [b.copy() for b in state.beta],
-        "run_mean": [m.copy() for m in state.run_mean],
-        "run_var": [v.copy() for v in state.run_var],
-    }
-
-
-def _restore(state, snap):
-    state.W = [w.copy() for w in snap["W"]]
-    state.b = [b.copy() for b in snap["b"]]
-    state.gamma = [g.copy() for g in snap["gamma"]]
-    state.beta = [b.copy() for b in snap["beta"]]
-    state.run_mean = [m.copy() for m in snap["run_mean"]]
-    state.run_var = [v.copy() for v in snap["run_var"]]
+    history["best_epoch"] = best_epoch
+    history["best_val_loss"] = best_val
+    return ContactClassifier(state=best, seed=seed), history

@@ -17,10 +17,6 @@ def fk_positions_rotations(skeleton, root_pos, joint_angles):
     """
     root_pos = np.asarray(root_pos, dtype=float)
     joint_angles = np.asarray(joint_angles, dtype=float)
-    single = root_pos.ndim == 1
-    if single:
-        root_pos = root_pos[None]
-        joint_angles = joint_angles[None]
     T, J = joint_angles.shape[:2]
     local = euler_to_matrix(joint_angles)          # T x J x 3 x 3
     W = np.empty_like(local)
@@ -32,8 +28,6 @@ def fk_positions_rotations(skeleton, root_pos, joint_angles):
         p = skeleton.parents[j]
         W[:, j] = W[:, p] @ local[:, j]
         pos[:, j] = pos[:, p] + (W[:, p] @ bones[j])
-    if single:
-        return pos[0], W[0]
     return pos, W
 
 
@@ -68,10 +62,6 @@ def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None
     """
     root_pos = np.asarray(root_pos, dtype=float)
     joint_angles = np.asarray(joint_angles, dtype=float)
-    single = root_pos.ndim == 1
-    if single:
-        root_pos = root_pos[None]
-        joint_angles = joint_angles[None]
     if positions is None or rotations is None:
         positions, rotations = fk_positions_rotations(skeleton, root_pos, joint_angles)
     T, J = joint_angles.shape[:2]
@@ -84,8 +74,6 @@ def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None
     posed = skeleton.posed_joints()
     jac = np.zeros((T, J, 3, len(posed), 3))
     jac[:, j, :, np.searchsorted(posed, k), :] = cross.transpose(1, 0, 3, 2)
-    if single:
-        return jac[0]
     return jac
 
 

@@ -14,67 +14,47 @@ from importlib import resources
 
 import numpy as np
 
-JOINT_NAMES = (
-    "pelvis",
-    "spine_lower",
-    "spine_middle",
-    "spine_upper",
-    "neck",
-    "nose",
-    "left_eye",
-    "right_eye",
-    "left_ear",
-    "right_ear",
-    "left_shoulder",
-    "left_elbow",
-    "left_wrist",
-    "right_shoulder",
-    "right_elbow",
-    "right_wrist",
-    "left_hip",
-    "left_knee",
-    "left_ankle",
-    "left_heel",
-    "left_toe",
-    "left_toe_end",
-    "right_hip",
-    "right_knee",
-    "right_ankle",
-    "right_heel",
-    "right_toe",
-    "right_toe_end",
+# (name, parent name, rest-pose bone direction (unit, parent frame), bone
+# length in m), parents before children
+_JOINTS = (
+    ("pelvis", None, (0.0, 0.0, 0.0), 0.0),
+    ("spine_lower", "pelvis", (0.0, 0.0, 1.0), 0.07),
+    ("spine_middle", "spine_lower", (0.0, 0.0, 1.0), 0.11),
+    ("spine_upper", "spine_middle", (0.0, 0.0, 1.0), 0.11),
+    ("neck", "spine_upper", (0.0, 0.0, 1.0), 0.16),
+    ("nose", "neck", (0.6, 0.0, 0.8), 0.13),
+    ("left_eye", "nose", (-0.4472, 0.8944, 0.0), 0.055),
+    ("right_eye", "nose", (-0.4472, -0.8944, 0.0), 0.055),
+    ("left_ear", "left_eye", (-0.8, 0.6, 0.0), 0.07),
+    ("right_ear", "right_eye", (-0.8, -0.6, 0.0), 0.07),
+    ("left_shoulder", "neck", (0.0, 1.0, 0.0), 0.18),
+    ("left_elbow", "left_shoulder", (0.0, 1.0, 0.0), 0.28),
+    ("left_wrist", "left_elbow", (0.0, 1.0, 0.0), 0.25),
+    ("right_shoulder", "neck", (0.0, -1.0, 0.0), 0.18),
+    ("right_elbow", "right_shoulder", (0.0, -1.0, 0.0), 0.28),
+    ("right_wrist", "right_elbow", (0.0, -1.0, 0.0), 0.25),
+    ("left_hip", "pelvis", (0.0, 1.0, 0.0), 0.09),
+    ("left_knee", "left_hip", (0.0, 0.0, -1.0), 0.40),
+    ("left_ankle", "left_knee", (0.0, 0.0, -1.0), 0.40),
+    # heel = (-0.035, 0, -0.070), toe drop = 0.070: a zero-pitch ankle puts
+    # heel and toe at exactly the same height, so flat feet sit on the floor
+    ("left_heel", "left_ankle",
+     (-0.4472135954999579, 0.0, -0.8944271909999159), 0.07826237921249264),
+    ("left_toe", "left_ankle", (0.8660254037844386, 0.0, -0.5), 0.14),
+    ("left_toe_end", "left_toe", (0.5547, 0.8321, 0.0), 0.05),
+    ("right_hip", "pelvis", (0.0, -1.0, 0.0), 0.09),
+    ("right_knee", "right_hip", (0.0, 0.0, -1.0), 0.40),
+    ("right_ankle", "right_knee", (0.0, 0.0, -1.0), 0.40),
+    ("right_heel", "right_ankle",
+     (-0.4472135954999579, 0.0, -0.8944271909999159), 0.07826237921249264),
+    ("right_toe", "right_ankle", (0.8660254037844386, 0.0, -0.5), 0.14),
+    ("right_toe_end", "right_toe", (0.5547, -0.8321, 0.0), 0.05),
 )
-
-PARENTS = (
-    -1,  # pelvis
-    0,   # spine_lower
-    1,   # spine_middle
-    2,   # spine_upper
-    3,   # neck
-    4,   # nose
-    5,   # left_eye
-    5,   # right_eye
-    6,   # left_ear
-    7,   # right_ear
-    4,   # left_shoulder
-    10,  # left_elbow
-    11,  # left_wrist
-    4,   # right_shoulder
-    13,  # right_elbow
-    14,  # right_wrist
-    0,   # left_hip
-    16,  # left_knee
-    17,  # left_ankle
-    18,  # left_heel
-    18,  # left_toe
-    20,  # left_toe_end
-    0,   # right_hip
-    22,  # right_knee
-    23,  # right_ankle
-    24,  # right_heel
-    24,  # right_toe
-    26,  # right_toe_end
-)
+JOINT_NAMES = tuple(name for name, *_ in _JOINTS)
+PARENTS = tuple(-1 if parent is None else JOINT_NAMES.index(parent)
+                for _, parent, *_ in _JOINTS)
+# rest-pose bone vector (unit direction, length in m) per joint name
+_REST_BONES = {name: (direction, length) for name, _, direction, length in _JOINTS}
 
 # joints without any 2D detection (dropped from reprojection terms)
 SPINE_JOINTS = ("spine_lower", "spine_middle", "spine_upper")
@@ -92,40 +72,6 @@ LOWER_BODY_JOINT_NAMES = (
     "left_toe", "right_toe",
     "left_toe_end", "right_toe_end",
 )
-
-# rest-pose bone vector (unit direction, length in m) per joint, parent frame
-_REST_BONES = {
-    "pelvis": ((0.0, 0.0, 0.0), 0.0),
-    "spine_lower": ((0.0, 0.0, 1.0), 0.07),
-    "spine_middle": ((0.0, 0.0, 1.0), 0.11),
-    "spine_upper": ((0.0, 0.0, 1.0), 0.11),
-    "neck": ((0.0, 0.0, 1.0), 0.16),
-    "nose": ((0.6, 0.0, 0.8), 0.13),
-    "left_eye": ((-0.4472, 0.8944, 0.0), 0.055),
-    "right_eye": ((-0.4472, -0.8944, 0.0), 0.055),
-    "left_ear": ((-0.8, 0.6, 0.0), 0.07),
-    "right_ear": ((-0.8, -0.6, 0.0), 0.07),
-    "left_shoulder": ((0.0, 1.0, 0.0), 0.18),
-    "left_elbow": ((0.0, 1.0, 0.0), 0.28),
-    "left_wrist": ((0.0, 1.0, 0.0), 0.25),
-    "right_shoulder": ((0.0, -1.0, 0.0), 0.18),
-    "right_elbow": ((0.0, -1.0, 0.0), 0.28),
-    "right_wrist": ((0.0, -1.0, 0.0), 0.25),
-    "left_hip": ((0.0, 1.0, 0.0), 0.09),
-    "left_knee": ((0.0, 0.0, -1.0), 0.40),
-    "left_ankle": ((0.0, 0.0, -1.0), 0.40),
-    # heel = (-0.035, 0, -0.070), toe drop = 0.070: a zero-pitch ankle puts
-    # heel and toe at exactly the same height, so flat feet sit on the floor
-    "left_heel": ((-0.4472135954999579, 0.0, -0.8944271909999159), 0.07826237921249264),
-    "left_toe": ((0.8660254037844386, 0.0, -0.5), 0.14),
-    "left_toe_end": ((0.5547, 0.8321, 0.0), 0.05),
-    "right_hip": ((0.0, -1.0, 0.0), 0.09),
-    "right_knee": ((0.0, 0.0, -1.0), 0.40),
-    "right_ankle": ((0.0, 0.0, -1.0), 0.40),
-    "right_heel": ((-0.4472135954999579, 0.0, -0.8944271909999159), 0.07826237921249264),
-    "right_toe": ((0.8660254037844386, 0.0, -0.5), 0.14),
-    "right_toe_end": ((0.5547, -0.8321, 0.0), 0.05),
-}
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,8 @@ class ReducedProblem:
         # dynamics samples ride the COM knot grid (~DYN_DT, spans [0, total])
         self.dyn_times = np.arange(layout.n_com + 1) * layout.com_delta
         self.kin_times = np.arange(0.0, total + 1e-9, KIN_DT)
-        self.n_cone = sum(2 * ph.n_segs + 1 for phases in layout.joint_phases
-                          for ph in phases if ph.contact)
+        self.cone = layout.force_knot_sampler()
+        self.n_cone = self.cone.shape[0]
         stance_cols = [ph.const_col for phases in layout.joint_phases
                        for ph in phases if ph.contact]
         self.stance_sel = _selection(stance_cols, layout.n_vars)
@@ -286,7 +286,6 @@ class ReducedProblem:
                     for name, track, order in DYN_SAMPLES}
         self.kin = {name: layout.sampler(track, self.kin_times, order)
                     for name, track, order in KIN_SAMPLES}
-        self.cone = layout.force_knot_sampler()
 
         self._c_memo = _Memo()
         self._o_memo = _Memo()

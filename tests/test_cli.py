@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 
 from physmocap import cli
+from physmocap.contact.heuristic import velocity_baseline_3d
 from physmocap.contact.sequence import load_contacts
 from physmocap.core import io as core_io
 from physmocap.synth import dataset as synth_dataset
@@ -91,6 +93,14 @@ def test_label_requires_model_or_baseline(tmp_path, capsys):
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
+
+
+def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
+    out, entry = _tiny_dataset(tmp_path)
+    seq = core_io.load_pose_sequence(out / entry["pose"])
+    args = argparse.Namespace(contacts_from="baseline3d")
+    contacts = cli._batch_contacts(entry, out, args, seq)
+    assert np.array_equal(contacts.labels, velocity_baseline_3d(seq).labels)
 
 
 def test_batch_with_workers_isolates_failures(tmp_path):

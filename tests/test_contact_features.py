@@ -18,7 +18,7 @@ def _seq(rng, T=20):
 
 def test_feature_vector_shape_and_layout(rng):
     seq = _seq(rng)
-    x = feat.make_features(seq, 10)
+    x = feat.make_features_batch(seq, [10])[0]
     assert x.shape == (351,)
     # check one entry by hand: window frame 0 (=frame 6), joint 0 (pelvis), x channel
     root = seq.joints2d[10, seq.joint_id("pelvis")]
@@ -33,7 +33,7 @@ def test_feature_vector_shape_and_layout(rng):
 
 def test_edge_frames_replicate(rng):
     seq = _seq(rng, T=12)
-    x0 = feat.make_features(seq, 0)
+    x0 = feat.make_features_batch(seq, [0])[0]
     # frames -4..0 all clamp to frame 0, so the first five window frames agree
     per_frame = x0.reshape(9, 13, 3)
     for k in range(1, 5):
@@ -53,13 +53,13 @@ def test_translation_invariance_of_positions(rng):
 def test_window_labels_mask_at_edges(rng):
     labels = rng.random((10, 4)) < 0.5
     contacts = ContactSequence(fps=30.0, labels=labels)
-    y, m = feat.window_labels(contacts, 0)
+    y, m = (a[0] for a in feat.window_labels(contacts, [0]))
     m = m.reshape(5, 4)
     y = y.reshape(5, 4)
     assert not m[:2].any()      # frames -2, -1 do not exist
     assert m[2:].all()
     assert np.array_equal(y[2], labels[0].astype(float))
-    y5, m5 = feat.window_labels(contacts, 5)
+    y5, m5 = (a[0] for a in feat.window_labels(contacts, [5]))
     assert m5.all()
     assert np.array_equal(y5.reshape(5, 4)[0], labels[3].astype(float))
 

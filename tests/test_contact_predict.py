@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from physmocap.contact import mlp
+from physmocap.contact.features import window_labels
 from physmocap.contact.predict import (
     ContactClassifier,
     load_classifier,
     save_classifier,
     vote_labels,
 )
+from physmocap.contact.sequence import ContactSequence
 
 
 def test_vote_labels_interior_majority():
@@ -49,6 +51,15 @@ def test_vote_labels_tie_is_contact():
     for (t, k) in valid[:2]:
         preds[t, k, 2] = True
     assert vote_labels(preds, T)[1, 2]
+
+
+def test_vote_of_training_targets_gives_labels_back(rng):
+    # window_labels lays out the targets, vote_labels reads the predictions:
+    # both must place slot k of target t at the same frame, edges included
+    T = 10
+    c = ContactSequence(fps=30.0, labels=rng.random((T, 4)) < 0.5)
+    y, _ = window_labels(c, np.arange(T))
+    assert np.array_equal(vote_labels(y.reshape(T, 5, 4) > 0.5, T), c.labels)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -61,3 +61,5 @@ def test_single_frame_sequence():
     c = ContactSequence(fps=30.0, labels=np.array([[True, False, True, True]]))
     assert c.phases(0) == [("contact", 1)]
     assert c.phases(1) == [("flight", 1)]
+    empty = ContactSequence(fps=30.0, labels=np.zeros((0, 4), dtype=bool))
+    assert empty.phases(0) == []

@@ -70,7 +70,8 @@ def test_fk_preserves_bone_lengths(skeleton, rng):
 def test_fk_jacobian_matches_finite_differences(skeleton, rng):
     motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.7)
     t = 1
-    jac = kin.fk_jacobian(skeleton, motion.root_pos[t], motion.joint_angles[t])
+    jac = kin.fk_jacobian(skeleton, motion.root_pos[t:t + 1],
+                          motion.joint_angles[t:t + 1])[0]
     h = 1e-6
     angles = motion.joint_angles[t]
     posed = skeleton.posed_joints()
@@ -80,9 +81,9 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
         ap, am = angles.copy(), angles.copy()
         ap[k, c] += h
         am[k, c] -= h
-        pp, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t], ap)
-        pm, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t], am)
-        return (pp - pm) / (2 * h)
+        pp, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t:t + 1], ap[None])
+        pm, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t:t + 1], am[None])
+        return (pp[0] - pm[0]) / (2 * h)
 
     for i, k in enumerate(posed):
         for c in range(3):
@@ -94,7 +95,8 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
             assert not central_difference(k, c).any(), (k, c)
     batch = kin.fk_jacobian(skeleton, motion.root_pos, motion.joint_angles)
     assert np.array_equal(batch, np.stack([
-        kin.fk_jacobian(skeleton, motion.root_pos[f], motion.joint_angles[f])
+        kin.fk_jacobian(skeleton, motion.root_pos[f:f + 1],
+                        motion.joint_angles[f:f + 1])[0]
         for f in range(motion.n_frames)]))
 
 
