@@ -206,36 +206,30 @@ class ReducedProblem:
         self.floor_h = float(targets.floor.normal @ targets.floor.point)
         self.gravity = -GRAVITY * self.up
 
-        total = layout.total
         # dynamics samples ride the COM knot grid (~DYN_DT, spans [0, total])
         self.dyn_times = np.arange(layout.n_com + 1) * layout.com_delta
-        self.kin_times = np.arange(0.0, total + 1e-9, KIN_DT)
+        self.kin_times = np.arange(0.0, layout.total + 1e-9, KIN_DT)
+        self.dyn_I_b = targets.interp(targets.I_b, self.dyn_times)
+        self.kin_hip_offsets = targets.interp(targets.hip_offsets, self.kin_times)
         self.cone = layout.force_knot_sampler()
         self.n_cone = self.cone.shape[0]
-        stance_cols = [ph.const_col for phases in layout.joint_phases
-                       for ph in phases if ph.contact]
-        self.stance_sel = _selection(stance_cols, layout.n_vars)
+        self.stance_sel = _selection([ph.const_col for _, ph in layout.stance],
+                                     layout.n_vars)
 
         # Rigid foot length. When toe and heel are both planted the sampled
         # rows all collapse onto the two stance constants, which would give
         # duplicated equality rows and a singular constraint Jacobian, so
-        # those intervals get one row per overlapping stance pair instead.
-        # Swing samples keep the 0.08 s grid.
-        def in_contact(i):
-            j, _ = layout.phase_of(i, self.kin_times)
-            return np.array([ph.contact for ph in layout.joint_phases[i]])[j]
-
-        pairs = []
-        self.footlen_times = []     # (toe, heel, kin_times indices)
-        for toe, heel in self.FOOT_PAIRS:
-            for a in layout.joint_phases[toe]:
-                for b in layout.joint_phases[heel]:
-                    if (a.contact and b.contact
-                            and min(a.start0 + a.duration0, b.start0 + b.duration0)
-                            - max(a.start0, b.start0) > 1e-9):
-                        pairs.append((a.const_col, b.const_col))
-            self.footlen_times.append(
-                (toe, heel, np.flatnonzero(~(in_contact(toe) & in_contact(heel)))))
+        # those intervals get one row per pair of stance phases that share a
+        # frame instead. Swing samples keep the 0.08 s grid.
+        pairs = [(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
+                 for i, a in layout.stance if i == toe
+                 for k, b in layout.stance if k == heel
+                 if a.first_frame < b.first_frame + b.n_frames
+                 and b.first_frame < a.first_frame + a.n_frames]
+        contact = layout.in_contact(self.kin_times)
+        self.footlen_times = [      # (toe, heel, kin_times indices)
+            (toe, heel, np.flatnonzero(~(contact[:, toe] & contact[:, heel])))
+            for toe, heel in self.FOOT_PAIRS]
         self.footlen_sel = (_selection([c for c, _ in pairs], layout.n_vars)
                             - _selection([c for _, c in pairs], layout.n_vars))
         nd, nk = len(self.dyn_times), len(self.kin_times)
@@ -243,15 +237,14 @@ class ReducedProblem:
                  "leg_reach": 4 * nk,
                  "foot_length": (len(pairs) + sum(len(t) for _, _, t
                                                   in self.footlen_times)),
-                 "stance_on_floor": len(stance_cols),
+                 "stance_on_floor": len(layout.stance),
                  "above_floor": 4 * nd, "force_cone": 5 * self.n_cone}
         ends = np.cumsum(list(sizes.values()))
         self.groups = {name: slice(end - size, end)
                        for (name, size), end in zip(sizes.items(), ends)}
         self.n_rows = int(ends[-1])
 
-        lb = np.zeros(self.n_rows)
-        ub = np.zeros(self.n_rows)
+        lb, ub = np.zeros((2, self.n_rows))
         sl = self.groups
         lb[sl["leg_reach"]] = -np.inf               # leg reach: <= 0
         ub[sl["above_floor"]] = np.inf              # above floor: >= 0
@@ -309,8 +302,7 @@ class ReducedProblem:
 
         # angular dynamics: I_w w' + w x I_w w - sum_i f_i x (r - p_i) = 0
         h, M_th, M_tv, M_ta = _euler_dynamics(
-            dyn["th"][0], dyn["thv"][0], dyn["tha"][0],
-            tg.interp(tg.I_b, self.dyn_times))
+            dyn["th"][0], dyn["thv"][0], dyn["tha"][0], self.dyn_I_b)
         d = r[:, None] - p
         skew_f = skew(f)
         vals.append(h - np.cross(f, d).sum(axis=1))
@@ -323,7 +315,7 @@ class ReducedProblem:
         # leg reach: |p_i - hip_i|^2 <= l_leg^2
         (rk, J_rk), (thk, J_thk), (pk, J_pk) = (kin[k] for k in ("r", "th", "p"))
         R = euler_to_matrix(thk)
-        o = tg.interp(tg.hip_offsets, self.kin_times)
+        o = self.kin_hip_offsets
         d = pk - rk[:, None] - np.einsum("nab,nib->nia", R, o)
         grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(thk), o)
         time_of = np.repeat(np.arange(nk), 4)

@@ -7,11 +7,12 @@ contact wrench between the feet in contact. Stage "dynamics" runs the full
 nonlinear program from there. The contact phase durations are those of the
 labels throughout.
 
-The dynamics stage holds the COM boundary velocity knots at their fitted
-values by leaving their columns out of its decision vector, not by an
-``lb == ub`` bound: trust-constr's interior point does not keep its
-iterates on such bounds. Gradient, Hessian and Jacobian reach the stage's
-vector through the same column selection.
+The dynamics stage holds the COM boundary velocity knots
+(``TrajectoryLayout.bound_vel_cols``) at their fitted values by leaving
+their columns out of its decision vector, not by an ``lb == ub`` bound:
+trust-constr's interior point does not keep its iterates on such bounds.
+Gradient, Hessian and Jacobian reach the stage's vector through the same
+column selection.
 """
 from __future__ import annotations
 
@@ -65,46 +66,32 @@ def initial_guess(problem):
     lay, tg = problem.layout, problem.tg
     up, floor_h = problem.up, problem.floor_h
     x = np.zeros(lay.n_vars)
+    xyz = np.arange(3)
 
     # stance constants: phase-mean foot target projected onto the floor
-    for i, phases in enumerate(lay.joint_phases):
-        for ph in phases:
-            if not ph.contact:
-                continue
-            c = tg.feet[ph.first_frame:ph.first_frame + ph.n_frames, i].mean(axis=0)
-            c -= (up @ c - floor_h) * up
-            x[ph.const_col:ph.const_col + 3] = c
+    for i, ph in lay.stance:
+        c = tg.feet[ph.first_frame:ph.first_frame + ph.n_frames, i].mean(axis=0)
+        c -= (up @ c - floor_h) * up
+        x[ph.const_col:ph.const_col + 3] = c
 
-    # flight knots: start from the interpolated foot targets
-    for i, phases in enumerate(lay.joint_phases):
-        for ph in phases:
-            if not ph.contact:
-                n = ph.n_segs
-                delta = ph.duration0 / n
-                for k in range(n + 1):
-                    t = min(ph.start0 + k * delta, tg.times[-1])
-                    if ph.pos_cols[k] >= 0 and ph.vel_cols[k] >= 0:
-                        pc, vc = ph.pos_cols[k], ph.vel_cols[k]
-                        x[pc:pc + 3] = tg.interp(tg.feet, t)[i]
-                        x[vc:vc + 3] = 0.0
+    # free flight knots and COM knots start from the interpolated targets;
+    # their velocities from zero, but for the COM's boundary velocities
+    joint, pos, t = lay.flight_knots
+    feet = tg.interp(tg.feet, np.minimum(t, tg.times[-1]))
+    x[pos[:, None] + xyz] = feet[np.arange(len(t)), joint]
+    k = np.arange(lay.n_com + 1)
+    t = np.minimum(k * lay.com_delta, tg.times[-1])
+    for which, track in ((0, tg.r), (1, tg.theta)):
+        x[lay.com_knot_cols(which, k)[0][:, None] + xyz] = tg.interp(track, t)
+    x[lay.bound_vel_cols] = np.concatenate([tg.r_bound_vel, tg.theta_bound_vel]).ravel()
 
-    # COM knots: sample the targets, then one exact Newton step on the
-    # quadratic tracking objective over the free knot columns
-    for k in range(lay.n_com + 1):
-        t = min(k * lay.com_delta, tg.times[-1])
-        for which, track in ((0, tg.r), (1, tg.theta)):
-            pc, vc = lay.com_knot_cols(which, k)
-            x[pc:pc + 3] = tg.interp(track, t)
-    bound_vel = _boundary_velocity_cols(lay)
-    x[bound_vel] = np.concatenate([tg.r_bound_vel, tg.theta_bound_vel]).ravel()
-
+    # one exact Newton step on the quadratic tracking objective over the
+    # knot columns that are neither stance nor held
     free = np.ones(lay.n_vars, dtype=bool)
-    for i, phases in enumerate(lay.joint_phases):
-        for ph in phases:
-            if ph.contact:
-                free[ph.const_col:ph.const_col + 3] = False
-                free[ph.force_col:ph.force_col + 6 * (ph.n_segs + 1)] = False
-    free[bound_vel] = False
+    for _, ph in lay.stance:
+        free[ph.const_col:ph.const_col + 3] = False
+        free[ph.force_col:ph.force_col + 6 * (ph.n_segs + 1)] = False
+    free[lay.bound_vel_cols] = False
     cols = np.flatnonzero(free)
 
     _, grad, hess = problem.objective(x)
@@ -116,15 +103,12 @@ def initial_guess(problem):
     # between the feet in contact at each force knot (least-squares over
     # force and torque balance), each force clipped into the friction cone
     knots = [(i, ph.force_col + 6 * k, ph.start0 + k * (ph.duration0 / ph.n_segs))
-             for i, phases in enumerate(lay.joint_phases)
-             for ph in phases if ph.contact for k in range(ph.n_segs + 1)]
+             for i, ph in lay.stance for k in range(ph.n_segs + 1)]
     joint, cols, times = (np.array(v) for v in zip(*knots))
     wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)
     arm = (lay.sampler("feet", times).values(x)
            - lay.sampler("r", times).values(x)[:, None])
-    contact = np.stack([np.array([ph.contact for ph in phases])[lay.phase_of(i, times)[0]]
-                        for i, phases in enumerate(lay.joint_phases)], axis=1)
-    for i, b, w, a, on in zip(joint, cols, wrench, arm, contact):
+    for i, b, w, a, on in zip(joint, cols, wrench, arm, lay.in_contact(times)):
         f = np.zeros(3)
         if on[i]:
             ids = np.flatnonzero(on)
@@ -140,40 +124,21 @@ def initial_guess(problem):
     return x
 
 
-def _boundary_velocity_cols(layout):
-    """Velocity columns of the first and last COM knots: r at knot 0 and at
-    knot n_com, then theta likewise. They hold the targets' boundary
-    velocities, and no stage moves them."""
-    return np.array([layout.com_knot_cols(which, k)[1] + a
-                     for which in (0, 1) for k in (0, layout.n_com)
-                     for a in range(3)])
+def _run_stage(problem, x0, stage, max_iters, iterates=None):
+    """One trust-constr stage, named stage, over every column but the COM
+    boundary velocities, which keep their values in x0.
 
-
-def _stage_map(layout, x0):
-    """The stage's decision vector z as x = x_fixed + P @ z.
-
-    z holds every column but the COM boundary velocities, in order; P
-    selects them, and x_fixed holds x0's boundary velocities.
-    """
-    n = layout.n_vars
-    moved = np.ones(n, dtype=bool)
-    moved[_boundary_velocity_cols(layout)] = False
-    free = np.flatnonzero(moved)
-    P = sparse.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
-                          shape=(n, len(free)))
-    return P, np.where(moved, 0.0, x0), free
-
-
-def _run_stage(problem, x0, stage, max_iters, callback=None):
-    """One trust-constr stage, named stage, over the columns it moves.
-
-    The other columns keep their values in x0 (see _stage_map). The
-    returned x, and the iterates passed to callback, are full-length
-    vectors.
+    The stage's decision vector z holds the moved columns in order, and
+    x = x_fixed + P @ z. The returned x, and the iterates appended to the
+    list iterates, are full-length vectors.
     """
     x0 = np.asarray(x0, dtype=float)
-    P, x_fixed, free = _stage_map(problem.layout, x0)
+    n, held = problem.layout.n_vars, problem.layout.bound_vel_cols
+    free = np.setdiff1d(np.arange(n), held)
+    P = sparse.identity(n, format="csr")[:, free]
     PT = P.T.tocsr()
+    x_fixed = np.zeros(n)
+    x_fixed[held] = x0[held]
 
     def full(z):
         return x_fixed + P @ z
@@ -183,15 +148,12 @@ def _run_stage(problem, x0, stage, max_iters, callback=None):
     nlc = NonlinearConstraint(
         lambda z: problem.constraint_fun(full(z)), problem.c_lb, problem.c_ub,
         jac=lambda z: problem.constraint_jac(full(z)) @ P)
-    stage_callback = None
-    if callback is not None:
-        def stage_callback(z, state):
-            return callback(full(z), state)
     t0 = time.perf_counter()
     res = minimize(lambda z: problem.objective_fun(full(z)), x0[free],
                    jac=lambda z: PT @ problem.objective_grad(full(z)),
                    hess=lambda z: hess, method="trust-constr",
-                   constraints=[nlc], callback=stage_callback,
+                   constraints=[nlc], callback=None if iterates is None
+                   else lambda z, _state: iterates.append(full(z)),
                    options={"maxiter": max_iters, "gtol": 1e-6, "xtol": 1e-10})
     x = full(res.x)
     report = StageReport(
@@ -217,18 +179,12 @@ def solve_reduced(targets, contacts, max_iters, duration_stage=None,
     x0 = initial_guess(problem)
     fit_time = time.perf_counter() - t0
 
-    callback = None
-    if collect_iterates is not None:
-        def callback(xk, _state):
-            collect_iterates.append(np.array(xk))
-            return False
-
     report = PhysOptReport()
     report.stages.append(StageReport(
         name="fit", objective=problem.objective_fun(x0),
         violations=problem.violation_by_group(x0),
         n_iters=0, status=0, success=True, wall_time=fit_time))
-    x, st = _run_stage(problem, x0, "dynamics", max_iters, callback)
+    x, st = _run_stage(problem, x0, "dynamics", max_iters, collect_iterates)
     report.stages.append(st)
     report.objective_terms = problem.objective_breakdown(x)
     return CentroidalTrajectory(layout, x), report, problem

@@ -4,8 +4,12 @@ The decision vector holds, in order: COM position knots, COM orientation
 knots, and per-foot-joint phase variables (stance position constants,
 stance force splines, flight position splines). COM tracks are Hermite
 splines with one segment per 0.1 s on a fixed grid; foot tracks are
-phase-structured, each phase split into equal segments. The phase durations
-are those of the contact labels and are constants of the layout.
+phase-structured, each phase split into equal segments. The phases are
+those of the contact labels and are constants of the layout.
+
+The layout is the one home of the phase bookkeeping: callers read its
+``stance`` phases, ``in_contact`` flags, free ``flight_knots`` and held
+``bound_vel_cols``, and never walk ``joint_phases`` themselves.
 
 A flight spline's boundary knots are tied to the neighboring stance
 constants with zero velocity (the foot leaves the floor from rest and lands
@@ -51,30 +55,18 @@ class Samples:
         return (self.S @ x).reshape(self.shape)
 
 
-class _SampleBuilder:
-    """Collects per-sample knot columns and weights, then builds Samples."""
-
-    def __init__(self, n_samples, n_vars, shape):
-        self.n_vars, self.shape = n_vars, shape
-        self.cols = np.full((n_samples, 4), -1)
-        self.weights = np.zeros((n_samples, 4))
-
-    def put(self, s, cols, weights):
-        self.cols[s] = cols
-        self.weights[s] = weights
-
-    def build(self):
-        # entries in row order (sample, axis, knot), so the CSR arrays
-        # are written directly
-        n = len(self.cols)
-        s, a, slot = np.nonzero(np.broadcast_to(
-            (self.cols >= 0)[:, None, :], (n, 3, 4)))
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(3 * s + a, minlength=3 * n))])
-        indices = self.cols[s, slot] + a
-        S = sparse.csr_matrix((self.weights[s, slot], indices, indptr),
-                              shape=(3 * n, self.n_vars))
-        return Samples(self.shape, S)
+def _samples(cols, weights, shape, n_vars):
+    """Samples whose sample s is weights[s] @ x at the knot columns cols[s]
+    (n x 4; -1 marks an unused slot), on each of the 3 axes."""
+    # entries in row order (sample, axis, knot), so the CSR arrays are
+    # written directly
+    n = len(cols)
+    s, a, slot = np.nonzero(np.broadcast_to((cols >= 0)[:, None, :], (n, 3, 4)))
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(3 * s + a, minlength=3 * n))])
+    S = sparse.csr_matrix((weights[s, slot], cols[s, slot] + a, indptr),
+                          shape=(3 * n, n_vars))
+    return Samples(shape, S)
 
 
 class TrajectoryLayout:
@@ -84,9 +76,13 @@ class TrajectoryLayout:
         self.n_com = max(1, int(round(self.total / COM_KNOT_DT)))
         self.com_delta = self.total / self.n_com
 
-        col = 0
         self.com_base = (0, 6 * (self.n_com + 1))
         col = 12 * (self.n_com + 1)
+        # velocity columns of the first and last COM knots (r, then theta):
+        # they hold the targets' boundary velocities, and no stage moves them
+        self.bound_vel_cols = (
+            np.array([self.com_knot_cols(which, k)[1] for which in (0, 1)
+                      for k in (0, self.n_com)])[:, None] + np.arange(3)).ravel()
 
         self.joint_phases = []
         for i in range(4):
@@ -104,27 +100,31 @@ class TrajectoryLayout:
                 phases.append(ph)
                 first, start = first + n, start + dur
             self.joint_phases.append(phases)
+        # (foot joint, phase) of every stance phase, joints then phases in order
+        self.stance = [(i, ph) for i, phases in enumerate(self.joint_phases)
+                       for ph in phases if ph.contact]
 
         # flight knots: boundaries read the neighbor stance constant, zero
         # velocity; interiors are free
-        for phases in self.joint_phases:
+        free_knots = []     # (foot joint, position column, time)
+        for i, phases in enumerate(self.joint_phases):
             for j, ph in enumerate(phases):
                 if ph.contact:
                     continue
                 n = ph.n_segs
-                pos = np.empty(n + 1, dtype=int)
-                vel = np.empty(n + 1, dtype=int)
+                ph.pos_cols = np.empty(n + 1, dtype=int)
+                ph.vel_cols = np.full(n + 1, -1)
                 for m in range(n + 1):
-                    tied_prev = (m == 0 and j > 0)
-                    tied_next = (m == n and j + 1 < len(phases))
-                    if tied_prev:
-                        pos[m], vel[m] = phases[j - 1].const_col, -1
-                    elif tied_next:
-                        pos[m], vel[m] = phases[j + 1].const_col, -1
+                    if m == 0 and j > 0:
+                        ph.pos_cols[m] = phases[j - 1].const_col
+                    elif m == n and j + 1 < len(phases):
+                        ph.pos_cols[m] = phases[j + 1].const_col
                     else:
-                        pos[m], vel[m] = col, col + 3
+                        ph.pos_cols[m], ph.vel_cols[m] = col, col + 3
+                        free_knots.append((i, col, ph.start0 + m * (ph.duration0 / n)))
                         col += 6
-                ph.pos_cols, ph.vel_cols = pos, vel
+        free_knots = np.array(free_knots).reshape(-1, 3)
+        self.flight_knots = (*free_knots[:, :2].T.astype(int), free_knots[:, 2])
 
         self.n_vars = col
         # Where the duration columns once began: perfbench's microtimings
@@ -146,13 +146,17 @@ class TrajectoryLayout:
         j = np.minimum(np.searchsorted(ends, times, side="right"), len(durs) - 1)
         return j, times - (ends[j] - durs[j])
 
+    def in_contact(self, times):
+        """T x 4 flags: whether each foot joint is in a stance phase at each time."""
+        return np.stack([np.array([ph.contact for ph in phases])[self.phase_of(i, times)[0]]
+                         for i, phases in enumerate(self.joint_phases)], axis=1)
+
     @staticmethod
     def _spline_cols(ph, k):
         """Knot columns (x0, v0, x1, v1) of segments k of a phase spline:
         the force spline of a stance phase, the foot spline of a flight."""
         if ph.contact:
-            b = ph.force_col + 6 * k
-            return np.stack([b, b + 3, b + 6, b + 9], axis=-1)
+            return ph.force_col + 6 * np.asarray(k)[..., None] + np.arange(0, 12, 3)
         return np.stack([ph.pos_cols[k], ph.vel_cols[k],
                          ph.pos_cols[k + 1], ph.vel_cols[k + 1]], axis=-1)
 
@@ -167,52 +171,50 @@ class TrajectoryLayout:
         times = np.asarray(times, dtype=float)
         T = len(times)
         if track in ("r", "theta"):
-            out = _SampleBuilder(T, self.n_vars, (T, 3))
             k, u = locate(times, self.com_delta, self.n_com)
             p0 = self.com_base[track == "theta"] + 6 * k
-            out.put(slice(None), np.stack([p0, p0 + 3, p0 + 6, p0 + 9], axis=-1),
-                    hermite_weights(u, self.com_delta, order))
-            return out.build()
+            return _samples(p0[:, None] + np.arange(0, 12, 3),
+                            hermite_weights(u, self.com_delta, order),
+                            (T, 3), self.n_vars)
         if track not in ("feet", "forces"):
             raise ValueError(f"unknown track {track!r}")
 
-        out = _SampleBuilder(4 * T, self.n_vars, (T, 4, 3))
+        cols = np.full((T, 4, 4), -1)
+        weights = np.zeros((T, 4, 4))
         for i, phases in enumerate(self.joint_phases):
             j_of, local = self.phase_of(i, times)
             for j, ph in enumerate(phases):
-                at = np.flatnonzero(j_of == j)
-                s = 4 * at + i
+                at = j_of == j
                 if ph.contact != (track == "forces"):
                     # stance foot: a constant; flight force: zero
                     if track == "feet" and order == 0:
-                        out.put(s, [ph.const_col, -1, -1, -1], [1.0, 0, 0, 0])
+                        cols[at, i, 0] = ph.const_col
+                        weights[at, i, 0] = 1.0
                     continue
                 delta = ph.duration0 / ph.n_segs
                 k, u = locate(local[at], delta, ph.n_segs)
-                out.put(s, self._spline_cols(ph, k), hermite_weights(u, delta, order))
-        return out.build()
+                cols[at, i] = self._spline_cols(ph, k)
+                weights[at, i] = hermite_weights(u, delta, order)
+        return _samples(cols.reshape(-1, 4), weights.reshape(-1, 4),
+                        (T, 4, 3), self.n_vars)
 
     def force_knot_sampler(self):
         """Contact forces at every force-spline knot and segment midpoint.
 
-        Per stance phase (joints, then phases, in order): its n + 1 knots,
-        then its n segment midpoints.
+        Per stance phase, in the order of stance: its n + 1 knots, then its
+        n segment midpoints.
         """
-        stance = [ph for phases in self.joint_phases for ph in phases if ph.contact]
-        N = sum(2 * ph.n_segs + 1 for ph in stance)
-        out = _SampleBuilder(N, self.n_vars, (N, 3))
-        at = 0
-        for ph in stance:
+        cols, weights = [np.zeros((0, 4), dtype=int)], [np.zeros((0, 4))]
+        for _, ph in self.stance:
             n = ph.n_segs
-            knots = at + np.arange(n + 1)
-            out.put(knots, np.stack([ph.force_col + 6 * np.arange(n + 1),
-                                     *np.full((3, n + 1), -1)], axis=-1),
-                    [1.0, 0, 0, 0])
+            knots = np.full((n + 1, 4), -1)
+            knots[:, 0] = ph.force_col + 6 * np.arange(n + 1)
             delta = ph.duration0 / n
-            out.put(at + n + 1 + np.arange(n), self._spline_cols(ph, np.arange(n)),
-                    hermite_weights(np.full(n, 0.5 * delta), delta))
-            at += 2 * n + 1
-        return out.build()
+            cols += [knots, self._spline_cols(ph, np.arange(n))]
+            weights += [np.eye(1, 4).repeat(n + 1, axis=0),
+                        hermite_weights(np.full(n, 0.5 * delta), delta)]
+        cols = np.concatenate(cols)
+        return _samples(cols, np.concatenate(weights), (len(cols), 3), self.n_vars)
 
     def sample(self, x, times):
         return {track: self.sampler(track, times).values(x)
