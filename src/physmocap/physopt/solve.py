@@ -102,7 +102,7 @@ def initial_guess(problem):
     # static forces: distribute the net contact wrench of the fitted motion
     # between the feet in contact at each force knot (least-squares over
     # force and torque balance), each force clipped into the friction cone
-    knots = [(i, ph.force_col + 6 * k, ph.start0 + k * (ph.duration0 / ph.n_segs))
+    knots = [(i, ph.force_col + 6 * k, ph.start + k * (ph.duration / ph.n_segs))
              for i, ph in lay.stance for k in range(ph.n_segs + 1)]
     joint, cols, times = (np.array(v) for v in zip(*knots))
     wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)

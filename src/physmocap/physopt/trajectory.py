@@ -36,8 +36,8 @@ class Phase:
     contact: bool
     first_frame: int
     n_frames: int
-    start0: float       # start time: the durations before it, summed
-    duration0: float
+    start: float        # first_frame / fps
+    duration: float     # n_frames / fps
     n_segs: int
     const_col: int = -1
     force_col: int = -1
@@ -87,10 +87,10 @@ class TrajectoryLayout:
         self.joint_phases = []
         for i in range(4):
             phases = []
-            first, start = 0, 0.0
+            first = 0
             for kind, n in contacts.phases(i):
                 dur = n / self.fps
-                ph = Phase(kind == "contact", first, n, start, dur,
+                ph = Phase(kind == "contact", first, n, first / self.fps, dur,
                            segment_count(dur))
                 if ph.contact:
                     ph.const_col = col
@@ -98,7 +98,7 @@ class TrajectoryLayout:
                     ph.force_col = col
                     col += 6 * (ph.n_segs + 1)
                 phases.append(ph)
-                first, start = first + n, start + dur
+                first += n
             self.joint_phases.append(phases)
         # (foot joint, phase) of every stance phase, joints then phases in order
         self.stance = [(i, ph) for i, phases in enumerate(self.joint_phases)
@@ -121,7 +121,7 @@ class TrajectoryLayout:
                         ph.pos_cols[m] = phases[j + 1].const_col
                     else:
                         ph.pos_cols[m], ph.vel_cols[m] = col, col + 3
-                        free_knots.append((i, col, ph.start0 + m * (ph.duration0 / n)))
+                        free_knots.append((i, col, ph.start + m * (ph.duration / n)))
                         col += 6
         free_knots = np.array(free_knots).reshape(-1, 3)
         self.flight_knots = (*free_knots[:, :2].T.astype(int), free_knots[:, 2])
@@ -140,11 +140,15 @@ class TrajectoryLayout:
         return base, base + 3
 
     def phase_of(self, i, times):
-        """Phase index of foot joint i at each time, and the time into it."""
-        durs = np.array([ph.duration0 for ph in self.joint_phases[i]])
-        ends = np.cumsum(durs)
-        j = np.minimum(np.searchsorted(ends, times, side="right"), len(durs) - 1)
-        return j, times - (ends[j] - durs[j])
+        """Phase index of foot joint i at each time, and the time into it.
+
+        A phase spans [first_frame, first_frame + n_frames) / fps, so each
+        frame time falls in the phase of its label.
+        """
+        phases = self.joint_phases[i]
+        ends = np.array([ph.first_frame + ph.n_frames for ph in phases]) / self.fps
+        j = np.minimum(np.searchsorted(ends, times, side="right"), len(phases) - 1)
+        return j, times - np.array([ph.start for ph in phases])[j]
 
     def in_contact(self, times):
         """T x 4 flags: whether each foot joint is in a stance phase at each time."""
@@ -191,7 +195,7 @@ class TrajectoryLayout:
                         cols[at, i, 0] = ph.const_col
                         weights[at, i, 0] = 1.0
                     continue
-                delta = ph.duration0 / ph.n_segs
+                delta = ph.duration / ph.n_segs
                 k, u = locate(local[at], delta, ph.n_segs)
                 cols[at, i] = self._spline_cols(ph, k)
                 weights[at, i] = hermite_weights(u, delta, order)
@@ -209,7 +213,7 @@ class TrajectoryLayout:
             n = ph.n_segs
             knots = np.full((n + 1, 4), -1)
             knots[:, 0] = ph.force_col + 6 * np.arange(n + 1)
-            delta = ph.duration0 / n
+            delta = ph.duration / n
             cols += [knots, self._spline_cols(ph, np.arange(n))]
             weights += [np.eye(1, 4).repeat(n + 1, axis=0),
                         hermite_weights(np.full(n, 0.5 * delta), delta)]

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from physmocap.contact.heuristic import velocity_baseline_3d
 from physmocap.core.kinematics import compute_com_inertia
 from physmocap.physopt.problem import (ReducedProblem, targets_from_kinematic)
 from physmocap.physopt.solve import initial_guess, solve_reduced
 from physmocap.physopt.spline import (hermite_eval, hermite_weights, locate,
                                       segment_count)
 from physmocap.physopt.trajectory import TrajectoryLayout
+from physmocap.synth import dataset
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
@@ -71,22 +73,24 @@ def _random_x(layout, rng):
 
 def test_layout_var_count(hop_setup):
     """Every column is a knot of exactly one track, and each foot joint's
-    phases span the clip."""
-    layout, _, _ = hop_setup
+    phases tile the clip's frames."""
+    layout, _, clip = hop_setup
     starts = [layout.com_knot_cols(which, k)[a] for which in (0, 1)
               for k in range(layout.n_com + 1) for a in (0, 1)]
     for phases in layout.joint_phases:
-        start = 0.0
+        first = 0
         for ph in phases:
-            assert ph.start0 == start
-            start += ph.duration0
+            assert ph.first_frame == first and ph.n_frames > 0
+            assert ph.start == first / layout.fps
+            assert ph.duration == ph.n_frames / layout.fps
+            first += ph.n_frames
             if ph.contact:
                 starts += [ph.const_col]
                 starts += list(ph.force_col + 3 * np.arange(2 * (ph.n_segs + 1)))
             else:   # tied boundary knots read a stance constant
                 free = ph.vel_cols >= 0
                 starts += [*ph.pos_cols[free], *ph.vel_cols[free]]
-        assert abs(start - layout.total) < 1e-12
+        assert first == clip.contacts.n_frames
     cols = np.concatenate([c + np.arange(3) for c in starts])
     assert np.array_equal(np.sort(cols), np.arange(layout.n_vars))
 
@@ -104,7 +108,7 @@ def test_stance_track_is_constant(hop_setup):
     ph = layout.joint_phases[0][0]
     assert ph.contact
     c = x[ph.const_col:ph.const_col + 3]
-    for t in (0.0, 0.25 * ph.duration0, 0.9 * ph.duration0):
+    for t in (0.0, 0.25 * ph.duration, 0.9 * ph.duration):
         v = _sample(layout, x, "feet", t)[0][0]
         assert np.allclose(v, c)
         vel = _sample(layout, x, "feet", t, 1)[0][0]
@@ -119,11 +123,11 @@ def test_flight_track_ties_to_stance(hop_setup):
     phases = layout.joint_phases[0]
     j = next(j for j, p in enumerate(phases)
              if not p.contact and 0 < j < len(phases) - 1)
-    t0 = sum(p.duration0 for p in phases[:j])
+    t0 = sum(p.duration for p in phases[:j])
     before = _sample(layout, x, "feet", t0 - 1e-9)[0][0]
     after = _sample(layout, x, "feet", t0)[0][0]
     assert np.abs(before - after).max() < 1e-6
-    t1 = t0 + phases[j].duration0
+    t1 = t0 + phases[j].duration
     before = _sample(layout, x, "feet", t1 - 1e-9)[0][0]
     after = _sample(layout, x, "feet", t1)[0][0]
     assert np.abs(before - after).max() < 1e-6
@@ -135,9 +139,48 @@ def test_flight_force_is_zero(hop_setup):
     x = _random_x(layout, rng)
     phases = layout.joint_phases[2]
     j = next(j for j, p in enumerate(phases) if not p.contact)
-    t = sum(p.duration0 for p in phases[:j]) + 0.5 * phases[j].duration0
+    t = sum(p.duration for p in phases[:j]) + 0.5 * phases[j].duration
     f, jac = _sample(layout, x, "forces", t)
     assert np.all(f[2] == 0.0) and jac[6:9].nnz == 0
+
+
+@pytest.mark.parametrize("name", ["jump_b", "jump_d", "walk_00"])
+def test_phases_follow_the_labels(name):
+    """At every frame time each foot joint is in the phase of its label, and
+    exactly the labelled-contact rows read a force spline. Exact jump_b and
+    jump_d land on frames (40 and 43) whose time a sum of float phase
+    durations overshoots; walk_00 runs on its 3D velocity-baseline labels."""
+    script = next(s for s in dataset.exact_suite() + dataset.plausibility_suite()
+                  if s.name == name)
+    clip = generate(script, seed=0)
+    contacts = velocity_baseline_3d(clip.pose) if name == "walk_00" else clip.contacts
+    layout = TrajectoryLayout(contacts)
+    times = np.arange(contacts.n_frames) / contacts.fps
+    assert np.array_equal(layout.in_contact(times), contacts.labels)
+    reads = layout.sampler("forces", times).S.getnnz(axis=1).reshape(-1, 4, 3)
+    assert np.array_equal(reads.any(axis=2), contacts.labels)
+
+
+def test_force_knot_sampler_reads_stance_force_splines(hop_setup):
+    """Per stance phase, the knot rows select its force knots, and the
+    midpoint rows sample its force spline at the segment midpoints. The
+    phase-end knot is not compared with sampler, which puts its time in the
+    following phase."""
+    layout, _, _ = hop_setup
+    S = layout.force_knot_sampler().S.toarray()
+    at = 0
+    for i, ph in layout.stance:
+        n = ph.n_segs
+        knot_cols = ph.force_col + 6 * np.arange(n + 1)[:, None] + np.arange(3)
+        assert np.array_equal(S[3 * at:3 * (at + n + 1)],
+                              np.eye(layout.n_vars)[knot_cols.ravel()])
+        mids = ph.start + (np.arange(n) + 0.5) * (ph.duration / n)
+        ref = layout.sampler("forces", mids).S.toarray().reshape(n, 4, 3, -1)[:, i]
+        got = S[3 * (at + n + 1):3 * (at + 2 * n + 1)].reshape(n, 3, -1)
+        assert np.array_equal(got != 0, ref != 0)
+        assert np.abs(got - ref).max() < 1e-12
+        at += 2 * n + 1
+    assert 3 * at == S.shape[0] and at > 0
 
 
 def _directional_fd(fun, x, d, eps=1e-6):
