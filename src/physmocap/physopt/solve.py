@@ -88,9 +88,8 @@ def initial_guess(problem):
     # one exact Newton step on the quadratic tracking objective over the
     # knot columns that are neither stance nor held
     free = np.ones(lay.n_vars, dtype=bool)
-    for _, ph in lay.stance:
-        free[ph.const_col:ph.const_col + 3] = False
-        free[ph.force_col:ph.force_col + 6 * (ph.n_segs + 1)] = False
+    for _, ph in lay.stance:    # its constant, then its force knots
+        free[ph.const_col:ph.force_col + 6 * (ph.n_segs + 1)] = False
     free[lay.bound_vel_cols] = False
     cols = np.flatnonzero(free)
 

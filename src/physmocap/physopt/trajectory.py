@@ -92,11 +92,9 @@ class TrajectoryLayout:
                 dur = n / self.fps
                 ph = Phase(kind == "contact", first, n, first / self.fps, dur,
                            segment_count(dur))
-                if ph.contact:
-                    ph.const_col = col
-                    col += 3
-                    ph.force_col = col
-                    col += 6 * (ph.n_segs + 1)
+                if ph.contact:   # the constant, then the force knots
+                    ph.const_col, ph.force_col = col, col + 3
+                    col += 3 + 6 * (ph.n_segs + 1)
                 phases.append(ph)
                 first += n
             self.joint_phases.append(phases)
@@ -140,20 +138,18 @@ class TrajectoryLayout:
         return base, base + 3
 
     def phase_of(self, i, times):
-        """Phase index of foot joint i at each time, and the time into it.
-
-        A phase spans [first_frame, first_frame + n_frames) / fps, so each
-        frame time falls in the phase of its label.
-        """
+        """Phase index of foot joint i at each time, and the time into it."""
         phases = self.joint_phases[i]
+        # ends from frame counts, so each frame time falls in its label's phase
         ends = np.array([ph.first_frame + ph.n_frames for ph in phases]) / self.fps
         j = np.minimum(np.searchsorted(ends, times, side="right"), len(phases) - 1)
         return j, times - np.array([ph.start for ph in phases])[j]
 
     def in_contact(self, times):
         """T x 4 flags: whether each foot joint is in a stance phase at each time."""
-        return np.stack([np.array([ph.contact for ph in phases])[self.phase_of(i, times)[0]]
-                         for i, phases in enumerate(self.joint_phases)], axis=1)
+        flags = [np.array([ph.contact for ph in phases])[self.phase_of(i, times)[0]]
+                 for i, phases in enumerate(self.joint_phases)]
+        return np.stack(flags, axis=1)
 
     @staticmethod
     def _spline_cols(ph, k):
