@@ -29,7 +29,8 @@ class StageResult:
 
 @dataclass
 class KinfitReport:
-    stages: list = field(default_factory=list)   # (name, cost, iters, seconds)
+    # (name, cost, iters, seconds); cost is None for IK init, which has none
+    stages: list = field(default_factory=list)
     cost_breakdown: dict = field(default_factory=dict)
 
 
@@ -130,7 +131,7 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
 
     t0 = time.perf_counter()
     skeleton, root, angles = initialize_from_3d(seq, skeleton)
-    report.stages.append(("init", float("nan"), 0, time.perf_counter() - t0))
+    report.stages.append(("init", None, 0, time.perf_counter() - t0))
 
     problem = KinematicProblem(seq, skeleton)
     t0 = time.perf_counter()

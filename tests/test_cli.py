@@ -160,8 +160,14 @@ def test_optimize_writes_report_and_outputs(tmp_path):
                    "--floor", str(data / entry["floor"]),
                    "--out", str(out), "--max-iters", "2"])
     assert rc == 0
-    report = json.loads((out / "report.json").read_text())
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert [s["name"] for s in report["stages"]] == ["fit", "dynamics"]
+    init = report["kinematic_stages"][0]
+    assert init["name"] == "init" and init["cost"] is None
     assert set(report["kinematic_cost_terms"]) == {
         "projection", "data3d", "velocity", "root_velocity", "acceleration",
         "root_acceleration", "contact_still", "floor_height", "angle_smooth"}
