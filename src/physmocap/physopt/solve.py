@@ -74,8 +74,8 @@ def initial_guess(problem):
         c -= (up @ c - floor_h) * up
         x[ph.const_col:ph.const_col + 3] = c
 
-    # free flight knots and COM knots start from the interpolated targets;
-    # their velocities from zero, but for the COM's boundary velocities
+    # free flight knots and COM knots start at the interpolated targets,
+    # at zero velocity except for the COM's boundary velocities
     joint, pos, t = lay.flight_knots
     feet = tg.interp(tg.feet, np.minimum(t, tg.times[-1]))
     x[pos[:, None] + xyz] = feet[np.arange(len(t)), joint]
@@ -142,6 +142,8 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
     def full(z):
         return x_fixed + P @ z
 
+    callback = None if iterates is None else (
+        lambda z, _state: iterates.append(full(z)))
     # the objective Hessian is constant, so it is projected once
     hess = PT @ problem.objective_hess(x0) @ P
     nlc = NonlinearConstraint(
@@ -151,8 +153,7 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
     res = minimize(lambda z: problem.objective_fun(full(z)), x0[free],
                    jac=lambda z: PT @ problem.objective_grad(full(z)),
                    hess=lambda z: hess, method="trust-constr",
-                   constraints=[nlc], callback=None if iterates is None
-                   else lambda z, _state: iterates.append(full(z)),
+                   constraints=[nlc], callback=callback,
                    options={"maxiter": max_iters, "gtol": 1e-6, "xtol": 1e-10})
     x = full(res.x)
     report = StageReport(
