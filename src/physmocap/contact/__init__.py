@@ -1,8 +1,6 @@
 from .sequence import ContactSequence, load_contacts, save_contacts
 from .heuristic import (
     heuristic_label,
-    label_accuracy,
-    tune_baseline_threshold,
     velocity_baseline_2d,
     velocity_baseline_3d,
 )

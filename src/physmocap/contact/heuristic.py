@@ -14,6 +14,8 @@ from .sequence import ContactSequence
 
 MOVE_TOL = 0.02     # meters per frame
 HEIGHT_TOL = 0.05   # meters above the floor
+BASELINE_2D_TOL = 5.0    # pixels per frame
+BASELINE_3D_TOL = 0.02   # meters per frame
 
 
 def heuristic_label(motion, floor):
@@ -36,32 +38,13 @@ def _displacement_labels(points, threshold, fps):
     return ContactSequence(fps=fps, labels=labels)
 
 
-def velocity_baseline_2d(seq, threshold=5.0):
+def velocity_baseline_2d(seq):
     """2D pixel-velocity baseline over the four contact joints."""
     ids = [seq.joint_id(n) for n in CONTACT_JOINT_NAMES]
-    return _displacement_labels(seq.joints2d[:, ids], threshold, seq.fps)
+    return _displacement_labels(seq.joints2d[:, ids], BASELINE_2D_TOL, seq.fps)
 
 
-def velocity_baseline_3d(seq, threshold=0.02):
+def velocity_baseline_3d(seq):
     """3D velocity baseline on the (noisy) input joint positions."""
     ids = [seq.joint_id(n) for n in CONTACT_JOINT_NAMES]
-    return _displacement_labels(seq.joints3d[:, ids], threshold, seq.fps)
-
-
-def label_accuracy(pred, gt):
-    """Fraction of (frame, joint) cells that agree."""
-    if pred.labels.shape != gt.labels.shape:
-        raise ValueError(
-            f"label shapes differ: {pred.labels.shape} vs {gt.labels.shape}")
-    return float(np.mean(pred.labels == gt.labels))
-
-
-def tune_baseline_threshold(baseline, pairs, thresholds):
-    """Pick the threshold maximizing mean accuracy over (seq, gt) pairs."""
-    best, best_acc = None, -1.0
-    for th in thresholds:
-        accs = [label_accuracy(baseline(seq, th), gt) for seq, gt in pairs]
-        acc = float(np.mean(accs))
-        if acc > best_acc:
-            best, best_acc = th, acc
-    return best, best_acc
+    return _displacement_labels(seq.joints3d[:, ids], BASELINE_3D_TOL, seq.fps)

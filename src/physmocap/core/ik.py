@@ -72,8 +72,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     return root, angles, rms
 
 
-def ik_solve_sequence(skeleton, targets, weights, root_pos0=None, angles0=None,
-                      max_iters=100):
+def ik_solve_sequence(skeleton, targets, weights, max_iters=100):
     """Per-frame IK over a sequence, warm-starting each frame from the last.
 
     targets: T x J x 3, weights: T x J. Returns (root_pos, angles, rms) arrays.
@@ -83,10 +82,10 @@ def ik_solve_sequence(skeleton, targets, weights, root_pos0=None, angles0=None,
     root_out = np.empty((T, 3))
     ang_out = np.empty((T, J, 3))
     rms_out = np.empty(T)
-    root = targets[0, 0].copy() if root_pos0 is None else np.asarray(root_pos0, float).copy()
-    angles = np.zeros((J, 3)) if angles0 is None else np.asarray(angles0, float).copy()
+    root = targets[0, 0].copy()
+    angles = np.zeros((J, 3))
     for t in range(T):
-        if root_pos0 is None and t > 0:
+        if t > 0:
             root = root_out[t - 1] + (targets[t, 0] - targets[t - 1, 0])
         root, angles, rms = ik_solve_frame(
             skeleton, targets[t], weights[t], root, angles, max_iters=max_iters)

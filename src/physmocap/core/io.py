@@ -2,9 +2,8 @@
 
 Every file carries {"format_version": 1, "kind": "<schema name>"}. Floats are
 written with Python's shortest round-trip repr, so save/load is bit-exact for
-finite values; non-finite values are rejected on both sides. Contact and
-trajectory files live next to their types (contact.sequence, physopt.trajectory)
-and reuse the helpers here.
+finite values; non-finite values are rejected on both sides. Contact files
+live next to their type (contact.sequence) and reuse the helpers here.
 
 A motion's skeleton block holds only what SkeletonModel cannot derive; the
 leg-layout keys of older files (foot_joints, hip_joints, l_foot, l_leg) are

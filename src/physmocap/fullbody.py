@@ -1,4 +1,4 @@
-"""Full-body recovery from the reduced trajectory, and skeletal retargeting.
+"""Full-body recovery from the reduced trajectory.
 
 The reduced optimization outputs center-of-mass, orientation and foot-joint
 tracks. upgrade_fullbody rebuilds a joint-angle motion around them: every
@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .core.ik import ik_solve_frame, ik_solve_sequence
+from .core.ik import ik_solve_frame
 from .core.kinematics import compute_com_inertia, fk_positions_rotations
 from .core.types import JointAngleMotion
 
@@ -78,38 +78,3 @@ def upgrade_fullbody(kin_motion, traj):
                       "reach; projected onto the reachable sphere")
     return JointAngleMotion(skeleton, kin_motion.fps, root_out, ang_out)
 
-
-def retarget(motion, src, tgt, joint_map):
-    """Carry a motion from skeleton src to tgt through scaled IK targets.
-
-    joint_map is a sequence of (src joint name, tgt joint name) pairs. The
-    source motion's joint positions are scaled uniformly by the leg-length
-    ratio and used as position targets for the mapped target joints.
-    """
-    scale = tgt.l_leg / src.l_leg
-    positions, _ = fk_positions_rotations(src, motion.root_pos,
-                                          motion.joint_angles)
-    positions = positions * scale
-    src_names = list(src.joint_names)
-    tgt_names = list(tgt.joint_names)
-    T = motion.n_frames
-    targets = np.zeros((T, tgt.n_joints, 3))
-    weights = np.zeros((T, tgt.n_joints))
-    # seed frame 0 from the source pose carried through the map; position
-    # targets alone leave bone twist free, and the warm start pins the
-    # solver to the source's branch of those redundancies
-    angles0 = np.zeros((tgt.n_joints, 3))
-    for src_name, tgt_name in joint_map:
-        si, ti = src_names.index(src_name), tgt_names.index(tgt_name)
-        targets[:, ti] = positions[:, si]
-        weights[:, ti] = 1.0
-        angles0[ti] = motion.joint_angles[0, si]
-    root0 = motion.root_pos[0] * scale
-    root, angles, _ = ik_solve_sequence(tgt, targets, weights,
-                                        root_pos0=root0, angles0=angles0)
-    return JointAngleMotion(tgt, motion.fps, root, angles)
-
-
-def identity_joint_map(skeleton):
-    """All-joints map for retargeting between identical topologies."""
-    return [(n, n) for n in skeleton.joint_names]

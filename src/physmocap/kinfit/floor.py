@@ -21,7 +21,7 @@ def _plane_from_weighted(points, w):
     return eigvec[:, 0], centroid
 
 
-def fit_floor(foot_points, reference_points=None):
+def fit_floor(foot_points, reference_points):
     """Huber-robust orthogonal plane fit.
 
     foot_points: N x 3 positions believed to lie on the floor. The normal is
@@ -47,10 +47,9 @@ def fit_floor(foot_points, reference_points=None):
         normal, centroid, w = normal_new, centroid_new, w_new
         if shift < TOL:
             break
-    if reference_points is not None:
-        ref = np.asarray(reference_points, dtype=float).reshape(-1, 3)
-        if np.median((ref - centroid) @ normal) < 0:
-            normal = -normal
+    ref = np.asarray(reference_points, dtype=float).reshape(-1, 3)
+    if np.median((ref - centroid) @ normal) < 0:
+        normal = -normal
     inliers = np.abs((pts - centroid) @ normal) <= 3.0 * HUBER_DELTA
     return FloorPlane(normal, centroid), inliers
 

@@ -77,21 +77,15 @@ def _com_forces(pts, masses, fps, floor):
     return mass * (_central_second_difference(com, fps) + GRAVITY * floor.normal)
 
 
-def implied_grf(source, floor=None):
-    """Per-frame net contact force, T x 3.
+def implied_grf(traj):
+    """Per-frame net contact force of a physics trajectory, T x 3.
 
-    A physics trajectory carries its contact forces, so they are summed
-    directly at the frame grid. A kinematic motion implies them from the
-    second differences of its segment-model COM (see _com_forces).
+    The trajectory carries its contact forces, so they are summed directly
+    at the frame grid.
     """
-    if hasattr(source, "layout"):       # CentroidalTrajectory
-        fps = source.layout.fps
-        times = np.arange(round(source.layout.total * fps)) / fps
-        return source.sample(times)["forces"].sum(axis=1)
-    if floor is None:
-        raise ValueError("kinematic motions need the floor for gravity")
-    pts, masses = segment_points(source.skeleton, forward_kinematics(source))
-    return _com_forces(pts, masses, source.fps, floor)
+    fps = traj.layout.fps
+    times = np.arange(round(traj.layout.total * fps)) / fps
+    return traj.sample(times)["forces"].sum(axis=1)
 
 
 def grf_metrics(forces, contacts_gt, mass):

@@ -4,8 +4,6 @@ import numpy as np
 
 from physmocap.contact.heuristic import (
     heuristic_label,
-    label_accuracy,
-    tune_baseline_threshold,
     velocity_baseline_2d,
     velocity_baseline_3d,
 )
@@ -97,9 +95,10 @@ def _pose_from_positions(pos3d, fps=30.0):
 def test_velocity_baseline_3d_thresholds_displacement(skeleton):
     motion = _standing_motion(skeleton, T=6)
     pos = forward_kinematics(motion)
-    pos[3:, :, 0] += 0.5   # everything jumps at frame 3
+    pos[:, :, 0] += 0.01 * np.arange(6)[:, None]   # 1 cm per frame: contact
+    pos[3:, :, 0] += 0.02   # frame 3 moves 3 cm: flight
     seq = _pose_from_positions(pos)
-    contacts = velocity_baseline_3d(seq, threshold=0.02)
+    contacts = velocity_baseline_3d(seq)
     assert contacts.labels[:3].all()
     assert not contacts.labels[3].any()
     assert contacts.labels[4:].all()   # still again afterwards
@@ -107,30 +106,14 @@ def test_velocity_baseline_3d_thresholds_displacement(skeleton):
 
 def test_velocity_baseline_2d_uses_pixels(skeleton):
     T, J = 5, 28
-    joints2d = np.zeros((T, J, 2))
-    joints2d[:, :, 0] = np.arange(T)[:, None] * 8.0   # 8 px per frame
-    seq = PoseSequence(joint_names=JOINT_NAMES, fps=30.0, joints2d=joints2d,
-                       conf=np.ones((T, J)), joints3d=np.zeros((T, J, 3)))
-    assert not velocity_baseline_2d(seq, threshold=5.0).labels.any()
-    assert velocity_baseline_2d(seq, threshold=10.0).labels.all()
 
+    def labels(px_per_frame):
+        joints2d = np.zeros((T, J, 2))
+        joints2d[:, :, 0] = np.arange(T)[:, None] * px_per_frame
+        seq = PoseSequence(joint_names=JOINT_NAMES, fps=30.0, joints2d=joints2d,
+                           conf=np.ones((T, J)), joints3d=np.zeros((T, J, 3)))
+        return velocity_baseline_2d(seq).labels
 
-def test_threshold_tuning_picks_best(skeleton, rng):
-    motion = _standing_motion(skeleton, T=10)
-    pos = forward_kinematics(motion)
-    pos[5:, :, 0] += 0.5
-    pos += rng.normal(0, 1e-4, pos.shape)   # jitter so a tiny threshold fails
-    seq = _pose_from_positions(pos)
-    gt = velocity_baseline_3d(seq, threshold=0.02)
-    best, acc = tune_baseline_threshold(
-        velocity_baseline_3d, [(seq, gt)], [1e-6, 0.02, 1e3])
-    assert best == 0.02
-    assert acc == 1.0
+    assert not labels(8.0).any()
+    assert labels(4.0).all()
 
-
-def test_label_accuracy_counts_cells():
-    a = np.zeros((4, 4), dtype=bool)
-    b = a.copy()
-    b[0, 0] = True
-    from physmocap.contact.sequence import ContactSequence
-    assert label_accuracy(ContactSequence(30, a), ContactSequence(30, b)) == 1 - 1 / 16

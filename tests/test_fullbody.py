@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from physmocap.core.kinematics import compute_com_inertia, fk_positions_rotations
 from physmocap.core.rotation import wrap_angle
-from physmocap.fullbody import identity_joint_map, retarget, upgrade_fullbody
+from physmocap.fullbody import upgrade_fullbody
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
@@ -72,23 +70,3 @@ def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
         out = upgrade_fullbody(motion, traj)
     assert np.isfinite(out.root_pos).all() and np.isfinite(out.joint_angles).all()
 
-
-def test_retarget_round_trip_recovers_angles(stand_clip):
-    motion = stand_clip.motion
-    src = motion.skeleton
-    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 1.3)
-    fwd = retarget(motion, src, tgt, identity_joint_map(src))
-    back = retarget(fwd, tgt, src, identity_joint_map(src))
-    diff = np.abs(wrap_angle(back.joint_angles - motion.joint_angles))
-    assert diff.max() < 1e-3
-
-
-def test_retarget_preserves_bone_lengths_exactly(stand_clip):
-    motion = stand_clip.motion
-    src = motion.skeleton
-    tgt = dataclasses.replace(src, bone_lengths=src.bone_lengths * 0.8)
-    out = retarget(motion, src, tgt, identity_joint_map(src))
-    pos, _ = fk_positions_rotations(tgt, out.root_pos, out.joint_angles)
-    for j in range(1, tgt.n_joints):
-        seg = np.linalg.norm(pos[:, j] - pos[:, tgt.parents[j]], axis=1)
-        assert np.abs(seg - tgt.bone_lengths[j]).max() < 1e-12

@@ -55,7 +55,7 @@ def test_fit_floor_recovers_plane(rng):
 
 def test_fit_floor_needs_three_points(rng):
     with pytest.raises(ValueError):
-        fit_floor(rng.normal(size=(2, 3)))
+        fit_floor(rng.normal(size=(2, 3)), rng.normal(size=(5, 3)))
 
 
 def test_fit_floor_from_motion_clears_outliers(skeleton, rng):
@@ -91,8 +91,9 @@ def test_estimate_bone_lengths(skeleton, rng):
 
 
 def test_ik_solve_frame_keeps_leaf_angles(skeleton, rng):
-    # retarget copies source angles in, leaves included; they move no joint,
-    # so the IK must hand them back as they came
+    # leaf angles move no joint, so no target constrains them: the IK must
+    # hand back the caller's warm start (upgrade_fullbody passes the
+    # kinematic pose's) instead of inventing values
     motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.35)
     targets = forward_kinematics(motion)[1]
     angles0 = motion.joint_angles[0]

@@ -4,10 +4,11 @@ import pytest
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core.kinematics import (compute_com_inertia,
                                        fk_positions_rotations,
-                                       forward_kinematics, transform_motion)
+                                       forward_kinematics, segment_points,
+                                       transform_motion)
 from physmocap.core.skeleton import default_skeleton
 from physmocap.core.types import FloorPlane, JointAngleMotion
-from physmocap.metrics import (GRAVITY, grf_metrics, implied_grf,
+from physmocap.metrics import (GRAVITY, _com_forces, grf_metrics,
                                plausibility_report, positions_report)
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
@@ -25,10 +26,16 @@ def _constant_motion(T=30, fps=30.0):
     return JointAngleMotion(skel, fps, root, angles)
 
 
+def _implied_grf(motion, floor):
+    """The forces _report implies when it is given none."""
+    pts, masses = segment_points(motion.skeleton, forward_kinematics(motion))
+    return _com_forces(pts, masses, motion.fps, floor)
+
+
 def test_implied_grf_stationary_is_body_weight():
     motion = _constant_motion()
     floor = FloorPlane(np.array([0.0, -1.0, 0.0]), np.array([0.0, 0.0, 3.0]))
-    f = implied_grf(motion, floor=floor)
+    f = _implied_grf(motion, floor)
     mass = compute_com_inertia(motion).mass
     assert np.allclose(f, mass * GRAVITY * floor.normal, atol=1e-9)
     mean, peak, ballistic = grf_metrics(
@@ -45,7 +52,7 @@ def test_implied_grf_ballistic_arc_is_zero():
     g = -GRAVITY * floor.normal
     arc = 2.0 * t[:, None] * np.array([0.3, 0.0, 0.1]) + 0.5 * g * t[:, None] ** 2
     motion = motion.with_frames(motion.root_pos + arc, motion.joint_angles)
-    f = implied_grf(motion, floor=floor)
+    f = _implied_grf(motion, floor)
     # second differences are exact on a quadratic, boundaries included
     assert np.abs(f).max() < 1e-8
 
@@ -60,7 +67,7 @@ def test_implied_grf_sinusoid_matches_analytic():
     motion = motion.with_frames(motion.root_pos + lift[:, None] * up,
                                 motion.joint_angles)
     mass = compute_com_inertia(motion).mass
-    f = implied_grf(motion, floor=floor)
+    f = _implied_grf(motion, floor)
     analytic = mass * (GRAVITY - amp * omega ** 2 * np.sin(omega * t))
     got = f @ up
     # interior frames: central differences are O(dt^2) accurate
