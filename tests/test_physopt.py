@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from physmocap.cli import _grf_trace
 from physmocap.contact.heuristic import velocity_baseline_3d
 from physmocap.core.kinematics import compute_com_inertia
+from physmocap.metrics import implied_grf
 from physmocap.physopt.problem import (ReducedProblem, targets_from_kinematic)
 from physmocap.physopt.solve import initial_guess, solve_reduced
 from physmocap.physopt.spline import (hermite_eval, hermite_weights, locate,
@@ -298,6 +300,17 @@ def test_short_solve_reduces_violation(hop_setup):
     out = traj.sample(targets.times)
     flight = ~clip.contacts.labels
     assert np.abs(out["forces"][flight]).max() == 0.0
+
+
+def test_implied_grf_reads_the_forces_optimize_writes(hop_setup, tmp_path):
+    """The benchmark scores physics forces with implied_grf; they must be
+    the forces.npy that optimize writes for the same trajectory."""
+    _, targets, clip = hop_setup
+    traj, _, _ = solve_reduced(targets, clip.contacts, max_iters=3)
+    _grf_trace(tmp_path, traj, clip.motion, targets.mass)
+    forces = implied_grf(traj)
+    assert np.abs(forces).max() > 0.0
+    assert np.array_equal(forces, np.load(tmp_path / "forces.npy"))
 
 
 def test_stages_hold_their_fixed_columns(hop_setup):
