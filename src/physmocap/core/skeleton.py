@@ -53,8 +53,23 @@ _JOINTS = (
 JOINT_NAMES = tuple(name for name, *_ in _JOINTS)
 PARENTS = tuple(-1 if parent is None else JOINT_NAMES.index(parent)
                 for _, parent, *_ in _JOINTS)
-# rest-pose bone vector (unit direction, length in m) per joint name
-_REST_BONES = {name: (direction, length) for name, _, direction, length in _JOINTS}
+
+
+def _unit_rows(dirs, tol):
+    """dirs with each nonzero row whose norm is off 1 by more than tol
+    divided by that norm, so FK lengths are exact."""
+    dirs = np.array(dirs, dtype=float)
+    norms = np.linalg.norm(dirs, axis=1)
+    off = (norms > 1e-12) & (np.abs(norms - 1.0) > tol)
+    dirs[off] /= norms[off, None]
+    return dirs
+
+
+# rest-pose bone vector (unit direction, length in m) per joint name; the
+# directions are normalized here once, so a copy never divides them again
+_REST_DIRS = _unit_rows([direction for _, _, direction, _ in _JOINTS], 0.0)
+_REST_BONES = {name: (_REST_DIRS[j], length)
+               for j, (name, _, _, length) in enumerate(_JOINTS)}
 
 # joints without any 2D detection (dropped from reprojection terms)
 SPINE_JOINTS = ("spine_lower", "spine_middle", "spine_upper")
@@ -126,11 +141,9 @@ class SkeletonModel:
             rest = [_REST_BONES[name] for name in self.joint_names]
             set_("bone_dirs", np.array([d for d, _ in rest]))
             set_("bone_lengths", np.array([l for _, l in rest]))
-        dirs = np.asarray(self.bone_dirs, dtype=float).copy()
-        norms = np.linalg.norm(dirs, axis=1)
-        nonzero = norms > 1e-12
-        dirs[nonzero] /= norms[nonzero, None]   # exactly unit so FK lengths are exact
-        set_("bone_dirs", dirs)
+        # rows already unit to rounding keep their bits: dividing by a norm
+        # one ulp off 1 would move them on every copy and file round trip
+        set_("bone_dirs", _unit_rows(self.bone_dirs, 1e-12))
         set_("bone_lengths", np.array(self.bone_lengths, dtype=float))
         if self.segments is None:
             set_("segments", load_default_segments())

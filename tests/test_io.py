@@ -43,6 +43,7 @@ def test_motion_round_trip_bit_exact(tmp_path, skeleton, rng):
     assert np.array_equal(back.joint_angles, motion.joint_angles)
     assert back.skeleton.joint_names == skeleton.joint_names
     assert np.array_equal(back.skeleton.bone_lengths, skeleton.bone_lengths)
+    assert np.array_equal(back.skeleton.bone_dirs, skeleton.bone_dirs)
     assert back.skeleton.l_foot == skeleton.l_foot
     assert [s.name for s in back.skeleton.segments] == [s.name for s in skeleton.segments]
 

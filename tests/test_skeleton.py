@@ -8,6 +8,7 @@ import pytest
 
 def test_replace_recomputes_leg_layout(skeleton):
     scaled = dataclasses.replace(skeleton, bone_lengths=1.3 * skeleton.bone_lengths)
+    assert np.array_equal(scaled.bone_dirs, skeleton.bone_dirs)
     assert scaled.l_leg == pytest.approx(1.3 * 0.94, abs=1e-12)
     assert scaled.l_foot == pytest.approx(1.3 * skeleton.l_foot, abs=1e-12)
     rest = scaled.rest_positions()
