@@ -77,4 +77,3 @@ def upgrade_fullbody(kin_motion, traj):
         warnings.warn(f"{clipped_frames} frames had foot targets beyond leg "
                       "reach; projected onto the reachable sphere")
     return JointAngleMotion(skeleton, kin_motion.fps, root_out, ang_out)
-

@@ -116,4 +116,3 @@ def test_velocity_baseline_2d_uses_pixels(skeleton):
 
     assert not labels(8.0).any()
     assert labels(4.0).all()
-

@@ -69,4 +69,3 @@ def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
     with pytest.warns(UserWarning, match="reach"):
         out = upgrade_fullbody(motion, traj)
     assert np.isfinite(out.root_pos).all() and np.isfinite(out.joint_angles).all()
-
