@@ -1,4 +1,5 @@
-"""Damped least-squares inverse kinematics on full-body joint targets."""
+"""Damped least-squares inverse kinematics on one frame's joint targets, for
+IK init's frame 0 (kinfit/init.py) and the full-body upgrade (fullbody.py)."""
 from __future__ import annotations
 
 import numpy as np
@@ -70,26 +71,3 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     n_eff = max(np.count_nonzero(weights), 1)
     rms = float(np.sqrt(cost / (3 * n_eff)))
     return root, angles, rms
-
-
-def ik_solve_sequence(skeleton, targets, weights, max_iters=100):
-    """Per-frame IK over a sequence, warm-starting each frame from the last.
-
-    targets: T x J x 3, weights: T x J. Returns (root_pos, angles, rms) arrays.
-    """
-    targets = np.asarray(targets, dtype=float)
-    T, J = targets.shape[:2]
-    root_out = np.empty((T, 3))
-    ang_out = np.empty((T, J, 3))
-    rms_out = np.empty(T)
-    root = targets[0, 0].copy()
-    angles = np.zeros((J, 3))
-    for t in range(T):
-        if t > 0:
-            root = root_out[t - 1] + (targets[t, 0] - targets[t - 1, 0])
-        root, angles, rms = ik_solve_frame(
-            skeleton, targets[t], weights[t], root, angles, max_iters=max_iters)
-        root_out[t] = root
-        ang_out[t] = angles
-        rms_out[t] = rms
-    return root_out, ang_out, rms_out

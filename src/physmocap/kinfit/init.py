@@ -1,14 +1,14 @@
-"""Initial skeleton scale and pose from the raw 3D estimates."""
+"""Initial skeleton scale, and a start pose from an IK fit of frame 0."""
 from __future__ import annotations
 
 from dataclasses import replace
 
 import numpy as np
 
-from ..core.ik import ik_solve_sequence
+from ..core.ik import ik_solve_frame
 
 MIN_CONF = 0.3   # bone samples need both endpoints at least this confident
-IK_ITERS = 60    # per-frame IK iterations of the initial fit
+IK_ITERS = 60    # iterations of the frame-0 fit
 
 
 def estimate_bone_lengths(seq, skeleton):
@@ -31,12 +31,18 @@ def estimate_bone_lengths(seq, skeleton):
 
 
 def initialize_from_3d(seq, skeleton):
-    """Scaled skeleton + per-frame IK fit to the 3D estimates.
+    """Scaled skeleton + the pose stage's start: frame 0's IK fit, every frame.
+
+    Frame 0 is fitted from the rest pose at its estimated pelvis. Every frame
+    takes that fit's angles, with root[t] = root[0] + pelvis[t] - pelvis[0].
 
     Returns (skeleton, root_pos, joint_angles).
     """
     skeleton = replace(skeleton, bone_lengths=estimate_bone_lengths(seq, skeleton))
-    weights = np.clip(seq.conf, 0.05, 1.0)
-    root, angles, _ = ik_solve_sequence(skeleton, seq.joints3d, weights,
-                                        max_iters=IK_ITERS)
+    pelvis = seq.joints3d[:, 0]
+    root0, angles0, _ = ik_solve_frame(
+        skeleton, seq.joints3d[0], np.clip(seq.conf[0], 0.05, 1.0), pelvis[0],
+        np.zeros((skeleton.n_joints, 3)), max_iters=IK_ITERS)
+    root = root0 + (pelvis - pelvis[0])
+    angles = np.repeat(angles0[None], len(pelvis), axis=0)
     return skeleton, root, angles

@@ -118,11 +118,12 @@ def solve_stage(problem, x0, max_iters=30):
 def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     """Full kinematic stage of the pipeline.
 
-    Scales the skeleton to the clip, fits pose to the 2D/3D estimates, fits
-    a floor plane to the feet over the given contact labels (clearing labels
-    the plane fit rejects), then refits with contact stillness and floor
-    height terms. Passing a floor skips the plane fit and keeps the labels;
-    evaluations against a known ground plane use this.
+    Scales the skeleton to the clip, fits pose to the 2D/3D estimates
+    (starting at initialize_from_3d's frame-0 fit), fits a floor plane to
+    the feet over the given contact labels (clearing labels the plane fit
+    rejects), then refits with contact stillness and floor height terms.
+    Passing a floor skips the plane fit and keeps the labels; evaluations
+    against a known ground plane use this.
 
     Returns (motion, floor, contacts, states, report).
     """

@@ -9,7 +9,7 @@ from scipy.linalg import cholesky_banded
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
-from physmocap.core.ik import ik_solve_frame, ik_solve_sequence
+from physmocap.core.ik import ik_solve_frame
 from physmocap.core.kinematics import (fk_positions_rotations,
                                        forward_kinematics, project_perspective)
 from physmocap.core.types import FloorPlane, PoseSequence
@@ -106,12 +106,29 @@ def test_ik_solve_frame_keeps_leaf_angles(skeleton, rng):
 
 
 def test_ik_round_trip(skeleton, rng):
+    # every frame from a cold start, as IK init fits frame 0: root at the
+    # frame's target pelvis, all angles zero (the rest pose)
     motion = random_motion(skeleton, rng, n_frames=5, angle_scale=0.35)
     targets = forward_kinematics(motion)
-    weights = np.ones(targets.shape[:2])
-    root, angles, rms = ik_solve_sequence(skeleton, targets, weights)
+    weights = np.ones(skeleton.n_joints)
+    zero = np.zeros((skeleton.n_joints, 3))
+    fits = [ik_solve_frame(skeleton, tgt, weights, tgt[0], zero)[:2]
+            for tgt in targets]
+    root, angles = (np.stack(a) for a in zip(*fits))
     rec = forward_kinematics(JointAngleMotion(skeleton, 30.0, root, angles))
     assert np.abs(rec - targets).max() < 1e-3
+
+
+def test_initialize_from_3d_carries_frame0_along_the_pelvis(skeleton):
+    # IK init fits frame 0 only; the pose stage fits the other frames
+    clip = generate(MotionScript(name="w", kind="walk", duration=0.5), seed=5)
+    seq = clip.pose
+    _, root, angles = initialize_from_3d(seq, skeleton)
+    assert root.shape == (seq.n_frames, 3)
+    assert angles.shape == (seq.n_frames, skeleton.n_joints, 3)
+    assert np.array_equal(angles, np.broadcast_to(angles[0], angles.shape))
+    offset = root - seq.joints3d[:, 0]
+    assert np.allclose(offset, offset[0], rtol=0.0, atol=1e-12)
 
 
 def _toy_problem(skeleton, rng, with_floor=True):
