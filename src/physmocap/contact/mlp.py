@@ -59,14 +59,15 @@ def init_mlp(sizes=LAYER_SIZES, seed=0):
                     run_mean=run_mean, run_var=run_var)
 
 
-def mlp_forward(state, X, training=False, dropout_mask=None):
+def mlp_forward(state, X, dropout_mask=None):
     """Forward pass. Returns (logits, cache); cache is None in eval mode.
 
-    In training mode batch statistics are used for the norm layers and the
-    caller-supplied dropout_mask (bool, shape of the dropped activations) is
-    applied with inverted scaling. Running stats are NOT updated here; see
-    update_running_stats.
+    Given a dropout_mask (bool, shape of the dropped activations), the pass
+    is in training mode: batch statistics are used for the norm layers and
+    the mask is applied with inverted scaling. Running stats are NOT
+    updated here; see update_running_stats.
     """
+    training = dropout_mask is not None
     h = np.asarray(X, dtype=float)
     if h.ndim == 1:
         h = h[None]
@@ -86,7 +87,7 @@ def mlp_forward(state, X, training=False, dropout_mask=None):
             xhat = (z - mu) / np.sqrt(var + BN_EPS)
             y = state.gamma[i] * xhat + state.beta[i]
             h = np.maximum(y, 0.0)
-            if training and i == DROPOUT_LAYER and dropout_mask is not None:
+            if training and i == DROPOUT_LAYER:
                 h = h * dropout_mask / (1.0 - DROPOUT_P)
             cache["z"].append(z)
             cache["xhat"].append(xhat)
@@ -107,7 +108,7 @@ def update_running_stats(state, cache):
         state.run_var[i] = (1 - m) * state.run_var[i] + m * cache["var"][i]
 
 
-def bce_loss(logits, targets, mask=None):
+def bce_loss(logits, targets, mask):
     """Stable binary cross entropy on logits, averaged over unmasked entries.
 
     Returns (loss, dloss/dlogits).
@@ -116,9 +117,6 @@ def bce_loss(logits, targets, mask=None):
     y = np.asarray(targets, dtype=float)
     loss_el = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     grad = 1.0 / (1.0 + np.exp(-z)) - y
-    if mask is None:
-        n = z.size
-        return float(loss_el.mean()), grad / n
     mask = np.asarray(mask, dtype=bool)
     n = max(1, int(mask.sum()))
     return float(loss_el[mask].sum() / n), np.where(mask, grad, 0.0) / n
@@ -132,7 +130,7 @@ def mlp_backward(state, cache, dlogits):
     g = dlogits
     for i in reversed(range(state.n_layers)):
         if i < n_hidden:
-            if i == DROPOUT_LAYER and cache["dropout_mask"] is not None:
+            if i == DROPOUT_LAYER:
                 g = g * cache["dropout_mask"] / (1.0 - DROPOUT_P)
             g = g * (cache["y"][i] > 0.0)
             xhat = cache["xhat"][i]
@@ -151,9 +149,9 @@ def mlp_backward(state, cache, dlogits):
     return grads
 
 
-def mlp_loss_and_grads(state, X, y, mask=None, dropout_mask=None):
+def mlp_loss_and_grads(state, X, y, mask, dropout_mask):
     """One training-mode forward/backward. Pure given its inputs."""
-    logits, cache = mlp_forward(state, X, training=True, dropout_mask=dropout_mask)
+    logits, cache = mlp_forward(state, X, dropout_mask)
     loss, dlogits = bce_loss(logits, y, mask)
     grads = mlp_backward(state, cache, dlogits)
     return loss, grads, cache

@@ -26,7 +26,7 @@ _FEATURE_META = {"feature_scale": feat.FEATURE_SCALE, "window": feat.WINDOW,
 def predict_window_probs(classifier, seq):
     """Per-target-frame contact probabilities, T x 5 x 4 (window frame, joint)."""
     X = feat.make_features_batch(seq, np.arange(seq.n_frames))
-    logits, _ = mlp_forward(classifier.state, X, training=False)
+    logits, _ = mlp_forward(classifier.state, X)
     probs = 1.0 / (1.0 + np.exp(-logits))
     return probs.reshape(seq.n_frames, feat.PRED_WINDOW, 4)
 

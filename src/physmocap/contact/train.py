@@ -87,7 +87,7 @@ def _subset(ds, names):
 def _eval_loss(state, X, Y, mask):
     total, count = 0.0, 0
     for s in range(0, len(X), EVAL_BATCH):
-        logits, _ = mlp_forward(state, X[s:s + EVAL_BATCH], training=False)
+        logits, _ = mlp_forward(state, X[s:s + EVAL_BATCH])
         m = mask[s:s + EVAL_BATCH]
         loss, _ = bce_loss(logits, Y[s:s + EVAL_BATCH], m)
         n = int(m.sum())
@@ -96,7 +96,7 @@ def _eval_loss(state, X, Y, mask):
     return total / max(1, count)
 
 
-def train_classifier(dataset, seed=0, max_epochs=200, verbose=False):
+def train_classifier(dataset, seed, max_epochs, verbose=False):
     """Train on a WindowDataset. Returns (ContactClassifier, history dict).
 
     split_motions(seed) assigns motion names to train/val/test; windows of

@@ -37,8 +37,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     posed_cols = 3 + (3 * np.array(skeleton.posed_joints())[:, None]
                       + np.arange(3)).ravel()
     for _ in range(max_iters):
-        jac_angles = fk_jacobian(skeleton, root[None], angles[None],
-                                 positions=pos[None], rotations=rots)[0]
+        jac_angles = fk_jacobian(skeleton, angles[None], pos[None], rots)[0]
         Jm[:, :3] = np.tile(np.eye(3), (J, 1))
         Jm[:, posed_cols] = jac_angles.reshape(3 * J, -1)
         Jm *= np.repeat(weights, 3)[:, None]

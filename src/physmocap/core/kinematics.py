@@ -50,20 +50,18 @@ def descendant_mask(skeleton):
     return mask
 
 
-def fk_jacobian(skeleton, root_pos, joint_angles, positions=None, rotations=None):
+def fk_jacobian(skeleton, joint_angles, positions, rotations):
     """d(world position)/d(posed joints' angles), batched over frames.
 
-    Returns jac with shape T x J x 3 x K x 3 over the K posed joints
-    (skeleton.posed_joints()): jac[t, j, :, i, c] is the derivative of joint
-    j's position w.r.t. angle component c of the i-th posed joint. A leaf's
-    angles move no position, so their all-zero columns are left out. Root
-    translation is not included (its derivative is the identity on every
-    joint). Pass positions/rotations from fk_positions_rotations to reuse them.
+    positions and rotations are fk_positions_rotations' output at
+    joint_angles (T x J x 3). Returns jac with shape T x J x 3 x K x 3 over
+    the K posed joints (skeleton.posed_joints()): jac[t, j, :, i, c] is the
+    derivative of joint j's position w.r.t. angle component c of the i-th
+    posed joint. A leaf's angles move no position, so their all-zero
+    columns are left out. Root translation is not included (its derivative
+    is the identity on every joint).
     """
-    root_pos = np.asarray(root_pos, dtype=float)
     joint_angles = np.asarray(joint_angles, dtype=float)
-    if positions is None or rotations is None:
-        positions, rotations = fk_positions_rotations(skeleton, root_pos, joint_angles)
     T, J = joint_angles.shape[:2]
     axes = euler_rotation_axes(joint_angles)         # T x J x 3 x 3 (columns)
     # world axes: the root has no parent rotation

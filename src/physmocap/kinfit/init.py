@@ -31,7 +31,7 @@ def estimate_bone_lengths(seq, skeleton):
 
 
 def initialize_from_3d(seq, skeleton):
-    """Scaled skeleton + the pose stage's start: frame 0's IK fit, every frame.
+    """Scaled skeleton + the LM's start: frame 0's IK fit, every frame.
 
     Frame 0 is fitted from the rest pose at its estimated pelvis. Every frame
     takes that fit's angles, with root[t] = root[0] + pelvis[t] - pelvis[0].

@@ -178,8 +178,8 @@ class KinematicProblem:
         pos, rots = fk_positions_rotations(self.skeleton, root, angles)
         fk = np.empty((T, J, 3, nf))
         fk[..., :3] = np.eye(3)
-        fk[..., 3:] = fk_jacobian(self.skeleton, root, angles, positions=pos,
-                                  rotations=rots).reshape(T, J, 3, nf - 3)
+        fk[..., 3:] = fk_jacobian(self.skeleton, angles, pos,
+                                  rots).reshape(T, J, 3, nf - 3)
         p, z = self._projection(pos)
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
         dproj[..., [0, 1], [0, 1]] = 1.0 / z[..., None]

@@ -1,4 +1,4 @@
-"""Staged kinematic cleanup: pose fit, floor estimation, contact-aware refit."""
+"""Staged kinematic cleanup: pose and floor fit if no floor is given, refit."""
 from __future__ import annotations
 
 import time
@@ -55,7 +55,7 @@ def _sheared(blocks):
                                                 nf * step), writeable=False)
 
 
-def solve_stage(problem, x0, max_iters=30):
+def solve_stage(problem, x0, max_iters):
     """Levenberg-Marquardt with banded Cholesky normal-equation solves.
 
     The problem's frame-major variables make J^T J a band of frame-pair
@@ -118,11 +118,13 @@ def solve_stage(problem, x0, max_iters=30):
 def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     """Full kinematic stage of the pipeline.
 
-    Scales the skeleton to the clip, fits pose to the 2D/3D estimates
-    (starting at initialize_from_3d's frame-0 fit), fits a floor plane to
-    the feet over the given contact labels (clearing labels the plane fit
-    rejects), then refits with contact stillness and floor height terms.
-    Passing a floor skips the plane fit and keeps the labels; evaluations
+    Scales the skeleton to the clip and fits frame 0 (initialize_from_3d),
+    then fits every frame to the 2D/3D estimates with contact stillness and
+    floor height terms. Without a floor, a pose fit with no contact terms
+    comes first; it exists to fit the floor plane to the feet over the
+    given contact labels (clearing labels the plane fit rejects), and the
+    contact fit starts from it. Passing a floor skips both, keeps the
+    labels and starts the contact fit from the frame-0 fit; evaluations
     against a known ground plane use this.
 
     Returns (motion, floor, contacts, states, report).
@@ -134,20 +136,19 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     skeleton, root, angles = initialize_from_3d(seq, skeleton)
     report.stages.append(("init", None, 0, time.perf_counter() - t0))
 
-    problem = KinematicProblem(seq, skeleton)
-    t0 = time.perf_counter()
-    res = solve_stage(problem, problem.pack(root, angles), max_iters=max_iters)
-    root, angles = problem.unpack(res.x)
-    report.stages.append(("pose", res.cost, res.n_iters,
-                          time.perf_counter() - t0))
-
-    positions, _ = fk_positions_rotations(skeleton, root, angles)
     if floor is None:
+        problem = KinematicProblem(seq, skeleton)
+        t0 = time.perf_counter()
+        res = solve_stage(problem, problem.pack(root, angles), max_iters=max_iters)
+        root, angles = problem.unpack(res.x)
+        report.stages.append(("pose", res.cost, res.n_iters,
+                              time.perf_counter() - t0))
+        positions, _ = fk_positions_rotations(skeleton, root, angles)
         floor, contacts = fit_floor_from_motion(positions, contacts, skeleton)
 
     problem = KinematicProblem(seq, skeleton, contacts=contacts, floor=floor)
     t0 = time.perf_counter()
-    res = solve_stage(problem, res.x, max_iters=max_iters)
+    res = solve_stage(problem, problem.pack(root, angles), max_iters=max_iters)
     root, angles = problem.unpack(res.x)
     motion = JointAngleMotion(skeleton=skeleton, fps=seq.fps,
                               root_pos=root, joint_angles=angles)

@@ -2,7 +2,7 @@
 
 The model is a single rigid body: COM position r(t), orientation theta(t)
 (Euler Z-Y-X), and four foot contact points p_i(t) with forces f_i(t), over
-the contact phases of the labels. Dynamics are enforced at 0.1 s samples:
+the contact phases of the labels. Dynamics are enforced at the COM knots:
 
     m r''         = sum_i f_i + m g
     I_w w' + w x I_w w = sum_i f_i x (r - p_i)
@@ -35,7 +35,6 @@ from ..core.rotation import (euler_rotation_axes, euler_rotation_axes_grad,
 
 FORCE_MAX = 1000.0
 FRICTION_RATIO = 0.5
-DYN_DT = 0.1
 KIN_DT = 0.08
 BOUNDARY_FRAMES = 5   # frames averaged for each end's boundary velocity
 
@@ -206,7 +205,7 @@ class ReducedProblem:
         self.floor_h = float(targets.floor.normal @ targets.floor.point)
         self.gravity = -GRAVITY * self.up
 
-        # dynamics samples ride the COM knot grid (~DYN_DT, spans [0, total])
+        # dynamics samples ride the COM knot grid (spans [0, total])
         self.dyn_times = np.arange(layout.n_com + 1) * layout.com_delta
         self.kin_times = np.arange(0.0, layout.total + 1e-9, KIN_DT)
         self.dyn_I_b = targets.interp(targets.I_b, self.dyn_times)

@@ -100,14 +100,17 @@ def initial_guess(problem):
 
     # static forces: distribute the net contact wrench of the fitted motion
     # between the feet in contact at each force knot (least-squares over
-    # force and torque balance), each force clipped into the friction cone
-    knots = [(i, ph.force_col + 6 * k, ph.start + k * (ph.duration / ph.n_segs))
-             for i, ph in lay.stance for k in range(ph.n_segs + 1)]
-    joint, cols, times = (np.array(v) for v in zip(*knots))
+    # force and torque balance), each force clipped into the friction cone.
+    # A phase's last knot sits at its end, which in_contact puts in the next
+    # phase, so its flags are read half a frame earlier, in its last frame.
+    knots = [(i, ph.force_col + 6 * k, ph.start + k * (ph.duration / ph.n_segs),
+              k == ph.n_segs) for i, ph in lay.stance for k in range(ph.n_segs + 1)]
+    joint, cols, times, last = (np.array(v) for v in zip(*knots))
     wrench = np.concatenate(problem.contact_wrench(x, times), axis=1)
     arm = (lay.sampler("feet", times).values(x)
            - lay.sampler("r", times).values(x)[:, None])
-    for i, b, w, a, on in zip(joint, cols, wrench, arm, lay.in_contact(times)):
+    flags = lay.in_contact(times - 0.5 * last / lay.fps)
+    for i, b, w, a, on in zip(joint, cols, wrench, arm, flags):
         f = np.zeros(3)
         if on[i]:
             ids = np.flatnonzero(on)

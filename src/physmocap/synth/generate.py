@@ -25,11 +25,11 @@ from ..core.kinematics import (GRAVITY, forward_kinematics, project_perspective,
                                transform_motion)
 from ..core.skeleton import SPINE_JOINTS, MassSegment, default_skeleton
 from ..core.types import FloorPlane, JointAngleMotion, PoseSequence
+from ..physopt.trajectory import COM_KNOT_DT
 from .profiles import design_stance_accel, sample_pwl_accel, swing_lift, swing_shift
 from .rig import ANKLE_DROP, arms_down_angles, solve_leg
 from .scripts import MotionScript
 
-KNOT_DT = 0.1   # node grid of the vertical profiles; matches the physics splines
 MAX_LEG_EXTENSION = 0.999   # largest dance hip-ankle distance, in leg lengths
 
 UPPER_BODY_SEGMENTS = (
@@ -65,9 +65,10 @@ def upper_body_skeleton(skeleton):
 
 
 def _grid_count(value, name):
-    n = round(value / KNOT_DT)
-    if n < 1 or abs(value - n * KNOT_DT) > 1e-9:
-        raise ValueError(f"{name} must be a positive multiple of {KNOT_DT} s, got {value}")
+    n = round(value / COM_KNOT_DT)
+    if n < 1 or abs(value - n * COM_KNOT_DT) > 1e-9:
+        raise ValueError(
+            f"{name} must be a positive multiple of {COM_KNOT_DT} s, got {value}")
     return n
 
 
@@ -87,8 +88,8 @@ def _build_vertical(script, skeleton, hips):
         root_height=0.82, flight_time=0.0, push_time=0.5, land_time=0.5,
         lead_pad=0.3, tuck=0.25))
     fps = script.fps
-    if abs(KNOT_DT * fps - round(KNOT_DT * fps)) > 1e-9:
-        raise ValueError(f"fps {fps} does not align with the {KNOT_DT} s node grid")
+    if abs(COM_KNOT_DT * fps - round(COM_KNOT_DT * fps)) > 1e-9:
+        raise ValueError(f"fps {fps} does not align with the {COM_KNOT_DT} s node grid")
     n_seg = _grid_count(script.duration, "duration")
     T = round(script.duration * fps)
 
@@ -102,14 +103,15 @@ def _build_vertical(script, skeleton, hips):
         if n_lead + n_push + n_fl + n_land > n_seg - 2:
             raise ValueError(
                 "script phases leave less than 0.2 s of still tail: "
-                f"{(n_lead + n_push + n_fl + n_land) * KNOT_DT} s of {script.duration} s used")
+                f"{(n_lead + n_push + n_fl + n_land) * COM_KNOT_DT} s of "
+                f"{script.duration} s used")
         v1 = 0.5 * GRAVITY * p["flight_time"]
         i0 = n_lead
         nodes[i0:i0 + n_push + 1] = design_stance_accel(
-            n_push, KNOT_DT, 0.0, -GRAVITY, v_start=0.0, dv=v1, dz=0.0)
+            n_push, COM_KNOT_DT, 0.0, -GRAVITY, v_start=0.0, dv=v1, dz=0.0)
         nodes[i0 + n_push:i0 + n_push + n_fl + 1] = -GRAVITY
         nodes[i0 + n_push + n_fl:i0 + n_push + n_fl + n_land + 1] = design_stance_accel(
-            n_land, KNOT_DT, -GRAVITY, 0.0, v_start=-v1, dv=v1, dz=0.0)
+            n_land, COM_KNOT_DT, -GRAVITY, 0.0, v_start=-v1, dv=v1, dz=0.0)
         if nodes.min() < -GRAVITY - 1e-9:
             raise ValueError(
                 f"contact force would go negative (min accel {nodes.min():.2f}); "
@@ -119,7 +121,7 @@ def _build_vertical(script, skeleton, hips):
         flight_frames = (f1, f2)
 
     times = np.arange(T) / fps
-    z, _, _ = sample_pwl_accel(nodes, KNOT_DT, times, v0=0.0, z0=p["root_height"])
+    z, _, _ = sample_pwl_accel(nodes, COM_KNOT_DT, times, v0=0.0, z0=p["root_height"])
     root_pos = np.zeros((T, 3))
     root_pos[:, 2] = z
 

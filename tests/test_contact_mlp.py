@@ -51,7 +51,7 @@ def test_bce_loss_matches_direct_formula():
     rng = np.random.default_rng(12)
     z = rng.normal(0, 2, (5, 6))
     y = (rng.random((5, 6)) < 0.5).astype(float)
-    loss, _ = mlp.bce_loss(z, y)
+    loss, _ = mlp.bce_loss(z, y, np.ones(y.shape, dtype=bool))
     p = 1 / (1 + np.exp(-z))
     ref = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
     assert np.isclose(loss, ref, atol=1e-10)
@@ -64,7 +64,7 @@ def test_masked_loss_ignores_masked_entries():
     mask = np.zeros((4, 6), dtype=bool)
     mask[:, :3] = True
     loss_m, grad_m = mlp.bce_loss(z, y, mask)
-    loss_sub, _ = mlp.bce_loss(z[:, :3], y[:, :3])
+    loss_sub, _ = mlp.bce_loss(z[:, :3], y[:, :3], mask[:, :3])
     assert np.isclose(loss_m, loss_sub, atol=1e-12)
     assert np.all(grad_m[:, 3:] == 0)
 
@@ -73,8 +73,8 @@ def test_eval_mode_is_deterministic_and_batch_independent():
     state = _tiny_state()
     rng = np.random.default_rng(14)
     X = rng.normal(0, 1, (6, 12))
-    full, _ = mlp.mlp_forward(state, X, training=False)
-    rows = np.vstack([mlp.mlp_forward(state, X[i], training=False)[0]
+    full, _ = mlp.mlp_forward(state, X)
+    rows = np.vstack([mlp.mlp_forward(state, X[i])[0]
                       for i in range(6)])
     assert np.allclose(full, rows, atol=1e-12)
 
@@ -88,7 +88,8 @@ def test_adam_reduces_loss_on_tiny_problem():
     first = None
     for it in range(500):
         drop = rng.random((32, state.sizes[mlp.DROPOUT_LAYER + 1])) >= mlp.DROPOUT_P
-        loss, grads, cache = mlp.mlp_loss_and_grads(state, X, y, dropout_mask=drop)
+        loss, grads, cache = mlp.mlp_loss_and_grads(
+            state, X, y, np.ones(y.shape, dtype=bool), drop)
         mlp.update_running_stats(state, cache)
         mlp.adam_step(state, grads, opt, lr=3e-3)
         if first is None:

@@ -75,8 +75,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(state.run_var, back.state.run_var):
         assert np.array_equal(a, b)
     X = np.random.default_rng(1).normal(0, 1, (3, 12))
-    la, _ = mlp.mlp_forward(state, X, training=False)
-    lb, _ = mlp.mlp_forward(back.state, X, training=False)
+    la, _ = mlp.mlp_forward(state, X)
+    lb, _ = mlp.mlp_forward(back.state, X)
     assert np.array_equal(la, lb)
 
 

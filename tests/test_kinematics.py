@@ -67,11 +67,16 @@ def test_fk_preserves_bone_lengths(skeleton, rng):
         assert np.allclose(d, skeleton.bone_lengths[j], atol=1e-12)
 
 
+def _fk_jacobian(skeleton, root_pos, joint_angles):
+    return kin.fk_jacobian(skeleton, joint_angles, *kin.fk_positions_rotations(
+        skeleton, root_pos, joint_angles))
+
+
 def test_fk_jacobian_matches_finite_differences(skeleton, rng):
     motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.7)
     t = 1
-    jac = kin.fk_jacobian(skeleton, motion.root_pos[t:t + 1],
-                          motion.joint_angles[t:t + 1])[0]
+    jac = _fk_jacobian(skeleton, motion.root_pos[t:t + 1],
+                       motion.joint_angles[t:t + 1])[0]
     h = 1e-6
     angles = motion.joint_angles[t]
     posed = skeleton.posed_joints()
@@ -93,10 +98,10 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
     for k in set(range(skeleton.n_joints)) - set(posed):
         for c in range(3):
             assert not central_difference(k, c).any(), (k, c)
-    batch = kin.fk_jacobian(skeleton, motion.root_pos, motion.joint_angles)
+    batch = _fk_jacobian(skeleton, motion.root_pos, motion.joint_angles)
     assert np.array_equal(batch, np.stack([
-        kin.fk_jacobian(skeleton, motion.root_pos[f:f + 1],
-                        motion.joint_angles[f:f + 1])[0]
+        _fk_jacobian(skeleton, motion.root_pos[f:f + 1],
+                     motion.joint_angles[f:f + 1])[0]
         for f in range(motion.n_frames)]))
 
 

@@ -275,6 +275,29 @@ def test_run_kinematic_init_noise_free(skeleton):
     assert len(report.stages) == 3
 
 
+def test_pose_stage_runs_only_to_fit_the_floor(skeleton, monkeypatch):
+    """The contact-free pose fit feeds the floor fit; with a known floor the
+    contact stage starts from IK init and is the only LM solve."""
+    clip = generate(MotionScript(name="w", kind="walk", duration=0.5), seed=5)
+    starts = []
+
+    def counted(problem, x0, max_iters):
+        starts.append(x0)
+        return solve_stage(problem, x0, max_iters)
+
+    monkeypatch.setattr("physmocap.kinfit.solve.solve_stage", counted)
+    *_, report = run_kinematic_init(clip.pose, skeleton, clip.contacts,
+                                    max_iters=2, floor=clip.floor)
+    assert [s[0] for s in report.stages] == ["init", "contact"]
+    assert len(starts) == 1
+    *_, report = run_kinematic_init(clip.pose, skeleton, clip.contacts,
+                                    max_iters=2)
+    assert [s[0] for s in report.stages] == ["init", "pose", "contact"]
+    assert len(starts) == 3
+    # both runs start from the same IK init
+    assert np.array_equal(starts[0], starts[1])
+
+
 def test_run_kinematic_init_reduces_skate(skeleton):
     clip = generate(MotionScript(name="w", kind="walk", duration=1.6,
                                  pixel_noise=4.0, depth_noise=0.015,

@@ -289,6 +289,21 @@ def test_initial_guess_tracks_targets(hop_setup):
     assert viol["above_floor"] < 1e-9
 
 
+def test_initial_guess_pushes_at_take_off():
+    """A stance phase's last force knot sits at its end time, which the
+    layout puts in the following flight phase; the static force guess must
+    still count the foot as in contact there."""
+    script = next(s for s in dataset.exact_suite() if s.name == "hop_a")
+    clip = generate(script, seed=0)
+    targets = targets_from_kinematic(clip.motion, compute_com_inertia(clip.motion),
+                                     clip.floor)
+    layout = TrajectoryLayout(clip.contacts)
+    x0 = initial_guess(ReducedProblem(layout, targets))
+    for i, ph in layout.stance:
+        last = ph.force_col + 6 * ph.n_segs
+        assert clip.floor.normal @ x0[last:last + 3] > 0.0, (i, ph.first_frame)
+
+
 def test_short_solve_reduces_violation(hop_setup):
     """A capped dynamics stage should still push feasibility well down."""
     layout, targets, clip = hop_setup

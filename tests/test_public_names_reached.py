@@ -1,9 +1,11 @@
-"""Every public function and class of the package is reached by the program.
+"""Every public function and class of the package is reached by the program,
+and so is every defaulted parameter of its public functions.
 
 A public top-level name that only tests call is code nobody runs: it is
 kept working at a cost and tells a reader it matters. The pipeline (src/)
 or the benchmark (perfbench/) must name each one somewhere besides its own
-definition. Package __init__ re-exports do not count as uses.
+definition. Package __init__ re-exports do not count as uses. Likewise a
+default that every program call keeps is an option with one value in use.
 """
 import ast
 from pathlib import Path
@@ -14,6 +16,14 @@ PACKAGE = ROOT / "src" / "physmocap"
 # hermite_eval is the plain-spline reference that hermite_weights is tested
 # against; a reference only a test reads is its purpose.
 EXEMPT = {"hermite_eval"}
+
+# (function, parameter): why no program call passes it
+DEFAULT_EXEMPT = {
+    ("hermite_eval", "order"): "the test reference's derivative order",
+    ("main", "argv"): "the console-script entry point reads sys.argv",
+    ("solve_reduced", "collect_iterates"): "the hook through which tests "
+                                           "read the solver's iterates",
+}
 
 
 def _program_files():
@@ -52,3 +62,52 @@ def test_every_public_name_is_reached_by_the_program():
     unreached = sorted(f"{path}: {name}" for name, path in defined.items()
                        if name not in used and name not in EXEMPT)
     assert not unreached, unreached
+
+
+def _callee(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_default_is_passed_by_the_program():
+    """A call passes a parameter by keyword, by position, or through
+    functools.partial; a *args or **kwargs splat passes any."""
+    defaulted = {}   # (function, parameter) -> positional index or None
+    calls = []       # (callee name, positional args, keywords)
+    for path in _program_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if PACKAGE in path.parents:
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    args = node.args
+                    pos = args.posonlyargs + args.args
+                    first = len(pos) - len(args.defaults)
+                    for k, arg in enumerate(pos[first:], first):
+                        defaulted[node.name, arg.arg] = k
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            defaulted[node.name, arg.arg] = None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name, args = _callee(node.func), node.args
+                if name == "partial" and args:
+                    name, args = _callee(args[0]), args[1:]
+                calls.append((name, args, node.keywords))
+
+    def passed(fn, param, index):
+        for name, args, keywords in calls:
+            if name != fn:
+                continue
+            if any(kw.arg in (param, None) for kw in keywords):
+                return True
+            if index is not None and (len(args) > index or any(
+                    isinstance(a, ast.Starred) for a in args)):
+                return True
+        return False
+
+    unpassed = sorted(f"{fn}({param}=)" for (fn, param), index in defaulted.items()
+                      if (fn, param) not in DEFAULT_EXEMPT
+                      and not passed(fn, param, index))
+    assert not unpassed, unpassed
