@@ -1,4 +1,4 @@
-"""Kinematic cleanup: pose fitting, floor estimation, contact-aware refinement."""
+"""Kinematic cleanup: IK init, a floor fit on the 3D estimate, one contact-aware fit."""
 from .floor import fit_floor, fit_floor_from_motion
 from .init import estimate_bone_lengths, initialize_from_3d
 from .problem import KinematicProblem

@@ -8,7 +8,7 @@ import numpy as np
 from ..contact.sequence import ContactSequence
 from ..core.types import FloorPlane
 
-HUBER_DELTA = 0.01   # meters; residuals beyond 3*delta are treated as mislabels
+HUBER_DELTA = 0.01   # meters; inliers lie within 3*max(delta, robust scale)
 MAX_ITERS = 100      # reweighting passes of the plane fit
 TOL = 1e-12          # stop once the plane moves less than this
 
@@ -26,8 +26,10 @@ def fit_floor(foot_points, reference_points):
 
     foot_points: N x 3 positions believed to lie on the floor. The normal is
     oriented so reference_points (e.g. all body joints) sit mostly above.
-    Returns (FloorPlane, inlier_mask) where the mask flags residuals within
-    3*HUBER_DELTA.
+    Returns (FloorPlane, inlier_mask). The mask flags residuals r within
+    3 * max(HUBER_DELTA, 1.4826 * median |r|): three of the residuals' robust
+    standard deviations (Huber's scale from the median absolute residual),
+    and never less than 3 * HUBER_DELTA, so noisy feet stay inliers.
     """
     pts = np.asarray(foot_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
@@ -50,15 +52,18 @@ def fit_floor(foot_points, reference_points):
     ref = np.asarray(reference_points, dtype=float).reshape(-1, 3)
     if np.median((ref - centroid) @ normal) < 0:
         normal = -normal
-    inliers = np.abs((pts - centroid) @ normal) <= 3.0 * HUBER_DELTA
+    absr = np.abs((pts - centroid) @ normal)
+    inliers = absr <= 3.0 * max(HUBER_DELTA, 1.4826 * float(np.median(absr)))
     return FloorPlane(normal, centroid), inliers
 
 
 def fit_floor_from_motion(positions, contacts, skeleton):
-    """Fit the floor to contact-labeled foot joints of an FK position array.
+    """Fit the floor to the contact-labeled foot joints of any T x J x 3
+    joint position array (the pipeline passes its 3D estimate).
 
-    Residuals beyond 3*HUBER_DELTA are treated as label mistakes and cleared
-    in the returned ContactSequence. positions: T x J x 3.
+    Feet that fit_floor rejects as outliers are treated as label mistakes
+    and cleared in the returned ContactSequence. It keeps its old name,
+    from the FK positions it once took, because perfbench's tracer hooks it.
     """
     labels = contacts.labels
     feet = skeleton.foot_joint_ids

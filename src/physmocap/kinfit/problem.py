@@ -44,8 +44,9 @@ class KinematicProblem:
     """Nonlinear least-squares problem over one clip.
 
     Pass contacts+floor to enable the contact stillness and floor height
-    terms (the final stage); without them only data-driven and smoothness
-    terms are active.
+    terms, as the pipeline always does. Without them only the data-driven
+    and smoothness terms are active; only perfbench/micro.py builds that
+    form.
     """
 
     def __init__(self, seq, skeleton, contacts=None, floor=None):

@@ -1,4 +1,4 @@
-"""Staged kinematic cleanup: pose and floor fit if no floor is given, refit."""
+"""Kinematic cleanup: IK init, a floor fit if no floor is given, one LM fit."""
 from __future__ import annotations
 
 import time
@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from ..core.kinematics import compute_com_inertia, fk_positions_rotations
+from ..core.kinematics import compute_com_inertia
 from ..core.preprocess import preprocess_low_confidence
 from ..core.types import JointAngleMotion
 from .floor import fit_floor_from_motion
@@ -24,7 +24,6 @@ class StageResult:
     x: np.ndarray
     cost: float
     n_iters: int
-    converged: bool
 
 
 @dataclass
@@ -74,7 +73,6 @@ def solve_stage(problem, x0, max_iters):
     r = problem.residuals(x)
     cost = float(r @ r)
     lam = 1e-4
-    converged = False
     blocks = np.zeros((T, 4, nf, nf))
     band = np.empty((3 * nf, n), order="F")
     sheared, band_rows = _sheared(blocks), band.T.reshape(T, nf, 3 * nf)
@@ -83,7 +81,6 @@ def solve_stage(problem, x0, max_iters):
         J = problem.jacobian(x)
         g = J.T @ r
         if np.abs(g).max() < GTOL * (1.0 + cost):
-            converged = True
             break
         J.normal_blocks(blocks[:, :3])
         d = np.maximum(sheared[..., 0].ravel(), 1e-10)
@@ -103,16 +100,14 @@ def solve_stage(problem, x0, max_iters):
                 accepted = True
                 break
             lam *= 10.0
-        if not accepted:
-            converged = True   # no descent direction left at any damping
+        if not accepted:   # no descent direction left at any damping
             break
         drop = cost - c_new
         x, r, cost = x_new, r_new, c_new
         lam = max(lam / 3.0, 1e-12)
         if drop < FTOL * max(cost, 1e-12):
-            converged = True
             break
-    return StageResult(x=x, cost=cost, n_iters=it, converged=converged)
+    return StageResult(x=x, cost=cost, n_iters=it)
 
 
 def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
@@ -120,12 +115,11 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
 
     Scales the skeleton to the clip and fits frame 0 (initialize_from_3d),
     then fits every frame to the 2D/3D estimates with contact stillness and
-    floor height terms. Without a floor, a pose fit with no contact terms
-    comes first; it exists to fit the floor plane to the feet over the
-    given contact labels (clearing labels the plane fit rejects), and the
-    contact fit starts from it. Passing a floor skips both, keeps the
-    labels and starts the contact fit from the frame-0 fit; evaluations
-    against a known ground plane use this.
+    floor height terms, in one LM stage from that start. Without a floor,
+    the floor plane is first fitted to the estimate's 3D feet over the given
+    contact labels, and labels the plane fit rejects are cleared; a given
+    floor keeps the labels. Evaluations against a known ground plane pass
+    one.
 
     Returns (motion, floor, contacts, states, report).
     """
@@ -137,14 +131,7 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     report.stages.append(("init", None, 0, time.perf_counter() - t0))
 
     if floor is None:
-        problem = KinematicProblem(seq, skeleton)
-        t0 = time.perf_counter()
-        res = solve_stage(problem, problem.pack(root, angles), max_iters=max_iters)
-        root, angles = problem.unpack(res.x)
-        report.stages.append(("pose", res.cost, res.n_iters,
-                              time.perf_counter() - t0))
-        positions, _ = fk_positions_rotations(skeleton, root, angles)
-        floor, contacts = fit_floor_from_motion(positions, contacts, skeleton)
+        floor, contacts = fit_floor_from_motion(seq.joints3d, contacts, skeleton)
 
     problem = KinematicProblem(seq, skeleton, contacts=contacts, floor=floor)
     t0 = time.perf_counter()
