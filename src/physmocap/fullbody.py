@@ -5,6 +5,7 @@ tracks. upgrade_fullbody rebuilds a joint-angle motion around them: every
 upper-body joint is targeted at its original offset from the COM carried to
 the new COM, the toe and heel joints are targeted at the optimized contact
 tracks, and the hip/knee/ankle chain is left free for the IK to place.
+One ik_solve_frame call, a batch solver despite its name, fits every frame.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core.ik import ik_solve_frame
-from .core.kinematics import compute_com_inertia, fk_positions_rotations
+from .core.kinematics import compute_com_inertia, forward_kinematics
 from .core.types import JointAngleMotion
 
 FOOT_TARGET_WEIGHT = 10.0
@@ -36,44 +37,29 @@ def upgrade_fullbody(kin_motion, traj):
     """Rebuild a full-body motion around the optimized reduced trajectory.
 
     Each frame is solved by damped least-squares IK, warm-started from the
-    kinematic pose carried to the new COM and orientation. Foot targets
-    beyond leg reach are projected back onto the reachable sphere around
-    the hip and reported once with a frame count.
+    kinematic pose carried to the new COM and orientation; all frames go to
+    ik_solve_frame as one batch. Foot targets beyond leg reach are projected
+    back onto the reachable sphere around the hip and reported once with a
+    frame count.
     """
     skeleton = kin_motion.skeleton
-    T = kin_motion.n_frames
-    times = np.arange(T) / kin_motion.fps
-    positions, _ = fk_positions_rotations(
-        skeleton, kin_motion.root_pos, kin_motion.joint_angles)
-    r_old = compute_com_inertia(kin_motion).r
-    out = traj.sample(times)
-    shift = out["r"] - r_old
-    theta = out["theta"]
+    positions = forward_kinematics(kin_motion)
+    out = traj.sample(np.arange(kin_motion.n_frames) / kin_motion.fps)
+    shift = out["r"] - compute_com_inertia(kin_motion).r
 
     targets = positions + shift[:, None, :]
-    foot_ids = list(skeleton.foot_joint_ids)
-    targets[:, foot_ids] = out["feet"]
-    weights = _upgrade_weights(skeleton)
-
-    root_out = np.empty((T, 3))
-    ang_out = np.empty_like(kin_motion.joint_angles)
-    clipped_frames = 0
-    for t in range(T):
-        root0 = kin_motion.root_pos[t] + shift[t]
-        angles0 = kin_motion.joint_angles[t].copy()
-        angles0[0] = theta[t]
-        hips = positions[t, list(skeleton.foot_hip_ids)] + shift[t]
-        clipped = False
-        for hip, j in zip(hips, foot_ids):
-            d = targets[t, j] - hip
-            reach = np.linalg.norm(d)
-            if reach > skeleton.l_leg:
-                targets[t, j] = hip + d * (skeleton.l_leg / reach) * (1.0 - 1e-9)
-                clipped = True
-        clipped_frames += clipped
-        root_out[t], ang_out[t], _ = ik_solve_frame(
-            skeleton, targets[t], weights, root0, angles0)
-    if clipped_frames:
-        warnings.warn(f"{clipped_frames} frames had foot targets beyond leg "
-                      "reach; projected onto the reachable sphere")
+    hips = targets[:, list(skeleton.foot_hip_ids)]
+    feet = np.array(out["feet"], dtype=float)
+    d = feet - hips
+    reach = np.linalg.norm(d, axis=-1)
+    far = reach > skeleton.l_leg
+    feet[far] = hips[far] + d[far] * (skeleton.l_leg / reach[far, None]) * (1.0 - 1e-9)
+    targets[:, list(skeleton.foot_joint_ids)] = feet
+    angles0 = kin_motion.joint_angles.copy()
+    angles0[:, 0] = out["theta"]
+    root_out, ang_out = ik_solve_frame(skeleton, targets, _upgrade_weights(skeleton),
+                                       kin_motion.root_pos + shift, angles0)
+    if far.any():
+        warnings.warn(f"{np.count_nonzero(far.any(axis=1))} frames had foot targets "
+                      "beyond leg reach; projected onto the reachable sphere")
     return JointAngleMotion(skeleton, kin_motion.fps, root_out, ang_out)

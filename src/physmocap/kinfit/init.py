@@ -33,16 +33,17 @@ def estimate_bone_lengths(seq, skeleton):
 def initialize_from_3d(seq, skeleton):
     """Scaled skeleton + the LM's start: frame 0's IK fit, every frame.
 
-    Frame 0 is fitted from the rest pose at its estimated pelvis. Every frame
-    takes that fit's angles, with root[t] = root[0] + pelvis[t] - pelvis[0].
+    Frame 0 is fitted from the rest pose at its estimated pelvis, as a batch
+    of one for ik_solve_frame (a batch solver, named for its per-frame job).
+    Every frame takes its angles, with root[t] = root[0] + pelvis[t] - pelvis[0].
 
     Returns (skeleton, root_pos, joint_angles).
     """
     skeleton = replace(skeleton, bone_lengths=estimate_bone_lengths(seq, skeleton))
     pelvis = seq.joints3d[:, 0]
-    root0, angles0, _ = ik_solve_frame(
-        skeleton, seq.joints3d[0], np.clip(seq.conf[0], 0.05, 1.0), pelvis[0],
-        np.zeros((skeleton.n_joints, 3)), max_iters=IK_ITERS)
+    root0, angles0 = ik_solve_frame(
+        skeleton, seq.joints3d[:1], np.clip(seq.conf[0], 0.05, 1.0), pelvis[:1],
+        np.zeros((1, skeleton.n_joints, 3)), max_iters=IK_ITERS)
     root = root0 + (pelvis - pelvis[0])
-    angles = np.repeat(angles0[None], len(pelvis), axis=0)
+    angles = np.repeat(angles0, len(pelvis), axis=0)
     return skeleton, root, angles

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,10 @@ def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
     sunk[:, :, :] = positions[:, list(motion.skeleton.foot_joint_ids)]
     sunk -= 2.0 * stand_clip.floor.normal   # 2 m below: beyond any leg
     traj._feet = sunk
-    with pytest.warns(UserWarning, match="reach"):
+    with pytest.warns(UserWarning, match="reach") as record:
         out = upgrade_fullbody(motion, traj)
+    # the bench parses this count from the message: keep its wording
+    counts = [re.match(r"(\d+) frames had foot targets beyond leg reach",
+                       str(w.message)) for w in record]
+    assert [int(m.group(1)) for m in counts if m] == [motion.n_frames]
     assert np.isfinite(out.root_pos).all() and np.isfinite(out.joint_angles).all()

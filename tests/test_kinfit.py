@@ -9,7 +9,7 @@ from scipy.linalg import cholesky_banded
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
-from physmocap.core.ik import ik_solve_frame
+from physmocap.core.ik import BLOCK, _solve, ik_solve_frame
 from physmocap.core.kinematics import (fk_positions_rotations,
                                        forward_kinematics, project_perspective)
 from physmocap.core.types import FloorPlane, PoseSequence
@@ -109,15 +109,16 @@ def test_ik_solve_frame_keeps_leaf_angles(skeleton, rng):
     # leaf angles move no joint, so no target constrains them: the IK must
     # hand back the caller's warm start (upgrade_fullbody passes the
     # kinematic pose's) instead of inventing values
-    motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.35)
-    targets = forward_kinematics(motion)[1]
-    angles0 = motion.joint_angles[0]
+    motion = random_motion(skeleton, rng, n_frames=4, angle_scale=0.35)
+    targets = forward_kinematics(motion)[::-1]
+    angles0 = motion.joint_angles
     leaves = sorted(set(range(skeleton.n_joints)) - set(skeleton.posed_joints()))
-    assert np.abs(angles0[leaves]).min() > 0.0
-    _, angles, rms = ik_solve_frame(skeleton, targets, np.ones(skeleton.n_joints),
-                                    motion.root_pos[0], angles0)
-    assert rms < 1e-3
-    assert np.array_equal(angles[leaves], angles0[leaves])
+    assert np.abs(angles0[:, leaves]).min() > 0.0
+    root, angles = ik_solve_frame(skeleton, targets, np.ones(skeleton.n_joints),
+                                  motion.root_pos, angles0)
+    rec = forward_kinematics(JointAngleMotion(skeleton, 30.0, root, angles))
+    assert np.abs(rec - targets).max() < 1e-3
+    assert np.array_equal(angles[:, leaves], angles0[:, leaves])
 
 
 def test_ik_round_trip(skeleton, rng):
@@ -125,13 +126,43 @@ def test_ik_round_trip(skeleton, rng):
     # frame's target pelvis, all angles zero (the rest pose)
     motion = random_motion(skeleton, rng, n_frames=5, angle_scale=0.35)
     targets = forward_kinematics(motion)
-    weights = np.ones(skeleton.n_joints)
-    zero = np.zeros((skeleton.n_joints, 3))
-    fits = [ik_solve_frame(skeleton, tgt, weights, tgt[0], zero)[:2]
-            for tgt in targets]
-    root, angles = (np.stack(a) for a in zip(*fits))
+    zero = np.zeros((5, skeleton.n_joints, 3))
+    root, angles = ik_solve_frame(skeleton, targets, np.ones(skeleton.n_joints),
+                                  targets[:, 0], zero)
     rec = forward_kinematics(JointAngleMotion(skeleton, 30.0, root, angles))
     assert np.abs(rec - targets).max() < 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+def test_ik_batch_frames_are_independent(skeleton, rng):
+    # frame 0 starts at its targets (no step lowers a zero cost, so it stops
+    # after its first iteration's tries; iterated on, its damping would
+    # overflow), the others far from theirs, more frames than one block;
+    # each frame must land where it lands when solved alone
+    motion = random_motion(skeleton, rng, n_frames=BLOCK + 2, angle_scale=0.35)
+    targets = forward_kinematics(motion)
+    root0 = targets[:, 0].copy()
+    angles0 = np.zeros_like(motion.joint_angles)
+    root0[0], angles0[0] = motion.root_pos[0], motion.joint_angles[0]
+    weights = np.linspace(0.5, 2.0, skeleton.n_joints)
+    root, angles = ik_solve_frame(skeleton, targets, weights, root0, angles0)
+    together = forward_kinematics(JointAngleMotion(skeleton, 30.0, root, angles))
+    for t in range(len(targets)):
+        s = slice(t, t + 1)
+        alone = ik_solve_frame(skeleton, targets[s], weights, root0[s], angles0[s])
+        pos = forward_kinematics(JointAngleMotion(skeleton, 30.0, *alone))
+        assert np.abs(pos[0] - together[t]).max() <= 1e-8
+    assert np.array_equal(angles[0], angles0[0])
+    assert np.abs(together - targets).max() < 1e-3
+
+
+def test_ik_singular_system_spares_the_rest_of_the_batch():
+    # a singular system gets a NaN step, which ik_solve_frame rejects like a
+    # step that raises the cost; the other frames' steps are still solved
+    H = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+    step = _solve(H, np.ones((3, 3)))
+    assert np.array_equal(step[[0, 2]], [[0.5] * 3, [1.0] * 3])
+    assert np.isnan(step[1]).all()
 
 
 def test_initialize_from_3d_carries_frame0_along_the_pelvis(skeleton):
