@@ -2,6 +2,8 @@
 and the full-body upgrade (fullbody.py); one call solves a batch of frames."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .kinematics import fk_jacobian, fk_positions_rotations
@@ -39,7 +41,8 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     with its own damping, retrying a step that does not lower its cost at 10x
     damping; it stops after 8 such tries in one iteration, or on a step that
     lowers its cost by less than TOL of it. Only posed joints' angles are
-    solved; a leaf's angles keep their warm start. Returns (root_pos, angles).
+    solved; a leaf's angles keep their warm start. Warns with the count of
+    frames still iterating when max_iters runs out. Returns (root_pos, angles).
     """
     targets = np.asarray(targets, dtype=float)
     w3 = np.repeat(np.asarray(weights, dtype=float), 3)
@@ -82,4 +85,7 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
                     break
             stop[a[trying]] = True         # 8 rejected tries
         active = active[~stop[active]]
+    if active.size:
+        warnings.warn(f"{active.size} of {len(root)} frames stopped at the IK "
+                      "iteration cap")
     return root, angles

@@ -13,6 +13,10 @@ their columns out of its decision vector, not by an ``lb == ub`` bound:
 trust-constr's interior point does not keep its iterates on such bounds.
 Gradient, Hessian and Jacobian reach the stage's vector through the same
 column selection.
+
+scipy.optimize is imported in _run_stage, its only user, ahead of the stage's
+timer, so runs without a physics stage do not load it (checked by
+tests/test_cli.py test_kinematic_run_does_not_load_scipy_optimize).
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import NonlinearConstraint, minimize
 from scipy.sparse.linalg import splu
 
 from ..core.rotation import skew
@@ -134,6 +137,8 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
     x = x_fixed + P @ z. The returned x, and the iterates appended to the
     list iterates, are full-length vectors.
     """
+    from scipy.optimize import NonlinearConstraint, minimize
+
     x0 = np.asarray(x0, dtype=float)
     n, held = problem.layout.n_vars, problem.layout.bound_vel_cols
     free = np.setdiff1d(np.arange(n), held)

@@ -1,5 +1,8 @@
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -173,3 +176,22 @@ def test_optimize_writes_report_and_outputs(tmp_path):
         "root_acceleration", "contact_still", "floor_height", "angle_smooth"}
     for name in ("physics.motion.json", "forces.npy", "grf_trace.csv"):
         assert (out / name).exists()
+
+
+def test_kinematic_run_does_not_load_scipy_optimize():
+    """Only a physics stage needs scipy.optimize, a slow and large import:
+    the CLI module and a kinematic run must not load it. A fresh interpreter,
+    because pytest's own process has already imported it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from physmocap import cli
+clip = cli.generate(cli.MotionScript(name="w", kind="walk", duration=0.5), seed=3)
+cli.run_kinematic_init(clip.pose, cli.default_skeleton(), clip.contacts, max_iters=1)
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

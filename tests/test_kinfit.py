@@ -156,6 +156,21 @@ def test_ik_batch_frames_are_independent(skeleton, rng):
     assert np.abs(together - targets).max() < 1e-3
 
 
+def test_ik_warns_with_the_count_of_frames_at_the_iteration_cap(skeleton, rng):
+    # frame 0 starts far from its targets and is still iterating after one
+    # iteration; frame 1 starts at its targets and stops in that iteration
+    motion = random_motion(skeleton, rng, n_frames=2, angle_scale=0.35)
+    targets = forward_kinematics(motion)
+    root0 = targets[:, 0].copy()
+    angles0 = np.zeros_like(motion.joint_angles)
+    root0[1], angles0[1] = motion.root_pos[1], motion.joint_angles[1]
+    with pytest.warns(UserWarning) as caught:
+        ik_solve_frame(skeleton, targets, np.ones(skeleton.n_joints), root0,
+                       angles0, max_iters=1)
+    assert [str(w.message) for w in caught] == [
+        "1 of 2 frames stopped at the IK iteration cap"]
+
+
 def test_ik_singular_system_spares_the_rest_of_the_batch():
     # a singular system gets a NaN step, which ik_solve_frame rejects like a
     # step that raises the cost; the other frames' steps are still solved
