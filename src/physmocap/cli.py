@@ -141,12 +141,11 @@ def _grf_trace(out_dir, traj, motion, mass):
         w.writerow(["t", "fx", "fy", "fz", "percent_bw",
                     "f_left_toe", "f_left_heel", "f_right_toe", "f_right_heel",
                     "com_x", "com_y", "com_z"])
-        bw = mass * GRAVITY
+        pct_bw = np.linalg.norm(total, axis=1) / (mass * GRAVITY) * 100.0
+        mags = np.linalg.norm(forces, axis=2)
         for k, t in enumerate(times):
-            mag = [float(np.linalg.norm(forces[k, i])) for i in range(4)]
             w.writerow([f"{t:.4f}", *(f"{v:.4f}" for v in total[k]),
-                        f"{np.linalg.norm(total[k]) / bw * 100.0:.3f}",
-                        *(f"{v:.4f}" for v in mag),
+                        f"{pct_bw[k]:.3f}", *(f"{v:.4f}" for v in mags[k]),
                         *(f"{v:.5f}" for v in out["r"][k])])
 
 

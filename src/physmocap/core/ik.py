@@ -1,5 +1,5 @@
-"""Damped least-squares IK on joint targets for IK init's frame 0 (kinfit/init.py)
-and the full-body upgrade (fullbody.py); one call solves a batch of frames."""
+"""Batched damped least-squares IK on joint targets (kinfit/init.py, fullbody.py);
+a frame stops, untried, once its damped model promises a negligible step."""
 from __future__ import annotations
 
 import warnings
@@ -24,10 +24,7 @@ def _solve(H, b):
 
 def _normal_equations(skeleton, w3, angles, pos, rots, r):
     """Each frame's JᵀJ and Jᵀr, J's cols [root (3) | posed joints' angles (3K)]."""
-    T, J = angles.shape[:2]
-    root_cols = np.broadcast_to(np.tile(np.eye(3), (J, 1)), (T, 3 * J, 3))
-    jac = fk_jacobian(skeleton, angles, pos, rots).reshape(T, 3 * J, -1)
-    Jm = np.concatenate([root_cols, jac], axis=2)
+    Jm = fk_jacobian(skeleton, angles, pos, rots).reshape(len(angles), w3.size, -1)
     Jm *= w3[:, None]
     return np.swapaxes(Jm, 1, 2) @ Jm, np.einsum("tij,ti->tj", Jm, r)
 
@@ -39,10 +36,13 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     angles0 T x J x 3, one J-vector of weights) under the one-frame solver's
     name, which the bench's tracer hooks. Each frame runs Levenberg-Marquardt
     with its own damping, retrying a step that does not lower its cost at 10x
-    damping; it stops after 8 such tries in one iteration, or on a step that
-    lowers its cost by less than TOL of it. Only posed joints' angles are
-    solved; a leaf's angles keep their warm start. Warns with the count of
-    frames still iterating when max_iters runs out. Returns (root_pos, angles).
+    damping. It stops after 8 such tries in one iteration, on a step that
+    lowers its cost by less than TOL of it, or, before trying a step, when
+    the damped model promises less than TOL of it (the usual LM stop on a
+    negligible step; Madsen, Nielsen & Tingleff 2004, 3.2), so a converged
+    frame costs no futile FK. Only posed joints' angles are solved; a leaf's
+    angles keep their warm start. Warns with the count of frames still
+    iterating when max_iters runs out. Returns (root_pos, angles).
     """
     targets = np.asarray(targets, dtype=float)
     w3 = np.repeat(np.asarray(weights, dtype=float), 3)
@@ -70,6 +70,13 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
                 H = JtJ[trying]
                 H[:, diag, diag] += lam[f, None] ** 2
                 step = _solve(H, -g[trying])
+                # the damped model's drop, -gᵀs + λ²‖s‖² (NaN if singular)
+                pred = np.einsum("ti,ti->t", step, lam[f, None] ** 2 * step - g[trying])
+                futile = pred < TOL * np.maximum(cost[f], 1e-12)
+                stop[f[futile]] = True
+                trying, f, step = trying[~futile], f[~futile], step[~futile]
+                if not trying.size:
+                    break
                 root1 = root[f] + step[:, :3]
                 angles1 = angles[f]
                 angles1[:, posed] += step[:, 3:].reshape(len(f), -1, 3)

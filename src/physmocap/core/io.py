@@ -34,9 +34,9 @@ def check_finite(arr, field):
 
 
 def write_json(path, payload):
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+        f.write(json.dumps(payload) + "\n")
 
 
 def read_json(path, kind):

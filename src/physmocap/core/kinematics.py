@@ -1,6 +1,8 @@
 """Forward kinematics, its analytic Jacobian, and centroidal quantities."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .rotation import euler_rotation_axes, euler_to_matrix, matrix_to_euler
@@ -38,40 +40,45 @@ def forward_kinematics(motion):
     return pos
 
 
-def descendant_mask(skeleton):
-    """mask[k, j] is True when joint k is a strict ancestor of joint j."""
-    J = skeleton.n_joints
-    mask = np.zeros((J, J), dtype=bool)
-    for j in range(1, J):
-        p = skeleton.parents[j]
-        while p >= 0:
-            mask[p, j] = True
-            p = skeleton.parents[p]
-    return mask
+@lru_cache
+def _ancestor_columns(parents):
+    """fk_jacobian's scatter indices: for every joint j and each of its
+    strict ancestors k, (k, j, the columns of k's angles), plus the width."""
+    posed = sorted(set(parents[1:]))
+    ancestors = [[]]                     # parents precede children
+    for p in parents[1:]:
+        ancestors.append([p] + ancestors[p])
+    k, j = np.array([(k, j) for j, anc in enumerate(ancestors) for k in anc]).T
+    cols = 3 + 3 * np.searchsorted(posed, k)[:, None] + np.arange(3)
+    return k, j[:, None], cols, 3 + 3 * len(posed)
 
 
 def fk_jacobian(skeleton, joint_angles, positions, rotations):
-    """d(world position)/d(posed joints' angles), batched over frames.
+    """d(world position)/d(frame variables), batched over frames.
 
     positions and rotations are fk_positions_rotations' output at
-    joint_angles (T x J x 3). Returns jac with shape T x J x 3 x K x 3 over
-    the K posed joints (skeleton.posed_joints()): jac[t, j, :, i, c] is the
-    derivative of joint j's position w.r.t. angle component c of the i-th
-    posed joint. A leaf's angles move no position, so their all-zero
-    columns are left out. Root translation is not included (its derivative
-    is the identity on every joint).
+    joint_angles (T x J x 3). Returns each frame's whole block, T x J x 3 x
+    (3 + 3K): jac[t, j, :, :3] is the identity (root translation), and
+    jac[t, j, :, 3 + 3i + c] the derivative of joint j's position w.r.t.
+    angle component c of the i-th of the K posed joints
+    (skeleton.posed_joints()); a leaf's angles move no position, so their
+    all-zero columns are left out. Ancestor k's entries for joint j are its
+    world Euler axes crossed with pos_j - pos_k.
     """
     joint_angles = np.asarray(joint_angles, dtype=float)
     T, J = joint_angles.shape[:2]
     axes = euler_rotation_axes(joint_angles)         # T x J x 3 x 3 (columns)
     # world axes: the root has no parent rotation
     axes[:, 1:] = rotations[:, skeleton.parents[1:]] @ axes[:, 1:]
-    k, j = np.nonzero(descendant_mask(skeleton))     # k is an ancestor of j
-    rel = positions[:, j] - positions[:, k]          # T x P x 3
-    cross = np.cross(np.swapaxes(axes[:, k], -1, -2), rel[:, :, None])
-    posed = skeleton.posed_joints()
-    jac = np.zeros((T, J, 3, len(posed), 3))
-    jac[:, j, :, np.searchsorted(posed, k), :] = cross.transpose(1, 0, 3, 2)
+    k, j, cols, nf = _ancestor_columns(tuple(skeleton.parents))
+    a = axes[:, k]                                   # T x P x xyz x c
+    d = positions[:, j[:, 0]] - positions[:, k]      # T x P x 3
+    jac = np.zeros((T, J, 3, nf))
+    jac[..., :3] = np.eye(3)
+    x, y, z = (d[..., i, None] for i in range(3))
+    jac[:, j, 0, cols] = a[:, :, 1] * z - a[:, :, 2] * y
+    jac[:, j, 1, cols] = a[:, :, 2] * x - a[:, :, 0] * z
+    jac[:, j, 2, cols] = a[:, :, 0] * y - a[:, :, 1] * x
     return jac
 
 

@@ -177,10 +177,7 @@ class KinematicProblem:
         T, J, nf = self.T, self.J, self.n_vars // self.T
         root, angles = self.unpack(x)
         pos, rots = fk_positions_rotations(self.skeleton, root, angles)
-        fk = np.empty((T, J, 3, nf))
-        fk[..., :3] = np.eye(3)
-        fk[..., 3:] = fk_jacobian(self.skeleton, angles, pos,
-                                  rots).reshape(T, J, 3, nf - 3)
+        fk = fk_jacobian(self.skeleton, angles, pos, rots)   # T x J x 3 x nf
         p, z = self._projection(pos)
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
         dproj[..., [0, 1], [0, 1]] = 1.0 / z[..., None]
@@ -199,8 +196,8 @@ class KinematicProblem:
 
 class FrameJacobian(LinearOperator):
     """A KinematicProblem's Jacobian at one x, from per-frame blocks: fk[t],
-    d(frame t's 3J positions)/d(its nf variables), and proj[t], its weighted
-    projection rows. With the problem's constant M and G they give every row."""
+    fk_jacobian's block of frame t (3J positions by nf variables), and proj[t],
+    its weighted projection rows. With M and G they give every row."""
 
     def __init__(self, problem, fk, proj):
         super().__init__(float, (problem.n_resid, problem.n_vars))

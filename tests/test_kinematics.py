@@ -78,21 +78,25 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
     jac = _fk_jacobian(skeleton, motion.root_pos[t:t + 1],
                        motion.joint_angles[t:t + 1])[0]
     h = 1e-6
-    angles = motion.joint_angles[t]
+    root, angles = motion.root_pos[t], motion.joint_angles[t]
     posed = skeleton.posed_joints()
-    assert jac.shape == (skeleton.n_joints, 3, len(posed), 3)
+    assert jac.shape == (skeleton.n_joints, 3, 3 + 3 * len(posed))
 
     def central_difference(k, c):
-        ap, am = angles.copy(), angles.copy()
-        ap[k, c] += h
-        am[k, c] -= h
-        pp, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t:t + 1], ap[None])
-        pm, _ = kin.fk_positions_rotations(skeleton, motion.root_pos[t:t + 1], am[None])
+        """d(positions)/d(angle c of joint k), or of root translation c at k=None."""
+        rp, rm, ap, am = root.copy(), root.copy(), angles.copy(), angles.copy()
+        (rp if k is None else ap[k])[c] += h
+        (rm if k is None else am[k])[c] -= h
+        pp, _ = kin.fk_positions_rotations(skeleton, rp[None], ap[None])
+        pm, _ = kin.fk_positions_rotations(skeleton, rm[None], am[None])
         return (pp[0] - pm[0]) / (2 * h)
 
+    for c in range(3):
+        assert np.allclose(jac[:, :, c], central_difference(None, c),
+                           atol=2e-7), ("root", c)
     for i, k in enumerate(posed):
         for c in range(3):
-            assert np.allclose(jac[:, :, i, c], central_difference(k, c),
+            assert np.allclose(jac[:, :, 3 + 3 * i + c], central_difference(k, c),
                                atol=2e-7), (k, c)
     # a leaf's angles move no position, so dropping their columns loses nothing
     for k in set(range(skeleton.n_joints)) - set(posed):

@@ -171,6 +171,26 @@ def test_ik_warns_with_the_count_of_frames_at_the_iteration_cap(skeleton, rng):
         "1 of 2 frames stopped at the IK iteration cap"]
 
 
+def test_ik_frame_at_its_targets_stops_without_trying_a_step(skeleton, rng,
+                                                            monkeypatch):
+    # at its targets the damped model promises no drop, so the frame stops
+    # after the one FK of its initial residual, without a futile trial FK
+    motion = random_motion(skeleton, rng, n_frames=1, angle_scale=0.35)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fk_positions_rotations(*args)
+
+    monkeypatch.setattr("physmocap.core.ik.fk_positions_rotations", counted)
+    root, angles = ik_solve_frame(skeleton, forward_kinematics(motion),
+                                  np.ones(skeleton.n_joints), motion.root_pos,
+                                  motion.joint_angles)
+    assert len(calls) == 1
+    assert np.array_equal(root, motion.root_pos)
+    assert np.array_equal(angles, motion.joint_angles)
+
+
 def test_ik_singular_system_spares_the_rest_of_the_batch():
     # a singular system gets a NaN step, which ik_solve_frame rejects like a
     # step that raises the cost; the other frames' steps are still solved
