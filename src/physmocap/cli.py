@@ -178,7 +178,8 @@ def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
                     "max_violation": s.max_violation, "iters": s.n_iters,
                     "status": s.status, "wall_time": s.wall_time}
                    for s in phys_report.stages],
-        "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t}
+        "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t,
+                              **kin_report.stops.get(n, {})}
                              for n, c, i, t in kin_report.stages],
         "upgrade_time": upgrade_time,
         "wall_time": time.perf_counter() - t0,

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .kinematics import fk_jacobian, fk_positions_rotations
+from .kinematics import fk_jacobian, fk_positions_rotations, frame_layout
 
 DAMPING = 1e-3   # initial Levenberg-Marquardt damping
 TOL = 1e-8       # stop when a step lowers the cost by less than this share
@@ -23,7 +23,7 @@ def _solve(H, b):
 
 
 def _normal_equations(skeleton, w3, angles, pos, rots, r):
-    """Each frame's JᵀJ and Jᵀr, J's cols [root (3) | posed joints' angles (3K)]."""
+    """Each frame's JᵀJ and Jᵀr, in frame_layout's columns."""
     Jm = fk_jacobian(skeleton, angles, pos, rots).reshape(len(angles), w3.size, -1)
     Jm *= w3[:, None]
     return np.swapaxes(Jm, 1, 2) @ Jm, np.einsum("tij,ti->tj", Jm, r)
@@ -49,7 +49,8 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
     root = np.array(root_pos0, dtype=float)
     angles = np.array(angles0, dtype=float)
     posed = list(skeleton.posed_joints())
-    diag = np.arange(3 + 3 * len(posed))
+    cols, _ = frame_layout(tuple(skeleton.parents))
+    diag = np.arange(cols.size)
 
     def residual(root, angles, targets):
         pos, rots = fk_positions_rotations(skeleton, root, angles)
@@ -77,9 +78,9 @@ def ik_solve_frame(skeleton, targets, weights, root_pos0, angles0, max_iters=100
                 trying, f, step = trying[~futile], f[~futile], step[~futile]
                 if not trying.size:
                     break
-                root1 = root[f] + step[:, :3]
+                root1 = root[f] + step[:, cols[:3]]
                 angles1 = angles[f]
-                angles1[:, posed] += step[:, 3:].reshape(len(f), -1, 3)
+                angles1[:, posed] += step[:, cols[3:]].reshape(len(f), -1, 3)
                 r1, cost1, pos1, rots1 = residual(root1, angles1, targets[f])
                 ok = cost1 < cost[f]       # False on a singular system's NaN
                 k = f[ok]

@@ -41,16 +41,37 @@ def forward_kinematics(motion):
 
 
 @lru_cache
+def frame_layout(parents):
+    """One frame's variable columns, shared by fk_jacobian, core/ik.py and the
+    kinfit LM: (cols, spans). cols[i] is the column of entry i of [root
+    translation (3), posed joints' angles (3K)]. The columns hold the first
+    root subtree's angles, then the root's translation and angles, then the
+    other subtrees' angles, so each subtree's joint positions depend on one
+    column range: spans holds (joints, lo, hi) per subtree, the root joint in
+    the first."""
+    tree = np.arange(len(parents))              # the root's child above each joint
+    for j in range(1, len(parents)):            # parents precede children
+        tree[j] = tree[parents[j]] if parents[j] else j
+    tree = np.unique(np.r_[1, tree[1:]], return_inverse=True)[1]   # 0, 1, ...; root in 0
+    key = np.where(tree > 0, tree + 1, 0)       # sort keys: subtree 0, root 1, then the rest
+    key = np.repeat(np.r_[1, 1, key[sorted(set(parents[1:]))[1:]]], 3)
+    spans = tuple((np.flatnonzero(tree == i), np.sum(key < min(i, 1)), np.sum(key <= i + 1))
+                  for i in range(tree.max() + 1))
+    return np.argsort(np.argsort(key, kind="stable")), spans
+
+
+@lru_cache
 def _ancestor_columns(parents):
     """fk_jacobian's scatter indices: for every joint j and each of its
-    strict ancestors k, (k, j, the columns of k's angles), plus the width."""
+    strict ancestors k, (k, j, the columns of k's angles), plus the layout."""
     posed = sorted(set(parents[1:]))
     ancestors = [[]]                     # parents precede children
     for p in parents[1:]:
         ancestors.append([p] + ancestors[p])
     k, j = np.array([(k, j) for j, anc in enumerate(ancestors) for k in anc]).T
-    cols = 3 + 3 * np.searchsorted(posed, k)[:, None] + np.arange(3)
-    return k, j[:, None], cols, 3 + 3 * len(posed)
+    cols, _ = frame_layout(parents)
+    k_cols = cols[3 + 3 * np.searchsorted(posed, k)[:, None] + np.arange(3)]
+    return k, j[:, None], k_cols, cols
 
 
 def fk_jacobian(skeleton, joint_angles, positions, rotations):
@@ -58,9 +79,9 @@ def fk_jacobian(skeleton, joint_angles, positions, rotations):
 
     positions and rotations are fk_positions_rotations' output at
     joint_angles (T x J x 3). Returns each frame's whole block, T x J x 3 x
-    (3 + 3K): jac[t, j, :, :3] is the identity (root translation), and
-    jac[t, j, :, 3 + 3i + c] the derivative of joint j's position w.r.t.
-    angle component c of the i-th of the K posed joints
+    (3 + 3K), in frame_layout's columns: cols[:3] hold the identity (root
+    translation), and cols[3 + 3i + c] the derivative of joint j's position
+    w.r.t. angle component c of the i-th of the K posed joints
     (skeleton.posed_joints()); a leaf's angles move no position, so their
     all-zero columns are left out. Ancestor k's entries for joint j are its
     world Euler axes crossed with pos_j - pos_k.
@@ -70,11 +91,11 @@ def fk_jacobian(skeleton, joint_angles, positions, rotations):
     axes = euler_rotation_axes(joint_angles)         # T x J x 3 x 3 (columns)
     # world axes: the root has no parent rotation
     axes[:, 1:] = rotations[:, skeleton.parents[1:]] @ axes[:, 1:]
-    k, j, cols, nf = _ancestor_columns(tuple(skeleton.parents))
+    k, j, cols, layout = _ancestor_columns(tuple(skeleton.parents))
     a = axes[:, k]                                   # T x P x xyz x c
     d = positions[:, j[:, 0]] - positions[:, k]      # T x P x 3
-    jac = np.zeros((T, J, 3, nf))
-    jac[..., :3] = np.eye(3)
+    jac = np.zeros((T, J, 3, layout.size))
+    jac[..., layout[:3]] = np.eye(3)
     x, y, z = (d[..., i, None] for i in range(3))
     jac[:, j, 0, cols] = a[:, :, 1] * z - a[:, :, 2] * y
     jac[:, j, 1, cols] = a[:, :, 2] * x - a[:, :, 0] * z

@@ -1,10 +1,10 @@
 """Residuals and per-frame Jacobian blocks for the kinematic cleanup solve.
 
 Variables are ordered frame by frame: x holds [root translation (3), posed
-joints' Euler angles (3K)] for each of the T frames in turn, nf = 3 + 3K per
-frame. The K posed joints are those with a child (skeleton.posed_joints(),
-20 of the default skeleton's 28); a leaf's angles move no position, so they
-are not variables and stay 0.
+joints' Euler angles (3K)], in frame_layout's columns, for each of the T
+frames in turn, nf = 3 + 3K per frame. The K posed joints are those with a
+child (skeleton.posed_joints(), 20 of the default skeleton's 28); a leaf's
+angles move no position, so they are not variables and stay 0.
 The residuals are the perspective projection of the FK joint positions, a
 constant linear map of the positions, r = M @ pos - b, and the wrapped angle
 differences between frames, a constant map G of x itself. Of the linear
@@ -15,7 +15,9 @@ global foot positions. So x enters only through each frame's FK Jacobian,
 and every term couples frames at most two apart: J^T J is a band of
 frame-pair blocks, which FrameJacobian forms from the per-frame blocks and
 constants derived once from M's terms and G, without building J (the
-Gauss-Newton normal equations; Nocedal & Wright, ch. 10).
+Gauss-Newton normal equations; Nocedal & Wright, ch. 10). No row reads two
+root subtrees' angles, so the band is kd = 2 nf + (widest subtree range) - 1
+deep (branch-induced sparsity of kinematic trees; Featherstone, IJRR 2005).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator
 
-from ..core.kinematics import fk_jacobian, fk_positions_rotations
+from ..core.kinematics import fk_jacobian, fk_positions_rotations, frame_layout
 from ..core.rotation import wrap_angle
 
 
@@ -54,11 +56,14 @@ class KinematicProblem:
         self.skeleton = skeleton
         self.contacts = contacts
         self.floor = floor
+        self._last_fk = (None,) * 4   # residuals' x (as bytes), angles and FK
 
         T, J = seq.n_frames, skeleton.n_joints
         self.T, self.J = T, J
         self.posed = np.array(skeleton.posed_joints())
-        nf = 3 + 3 * len(self.posed)
+        self.cols, spans = frame_layout(tuple(skeleton.parents))
+        nf = self.cols.size
+        self.kd = 2 * nf + max(hi - lo for _, lo, hi in spans) - 1
         self.n_vars = T * nf
         self.proj_joints = np.array(skeleton.joints_with_2d(), dtype=int)
         cx, cy = seq.principal_point
@@ -110,7 +115,8 @@ class KinematicProblem:
         self.b = np.concatenate([np.broadcast_to(np.sqrt(wt) * rhs, m.shape[0])
                                  for (_, wt, _, rhs), m in zip(linear, maps)])
         # wrapped angle differences between frames, a map of x itself
-        angle_cols = sparse.eye(nf - 3, nf, k=3)
+        pick = sparse.eye(nf, format="csr")
+        root_cols, angle_cols = pick[self.cols[:3]], pick[self.cols[3:]]
         self.G = sparse.kron(_frame_diff(T, 1), angle_cols, format="csr")
         self.layout = ([("projection", 2 * T * len(self.proj_joints))]
                        + [(name, m.shape[0]) for (name, *_), m in zip(linear, maps)]
@@ -127,15 +133,23 @@ class KinematicProblem:
             return np.stack([np.pad(K.diagonal(-o * step), (0, o * step))
                              for o in range(3)])
 
-        self.rel, self.rel_coef = rel, diagonals(gram(rel), 1)
+        self.rel_coef = diagonals(gram(rel), 1)
         self.const_diag = diagonals(
-            sparse.kron(gram(root), sparse.eye(nf, 3) @ sparse.eye(3, nf))
+            sparse.kron(gram(root), root_cols.T @ root_cols)
             + ANGLE_WEIGHT * self.G.T @ self.G, nf).reshape(3, T, nf).swapaxes(0, 1)
         K = sparse.bsr_matrix(sum(wt * m.T @ m for _, wt, m, _ in contact_terms),
                               blocksize=(3 * n_feet, 3 * n_feet))
         s, t = np.repeat(np.arange(T), np.diff(K.indptr)), K.indices   # block (s, t)
-        self.feet_blocks = np.zeros((T, 3, 3 * n_feet, 3 * n_feet))
-        self.feet_blocks[t[s >= t], (s - t)[s >= t]] = K.data[s >= t]
+        feet_blocks = np.zeros((T, 3, 3 * n_feet, 3 * n_feet))
+        feet_blocks[t[s >= t], (s - t)[s >= t]] = K.data[s >= t]
+        # per root subtree: its columns, the joints of its FK rows (root-relative,
+        # then its feet), its feet's weights (a foot pairs with itself only)
+        # and which projected joints are its
+        self.spans = []
+        for joints, lo, hi in spans:
+            f = np.repeat(np.isin(self.feet, joints), 3)
+            self.spans.append((lo, hi, np.r_[joints[joints > 0], self.feet[f[::3]]],
+                               feet_blocks[:, :, f][..., f], np.isin(self.proj_joints, joints)))
 
     # -- variable packing -------------------------------------------------
 
@@ -143,13 +157,13 @@ class KinematicProblem:
         """x from root positions (T x 3) and joint angles (T x J x 3); the
         leaf joints' angles are dropped."""
         angles = np.reshape(joint_angles, (self.T, self.J, 3))[:, self.posed]
-        return np.hstack([np.reshape(root_pos, (self.T, 3)),
-                          angles.reshape(self.T, -1)]).ravel()
+        frames = np.hstack([np.reshape(root_pos, (self.T, 3)), angles.reshape(self.T, -1)])
+        return frames[:, np.argsort(self.cols)].ravel()
 
     def unpack(self, x):
         """(root positions T x 3, joint angles T x J x 3) from x; the leaf
         joints' angles come back as 0."""
-        frames = x.reshape(self.T, -1)
+        frames = x.reshape(self.T, -1)[:, self.cols]
         angles = np.zeros((self.T, self.J, 3))
         angles[:, self.posed] = frames[:, 3:].reshape(self.T, -1, 3)
         return frames[:, :3], angles
@@ -163,7 +177,9 @@ class KinematicProblem:
 
     def residuals(self, x):
         root, angles = self.unpack(x)
-        pos, _ = fk_positions_rotations(self.skeleton, root, angles)
+        pos, rots = fk_positions_rotations(self.skeleton, root, angles)
+        # kept for jacobian: the LM's accepted trial is its next Jacobian's x
+        self._last_fk = x.tobytes(), angles, pos, rots
         p, z = self._projection(pos)
         proj = np.stack([p[..., 0] / z, p[..., 1] / z], axis=-1)
         return np.concatenate([
@@ -175,8 +191,10 @@ class KinematicProblem:
         """The residuals' Jacobian at x, as a FrameJacobian. perfbench times
         this call in its kinfit.jacobian_calls, _s and _ms_x0 rows."""
         T, J, nf = self.T, self.J, self.n_vars // self.T
-        root, angles = self.unpack(x)
-        pos, rots = fk_positions_rotations(self.skeleton, root, angles)
+        key, angles, pos, rots = self._last_fk   # a single-entry cache on x
+        if key != x.tobytes():
+            root, angles = self.unpack(x)
+            pos, rots = fk_positions_rotations(self.skeleton, root, angles)
         fk = fk_jacobian(self.skeleton, angles, pos, rots)   # T x J x 3 x nf
         p, z = self._projection(pos)
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
@@ -220,16 +238,23 @@ class FrameJacobian(LinearOperator):
 
     def normal_blocks(self, out):
         """Writes J^T J's blocks H[t + o, t], o = 0, 1, 2, into out[t, o]
-        (T x 3 x nf x nf); blocks past the last frame are zero."""
+        (T x 3 x nf x nf); blocks past the last frame are zero. Per root subtree
+        and o, one product of its rows over its column range adds its share."""
         p, T = self.problem, self.problem.T
-        by_joint, nf = self.fk.reshape(T, p.J, -1), self.fk.shape[2]
-        rel = (p.rel @ by_joint).reshape(T, -1, nf)
-        feet = by_joint[:, p.feet].reshape(T, -1, nf)
-        for o in range(3):
-            n = T - o
-            np.matmul(np.swapaxes(rel[o:], 1, 2),
-                      p.rel_coef[o, :n, None, None] * rel[:n], out=out[:n, o])
-            out[:n, o] += np.swapaxes(feet[o:], 1, 2) @ (p.feet_blocks[:n, o] @ feet[:n])
-            out[n:, o] = 0.0
-        out[:, 0] += np.swapaxes(self.proj, 1, 2) @ self.proj
+        fk, proj = self.fk.reshape(T, p.J, 3, -1), self.proj.reshape(T, -1, 2, p.cols.size)
+        for i, (lo, hi, joints, feet_w, projected) in enumerate(p.spans):
+            a = np.concatenate([fk[:, joints, :, lo:hi].reshape(T, -1, hi - lo),
+                                proj[:, projected, :, lo:hi].reshape(T, -1, hi - lo)], axis=1)
+            k, n_rel = 3 * joints.size, 3 * joints.size - feet_w.shape[-1]
+            a[:, :n_rel, p.cols[:3] - lo] = 0.0   # root-relative: no translation
+            for o in range(3):   # projection rows pair a frame with itself only
+                n, m = T - o, k if o else a.shape[1]
+                b = np.concatenate([p.rel_coef[o, :n, None, None] * a[:n, :n_rel],
+                                    feet_w[:n, o] @ a[:n, n_rel:k], a[:n, k:m]], axis=1)
+                at = np.swapaxes(a[o:, :m], 1, 2)
+                if i:
+                    out[:n, o, lo:hi, lo:hi] += at @ b
+                else:   # the first range starts at column 0: written, the rest zeroed
+                    np.matmul(at, b, out=out[:n, o, :hi, :hi])
+                    out[:n, o, hi:] = out[:n, o, :hi, hi:] = out[n:, o] = 0.0
         np.einsum("toii->toi", out)[...] += p.const_diag

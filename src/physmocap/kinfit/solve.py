@@ -24,6 +24,8 @@ class StageResult:
     x: np.ndarray
     cost: float
     n_iters: int
+    stop: str
+    n_factorizations: int
 
 
 @dataclass
@@ -31,6 +33,7 @@ class KinfitReport:
     # (name, cost, iters, seconds); cost is None for IK init, which has none
     stages: list = field(default_factory=list)
     cost_breakdown: dict = field(default_factory=dict)
+    stops: dict = field(default_factory=dict)   # LM stage -> stop, factorizations
 
 
 def splu(ab):
@@ -57,15 +60,17 @@ def _sheared(blocks):
 def solve_stage(problem, x0, max_iters):
     """Levenberg-Marquardt with banded Cholesky normal-equation solves.
 
-    The problem's frame-major variables make J^T J a band of frame-pair
-    blocks two frames deep, so the layout fixes its lower bandwidth at
-    3 nf - 1 (nf variables per frame; 188 for the default skeleton, whose
-    frames hold 63). The Jacobian writes the blocks into a buffer kept
-    across iterations; each damped matrix is copied from it into one band
-    buffer and factored there. Damping is scaled by the diagonal of
-    J^T J, which keeps the mixed translation/angle units well conditioned; a
-    matrix that is not positive definite raises the damping. Stops on a
-    relative cost decrease below FTOL, a gradient below GTOL, or max_iters.
+    J^T J is a band of frame-pair blocks two frames deep, problem.kd below
+    the diagonal (164 for the default skeleton, whose frame layout keeps each
+    root subtree's columns together; 3 nf - 1 = 188 without it). The
+    Jacobian writes the blocks into a buffer kept across iterations; each
+    damped matrix is copied from it into one band buffer and factored there.
+    Damping is scaled by the diagonal of J^T J, which keeps the mixed
+    translation/angle units well conditioned; a matrix that is not positive
+    definite raises the damping. Stops on a relative cost decrease below FTOL
+    ("ftol"), a gradient below GTOL ("gtol"), max_iters, or when no damping
+    lowers the cost ("no_descent"); the result says which, and the number of
+    factorizations.
     """
     x = np.asarray(x0, dtype=float).copy()
     n, T = x.size, problem.T
@@ -74,20 +79,21 @@ def solve_stage(problem, x0, max_iters):
     cost = float(r @ r)
     lam = 1e-4
     blocks = np.zeros((T, 4, nf, nf))
-    band = np.empty((3 * nf, n), order="F")
-    sheared, band_rows = _sheared(blocks), band.T.reshape(T, nf, 3 * nf)
-    it = 0
+    band = np.empty((problem.kd + 1, n), order="F")
+    sheared, band_rows = _sheared(blocks)[..., :len(band)], band.T.reshape(T, nf, -1)
+    it, stop, n_chol = 0, "max_iters", 0
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
         g = J.T @ r
         if np.abs(g).max() < GTOL * (1.0 + cost):
+            stop = "gtol"
             break
         J.normal_blocks(blocks[:, :3])
         d = np.maximum(sheared[..., 0].ravel(), 1e-10)
-        accepted = False
         for _ in range(12):
             band_rows[...] = sheared
             band[0] += lam * d
+            n_chol += 1
             try:
                 step = cho_solve_banded((splu(band), True), -g, check_finite=False)
             except LinAlgError:
@@ -97,17 +103,18 @@ def solve_stage(problem, x0, max_iters):
             r_new = problem.residuals(x_new)
             c_new = float(r_new @ r_new)
             if c_new < cost:
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:   # no descent direction left at any damping
+        else:   # no descent direction left at any damping
+            stop = "no_descent"
             break
         drop = cost - c_new
         x, r, cost = x_new, r_new, c_new
         lam = max(lam / 3.0, 1e-12)
         if drop < FTOL * max(cost, 1e-12):
+            stop = "ftol"
             break
-    return StageResult(x=x, cost=cost, n_iters=it)
+    return StageResult(x=x, cost=cost, n_iters=it, stop=stop, n_factorizations=n_chol)
 
 
 def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
@@ -141,6 +148,7 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
                               root_pos=root, joint_angles=angles)
     report.stages.append(("contact", res.cost, res.n_iters,
                           time.perf_counter() - t0))
+    report.stops["contact"] = {"stop": res.stop, "factorizations": res.n_factorizations}
     report.cost_breakdown = problem.cost_breakdown(res.x)
 
     states = compute_com_inertia(motion)

@@ -171,6 +171,10 @@ def test_optimize_writes_report_and_outputs(tmp_path):
     assert [s["name"] for s in report["stages"]] == ["fit", "dynamics"]
     init = report["kinematic_stages"][0]
     assert init["name"] == "init" and init["cost"] is None
+    contact = report["kinematic_stages"][1]
+    assert contact["name"] == "contact"
+    assert contact["stop"] in ("ftol", "gtol", "max_iters", "no_descent")
+    assert contact["factorizations"] >= contact["iters"]
     assert set(report["kinematic_cost_terms"]) == {
         "projection", "data3d", "velocity", "root_velocity", "acceleration",
         "root_acceleration", "contact_still", "floor_height", "angle_smooth"}

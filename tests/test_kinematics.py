@@ -81,6 +81,7 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
     root, angles = motion.root_pos[t], motion.joint_angles[t]
     posed = skeleton.posed_joints()
     assert jac.shape == (skeleton.n_joints, 3, 3 + 3 * len(posed))
+    cols, _ = kin.frame_layout(tuple(skeleton.parents))
 
     def central_difference(k, c):
         """d(positions)/d(angle c of joint k), or of root translation c at k=None."""
@@ -92,12 +93,12 @@ def test_fk_jacobian_matches_finite_differences(skeleton, rng):
         return (pp[0] - pm[0]) / (2 * h)
 
     for c in range(3):
-        assert np.allclose(jac[:, :, c], central_difference(None, c),
+        assert np.allclose(jac[:, :, cols[c]], central_difference(None, c),
                            atol=2e-7), ("root", c)
     for i, k in enumerate(posed):
         for c in range(3):
-            assert np.allclose(jac[:, :, 3 + 3 * i + c], central_difference(k, c),
-                               atol=2e-7), (k, c)
+            assert np.allclose(jac[:, :, cols[3 + 3 * i + c]],
+                               central_difference(k, c), atol=2e-7), (k, c)
     # a leaf's angles move no position, so dropping their columns loses nothing
     for k in set(range(skeleton.n_joints)) - set(posed):
         for c in range(3):

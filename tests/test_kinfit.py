@@ -10,13 +10,14 @@ from scipy.linalg import cholesky_banded
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
 from physmocap.core.ik import BLOCK, _solve, ik_solve_frame
-from physmocap.core.kinematics import (fk_positions_rotations,
-                                       forward_kinematics, project_perspective)
+from physmocap.core.kinematics import (fk_jacobian, fk_positions_rotations,
+                                       forward_kinematics, frame_layout,
+                                       project_perspective)
 from physmocap.core.types import FloorPlane, PoseSequence
 from physmocap.kinfit import (KinematicProblem, estimate_bone_lengths, fit_floor,
                               fit_floor_from_motion, initialize_from_3d,
                               run_kinematic_init, solve_stage)
-from physmocap.kinfit.solve import _sheared
+from physmocap.kinfit.solve import _sheared, splu
 from physmocap.synth import MotionScript, generate
 
 from conftest import random_motion
@@ -261,11 +262,12 @@ def test_problem_variables_are_frame_major(skeleton, rng):
     assert np.array_equal(back_angles[:, posed], angles[:, posed])
     assert not back_angles[:, leaves].any()   # leaf angles are not variables
     frames = x.reshape(T, 3 + 3 * K)
-    assert np.array_equal(frames[:, :3], root)
+    layout, _ = frame_layout(tuple(skeleton.parents))
+    assert np.array_equal(frames[:, layout[:3]], root)
     # terms couple frames at most two apart, so J^T J is a band
     jac = problem.jacobian(x).toarray()
     rows, cols = sparse.tril(jac.T @ jac).nonzero()
-    assert (rows - cols).max() < 3 * (3 + 3 * K)
+    assert (rows - cols).max() <= problem.kd
 
 
 @pytest.mark.parametrize("with_floor", [True, False])
@@ -301,8 +303,73 @@ def test_normal_equations_match_dense_products(skeleton, rng, with_floor):
     for d in range(3 * nf):
         want[d, :n - d] = np.diagonal(H, -d)
     assert np.abs(band - want).max() <= 1e-12 * np.abs(H).max()
-    assert not np.tril(H, -3 * nf).any()   # nothing below the band
+    assert not np.tril(H, -problem.kd - 1).any()   # nothing below the band
     assert np.abs(jac.T @ r - g).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_subtree_layout_narrows_the_band(skeleton, rng):
+    # each root subtree's joints move only its range of columns, so no row
+    # reads two subtrees' angles and J^T J reaches 2 nf + (widest range) - 1
+    # below its diagonal, not the 3 nf - 1 of a frame read as one block
+    problem, x0 = _toy_problem(skeleton, rng)
+    x = x0 + rng.normal(0.0, 0.02, x0.shape)
+    root, angles = problem.unpack(x)
+    jac = fk_jacobian(skeleton, angles,
+                      *fk_positions_rotations(skeleton, root, angles))
+    nf = problem.n_vars // problem.T
+    _, spans = frame_layout(tuple(skeleton.parents))
+    covered = np.concatenate([joints for joints, _, _ in spans])
+    assert sorted(covered) == list(range(skeleton.n_joints))   # each joint once
+    for joints, lo, hi in spans:
+        assert not jac[:, joints, :, :lo].any() and not jac[:, joints, :, hi:].any()
+    assert problem.kd == 164 < 3 * nf - 1
+    dense = problem.jacobian(x).toarray()
+    H = dense.T @ dense
+    assert not np.tril(H, -problem.kd - 1).any()
+    assert np.diagonal(H, -problem.kd).any()   # and no narrower band holds H
+
+
+def test_lm_reuses_the_accepted_trials_fk(skeleton, rng, monkeypatch):
+    # an accepted trial's FK is the next Jacobian's: one FK for the start and
+    # one per trial step, none for a Jacobian
+    problem, x0 = _toy_problem(skeleton, rng)
+    calls = {"fk": 0, "residuals": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("physmocap.kinfit.problem.fk_positions_rotations",
+                        counted("fk", fk_positions_rotations))
+    for name in ("residuals", "jacobian"):
+        monkeypatch.setattr(problem, name, counted(name, getattr(problem, name)))
+    solve_stage(problem, x0 + rng.normal(0.0, 0.02, x0.shape), max_iters=4)
+    assert calls["jacobian"] >= 2
+    assert calls["fk"] == calls["residuals"]   # the start's and one per trial
+
+
+def test_lm_stage_reports_why_it_stopped(skeleton, monkeypatch):
+    # run_kinematic_init keeps the contact stage's stop reason and the count
+    # of banded factorizations it ran, for report.json's stage entry
+    clip = generate(MotionScript(name="w", kind="walk", duration=0.5), seed=5)
+    factored = []
+
+    def counted(ab):
+        factored.append(1)
+        return splu(ab)
+
+    monkeypatch.setattr("physmocap.kinfit.solve.splu", counted)
+    for max_iters, stop in ((5, "max_iters"), (60, "ftol")):
+        factored.clear()
+        *_, report = run_kinematic_init(clip.pose, skeleton, clip.contacts,
+                                        max_iters=max_iters, floor=clip.floor)
+        (name, _, iters, _), = report.stages[1:]
+        assert name == "contact"
+        assert report.stops == {
+            "contact": {"stop": stop, "factorizations": len(factored)}}
+        assert len(factored) >= iters
 
 
 def test_solve_stage_step_matches_dense_normal_equations(skeleton, rng):
