@@ -14,12 +14,14 @@ above the floor, and forces stay in a friction cone sampled at the force
 spline knots and segment midpoints.
 
 Every sampled track value is S @ x for a constant sparse sample matrix S
-(trajectory.Samples), built once with the problem. The objective is the
-weighted tracking and smoothness sum  sum_k w_k |S_k x - b_k|^2, with
-gradient  2 sum_k w_k S_k^T (S_k x - b_k)  and the constant Hessian
-2 sum_k w_k S_k^T S_k. Each constraint group is an array expression over
-the samples; its Jacobian is a block matrix of per-sample derivatives times
-the samples' matrices.
+(trajectory.Samples), and every constant is built once with the problem.
+The objective sum_k w_k |S_k x - b_k|^2 is |A x - b|^2 for one stack A of
+the terms' rows, each scaled by sqrt(w_k): gradient 2 A^T (A x - b) and
+constant Hessian 2 A^T A. The four linear constraint groups are constant
+rows, A_g x - b_g. The nonlinear groups read one matrix per sample grid,
+its rows interleaved sample by sample, and the foot length one map of toe -
+heel differences; each group's Jacobian is one sparse product: the
+block-diagonal matrix of its per-sample derivative blocks times that matrix.
 """
 from __future__ import annotations
 
@@ -109,32 +111,33 @@ class _Memo:
         return self.value
 
 
-def _blocks(blocks, cols=None, n_col_blocks=None):
-    """Sparse matrix of per-sample derivative blocks.
-
-    blocks is (m, r, c) with cols (m,), or (m, q, r, c) with cols (m, q)
-    for q blocks per block row; block row b holds blocks[b, q] (r x c) in
-    block column cols[b, q]. cols defaults to the block diagonal.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim == 3:
-        blocks = blocks[:, None]
-    m, q, r, c = blocks.shape
-    cols = np.arange(m) if cols is None else np.asarray(cols)
-    n_col_blocks = m if n_col_blocks is None else n_col_blocks
-    return sparse.bsr_matrix(
-        (np.ascontiguousarray(blocks.reshape(m * q, r, c)), cols.ravel(),
-         np.arange(0, m * q + 1, q)),
-        shape=(m * r, n_col_blocks * c))
+def _blocks(blocks):
+    """Block-diagonal CSR matrix of per-sample derivative blocks (m, r, c).
+    Block s spans columns c s to c s + c - 1: sample s's rows of a sample matrix."""
+    m, r, c = blocks.shape
+    cols = np.arange(m * c).reshape(m, 1, c).repeat(r, axis=1)
+    return sparse.csr_matrix((blocks.ravel(), cols.ravel(),
+                              np.arange(0, m * r * c + 1, c)), shape=(m * r, m * c))
 
 
-def _selection(cols, n_vars):
-    """3 rows per entry of cols: x[col:col + 3]."""
-    cols = np.asarray(cols, dtype=int)
-    rows = np.arange(3 * len(cols))
-    return sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, (cols[:, None] + np.arange(3)).ravel())),
-        shape=(len(rows), n_vars))
+def _xyz(cols):
+    """The 3 columns col, col + 1, col + 2 of each entry of cols."""
+    return (np.asarray(cols, dtype=int).reshape(-1, 1) + np.arange(3)).ravel()
+
+
+def _interleave(mats, n):
+    """The rows of sample matrices of n samples each, regrouped sample by
+    sample: sample s's rows of every matrix in turn."""
+    at = np.cumsum([0] + [M.shape[0] for M in mats])
+    order = np.concatenate([(a + np.arange(b - a)).reshape(n, -1)
+                            for a, b in zip(at[:-1], at[1:])], axis=1)
+    return sparse.vstack(mats, format="csr")[order.ravel()]
+
+
+def _per_sample(block, M):
+    """Constant rows block @ (each sample's rows of M)."""
+    n = M.shape[0] // block.shape[1]
+    return sparse.kron(sparse.eye(n), block, format="csr") @ M
 
 
 def _mv(M, v):
@@ -186,11 +189,10 @@ OBJECTIVE_TERMS = (
     ("acceleration", "theta", 2, 1e-4, None),
     ("acceleration", "feet", 2, 1e-4, None),
 )
-# samples the constraints read: (name, track, order)
-DYN_SAMPLES = (("acc", "r", 2), ("r", "r", 0), ("th", "theta", 0),
-               ("thv", "theta", 1), ("tha", "theta", 2), ("f", "forces", 0),
-               ("p", "feet", 0))
-KIN_SAMPLES = (("r", "r", 0), ("th", "theta", 0), ("p", "feet", 0))
+# (track, order) of the rows that the nonlinear groups read at each sample
+DYN_SAMPLES = (("theta", 0), ("theta", 1), ("theta", 2), ("r", 0),
+               ("forces", 0), ("feet", 0))
+KIN_SAMPLES = (("r", 0), ("theta", 0), ("feet", 0))
 
 
 class ReducedProblem:
@@ -200,44 +202,48 @@ class ReducedProblem:
     def __init__(self, layout, targets):
         self.layout = layout
         self.tg = targets
-        self.up = targets.floor.normal
+        self.up = up = targets.floor.normal
         self.tans = targets.floor.tangents
         self.floor_h = float(targets.floor.normal @ targets.floor.point)
         self.gravity = -GRAVITY * self.up
+        eye = sparse.eye(layout.n_vars, format="csr")
 
         # dynamics samples ride the COM knot grid (spans [0, total])
         self.dyn_times = np.arange(layout.n_com + 1) * layout.com_delta
         self.kin_times = np.arange(0.0, layout.total + 1e-9, KIN_DT)
+        nd, nk = len(self.dyn_times), len(self.kin_times)
         self.dyn_I_b = targets.interp(targets.I_b, self.dyn_times)
         self.kin_hip_offsets = targets.interp(targets.hip_offsets, self.kin_times)
-        self.cone = layout.force_knot_sampler()
-        self.n_cone = self.cone.shape[0]
-        self.stance_sel = _selection([ph.const_col for _, ph in layout.stance],
-                                     layout.n_vars)
+        dyn = [layout.sampler(track, self.dyn_times, order).S
+               for track, order in DYN_SAMPLES]
+        kin = [layout.sampler(track, self.kin_times, order).S
+               for track, order in KIN_SAMPLES]
+        self.dyn, self.kin = _interleave(dyn, nd), _interleave(kin, nk)
 
-        # Rigid foot length. When toe and heel are both planted the sampled
-        # rows all collapse onto the two stance constants, which would give
-        # duplicated equality rows and a singular constraint Jacobian, so
-        # those intervals get one row per pair of stance phases that share a
-        # frame instead. Swing samples keep the 0.08 s grid.
+        # Rigid foot length, as toe - heel differences. When toe and heel are
+        # both planted the sampled rows all collapse onto the two stance
+        # constants, which would give duplicated equality rows and a singular
+        # constraint Jacobian, so those intervals get one row per pair of
+        # stance phases that share a frame instead. Swing samples keep the
+        # 0.08 s grid.
         pairs = [(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
                  for i, a in layout.stance if i == toe
                  for k, b in layout.stance if k == heel
                  if a.first_frame < b.first_frame + b.n_frames
                  and b.first_frame < a.first_frame + a.n_frames]
+        diffs = [eye[_xyz([c for c, _ in pairs])] - eye[_xyz([c for _, c in pairs])]]
         contact = layout.in_contact(self.kin_times)
-        self.footlen_times = [      # (toe, heel, kin_times indices)
-            (toe, heel, np.flatnonzero(~(contact[:, toe] & contact[:, heel])))
-            for toe, heel in self.FOOT_PAIRS]
-        self.footlen_sel = (_selection([c for c, _ in pairs], layout.n_vars)
-                            - _selection([c for _, c in pairs], layout.n_vars))
-        nd, nk = len(self.dyn_times), len(self.kin_times)
+        feet = kin[2]      # rows 12 t + 3 i + axis
+        for toe, heel in self.FOOT_PAIRS:
+            at = np.flatnonzero(~(contact[:, toe] & contact[:, heel]))
+            diffs.append(feet[_xyz(12 * at + 3 * toe)] - feet[_xyz(12 * at + 3 * heel)])
+        self.foot_diff = sparse.vstack(diffs, format="csr")
+
+        cone = layout.force_knot_sampler().S
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
-                 "leg_reach": 4 * nk,
-                 "foot_length": (len(pairs) + sum(len(t) for _, _, t
-                                                  in self.footlen_times)),
+                 "leg_reach": 4 * nk, "foot_length": self.foot_diff.shape[0] // 3,
                  "stance_on_floor": len(layout.stance),
-                 "above_floor": 4 * nd, "force_cone": 5 * self.n_cone}
+                 "above_floor": 4 * nd, "force_cone": 5 * cone.shape[0] // 3}
         ends = np.cumsum(list(sizes.values()))
         self.groups = {name: slice(end - size, end)
                        for (name, size), end in zip(sizes.items(), ends)}
@@ -247,37 +253,56 @@ class ReducedProblem:
         sl = self.groups
         lb[sl["leg_reach"]] = -np.inf               # leg reach: <= 0
         ub[sl["above_floor"]] = np.inf              # above floor: >= 0
-        cone = np.arange(sl["force_cone"].start, self.n_rows)
-        ub[cone] = np.inf
-        ub[cone[::5]] = FORCE_MAX                   # 0 <= f.n <= FORCE_MAX
+        cone_rows = np.arange(sl["force_cone"].start, self.n_rows)
+        ub[cone_rows] = np.inf
+        ub[cone_rows[::5]] = FORCE_MAX              # 0 <= f.n <= FORCE_MAX
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
         # weight times leg length.  Geometry rows are already metre-scale.
         # Without this the Newton system mixes magnitudes ~1e3 apart and the
-        # interior point stalls with a collapsed trust region.
+        # interior point stalls with a collapsed trust region.  Each group's
+        # scale is folded into its constants below.
         weight = targets.mass * GRAVITY
-        scale = np.ones(self.n_rows)
-        scale[sl["dynamics_linear"]] = 1.0 / weight
-        scale[sl["dynamics_angular"]] = 1.0 / (weight * targets.l_leg)
-        scale[sl["force_cone"]] = 1.0 / weight
-        self.row_scale = scale
-        self.c_lb, self.c_ub = lb * scale, ub * scale
+        scale = {"dynamics_linear": 1.0 / weight,
+                 "dynamics_angular": 1.0 / (weight * targets.l_leg),
+                 "force_cone": 1.0 / weight}
+        self.angular_scale = scale["dynamics_angular"]
+        self.row_scale = np.concatenate([np.full(size, scale.get(name, 1.0))
+                                         for name, size in sizes.items()])
+        self.c_lb, self.c_ub = lb * self.row_scale, ub * self.row_scale
 
-        # constant sample matrices: the objective terms and their Hessian,
-        # and the samples that the constraints read
-        self.terms = []
-        hess = sparse.csr_matrix((layout.n_vars, layout.n_vars))
-        for group, track, order, w, target in OBJECTIVE_TERMS:
-            smp = layout.sampler(track, targets.times, order)
-            self.terms.append((group, w, smp,
-                               getattr(targets, target) if target else 0.0))
-            hess = hess + (2.0 * w) * (smp.S.T @ smp.S)
-        self.hess = hess
-        self.dyn = {name: layout.sampler(track, self.dyn_times, order)
-                    for name, track, order in DYN_SAMPLES}
-        self.kin = {name: layout.sampler(track, self.kin_times, order)
-                    for name, track, order in KIN_SAMPLES}
+        # linear groups: constant rows A and right-hand sides b, c = A x - b
+        m, acc = targets.mass, layout.sampler("r", self.dyn_times, 2).S
+        mu_up = FRICTION_RATIO * up
+        faces = np.stack([up, mu_up - self.tans[0], mu_up + self.tans[0],
+                          mu_up - self.tans[1], mu_up + self.tans[1]])
+        stance = eye[_xyz([ph.const_col for _, ph in layout.stance])]
+        self.linear = {   # m r'' - sum_i f_i = m g
+            "dynamics_linear": (
+                scale["dynamics_linear"]
+                * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn[4])),
+                np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
+            # stance constants on the floor, feet on or above it
+            "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
+            "above_floor": (_per_sample(up[None], dyn[5]), self.floor_h),
+            # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
+            "force_cone": (_per_sample(scale["force_cone"] * faces, cone), 0.0)}
+
+        # the objective: every term's rows scaled by sqrt(w) in one stack A
+        # and target b, so that it is |A x - b|^2
+        rows, target, self.objective_rows = [], [], {}
+        for group, track, order, w, name in OBJECTIVE_TERMS:
+            S = np.sqrt(w) * layout.sampler(track, targets.times, order).S
+            at = sum(r.shape[0] for r in rows)     # the term's first row
+            first = self.objective_rows.get(group, slice(at, None)).start
+            self.objective_rows[group] = slice(first, at + S.shape[0])
+            rows.append(S)
+            target.append(np.sqrt(w) * getattr(targets, name).ravel() if name
+                          else np.zeros(S.shape[0]))
+        self.obj_A = sparse.vstack(rows, format="csr")
+        self.obj_b = np.concatenate(target)
+        self.hess = 2.0 * (self.obj_A.T @ self.obj_A)
 
         self._c_memo = _Memo()
         self._o_memo = _Memo()
@@ -285,71 +310,40 @@ class ReducedProblem:
     # -- constraint assembly ----------------------------------------------
 
     def _constraints(self, x):
-        tg, m, up = self.tg, self.tg.mass, self.up
-        dyn = {k: (s.values(x), s.S) for k, s in self.dyn.items()}
-        kin = {k: (s.values(x), s.S) for k, s in self.kin.items()}
-        (acc, J_acc), (r, J_r), (f, J_f), (p, J_p) = (
-            dyn[k] for k in ("acc", "r", "f", "p"))
-        nd, nk = len(self.dyn_times), len(self.kin_times)
-        per_joint = 4 * np.arange(nd)[:, None] + np.arange(4)
-        vals, jacs = [], []
-
-        # linear dynamics: m r'' - sum_i f_i = m g
-        vals.append(m * (acc - self.gravity) - f.sum(axis=1))
-        jacs.append(m * J_acc + _blocks(np.broadcast_to(-np.eye(3), (nd, 4, 3, 3)),
-                                        per_joint, 4 * nd) @ J_f)
+        out = {name: (A @ x - b, A) for name, (A, b) in self.linear.items()}
 
         # angular dynamics: I_w w' + w x I_w w - sum_i f_i x (r - p_i) = 0
-        h, M_th, M_tv, M_ta = _euler_dynamics(
-            dyn["th"][0], dyn["thv"][0], dyn["tha"][0], self.dyn_I_b)
+        th, thv, tha, r, f, p = np.split(
+            (self.dyn @ x).reshape(len(self.dyn_times), -1), [3, 6, 9, 12, 24], axis=1)
+        f, p = f.reshape(-1, 4, 3), p.reshape(-1, 4, 3)
+        h, M_th, M_tv, M_ta = _euler_dynamics(th, thv, tha, self.dyn_I_b)
         d = r[:, None] - p
         skew_f = skew(f)
-        vals.append(h - np.cross(f, d).sum(axis=1))
-        jacs.append(_blocks(M_th) @ dyn["th"][1] + _blocks(M_tv) @ dyn["thv"][1]
-                    + _blocks(M_ta) @ dyn["tha"][1]
-                    - _blocks(skew_f.sum(axis=1)) @ J_r
-                    + _blocks(skew(d), per_joint, 4 * nd) @ J_f
-                    + _blocks(skew_f, per_joint, 4 * nd) @ J_p)
+        s = self.angular_scale
+        blocks = np.concatenate([M_th, M_tv, M_ta, -skew_f.sum(axis=1),
+                                 *skew(d).swapaxes(0, 1), *skew_f.swapaxes(0, 1)], axis=2)
+        out["dynamics_angular"] = (s * (h - np.cross(f, d).sum(axis=1)).ravel(),
+                                   _blocks(s * blocks) @ self.dyn)
 
         # leg reach: |p_i - hip_i|^2 <= l_leg^2
-        (rk, J_rk), (thk, J_thk), (pk, J_pk) = (kin[k] for k in ("r", "th", "p"))
-        R = euler_to_matrix(thk)
+        r, th, p = np.split((self.kin @ x).reshape(len(self.kin_times), -1),
+                            [3, 6], axis=1)
+        p = p.reshape(-1, 4, 3)
         o = self.kin_hip_offsets
-        d = pk - rk[:, None] - np.einsum("nab,nib->nia", R, o)
-        grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(thk), o)
-        time_of = np.repeat(np.arange(nk), 4)
-        vals.append(np.einsum("nia,nia->ni", d, d) - tg.l_leg ** 2)
-        jacs.append(_blocks(2.0 * d.reshape(-1, 1, 3)) @ J_pk
-                    + _blocks(-2.0 * d.reshape(-1, 1, 3), time_of, nk) @ J_rk
-                    + _blocks(grad_th.reshape(-1, 1, 3), time_of, nk) @ J_thk)
+        d = p - r[:, None] - np.einsum("nab,nib->nia", euler_to_matrix(th), o)
+        grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(th), o)
+        grad_p = 2.0 * d[:, :, None] * np.eye(4)[:, :, None]
+        blocks = np.concatenate([-2.0 * d, grad_th, grad_p.reshape(-1, 4, 12)], axis=2)
+        out["leg_reach"] = ((np.einsum("nia,nia->ni", d, d) - self.tg.l_leg ** 2).ravel(),
+                            _blocks(blocks) @ self.kin)
 
-        # rigid foot length: overlapping stance pairs, then swing samples
-        d = (self.footlen_sel @ x).reshape(-1, 3)
-        vals.append((d * d).sum(axis=1) - tg.l_foot ** 2)
-        jacs.append(_blocks(2.0 * d[:, None]) @ self.footlen_sel)
-        for toe, heel, at in self.footlen_times:
-            d = pk[at, toe] - pk[at, heel]
-            vals.append((d * d).sum(axis=1) - tg.l_foot ** 2)
-            jacs.append(_blocks(np.stack([2.0 * d, -2.0 * d], axis=1)[:, :, None],
-                                4 * at[:, None] + [toe, heel], 4 * nk) @ J_pk)
+        # rigid foot length
+        d = (self.foot_diff @ x).reshape(-1, 3)
+        out["foot_length"] = ((d * d).sum(axis=1) - self.tg.l_foot ** 2,
+                              _blocks(2.0 * d[:, None]) @ self.foot_diff)
 
-        # stance constants on the floor, feet on or above it
-        stance = (self.stance_sel @ x).reshape(-1, 3)
-        vals.append(stance @ up - self.floor_h)
-        jacs.append(_blocks(np.broadcast_to(up, (len(stance), 1, 3))) @ self.stance_sel)
-        vals.append(p @ up - self.floor_h)
-        jacs.append(_blocks(np.broadcast_to(up, (4 * nd, 1, 3))) @ J_p)
-
-        # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
-        mu_up = FRICTION_RATIO * up
-        cone = np.stack([up, mu_up - self.tans[0], mu_up + self.tans[0],
-                         mu_up - self.tans[1], mu_up + self.tans[1]])
-        vals.append(self.cone.values(x) @ cone.T)
-        jacs.append(_blocks(np.broadcast_to(cone, (self.n_cone, 5, 3))) @ self.cone.S)
-
-        vals = np.concatenate([v.ravel() for v in vals])
-        jac = sparse.vstack(jacs, format="csr")
-        return vals * self.row_scale, sparse.diags(self.row_scale) @ jac
+        vals, jacs = zip(*(out[name] for name in self.groups))
+        return np.concatenate(vals), sparse.vstack(jacs, format="csr")
 
     def contact_wrench(self, x, times):
         """Net contact force and moment about the COM that the COM motion of
@@ -374,17 +368,9 @@ class ReducedProblem:
 
     # -- objective ---------------------------------------------------------
 
-    def _residuals(self, x):
-        """(group, weight, samples, residual) of every tracking term."""
-        return [(group, w, smp, (smp.values(x) - target).ravel())
-                for group, w, smp, target in self.terms]
-
     def _objective(self, x):
-        total, grad = 0.0, np.zeros(self.layout.n_vars)
-        for _, w, smp, res in self._residuals(x):
-            total += w * (res @ res)
-            grad += (2.0 * w) * (smp.S.T @ res)
-        return total, grad, self.hess
+        res = self.obj_A @ x - self.obj_b
+        return res @ res, 2.0 * (self.obj_A.T @ res), self.hess
 
     def objective(self, x):
         return self._o_memo.get(np.asarray(x, dtype=float), self._objective)
@@ -400,10 +386,9 @@ class ReducedProblem:
 
     def objective_breakdown(self, x):
         """Named objective terms: tracking and smoothness."""
-        out = {"data": 0.0, "velocity": 0.0, "acceleration": 0.0}
-        for group, w, _, res in self._residuals(x):
-            out[group] += float(w * (res @ res))
-        return out
+        res = self.obj_A @ np.asarray(x, dtype=float) - self.obj_b
+        return {group: float(res[sl] @ res[sl])
+                for group, sl in self.objective_rows.items()}
 
     # -- reporting ---------------------------------------------------------
 
