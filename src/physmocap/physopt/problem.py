@@ -53,8 +53,8 @@ class ReducedTargets:
     I_b: np.ndarray          # T x 3 x 3
     hip_offsets: np.ndarray  # T x 4 x 3, body frame COM -> each foot's hip
     floor: object
-    l_leg: float
-    l_foot: float
+    l_leg: np.ndarray        # 4, per foot joint: its chain's length from the hip
+    l_foot: np.ndarray       # 2, toe-heel distance of the left and right foot
     r_bound_vel: np.ndarray = field(init=False)   # 2 x 3
     theta_bound_vel: np.ndarray = field(init=False)
 
@@ -93,7 +93,7 @@ def targets_from_kinematic(motion, states, floor):
         times=np.arange(T) / motion.fps,
         r=states.r, theta=states.theta, feet=feet, I_b=states.I_b,
         hip_offsets=offsets, floor=floor,
-        l_leg=skeleton.l_leg, l_foot=skeleton.l_foot)
+        l_leg=np.array(skeleton.l_leg), l_foot=np.array(skeleton.l_foot))
 
 
 class _Memo:
@@ -226,18 +226,22 @@ class ReducedProblem:
         # constraint Jacobian, so those intervals get one row per pair of
         # stance phases that share a frame instead. Swing samples keep the
         # 0.08 s grid.
-        pairs = [(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
-                 for i, a in layout.stance if i == toe
-                 for k, b in layout.stance if k == heel
-                 if a.first_frame < b.first_frame + b.n_frames
-                 and b.first_frame < a.first_frame + a.n_frames]
-        diffs = [eye[_xyz([c for c, _ in pairs])] - eye[_xyz([c for _, c in pairs])]]
+        pairs = np.array([(side, a.const_col, b.const_col)
+                          for side, (toe, heel) in enumerate(self.FOOT_PAIRS)
+                          for i, a in layout.stance if i == toe
+                          for k, b in layout.stance if k == heel
+                          if a.first_frame < b.first_frame + b.n_frames
+                          and b.first_frame < a.first_frame + a.n_frames],
+                         dtype=int).reshape(-1, 3)
+        diffs, sides = [eye[_xyz(pairs[:, 1])] - eye[_xyz(pairs[:, 2])]], [pairs[:, 0]]
         contact = layout.in_contact(self.kin_times)
         feet = kin[2]      # rows 12 t + 3 i + axis
-        for toe, heel in self.FOOT_PAIRS:
+        for side, (toe, heel) in enumerate(self.FOOT_PAIRS):
             at = np.flatnonzero(~(contact[:, toe] & contact[:, heel]))
             diffs.append(feet[_xyz(12 * at + 3 * toe)] - feet[_xyz(12 * at + 3 * heel)])
+            sides.append(np.full(len(at), side))
         self.foot_diff = sparse.vstack(diffs, format="csr")
+        self.foot_l2 = targets.l_foot[np.concatenate(sides)] ** 2
 
         cone = layout.force_knot_sampler().S
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
@@ -259,13 +263,13 @@ class ReducedProblem:
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
-        # weight times leg length.  Geometry rows are already metre-scale.
-        # Without this the Newton system mixes magnitudes ~1e3 apart and the
-        # interior point stalls with a collapsed trust region.  Each group's
-        # scale is folded into its constants below.
+        # weight times the longest leg chain.  Geometry rows are already
+        # metre-scale.  Without this the Newton system mixes magnitudes ~1e3
+        # apart and the interior point stalls with a collapsed trust region.
+        # Each group's scale is folded into its constants below.
         weight = targets.mass * GRAVITY
         scale = {"dynamics_linear": 1.0 / weight,
-                 "dynamics_angular": 1.0 / (weight * targets.l_leg),
+                 "dynamics_angular": 1.0 / (weight * targets.l_leg.max()),
                  "force_cone": 1.0 / weight}
         self.angular_scale = scale["dynamics_angular"]
         self.row_scale = np.concatenate([np.full(size, scale.get(name, 1.0))
@@ -325,7 +329,7 @@ class ReducedProblem:
         out["dynamics_angular"] = (s * (h - np.cross(f, d).sum(axis=1)).ravel(),
                                    _blocks(s * blocks) @ self.dyn)
 
-        # leg reach: |p_i - hip_i|^2 <= l_leg^2
+        # leg reach: |p_i - hip_i|^2 <= l_leg_i^2
         r, th, p = np.split((self.kin @ x).reshape(len(self.kin_times), -1),
                             [3, 6], axis=1)
         p = p.reshape(-1, 4, 3)
@@ -339,7 +343,7 @@ class ReducedProblem:
 
         # rigid foot length
         d = (self.foot_diff @ x).reshape(-1, 3)
-        out["foot_length"] = ((d * d).sum(axis=1) - self.tg.l_foot ** 2,
+        out["foot_length"] = ((d * d).sum(axis=1) - self.foot_l2,
                               _blocks(2.0 * d[:, None]) @ self.foot_diff)
 
         vals, jacs = zip(*(out[name] for name in self.groups))
