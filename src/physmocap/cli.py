@@ -176,7 +176,8 @@ def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
         "kinematic_cost_terms": kin_report.cost_breakdown,
         "stages": [{"name": s.name, "objective": s.objective,
                     "max_violation": s.max_violation, "iters": s.n_iters,
-                    "status": s.status, "wall_time": s.wall_time}
+                    "status": s.status, "wall_time": s.wall_time,
+                    "violations": s.violations}
                    for s in phys_report.stages],
         "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t,
                               **kin_report.stops.get(n, {})}

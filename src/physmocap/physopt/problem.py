@@ -219,6 +219,7 @@ class ReducedProblem:
         kin = [layout.sampler(track, self.kin_times, order).S
                for track, order in KIN_SAMPLES]
         self.dyn, self.kin = _interleave(dyn, nd), _interleave(kin, nk)
+        forces, feet, kin_feet = dyn[4], dyn[5], kin[2]   # rows 12 t + 3 i + axis
 
         # Rigid foot length, as toe - heel differences. When toe and heel are
         # both planted the sampled rows all collapse onto the two stance
@@ -235,10 +236,10 @@ class ReducedProblem:
                          dtype=int).reshape(-1, 3)
         diffs, sides = [eye[_xyz(pairs[:, 1])] - eye[_xyz(pairs[:, 2])]], [pairs[:, 0]]
         contact = layout.in_contact(self.kin_times)
-        feet = kin[2]      # rows 12 t + 3 i + axis
         for side, (toe, heel) in enumerate(self.FOOT_PAIRS):
             at = np.flatnonzero(~(contact[:, toe] & contact[:, heel]))
-            diffs.append(feet[_xyz(12 * at + 3 * toe)] - feet[_xyz(12 * at + 3 * heel)])
+            diffs.append(kin_feet[_xyz(12 * at + 3 * toe)]
+                         - kin_feet[_xyz(12 * at + 3 * heel)])
             sides.append(np.full(len(at), side))
         self.foot_diff = sparse.vstack(diffs, format="csr")
         self.foot_l2 = targets.l_foot[np.concatenate(sides)] ** 2
@@ -285,11 +286,11 @@ class ReducedProblem:
         self.linear = {   # m r'' - sum_i f_i = m g
             "dynamics_linear": (
                 scale["dynamics_linear"]
-                * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn[4])),
+                * (m * acc - _per_sample(np.tile(np.eye(3), 4), forces)),
                 np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
             # stance constants on the floor, feet on or above it
             "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
-            "above_floor": (_per_sample(up[None], dyn[5]), self.floor_h),
+            "above_floor": (_per_sample(up[None], feet), self.floor_h),
             # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
             "force_cone": (_per_sample(scale["force_cone"] * faces, cone), 0.0)}
 

@@ -169,6 +169,11 @@ def test_optimize_writes_report_and_outputs(tmp_path):
 
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert [s["name"] for s in report["stages"]] == ["fit", "dynamics"]
+    for stage in report["stages"]:
+        assert set(stage["violations"]) == {
+            "dynamics_linear", "dynamics_angular", "leg_reach", "foot_length",
+            "stance_on_floor", "above_floor", "force_cone"}
+        assert stage["max_violation"] == max(stage["violations"].values())
     init = report["kinematic_stages"][0]
     assert init["name"] == "init" and init["cost"] is None
     contact = report["kinematic_stages"][1]
