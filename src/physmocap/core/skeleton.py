@@ -119,9 +119,8 @@ class SkeletonModel:
     is zero. bone_lengths are in meters. Joint angles everywhere are intrinsic
     Z-Y-X Euler. The leg layout is derived, so dataclasses.replace recomputes
     it: foot_joint_ids (CONTACT_JOINT_NAMES), foot_hip_ids (per foot joint,
-    its ancestor that hangs from the root), l_leg (per foot joint, its bone
-    lengths summed from that hip down to it) and l_foot (per side, left then
-    right, the rest toe-heel distance).
+    its ancestor that hangs from the root), l_foot (rest toe-heel distance)
+    and l_leg (bone lengths summed from the first foot's hip down to it).
     """
     joint_names: tuple = JOINT_NAMES
     parents: tuple = PARENTS
@@ -131,8 +130,8 @@ class SkeletonModel:
     segments: tuple = None
     foot_joint_ids: tuple = field(init=False)
     foot_hip_ids: tuple = field(init=False)
-    l_foot: tuple = field(init=False)
-    l_leg: tuple = field(init=False)
+    l_foot: float = field(init=False)
+    l_leg: float = field(init=False)
     _name_to_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,10 +158,8 @@ class SkeletonModel:
         set_("foot_joint_ids", feet)
         set_("foot_hip_ids", tuple(chain[0] for chain in chains))
         rest = self.rest_positions()
-        set_("l_leg", tuple(float(sum(self.bone_lengths[j] for j in chain[1:]))
-                            for chain in chains))
-        set_("l_foot", tuple(float(np.linalg.norm(rest[toe] - rest[heel]))
-                             for toe, heel in (feet[:2], feet[2:])))
+        set_("l_foot", float(np.linalg.norm(rest[feet[0]] - rest[feet[1]])))
+        set_("l_leg", float(sum(self.bone_lengths[j] for j in chains[0][1:])))
 
     def joint_id(self, name):
         return self._name_to_id[name]

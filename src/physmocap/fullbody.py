@@ -38,10 +38,9 @@ def upgrade_fullbody(kin_motion, traj):
 
     Each frame is solved by damped least-squares IK, warm-started from the
     kinematic pose carried to the new COM and orientation; all frames go to
-    ik_solve_frame as one batch. A foot target beyond its joint's own reach
-    (skeleton.l_leg, the chain from its hip) is projected back onto that
-    joint's reachable sphere around the hip; such frames are reported once
-    with a count.
+    ik_solve_frame as one batch. Foot targets beyond leg reach are projected
+    back onto the reachable sphere around the hip and reported once with a
+    frame count.
     """
     skeleton = kin_motion.skeleton
     positions = forward_kinematics(kin_motion)
@@ -53,9 +52,8 @@ def upgrade_fullbody(kin_motion, traj):
     feet = np.array(out["feet"], dtype=float)
     d = feet - hips
     reach = np.linalg.norm(d, axis=-1)
-    l_leg = np.broadcast_to(skeleton.l_leg, reach.shape)
-    far = reach > l_leg
-    feet[far] = hips[far] + d[far] * (l_leg[far] / reach[far])[:, None] * (1.0 - 1e-9)
+    far = reach > skeleton.l_leg
+    feet[far] = hips[far] + d[far] * (skeleton.l_leg / reach[far, None]) * (1.0 - 1e-9)
     targets[:, list(skeleton.foot_joint_ids)] = feet
     angles0 = kin_motion.joint_angles.copy()
     angles0[:, 0] = out["theta"]

@@ -15,13 +15,14 @@ spline knots and segment midpoints.
 
 Every sampled track value is S @ x for a constant sparse sample matrix S
 (trajectory.Samples), and every constant is built once with the problem.
-The objective sum_k w_k |S_k x - b_k|^2 is |A x - b|^2 for one stack A of
-the terms' rows, each scaled by sqrt(w_k): gradient 2 A^T (A x - b) and
-constant Hessian 2 A^T A. The four linear constraint groups are constant
-rows, A_g x - b_g. The nonlinear groups read one matrix per sample grid,
-its rows interleaved sample by sample, and the foot length one map of toe -
-heel differences; each group's Jacobian is one sparse product: the
-block-diagonal matrix of its per-sample derivative blocks times that matrix.
+The objective sum_k w_k |S_k x - b_k|^2 is (A x - b)^T W (A x - b) for one
+stack A of the terms' rows, their targets b and per-row weights W: gradient
+2 A^T W (A x - b) and constant Hessian 2 A^T W A, summed term by term. The
+four linear constraint groups are constant rows, A_g x - b_g. The nonlinear
+groups read one matrix per sample grid, its rows interleaved sample by
+sample (DYN_SAMPLES, KIN_SAMPLES), and the foot length one map of toe - heel
+differences; each group's Jacobian is one sparse product: the block-diagonal
+matrix of its per-sample derivative blocks times that matrix.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ class ReducedTargets:
     I_b: np.ndarray          # T x 3 x 3
     hip_offsets: np.ndarray  # T x 4 x 3, body frame COM -> each foot's hip
     floor: object
-    l_leg: np.ndarray        # 4, per foot joint: its chain's length from the hip
-    l_foot: np.ndarray       # 2, toe-heel distance of the left and right foot
+    l_leg: float
+    l_foot: float
     r_bound_vel: np.ndarray = field(init=False)   # 2 x 3
     theta_bound_vel: np.ndarray = field(init=False)
 
@@ -93,7 +94,7 @@ def targets_from_kinematic(motion, states, floor):
         times=np.arange(T) / motion.fps,
         r=states.r, theta=states.theta, feet=feet, I_b=states.I_b,
         hip_offsets=offsets, floor=floor,
-        l_leg=np.array(skeleton.l_leg), l_foot=np.array(skeleton.l_foot))
+        l_leg=skeleton.l_leg, l_foot=skeleton.l_foot)
 
 
 class _Memo:
@@ -126,12 +127,17 @@ def _xyz(cols):
 
 
 def _interleave(mats, n):
-    """The rows of sample matrices of n samples each, regrouped sample by
-    sample: sample s's rows of every matrix in turn."""
-    at = np.cumsum([0] + [M.shape[0] for M in mats])
+    """The rows of a dict of sample matrices of n samples each, regrouped sample
+    by sample, and each matrix's end column in one sample's values."""
+    at = np.cumsum([0] + [M.shape[0] for M in mats.values()])
     order = np.concatenate([(a + np.arange(b - a)).reshape(n, -1)
                             for a, b in zip(at[:-1], at[1:])], axis=1)
-    return sparse.vstack(mats, format="csr")[order.ravel()]
+    return sparse.vstack(list(mats.values()), format="csr")[order.ravel()], at[1:] // n
+
+
+def _unstack(M, ends, x):
+    """Each entry's values of interleaved sample rows M @ x: n x width."""
+    return np.split((M @ x).reshape(-1, ends[-1]), ends[:-1], axis=1)
 
 
 def _per_sample(block, M):
@@ -189,7 +195,8 @@ OBJECTIVE_TERMS = (
     ("acceleration", "theta", 2, 1e-4, None),
     ("acceleration", "feet", 2, 1e-4, None),
 )
-# (track, order) of the rows that the nonlinear groups read at each sample
+# (track, order) of the rows that the nonlinear groups read at each sample,
+# in their order in the interleaved sample matrices
 DYN_SAMPLES = (("theta", 0), ("theta", 1), ("theta", 2), ("r", 0),
                ("forces", 0), ("feet", 0))
 KIN_SAMPLES = (("r", 0), ("theta", 0), ("feet", 0))
@@ -214,12 +221,12 @@ class ReducedProblem:
         nd, nk = len(self.dyn_times), len(self.kin_times)
         self.dyn_I_b = targets.interp(targets.I_b, self.dyn_times)
         self.kin_hip_offsets = targets.interp(targets.hip_offsets, self.kin_times)
-        dyn = [layout.sampler(track, self.dyn_times, order).S
-               for track, order in DYN_SAMPLES]
-        kin = [layout.sampler(track, self.kin_times, order).S
-               for track, order in KIN_SAMPLES]
-        self.dyn, self.kin = _interleave(dyn, nd), _interleave(kin, nk)
-        forces, feet, kin_feet = dyn[4], dyn[5], kin[2]   # rows 12 t + 3 i + axis
+        dyn = {key: layout.sampler(key[0], self.dyn_times, key[1]).S
+               for key in DYN_SAMPLES}
+        kin = {key: layout.sampler(key[0], self.kin_times, key[1]).S
+               for key in KIN_SAMPLES}
+        self.dyn, self.dyn_ends = _interleave(dyn, nd)
+        self.kin, self.kin_ends = _interleave(kin, nk)
 
         # Rigid foot length, as toe - heel differences. When toe and heel are
         # both planted the sampled rows all collapse onto the two stance
@@ -227,22 +234,19 @@ class ReducedProblem:
         # constraint Jacobian, so those intervals get one row per pair of
         # stance phases that share a frame instead. Swing samples keep the
         # 0.08 s grid.
-        pairs = np.array([(side, a.const_col, b.const_col)
-                          for side, (toe, heel) in enumerate(self.FOOT_PAIRS)
+        pairs = np.array([(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
                           for i, a in layout.stance if i == toe
                           for k, b in layout.stance if k == heel
                           if a.first_frame < b.first_frame + b.n_frames
                           and b.first_frame < a.first_frame + a.n_frames],
-                         dtype=int).reshape(-1, 3)
-        diffs, sides = [eye[_xyz(pairs[:, 1])] - eye[_xyz(pairs[:, 2])]], [pairs[:, 0]]
+                         dtype=int).reshape(-1, 2)
+        diffs = [eye[_xyz(pairs[:, 0])] - eye[_xyz(pairs[:, 1])]]
         contact = layout.in_contact(self.kin_times)
-        for side, (toe, heel) in enumerate(self.FOOT_PAIRS):
+        for toe, heel in self.FOOT_PAIRS:    # kin["feet", 0] rows: 12 t + 3 i + axis
             at = np.flatnonzero(~(contact[:, toe] & contact[:, heel]))
-            diffs.append(kin_feet[_xyz(12 * at + 3 * toe)]
-                         - kin_feet[_xyz(12 * at + 3 * heel)])
-            sides.append(np.full(len(at), side))
+            diffs.append(kin["feet", 0][_xyz(12 * at + 3 * toe)]
+                         - kin["feet", 0][_xyz(12 * at + 3 * heel)])
         self.foot_diff = sparse.vstack(diffs, format="csr")
-        self.foot_l2 = targets.l_foot[np.concatenate(sides)] ** 2
 
         cone = layout.force_knot_sampler().S
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
@@ -264,15 +268,14 @@ class ReducedProblem:
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
-        # weight times the longest leg chain.  Geometry rows are already
-        # metre-scale.  Without this the Newton system mixes magnitudes ~1e3
-        # apart and the interior point stalls with a collapsed trust region.
-        # Each group's scale is folded into its constants below.
+        # weight times leg length.  Geometry rows are already metre-scale.
+        # Without this the Newton system mixes magnitudes ~1e3 apart and the
+        # interior point stalls with a collapsed trust region.  Each group's
+        # scale is folded into its constants below.
         weight = targets.mass * GRAVITY
-        scale = {"dynamics_linear": 1.0 / weight,
-                 "dynamics_angular": 1.0 / (weight * targets.l_leg.max()),
-                 "force_cone": 1.0 / weight}
-        self.angular_scale = scale["dynamics_angular"]
+        self.scale = scale = {"dynamics_linear": 1.0 / weight,
+                              "dynamics_angular": 1.0 / (weight * targets.l_leg),
+                              "force_cone": 1.0 / weight}
         self.row_scale = np.concatenate([np.full(size, scale.get(name, 1.0))
                                          for name, size in sizes.items()])
         self.c_lb, self.c_ub = lb * self.row_scale, ub * self.row_scale
@@ -286,28 +289,29 @@ class ReducedProblem:
         self.linear = {   # m r'' - sum_i f_i = m g
             "dynamics_linear": (
                 scale["dynamics_linear"]
-                * (m * acc - _per_sample(np.tile(np.eye(3), 4), forces)),
+                * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn["forces", 0])),
                 np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
             # stance constants on the floor, feet on or above it
             "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
-            "above_floor": (_per_sample(up[None], feet), self.floor_h),
+            "above_floor": (_per_sample(up[None], dyn["feet", 0]), self.floor_h),
             # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
             "force_cone": (_per_sample(scale["force_cone"] * faces, cone), 0.0)}
 
-        # the objective: every term's rows scaled by sqrt(w) in one stack A
-        # and target b, so that it is |A x - b|^2
-        rows, target, self.objective_rows = [], [], {}
-        for group, track, order, w, name in OBJECTIVE_TERMS:
-            S = np.sqrt(w) * layout.sampler(track, targets.times, order).S
-            at = sum(r.shape[0] for r in rows)     # the term's first row
-            first = self.objective_rows.get(group, slice(at, None)).start
-            self.objective_rows[group] = slice(first, at + S.shape[0])
+        # the objective: every term's rows in one stack A, with per row its target
+        # b, weight w and group (objective_groups); the Hessian summed per term
+        self.objective_groups = list(dict.fromkeys(g for g, *_ in OBJECTIVE_TERMS))
+        rows, target = [], []
+        self.hess = sparse.csr_matrix((layout.n_vars, layout.n_vars))
+        for _, track, order, w, name in OBJECTIVE_TERMS:
+            S = layout.sampler(track, targets.times, order).S
             rows.append(S)
-            target.append(np.sqrt(w) * getattr(targets, name).ravel() if name
-                          else np.zeros(S.shape[0]))
-        self.obj_A = sparse.vstack(rows, format="csr")
-        self.obj_b = np.concatenate(target)
-        self.hess = 2.0 * (self.obj_A.T @ self.obj_A)
+            target.append(getattr(targets, name).ravel() if name else np.zeros(S.shape[0]))
+            self.hess = self.hess + (2.0 * w) * (S.T @ S)
+        sizes = [S.shape[0] for S in rows]
+        self.obj_A, self.obj_b = sparse.vstack(rows, format="csr"), np.concatenate(target)
+        self.obj_w = np.repeat([w for *_, w, _ in OBJECTIVE_TERMS], sizes)
+        self.obj_group = np.repeat([self.objective_groups.index(g)
+                                    for g, *_ in OBJECTIVE_TERMS], sizes)
 
         self._c_memo = _Memo()
         self._o_memo = _Memo()
@@ -318,33 +322,36 @@ class ReducedProblem:
         out = {name: (A @ x - b, A) for name, (A, b) in self.linear.items()}
 
         # angular dynamics: I_w w' + w x I_w w - sum_i f_i x (r - p_i) = 0
-        th, thv, tha, r, f, p = np.split(
-            (self.dyn @ x).reshape(len(self.dyn_times), -1), [3, 6, 9, 12, 24], axis=1)
-        f, p = f.reshape(-1, 4, 3), p.reshape(-1, 4, 3)
-        h, M_th, M_tv, M_ta = _euler_dynamics(th, thv, tha, self.dyn_I_b)
+        v = dict(zip(DYN_SAMPLES, _unstack(self.dyn, self.dyn_ends, x)))
+        r, f, p = v["r", 0], v["forces", 0].reshape(-1, 4, 3), v["feet", 0].reshape(-1, 4, 3)
+        h, *M_theta = _euler_dynamics(*(v["theta", k] for k in range(3)), self.dyn_I_b)
         d = r[:, None] - p
         skew_f = skew(f)
-        s = self.angular_scale
-        blocks = np.concatenate([M_th, M_tv, M_ta, -skew_f.sum(axis=1),
-                                 *skew(d).swapaxes(0, 1), *skew_f.swapaxes(0, 1)], axis=2)
-        out["dynamics_angular"] = (s * (h - np.cross(f, d).sum(axis=1)).ravel(),
-                                   _blocks(s * blocks) @ self.dyn)
+        blocks = {("r", 0): -skew_f.sum(axis=1),
+                  ("forces", 0): np.concatenate(skew(d).swapaxes(0, 1), axis=2),
+                  ("feet", 0): np.concatenate(skew_f.swapaxes(0, 1), axis=2)}
+        blocks.update({("theta", k): M for k, M in enumerate(M_theta)})
+        s = self.scale["dynamics_angular"]
+        out["dynamics_angular"] = (
+            s * (h - np.cross(f, d).sum(axis=1)).ravel(),
+            _blocks(s * np.concatenate([blocks[k] for k in DYN_SAMPLES], axis=2)) @ self.dyn)
 
-        # leg reach: |p_i - hip_i|^2 <= l_leg_i^2
-        r, th, p = np.split((self.kin @ x).reshape(len(self.kin_times), -1),
-                            [3, 6], axis=1)
-        p = p.reshape(-1, 4, 3)
-        o = self.kin_hip_offsets
-        d = p - r[:, None] - np.einsum("nab,nib->nia", euler_to_matrix(th), o)
-        grad_th = -2.0 * np.einsum("nia,nabc,nib->nic", d, euler_to_matrix_grad(th), o)
-        grad_p = 2.0 * d[:, :, None] * np.eye(4)[:, :, None]
-        blocks = np.concatenate([-2.0 * d, grad_th, grad_p.reshape(-1, 4, 12)], axis=2)
+        # leg reach: |p_i - hip_i|^2 <= l_leg^2
+        v = dict(zip(KIN_SAMPLES, _unstack(self.kin, self.kin_ends, x)))
+        th, o = v["theta", 0], self.kin_hip_offsets
+        d = (v["feet", 0].reshape(-1, 4, 3) - v["r", 0][:, None]
+             - np.einsum("nab,nib->nia", euler_to_matrix(th), o))
+        blocks = {("r", 0): -2.0 * d,
+                  ("theta", 0): -2.0 * np.einsum("nia,nabc,nib->nic", d,
+                                                 euler_to_matrix_grad(th), o),
+                  ("feet", 0): (2.0 * d[:, :, None] * np.eye(4)[:, :, None]).reshape(-1, 4, 12)}
         out["leg_reach"] = ((np.einsum("nia,nia->ni", d, d) - self.tg.l_leg ** 2).ravel(),
-                            _blocks(blocks) @ self.kin)
+                            _blocks(np.concatenate([blocks[k] for k in KIN_SAMPLES],
+                                                   axis=2)) @ self.kin)
 
         # rigid foot length
         d = (self.foot_diff @ x).reshape(-1, 3)
-        out["foot_length"] = ((d * d).sum(axis=1) - self.foot_l2,
+        out["foot_length"] = ((d * d).sum(axis=1) - self.tg.l_foot ** 2,
                               _blocks(2.0 * d[:, None]) @ self.foot_diff)
 
         vals, jacs = zip(*(out[name] for name in self.groups))
@@ -375,7 +382,8 @@ class ReducedProblem:
 
     def _objective(self, x):
         res = self.obj_A @ x - self.obj_b
-        return res @ res, 2.0 * (self.obj_A.T @ res), self.hess
+        w_res = self.obj_w * res
+        return res @ w_res, self.obj_A.T @ (2.0 * w_res), self.hess
 
     def objective(self, x):
         return self._o_memo.get(np.asarray(x, dtype=float), self._objective)
@@ -392,8 +400,8 @@ class ReducedProblem:
     def objective_breakdown(self, x):
         """Named objective terms: tracking and smoothness."""
         res = self.obj_A @ np.asarray(x, dtype=float) - self.obj_b
-        return {group: float(res[sl] @ res[sl])
-                for group, sl in self.objective_rows.items()}
+        sums = np.bincount(self.obj_group, weights=self.obj_w * res * res)
+        return dict(zip(self.objective_groups, sums.tolist()))
 
     # -- reporting ---------------------------------------------------------
 

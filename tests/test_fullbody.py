@@ -1,13 +1,10 @@
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from physmocap import fullbody
 from physmocap.core.kinematics import compute_com_inertia, fk_positions_rotations
 from physmocap.core.rotation import wrap_angle
-from physmocap.core.types import JointAngleMotion
 from physmocap.fullbody import upgrade_fullbody
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
@@ -78,33 +75,3 @@ def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
                        str(w.message)) for w in record]
     assert [int(m.group(1)) for m in counts if m] == [motion.n_frames]
     assert np.isfinite(out.root_pos).all() and np.isfinite(out.joint_angles).all()
-
-
-def test_upgrade_projects_each_foot_onto_its_own_reach(stand_clip, monkeypatch):
-    """With a shortened right shank every foot joint has its own reach: a
-    target just beyond it, straight below the hip, is moved onto that
-    joint's own sphere, and targets within reach stay where they are."""
-    skel = stand_clip.motion.skeleton
-    lengths = skel.bone_lengths.copy()
-    lengths[skel.joint_id("right_ankle")] -= 0.05
-    short = dataclasses.replace(skel, bone_lengths=lengths)
-    m = stand_clip.motion
-    motion = JointAngleMotion(short, m.fps, m.root_pos, m.joint_angles)
-    traj, positions = _echo_of(motion)
-    hips = positions[:, list(short.foot_hip_ids)]
-    # toes 1 mm inside their reach, heels 1 mm beyond theirs
-    reach = np.array(short.l_leg) + np.array([-1e-3, 1e-3, -1e-3, 1e-3])
-    traj._feet = hips - reach[:, None] * stand_clip.floor.normal
-    seen = {}
-
-    def capture(skeleton, targets, weights, root_pos0, angles0):
-        seen["feet"] = targets[:, list(skeleton.foot_joint_ids)]
-        return root_pos0, angles0
-
-    monkeypatch.setattr(fullbody, "ik_solve_frame", capture)
-    with pytest.warns(UserWarning, match="reach"):
-        upgrade_fullbody(motion, traj)
-    got = np.linalg.norm(seen["feet"] - hips, axis=-1)
-    heels = np.array(short.l_leg)[1::2]
-    assert np.abs(got[:, 1::2] - heels).max() < 1e-8
-    assert np.abs(got[:, ::2] - reach[::2]).max() < 1e-12

@@ -1,6 +1,4 @@
 """Tests for the reduced-body trajectory optimization stack."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from physmocap.cli import _grf_trace
 from physmocap.contact.heuristic import velocity_baseline_3d
 from physmocap.core.kinematics import GRAVITY, compute_com_inertia
 from physmocap.core.rotation import euler_to_matrix
-from physmocap.core.types import JointAngleMotion
 from physmocap.metrics import implied_grf
 from physmocap.physopt.problem import (FRICTION_RATIO, OBJECTIVE_TERMS,
                                        ReducedProblem, targets_from_kinematic)
@@ -238,10 +235,9 @@ def test_problem_gradients_match_fd(hop_setup):
         assert err < 1e-5
 
 
-def _reference_constraints(problem, x, l_leg, l_foot):
+def _reference_constraints(problem, x):
     """Every constraint group, unscaled, evaluated from layout.sampler values
-    by the model's equations rather than by the problem's matrices. l_leg
-    holds one reach per foot joint, l_foot one length per side."""
+    by the model's equations rather than by the problem's matrices."""
     lay, tg = problem.layout, problem.tg
     up, tans = tg.floor.normal, tg.floor.tangents
     floor_h = up @ tg.floor.point
@@ -254,21 +250,21 @@ def _reference_constraints(problem, x, l_leg, l_foot):
     rk, thk, pk = (lay.sampler(track, tk).values(x) for track in ("r", "theta", "feet"))
     hips = rk[:, None] + np.einsum("nab,nib->nia", euler_to_matrix(thk),
                                    tg.interp(tg.hip_offsets, tk))
-    out["leg_reach"] = ((pk - hips) ** 2).sum(axis=-1) - np.square(l_leg)
+    out["leg_reach"] = ((pk - hips) ** 2).sum(axis=-1) - tg.l_leg ** 2
     # foot length: stance phases of toe and heel that share a frame, then
     # the 0.08 s samples where the two are not both in contact
     feet = ((0, 1), (2, 3))
     const = {(i, ph.first_frame): x[ph.const_col:ph.const_col + 3] for i, ph in lay.stance}
     rows = [((const[toe, a.first_frame] - const[heel, b.first_frame]) ** 2).sum()
-            - l_foot[side] ** 2
-            for side, (toe, heel) in enumerate(feet)
+            - tg.l_foot ** 2
+            for toe, heel in feet
             for i, a in lay.stance if i == toe for k, b in lay.stance if k == heel
             if a.first_frame < b.first_frame + b.n_frames
             and b.first_frame < a.first_frame + a.n_frames]
     contact = lay.in_contact(tk)
-    for side, (toe, heel) in enumerate(feet):
+    for toe, heel in feet:
         at = ~(contact[:, toe] & contact[:, heel])
-        rows += list(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - l_foot[side] ** 2)
+        rows += list(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot ** 2)
     out["foot_length"] = np.array(rows)
     out["stance_on_floor"] = np.array([c @ up - floor_h for c in const.values()])
     out["above_floor"] = p @ up - floor_h
@@ -279,16 +275,6 @@ def _reference_constraints(problem, x, l_leg, l_foot):
     return out
 
 
-def _assert_matches_reference(problem, x, l_leg, l_foot):
-    c = problem.constraint_fun(x) / problem.row_scale
-    ref = _reference_constraints(problem, x, l_leg, l_foot)
-    assert list(ref) == list(problem.groups)
-    for name, sl in problem.groups.items():
-        want = ref[name].ravel()
-        assert want.shape == c[sl].shape, name
-        assert np.abs(c[sl] - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), name
-
-
 def test_constraints_match_an_independent_reference(hop_setup):
     """constraint_fun equals the model's equations evaluated directly from
     the layout's samples, group by group and row by row, at random x."""
@@ -296,8 +282,14 @@ def test_constraints_match_an_independent_reference(hop_setup):
     problem = ReducedProblem(layout, targets)
     rng = np.random.default_rng(10)
     for _ in range(3):
-        _assert_matches_reference(problem, _random_x(layout, rng),
-                                  targets.l_leg, targets.l_foot)
+        x = _random_x(layout, rng)
+        c = problem.constraint_fun(x) / problem.row_scale
+        ref = _reference_constraints(problem, x)
+        assert list(ref) == list(problem.groups)
+        for name, sl in problem.groups.items():
+            want = ref[name].ravel()
+            assert want.shape == c[sl].shape, name
+            assert np.abs(c[sl] - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), name
 
 
 def test_linear_groups_are_affine(hop_setup):
@@ -316,30 +308,6 @@ def test_linear_groups_are_affine(hop_setup):
         assert (Jx[sl] != Jy[sl]).nnz == 0, name
         step = Jx[sl] @ d
         assert np.abs(cd[sl] - cx[sl] - step).max() <= 1e-12 * max(1.0, np.abs(step).max())
-
-
-def test_each_foot_has_its_own_reach_and_length(hop_clip):
-    """On a skeleton with a shortened right shank and a longer right heel
-    bone, every foot joint's leg_reach rows use its own chain from the hip,
-    and each side's foot_length rows use its own foot."""
-    skel = hop_clip.motion.skeleton
-    lengths = skel.bone_lengths.copy()
-    lengths[skel.joint_id("right_ankle")] -= 0.05
-    lengths[skel.joint_id("right_heel")] += 0.01
-    short = dataclasses.replace(skel, bone_lengths=lengths)
-    m = hop_clip.motion
-    motion = JointAngleMotion(short, m.fps, m.root_pos, m.joint_angles)
-    targets = targets_from_kinematic(motion, compute_com_inertia(motion), hop_clip.floor)
-    problem = ReducedProblem(TrajectoryLayout(hop_clip.contacts), targets)
-    bone = dict(zip(short.joint_names, lengths))
-    l_leg = [bone[f"{side}_knee"] + bone[f"{side}_ankle"] + bone[f"{side}_{end}"]
-             for side in ("left", "right") for end in ("toe", "heel")]
-    rest = short.rest_positions()
-    toe, heel, rtoe, rheel = short.foot_joint_ids
-    l_foot = [np.linalg.norm(rest[toe] - rest[heel]), np.linalg.norm(rest[rtoe] - rest[rheel])]
-    assert len(set(np.round(l_leg, 9))) == 4 and l_foot[0] != l_foot[1]
-    x = initial_guess(problem)
-    _assert_matches_reference(problem, x, l_leg, l_foot)
 
 
 def test_objective_breakdown_sums_the_weighted_terms(hop_setup):
