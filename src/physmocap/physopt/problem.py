@@ -307,11 +307,11 @@ class ReducedProblem:
             rows.append(S)
             target.append(getattr(targets, name).ravel() if name else np.zeros(S.shape[0]))
             self.hess = self.hess + (2.0 * w) * (S.T @ S)
-        sizes = [S.shape[0] for S in rows]
+        term_rows = [S.shape[0] for S in rows]
         self.obj_A, self.obj_b = sparse.vstack(rows, format="csr"), np.concatenate(target)
-        self.obj_w = np.repeat([w for *_, w, _ in OBJECTIVE_TERMS], sizes)
+        self.obj_w = np.repeat([w for *_, w, _ in OBJECTIVE_TERMS], term_rows)
         self.obj_group = np.repeat([self.objective_groups.index(g)
-                                    for g, *_ in OBJECTIVE_TERMS], sizes)
+                                    for g, *_ in OBJECTIVE_TERMS], term_rows)
 
         self._c_memo = _Memo()
         self._o_memo = _Memo()
