@@ -228,22 +228,29 @@ class ReducedProblem:
         self.dyn, self.dyn_ends = _interleave(dyn, nd)
         self.kin, self.kin_ends = _interleave(kin, nk)
 
-        # Rigid foot length, as toe - heel differences. When toe and heel are
-        # both planted the sampled rows all collapse onto the two stance
-        # constants, which would give duplicated equality rows and a singular
-        # constraint Jacobian, so those intervals get one row per pair of
-        # stance phases that share a frame instead. Swing samples keep the
-        # 0.08 s grid.
+        # A sampled foot row that reads stance constants alone repeats a
+        # per-phase row: stance_on_floor, or the foot length of a pair of toe
+        # and heel stance phases that share a frame or meet at a phase bound.
+        # Such samples get no row, so no equality row is stated twice.
+        stance = eye[_xyz([ph.const_col for _, ph in layout.stance])]
+        other = np.ones(layout.n_vars)
+        other[stance.indices] = 0.0
+
+        def moves(feet):
+            """Per sample and foot joint: whether it reads a non-stance column."""
+            return (abs(feet) @ other > 0).reshape(-1, 4, 3).any(axis=2)
+
+        floor_rows = _per_sample(up[None], dyn["feet", 0])[moves(dyn["feet", 0]).ravel()]
         pairs = np.array([(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
                           for i, a in layout.stance if i == toe
                           for k, b in layout.stance if k == heel
-                          if a.first_frame < b.first_frame + b.n_frames
-                          and b.first_frame < a.first_frame + a.n_frames],
+                          if a.first_frame <= b.first_frame + b.n_frames
+                          and b.first_frame <= a.first_frame + a.n_frames],
                          dtype=int).reshape(-1, 2)
         diffs = [eye[_xyz(pairs[:, 0])] - eye[_xyz(pairs[:, 1])]]
-        contact = layout.in_contact(self.kin_times)
+        kin_moves = moves(kin["feet", 0])
         for toe, heel in self.FOOT_PAIRS:    # kin["feet", 0] rows: 12 t + 3 i + axis
-            at = np.flatnonzero(~(contact[:, toe] & contact[:, heel]))
+            at = np.flatnonzero(kin_moves[:, toe] | kin_moves[:, heel])
             diffs.append(kin["feet", 0][_xyz(12 * at + 3 * toe)]
                          - kin["feet", 0][_xyz(12 * at + 3 * heel)])
         self.foot_diff = sparse.vstack(diffs, format="csr")
@@ -252,7 +259,7 @@ class ReducedProblem:
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
                  "leg_reach": 4 * nk, "foot_length": self.foot_diff.shape[0] // 3,
                  "stance_on_floor": len(layout.stance),
-                 "above_floor": 4 * nd, "force_cone": 5 * cone.shape[0] // 3}
+                 "above_floor": floor_rows.shape[0], "force_cone": 5 * cone.shape[0] // 3}
         ends = np.cumsum(list(sizes.values()))
         self.groups = {name: slice(end - size, end)
                        for (name, size), end in zip(sizes.items(), ends)}
@@ -264,7 +271,8 @@ class ReducedProblem:
         ub[sl["above_floor"]] = np.inf              # above floor: >= 0
         cone_rows = np.arange(sl["force_cone"].start, self.n_rows)
         ub[cone_rows] = np.inf
-        ub[cone_rows[::5]] = FORCE_MAX              # 0 <= f.n <= FORCE_MAX
+        lb[cone_rows[::5]] = -np.inf                # f.n <= FORCE_MAX; f.n >= 0
+        ub[cone_rows[::5]] = FORCE_MAX              # is the sum of two faces
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
@@ -285,16 +293,15 @@ class ReducedProblem:
         mu_up = FRICTION_RATIO * up
         faces = np.stack([up, mu_up - self.tans[0], mu_up + self.tans[0],
                           mu_up - self.tans[1], mu_up + self.tans[1]])
-        stance = eye[_xyz([ph.const_col for _, ph in layout.stance])]
         self.linear = {   # m r'' - sum_i f_i = m g
             "dynamics_linear": (
                 scale["dynamics_linear"]
                 * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn["forces", 0])),
                 np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
-            # stance constants on the floor, feet on or above it
+            # stance constants on the floor, moving feet on or above it
             "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
-            "above_floor": (_per_sample(up[None], dyn["feet", 0]), self.floor_h),
-            # friction cones: 0 <= f.n, |f.t| <= mu f.n per tangent
+            "above_floor": (floor_rows, self.floor_h),
+            # friction cones: f.n <= FORCE_MAX, |f.t| <= mu f.n per tangent
             "force_cone": (_per_sample(scale["force_cone"] * faces, cone), 0.0)}
 
         # the objective: every term's rows in one stack A, with per row its target

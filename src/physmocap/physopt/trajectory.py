@@ -138,12 +138,17 @@ class TrajectoryLayout:
         return base, base + 3
 
     def phase_of(self, i, times):
-        """Phase index of foot joint i at each time, and the time into it."""
+        """Phase index of foot joint i at each time, and the time into it.
+        Phase bounds come from frame counts, so each frame time falls in its
+        label's phase, and a time within rounding of a bound is put on it: at
+        a flight phase's start its spline reads its tied stance constant alone."""
         phases = self.joint_phases[i]
-        # ends from frame counts, so each frame time falls in its label's phase
-        ends = np.array([ph.first_frame + ph.n_frames for ph in phases]) / self.fps
-        j = np.minimum(np.searchsorted(ends, times, side="right"), len(phases) - 1)
-        return j, times - np.array([ph.start for ph in phases])[j]
+        bounds = np.array([ph.first_frame for ph in phases]
+                          + [phases[-1].first_frame + phases[-1].n_frames]) / self.fps
+        near = np.abs(times[:, None] - bounds) < 1e-9
+        times = np.where(near.any(axis=1), bounds[near.argmax(axis=1)], times)
+        j = np.minimum(np.searchsorted(bounds[1:], times, side="right"), len(phases) - 1)
+        return j, times - bounds[j]
 
     def in_contact(self, times):
         """T x 4 flags: whether each foot joint is in a stance phase at each time."""

@@ -235,6 +235,20 @@ def test_problem_gradients_match_fd(hop_setup):
         assert err < 1e-5
 
 
+FOOT_PAIRS = ((0, 1), (2, 3))
+
+
+def _stance_pair_lengths(lay, x, l_foot):
+    """Foot-length rows of the stance phases of a toe and its heel that
+    share a frame or meet at a phase bound."""
+    return np.array([((x[a.const_col:a.const_col + 3] - x[b.const_col:b.const_col + 3]) ** 2
+                      ).sum() - l_foot ** 2
+                     for toe, heel in FOOT_PAIRS
+                     for i, a in lay.stance if i == toe for k, b in lay.stance if k == heel
+                     if a.first_frame <= b.first_frame + b.n_frames
+                     and b.first_frame <= a.first_frame + a.n_frames])
+
+
 def _reference_constraints(problem, x):
     """Every constraint group, unscaled, evaluated from layout.sampler values
     by the model's equations rather than by the problem's matrices."""
@@ -251,23 +265,17 @@ def _reference_constraints(problem, x):
     hips = rk[:, None] + np.einsum("nab,nib->nia", euler_to_matrix(thk),
                                    tg.interp(tg.hip_offsets, tk))
     out["leg_reach"] = ((pk - hips) ** 2).sum(axis=-1) - tg.l_leg ** 2
-    # foot length: stance phases of toe and heel that share a frame, then
-    # the 0.08 s samples where the two are not both in contact
-    feet = ((0, 1), (2, 3))
-    const = {(i, ph.first_frame): x[ph.const_col:ph.const_col + 3] for i, ph in lay.stance}
-    rows = [((const[toe, a.first_frame] - const[heel, b.first_frame]) ** 2).sum()
-            - tg.l_foot ** 2
-            for toe, heel in feet
-            for i, a in lay.stance if i == toe for k, b in lay.stance if k == heel
-            if a.first_frame < b.first_frame + b.n_frames
-            and b.first_frame < a.first_frame + a.n_frames]
+    # foot length: stance pairs, then the 0.08 s samples where toe and heel
+    # are not both in contact
+    rows = [_stance_pair_lengths(lay, x, tg.l_foot)]
     contact = lay.in_contact(tk)
-    for toe, heel in feet:
+    for toe, heel in FOOT_PAIRS:
         at = ~(contact[:, toe] & contact[:, heel])
-        rows += list(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot ** 2)
-    out["foot_length"] = np.array(rows)
-    out["stance_on_floor"] = np.array([c @ up - floor_h for c in const.values()])
-    out["above_floor"] = p @ up - floor_h
+        rows.append(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot ** 2)
+    out["foot_length"] = np.concatenate(rows)
+    out["stance_on_floor"] = np.array([x[ph.const_col:ph.const_col + 3] @ up - floor_h
+                                       for _, ph in lay.stance])
+    out["above_floor"] = (p @ up - floor_h)[~lay.in_contact(td)]
     fk = lay.force_knot_sampler().values(x)
     mu_up = FRICTION_RATIO * up
     out["force_cone"] = np.stack([fk @ up, fk @ (mu_up - tans[0]), fk @ (mu_up + tans[0]),
@@ -290,6 +298,86 @@ def test_constraints_match_an_independent_reference(hop_setup):
             want = ref[name].ravel()
             assert want.shape == c[sl].shape, name
             assert np.abs(c[sl] - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), name
+
+
+def _gt_problem(clip):
+    targets = targets_from_kinematic(clip.motion, compute_com_inertia(clip.motion),
+                                     clip.floor)
+    return ReducedProblem(TrajectoryLayout(clip.contacts), targets)
+
+
+@pytest.fixture(scope="module")
+def rank_clips():
+    """The exact suite and plausibility walk_00 at seed 0, GT targets and labels."""
+    walk = next(s for s in dataset.plausibility_suite() if s.name == "walk_00")
+    return dataset.generate_suite(dataset.exact_suite(), seed=0) + [generate(walk, seed=0)]
+
+
+def test_equality_and_floor_rows_have_full_rank(rank_clips):
+    """At the initial guess, the equality rows and the above_floor rows have
+    full row rank in the dynamics stage's columns: no row repeats another, so
+    the NLP meets LICQ there. walk_00 has dynamics samples within rounding of
+    a flight phase's start, which read the tied stance constant alone."""
+    names = ("dynamics_linear", "dynamics_angular", "foot_length",
+             "stance_on_floor", "above_floor")
+    for clip in rank_clips:
+        problem = _gt_problem(clip)
+        lay = problem.layout
+        rows = np.concatenate([np.arange(problem.n_rows)[problem.groups[g]] for g in names])
+        free = np.setdiff1d(np.arange(lay.n_vars), lay.bound_vel_cols)
+        J = problem.constraint_jac(initial_guess(problem))[rows][:, free].toarray()
+        assert np.linalg.matrix_rank(J) == len(rows), clip.name
+
+
+@pytest.mark.parametrize("name", ["hop_a", "walk_00"])
+def test_dropped_sample_rows_are_implied(name, rank_clips):
+    """Every dynamics-grid foot sample is an above_floor row or, with every
+    stance constant on the floor, reads the floor height; every 0.08 s
+    toe-heel sample is a foot_length row or equals a stance pair's row."""
+    problem = _gt_problem(next(c for c in rank_clips if c.name.startswith(name)))
+    lay, tg = problem.layout, problem.tg
+    up = tg.floor.normal
+    x = _random_x(lay, np.random.default_rng(13))
+    for _, ph in lay.stance:
+        c = x[ph.const_col:ph.const_col + 3]
+        c -= (up @ c - problem.floor_h) * up
+    vals = problem.constraint_fun(x) / problem.row_scale
+
+    heights = (lay.sampler("feet", problem.dyn_times).values(x) @ up - problem.floor_h).ravel()
+    dropped = np.abs(heights) <= 1e-12
+    assert dropped.any()
+    assert np.allclose(vals[problem.groups["above_floor"]], heights[~dropped],
+                       rtol=0, atol=1e-12)
+
+    pairs = _stance_pair_lengths(lay, x, tg.l_foot)
+    feet = lay.sampler("feet", problem.kin_times).values(x)
+    lengths = np.concatenate([((feet[:, toe] - feet[:, heel]) ** 2).sum(axis=1)
+                              for toe, heel in FOOT_PAIRS]) - tg.l_foot ** 2
+    dropped = np.isclose(lengths[:, None], pairs, rtol=0, atol=1e-12).any(axis=1)
+    assert dropped.any()
+    assert np.allclose(vals[problem.groups["foot_length"]],
+                       np.concatenate([pairs, lengths[~dropped]]), rtol=0, atol=1e-12)
+
+
+def test_force_with_negative_normal_violates_a_face(hop_setup):
+    """The cone's normal row bounds f.n from above only: f.n >= 0 is the sum
+    of two faces, (mu n - t).f + (mu n + t).f = 2 mu f.n, so a force pushing
+    into the floor still violates a face at every cone sample."""
+    problem = ReducedProblem(*hop_setup[:2])
+    lay, floor = problem.layout, problem.tg.floor
+    sl = problem.groups["force_cone"]
+    assert np.all(problem.c_lb[sl][::5] == -np.inf)
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        t = rng.normal(size=2) * rng.uniform(0.0, 200.0)
+        f = -rng.uniform(1.0, 200.0) * floor.normal + t @ floor.tangents
+        x = np.zeros(lay.n_vars)
+        for _, ph in lay.stance:
+            for k in range(ph.n_segs + 1):
+                x[ph.force_col + 6 * k:ph.force_col + 6 * k + 3] = f
+        rows = (problem.constraint_fun(x)[sl]).reshape(-1, 5)
+        assert (rows[:, 1:] < problem.c_lb[sl].reshape(-1, 5)[:, 1:]).any(axis=1).all()
+        assert problem.violation_by_group(x)["force_cone"] > 0.0
 
 
 def test_linear_groups_are_affine(hop_setup):
@@ -405,7 +493,7 @@ def test_short_solve_reduces_violation(hop_setup):
     layout, targets, clip = hop_setup
     x0_prob = ReducedProblem(layout, targets)
     v0 = max(x0_prob.violation_by_group(initial_guess(x0_prob)).values())
-    traj, report, _ = solve_reduced(targets, clip.contacts, max_iters=250)
+    traj, report, _ = solve_reduced(targets, clip.contacts, max_iters=40)
     v = report.stages[-1].max_violation
     assert v < 1e-3 and v < 1e-3 * v0
     out = traj.sample(targets.times)
