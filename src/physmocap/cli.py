@@ -176,8 +176,8 @@ def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
         "kinematic_cost_terms": kin_report.cost_breakdown,
         "stages": [{"name": s.name, "objective": s.objective,
                     "max_violation": s.max_violation, "iters": s.n_iters,
-                    "status": s.status, "wall_time": s.wall_time,
-                    "violations": s.violations}
+                    "status": s.status, "message": s.message,
+                    "wall_time": s.wall_time, "violations": s.violations}
                    for s in phys_report.stages],
         "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t,
                               **kin_report.stops.get(n, {})}
@@ -229,7 +229,9 @@ def _run_batch_entry(entry, root, args):
 
 def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts, converged):
     """Score the input, kinematic and physics motions of one sequence
-    directory; the physics row also records whether its solve converged."""
+    directory. The physics row also records whether its solve converged, and
+    beside the GRF of its force variables the motion_* GRF that the output
+    motion's own COM implies, as the kinematic row's is."""
     seq_dir = Path(seq_dir)
     skeleton = gt_motion.skeleton
     methods = {"input": positions_report(
@@ -240,9 +242,11 @@ def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts, converged):
         kin, gt_floor, gt_contacts, gt_motion=gt_motion).as_dict()
     phys = core_io.load_motion(seq_dir / "physics.motion.json")
     forces = np.load(seq_dir / "forces.npy")
+    implied = plausibility_report(phys, gt_floor, gt_contacts).as_dict()
     methods["physics"] = plausibility_report(
         phys, gt_floor, gt_contacts, forces=forces,
-        gt_motion=gt_motion).as_dict() | {"converged": float(converged)}
+        gt_motion=gt_motion).as_dict() | {"converged": float(converged)} | {
+            f"motion_{k}": implied[k] for k in ("mean_grf", "max_grf", "ballistic_grf")}
     core_io.write_json(seq_dir / "eval.json",
                        {"name": seq_dir.name, "methods": methods})
 

@@ -43,6 +43,7 @@ class StageReport:
     status: int
     success: bool
     wall_time: float
+    message: str = ""    # the solver's stop reason; the fit stage has none
 
     @property
     def max_violation(self):
@@ -168,7 +169,8 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
         name=stage, objective=float(res.fun),
         violations=problem.violation_by_group(x),
         n_iters=int(res.niter), status=int(res.status),
-        success=bool(res.status in (1, 2)), wall_time=time.perf_counter() - t0)
+        success=bool(res.status in (1, 2)), wall_time=time.perf_counter() - t0,
+        message=str(res.message))
     return x, report
 
 

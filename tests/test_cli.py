@@ -137,6 +137,11 @@ def test_eval_and_report_flag_unconverged_physics(tmp_path):
                     load_contacts(out / entry["contacts"]), converged=False)
     methods = json.loads((seq_dir / "eval.json").read_text())["methods"]
     assert methods["physics"]["converged"] == 0.0
+    # both motions are the same file, so the physics motion's own COM
+    # implies the kinematic row's GRF
+    for key in ("mean_grf", "max_grf", "ballistic_grf"):
+        assert methods["physics"][f"motion_{key}"] == methods["kinematic"][key]
+    assert methods["physics"]["mean_grf"] == 0.0
     assert "converged" not in methods["input"]
     assert isinstance(methods["input"]["body_mpjpe"], float)
 
@@ -174,6 +179,10 @@ def test_optimize_writes_report_and_outputs(tmp_path):
             "dynamics_linear", "dynamics_angular", "leg_reach", "foot_length",
             "stance_on_floor", "above_floor", "force_cone"}
         assert stage["max_violation"] == max(stage["violations"].values())
+    # trust-constr's stop reason: here its iteration cap (status 0)
+    fit, dynamics = report["stages"]
+    assert fit["message"] == "" and dynamics["status"] == 0
+    assert dynamics["message"].startswith("The maximum number")
     init = report["kinematic_stages"][0]
     assert init["name"] == "init" and init["cost"] is None
     contact = report["kinematic_stages"][1]
