@@ -38,9 +38,9 @@ def upgrade_fullbody(kin_motion, traj):
 
     Each frame is solved by damped least-squares IK, warm-started from the
     kinematic pose carried to the new COM and orientation; all frames go to
-    ik_solve_frame as one batch. Foot targets beyond leg reach are projected
-    back onto the reachable sphere around the hip and reported once with a
-    frame count.
+    ik_solve_frame as one batch. A foot target beyond its own chain's reach
+    (SkeletonModel.l_leg) is projected back onto that sphere around its hip;
+    such frames are reported once with a count.
     """
     skeleton = kin_motion.skeleton
     positions = forward_kinematics(kin_motion)
@@ -52,8 +52,9 @@ def upgrade_fullbody(kin_motion, traj):
     feet = np.array(out["feet"], dtype=float)
     d = feet - hips
     reach = np.linalg.norm(d, axis=-1)
-    far = reach > skeleton.l_leg
-    feet[far] = hips[far] + d[far] * (skeleton.l_leg / reach[far, None]) * (1.0 - 1e-9)
+    l_leg = np.array(skeleton.l_leg)    # per foot joint, its own chain
+    far = reach > l_leg
+    feet[far] = hips[far] + d[far] * (l_leg / reach)[far, None] * (1.0 - 1e-9)
     targets[:, list(skeleton.foot_joint_ids)] = feet
     angles0 = kin_motion.joint_angles.copy()
     angles0[:, 0] = out["theta"]

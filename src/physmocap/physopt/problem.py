@@ -54,8 +54,8 @@ class ReducedTargets:
     I_b: np.ndarray          # T x 3 x 3
     hip_offsets: np.ndarray  # T x 4 x 3, body frame COM -> each foot's hip
     floor: object
-    l_leg: float
-    l_foot: float
+    l_leg: np.ndarray        # 4, per foot joint
+    l_foot: np.ndarray       # 2, per side
     r_bound_vel: np.ndarray = field(init=False)   # 2 x 3
     theta_bound_vel: np.ndarray = field(init=False)
 
@@ -94,7 +94,7 @@ def targets_from_kinematic(motion, states, floor):
         times=np.arange(T) / motion.fps,
         r=states.r, theta=states.theta, feet=feet, I_b=states.I_b,
         hip_offsets=offsets, floor=floor,
-        l_leg=skeleton.l_leg, l_foot=skeleton.l_foot)
+        l_leg=np.array(skeleton.l_leg), l_foot=np.array(skeleton.l_foot))
 
 
 class _Memo:
@@ -241,19 +241,23 @@ class ReducedProblem:
             return (abs(feet) @ other > 0).reshape(-1, 4, 3).any(axis=2)
 
         floor_rows = _per_sample(up[None], dyn["feet", 0])[moves(dyn["feet", 0]).ravel()]
-        pairs = np.array([(a.const_col, b.const_col) for toe, heel in self.FOOT_PAIRS
+        pairs = np.array([(a.const_col, b.const_col, side)
+                          for side, (toe, heel) in enumerate(self.FOOT_PAIRS)
                           for i, a in layout.stance if i == toe
                           for k, b in layout.stance if k == heel
                           if a.first_frame <= b.first_frame + b.n_frames
                           and b.first_frame <= a.first_frame + a.n_frames],
-                         dtype=int).reshape(-1, 2)
+                         dtype=int).reshape(-1, 3)
         diffs = [eye[_xyz(pairs[:, 0])] - eye[_xyz(pairs[:, 1])]]
+        sides = [pairs[:, 2]]
         kin_moves = moves(kin["feet", 0])
-        for toe, heel in self.FOOT_PAIRS:    # kin["feet", 0] rows: 12 t + 3 i + axis
+        for side, (toe, heel) in enumerate(self.FOOT_PAIRS):   # rows 12 t + 3 i + axis
             at = np.flatnonzero(kin_moves[:, toe] | kin_moves[:, heel])
             diffs.append(kin["feet", 0][_xyz(12 * at + 3 * toe)]
                          - kin["feet", 0][_xyz(12 * at + 3 * heel)])
+            sides.append(np.full(len(at), side))
         self.foot_diff = sparse.vstack(diffs, format="csr")
+        self.foot_len = targets.l_foot[np.concatenate(sides)]   # per row, its side's
 
         cone = layout.force_knot_sampler().S
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
@@ -282,7 +286,7 @@ class ReducedProblem:
         # scale is folded into its constants below.
         weight = targets.mass * GRAVITY
         self.scale = scale = {"dynamics_linear": 1.0 / weight,
-                              "dynamics_angular": 1.0 / (weight * targets.l_leg),
+                              "dynamics_angular": 1.0 / (weight * targets.l_leg.max()),
                               "force_cone": 1.0 / weight}
         self.row_scale = np.concatenate([np.full(size, scale.get(name, 1.0))
                                          for name, size in sizes.items()])
@@ -343,7 +347,7 @@ class ReducedProblem:
             s * (h - np.cross(f, d).sum(axis=1)).ravel(),
             _blocks(s * np.concatenate([blocks[k] for k in DYN_SAMPLES], axis=2)) @ self.dyn)
 
-        # leg reach: |p_i - hip_i|^2 <= l_leg^2
+        # leg reach: |p_i - hip_i|^2 <= l_leg_i^2
         v = dict(zip(KIN_SAMPLES, _unstack(self.kin, self.kin_ends, x)))
         th, o = v["theta", 0], self.kin_hip_offsets
         d = (v["feet", 0].reshape(-1, 4, 3) - v["r", 0][:, None]
@@ -358,7 +362,7 @@ class ReducedProblem:
 
         # rigid foot length
         d = (self.foot_diff @ x).reshape(-1, 3)
-        out["foot_length"] = ((d * d).sum(axis=1) - self.tg.l_foot ** 2,
+        out["foot_length"] = ((d * d).sum(axis=1) - self.foot_len ** 2,
                               _blocks(2.0 * d[:, None]) @ self.foot_diff)
 
         vals, jacs = zip(*(out[name] for name in self.groups))

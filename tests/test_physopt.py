@@ -1,4 +1,6 @@
 """Tests for the reduced-body trajectory optimization stack."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,10 +242,10 @@ FOOT_PAIRS = ((0, 1), (2, 3))
 
 def _stance_pair_lengths(lay, x, l_foot):
     """Foot-length rows of the stance phases of a toe and its heel that
-    share a frame or meet at a phase bound."""
+    share a frame or meet at a phase bound; l_foot holds one length a side."""
     return np.array([((x[a.const_col:a.const_col + 3] - x[b.const_col:b.const_col + 3]) ** 2
-                      ).sum() - l_foot ** 2
-                     for toe, heel in FOOT_PAIRS
+                      ).sum() - l_foot[side] ** 2
+                     for side, (toe, heel) in enumerate(FOOT_PAIRS)
                      for i, a in lay.stance if i == toe for k, b in lay.stance if k == heel
                      if a.first_frame <= b.first_frame + b.n_frames
                      and b.first_frame <= a.first_frame + a.n_frames])
@@ -269,9 +271,9 @@ def _reference_constraints(problem, x):
     # are not both in contact
     rows = [_stance_pair_lengths(lay, x, tg.l_foot)]
     contact = lay.in_contact(tk)
-    for toe, heel in FOOT_PAIRS:
+    for side, (toe, heel) in enumerate(FOOT_PAIRS):
         at = ~(contact[:, toe] & contact[:, heel])
-        rows.append(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot ** 2)
+        rows.append(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot[side] ** 2)
     out["foot_length"] = np.concatenate(rows)
     out["stance_on_floor"] = np.array([x[ph.const_col:ph.const_col + 3] @ up - floor_h
                                        for _, ph in lay.stance])
@@ -351,8 +353,8 @@ def test_dropped_sample_rows_are_implied(name, rank_clips):
 
     pairs = _stance_pair_lengths(lay, x, tg.l_foot)
     feet = lay.sampler("feet", problem.kin_times).values(x)
-    lengths = np.concatenate([((feet[:, toe] - feet[:, heel]) ** 2).sum(axis=1)
-                              for toe, heel in FOOT_PAIRS]) - tg.l_foot ** 2
+    lengths = np.concatenate([((feet[:, toe] - feet[:, heel]) ** 2).sum(axis=1) - l ** 2
+                              for (toe, heel), l in zip(FOOT_PAIRS, tg.l_foot)])
     dropped = np.isclose(lengths[:, None], pairs, rtol=0, atol=1e-12).any(axis=1)
     assert dropped.any()
     assert np.allclose(vals[problem.groups["foot_length"]],
@@ -378,6 +380,36 @@ def test_force_with_negative_normal_violates_a_face(hop_setup):
         rows = (problem.constraint_fun(x)[sl]).reshape(-1, 5)
         assert (rows[:, 1:] < problem.c_lb[sl].reshape(-1, 5)[:, 1:]).any(axis=1).all()
         assert problem.violation_by_group(x)["force_cone"] > 0.0
+
+
+def test_each_foot_joint_reaches_only_its_own_chain(hop_clip):
+    """With the right shank 5 cm short, leg_reach bounds each foot joint by
+    the bones from its own hip down to it, and foot_length each side by its
+    own rest toe-heel distance: the left toe chain bounds no other joint."""
+    skel = hop_clip.motion.skeleton
+    lengths = skel.bone_lengths.copy()
+    lengths[skel.joint_id("right_ankle")] -= 0.05
+    short = dataclasses.replace(skel, bone_lengths=lengths)
+    motion = dataclasses.replace(hop_clip.motion, skeleton=short)
+    targets = targets_from_kinematic(motion, compute_com_inertia(motion), hop_clip.floor)
+    chains = [sum(lengths[skel.joint_id(f"{side}_{bone}")] for bone in ("knee", "ankle", end))
+              for side in ("left", "right") for end in ("toe", "heel")]
+    rest = short.rest_positions()
+    feet = [rest[skel.joint_id(f"{side}_{end}")] for side in ("left", "right")
+            for end in ("toe", "heel")]
+    assert np.array_equal(targets.l_leg, chains) and chains[2] < chains[0] - 0.049
+    assert np.allclose(targets.l_foot, [np.linalg.norm(feet[0] - feet[1]),
+                                        np.linalg.norm(feet[2] - feet[3])], rtol=0, atol=1e-15)
+
+    problem = ReducedProblem(TrajectoryLayout(hop_clip.contacts), targets)
+    x = _random_x(problem.layout, np.random.default_rng(15))
+    got = problem.constraint_fun(x)[problem.groups["leg_reach"]].reshape(-1, 4)
+    hips = problem.layout.sample(x, problem.kin_times)
+    hips = hips["r"][:, None] + np.einsum("nab,nib->nia", euler_to_matrix(hips["theta"]),
+                                          problem.kin_hip_offsets)
+    feet = problem.layout.sampler("feet", problem.kin_times).values(x)
+    want = ((feet - hips) ** 2).sum(axis=-1) - np.square(chains)
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_linear_groups_are_affine(hop_setup):
