@@ -9,9 +9,17 @@ the contact phases of the labels. Dynamics are enforced at the COM knots:
 
 with w the world angular velocity of the Euler track and I_w the body
 inertia from the kinematic fit rotated by the current orientation. Leg
-reach and rigid foot length are enforced on a 0.08 s grid, feet stay on or
-above the floor, and forces stay in a friction cone sampled at the force
-spline knots and segment midpoints.
+reach holds on a 0.08 s grid, each foot joint within its own chain. A
+stance foot is one constant per phase: one row puts it on the floor
+(stance_on_floor), and one row keeps the rest toe-heel distance of each
+pair of toe and heel stance phases that share a frame or meet at a phase
+bound (foot_length). A sampled foot row that reads stance constants alone
+would repeat one of those rows, so above_floor has rows only at the
+dynamics samples where that foot joint moves, and foot_length's 0.08 s
+samples only where its toe or heel moves. Forces stay in a friction cone
+of four faces, sampled at the force spline knots and segment midpoints;
+its normal row bounds f.n by FORCE_MAX from above only, since f.n >= 0 is
+the sum of two faces.
 
 Every sampled track value is S @ x for a constant sparse sample matrix S
 (trajectory.Samples), and every constant is built once with the problem.
