@@ -15,8 +15,8 @@ stance foot is one constant per phase: one row puts it on the floor
 pair of toe and heel stance phases that share a frame or meet at a phase
 bound (foot_length). A sampled foot row that reads stance constants alone
 would repeat one of those rows, so above_floor has rows only at the
-dynamics samples where that foot joint moves, and foot_length's 0.08 s
-samples only where its toe or heel moves. Forces stay in a friction cone
+dynamics samples where that foot joint reads a flight spline, and
+foot_length's 0.08 s samples only where its toe or heel does. Forces stay in a friction cone
 of four faces, sampled at the force spline knots and segment midpoints;
 its normal row bounds f.n by FORCE_MAX from above only, since f.n >= 0 is
 the sum of two faces.
@@ -283,8 +283,8 @@ class ReducedProblem:
         ub[sl["above_floor"]] = np.inf              # above floor: >= 0
         cone_rows = np.arange(sl["force_cone"].start, self.n_rows)
         ub[cone_rows] = np.inf
-        lb[cone_rows[::5]] = -np.inf                # f.n <= FORCE_MAX; f.n >= 0
-        ub[cone_rows[::5]] = FORCE_MAX              # is the sum of two faces
+        # the normal row is f.n <= FORCE_MAX alone: f.n >= 0 is the sum of two faces
+        lb[cone_rows[::5]], ub[cone_rows[::5]] = -np.inf, FORCE_MAX
 
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
@@ -310,7 +310,7 @@ class ReducedProblem:
                 scale["dynamics_linear"]
                 * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn["forces", 0])),
                 np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
-            # stance constants on the floor, moving feet on or above it
+            # stance constants on the floor, flight feet on or above it
             "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
             "above_floor": (floor_rows, self.floor_h),
             # friction cones: f.n <= FORCE_MAX, |f.t| <= mu f.n per tangent
