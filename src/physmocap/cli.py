@@ -176,7 +176,7 @@ def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
         "kinematic_cost_terms": kin_report.cost_breakdown,
         "stages": [{"name": s.name, "objective": s.objective,
                     "max_violation": s.max_violation, "iters": s.n_iters,
-                    "status": s.status, "message": s.message,
+                    "status": s.status, "stop": s.stop,
                     "wall_time": s.wall_time, "violations": s.violations}
                    for s in phys_report.stages],
         "kinematic_stages": [{"name": n, "cost": c, "iters": i, "time": t,
@@ -228,18 +228,19 @@ def _run_batch_entry(entry, root, args):
 
 
 def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts, converged):
-    """Score the input, kinematic and physics motions of one sequence
-    directory. The physics row also records whether its solve converged, and
-    beside the GRF of its force variables the motion_* GRF that the output
-    motion's own COM implies, as the kinematic row's is."""
+    """Score the GT (the floor every method is measured against), input,
+    kinematic and physics motions of one sequence directory. The physics row
+    also records whether its solve converged, and beside the GRF of its force
+    variables the motion_* GRF that the output motion's own COM implies."""
     seq_dir = Path(seq_dir)
     skeleton = gt_motion.skeleton
     methods = {"input": positions_report(
         seq.joints3d, skeleton, seq.fps, gt_floor, gt_contacts,
         gt_motion=gt_motion).as_dict()}
     kin = core_io.load_motion(seq_dir / "kinematic.motion.json")
-    methods["kinematic"] = plausibility_report(
-        kin, gt_floor, gt_contacts, gt_motion=gt_motion).as_dict()
+    for name, motion in (("gt", gt_motion), ("kinematic", kin)):
+        methods[name] = plausibility_report(
+            motion, gt_floor, gt_contacts, gt_motion=gt_motion).as_dict()
     phys = core_io.load_motion(seq_dir / "physics.motion.json")
     forces = np.load(seq_dir / "forces.npy")
     implied = plausibility_report(phys, gt_floor, gt_contacts).as_dict()

@@ -43,7 +43,7 @@ class StageReport:
     status: int
     success: bool
     wall_time: float
-    message: str = ""    # the solver's stop reason; the fit stage has none
+    stop: str = ""       # why the solver stopped, from its status; the fit stage has none
 
     @property
     def max_violation(self):
@@ -170,7 +170,7 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
         violations=problem.violation_by_group(x),
         n_iters=int(res.niter), status=int(res.status),
         success=bool(res.status in (1, 2)), wall_time=time.perf_counter() - t0,
-        message=str(res.message))
+        stop=("max_iters", "gtol", "xtol", "callback")[res.status])
     return x, report
 
 

@@ -17,19 +17,18 @@ _NOISY = dict(pixel_noise=4.0, depth_noise=0.015, conf_drop=0.04)
 def exact_suite():
     """Noise-free vertical scripts built to satisfy the physics constraints exactly."""
     scripts = [
-        MotionScript("stand_a", "stand", duration=2.0, mass_override="upper_body"),
-        MotionScript("stand_b", "stand", duration=2.4, mass_override="upper_body",
-                     params=dict(root_height=0.84)),
+        MotionScript("stand_a", "stand", duration=2.0),
+        MotionScript("stand_b", "stand", duration=2.4, params=dict(root_height=0.84)),
     ]
     hops = [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6), (0.6, 0.6)]
     for i, (push, land) in enumerate(hops):
         scripts.append(MotionScript(
-            f"hop_{chr(ord('a') + i)}", "hop", duration=2.0, mass_override="upper_body",
+            f"hop_{chr(ord('a') + i)}", "hop", duration=2.0,
             params=dict(flight_time=0.3, push_time=push, land_time=land, tuck=0.25)))
     jumps = [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6), (0.7, 0.6)]
     for i, (push, land) in enumerate(jumps):
         scripts.append(MotionScript(
-            f"jump_{chr(ord('a') + i)}", "jump", duration=2.4, mass_override="upper_body",
+            f"jump_{chr(ord('a') + i)}", "jump", duration=2.4,
             params=dict(flight_time=0.4, push_time=push, land_time=land, tuck=0.35)))
     return scripts
 

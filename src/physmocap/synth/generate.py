@@ -3,11 +3,11 @@
 World frame is z-up with the floor at z = 0; everything the caller sees is
 already transformed into the camera frame (x right, y down, z forward).
 
-The vertical scripts (stand / hop / jump) are built to be exactly feasible
-for the centroidal physics stage: leg segments carry no mass and the upper
-body is frozen, so the center of mass is the root plus a constant offset; the
-vertical acceleration is piecewise linear on the physics knot grid, reaches
-exactly -g at liftoff and touchdown, and the flight arc is an exact parabola.
+The vertical scripts (stand / hop / jump) are exactly feasible for the
+centroidal physics stage under the skeleton's own segment table: the planned
+COM's vertical acceleration is piecewise linear on the physics knot grid and
+exactly -g from liftoff to touchdown, an exact parabola, and the unrotated
+root moves to keep the posed body's COM on that plan as the legs bend and tuck.
 
 Each script builder returns the root track, the upper body's joint angles and
 both ankle tracks (T x 3 per side); `generate` then poses both legs of every
@@ -16,32 +16,22 @@ the builders and in that call, are the skeleton's rest positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..contact.heuristic import heuristic_label
-from ..core.kinematics import (GRAVITY, forward_kinematics, project_perspective,
-                               transform_motion)
-from ..core.skeleton import SPINE_JOINTS, MassSegment, default_skeleton
+from ..core.kinematics import (GRAVITY, forward_kinematics, fk_positions_rotations,
+                               project_perspective, segment_points, transform_motion)
+from ..core.skeleton import SPINE_JOINTS, default_skeleton
 from ..core.types import FloorPlane, JointAngleMotion, PoseSequence
 from ..physopt.trajectory import COM_KNOT_DT
 from .profiles import design_stance_accel, sample_pwl_accel, swing_lift, swing_shift
-from .rig import ANKLE_DROP, arms_down_angles, solve_leg
+from .rig import ANKLE_DROP, arms_down_angles, solve_leg, two_bone_ik
 from .scripts import MotionScript
 
 MAX_LEG_EXTENSION = 0.999   # largest dance hip-ankle distance, in leg lengths
-
-UPPER_BODY_SEGMENTS = (
-    MassSegment("head", 0.12, "neck", "nose", 0.7),
-    MassSegment("trunk", 0.58, "pelvis", "neck", 0.5),
-    MassSegment("left_upper_arm", 0.08, "left_shoulder", "left_elbow", 0.577),
-    MassSegment("right_upper_arm", 0.08, "right_shoulder", "right_elbow", 0.577),
-    MassSegment("left_forearm", 0.05, "left_elbow", "left_wrist", 0.457),
-    MassSegment("right_forearm", 0.05, "right_elbow", "right_wrist", 0.457),
-    MassSegment("left_hand", 0.02, "left_wrist", "left_wrist", 0.0),
-    MassSegment("right_hand", 0.02, "right_wrist", "right_wrist", 0.0),
-)
+_ROOT_TOL = 1e-14           # m: the COM root solve stops once no root moves more
 
 
 @dataclass(frozen=True)
@@ -57,11 +47,6 @@ class GeneratedClip:
     @property
     def name(self):
         return f"{self.script.name}_s{self.seed}"
-
-
-def upper_body_skeleton(skeleton):
-    """Copy of the skeleton with all mass in the (frozen) upper body."""
-    return replace(skeleton, segments=UPPER_BODY_SEGMENTS)
 
 
 def _grid_count(value, name):
@@ -82,8 +67,45 @@ def _script_params(script, defaults):
     return merged
 
 
+def _pose_legs(skeleton, hips, root_pos, angles, ankles):
+    """Set both legs' angles in place, one solve_leg call per side."""
+    for side, hip in hips.items():
+        legs = [skeleton.joint_id(f"{side}_{j}") for j in ("hip", "knee", "ankle")]
+        angles[:, legs] = np.stack(
+            solve_leg(skeleton, side, root_pos + hip, ankles[side]), axis=1)
+
+
+def _root_under_com_plan(skeleton, hips, plan, angles, ankles):
+    """Root track keeping the COM (the skeleton's own segment table) at plan +
+    frame 0's offset: root = plan + (off[0] - off(root)), off being the COM's
+    offset from the root, until no root moves more than _ROOT_TOL. The root
+    carries the joints above the knees, the feet keep their targets and
+    two-bone IK re-places the knees; frames posed as frame 0 keep root = plan."""
+    posed = angles.copy()
+    _pose_legs(skeleton, hips, plan, posed, ankles)
+    pos, _ = fk_positions_rotations(skeleton, plan, posed)
+    pts, masses = segment_points(skeleton, np.eye(skeleton.n_joints)[..., None])
+    w = pts[..., 0] @ masses / masses.sum()     # each joint's share of the COM
+    carried = np.ones(skeleton.n_joints, dtype=bool)
+    for j, parent in enumerate(skeleton.parents[1:], 1):    # parents come first
+        carried[j] = carried[parent] and parent not in skeleton.foot_hip_ids
+    legs = {s: [skeleton.joint_id(f"{s}_{j}") for j in ("knee", "ankle")] for s in hips}
+    pos[:, [knee for knee, _ in legs.values()]] = 0.0   # added in each pass
+    fixed = (pos * w[:, None]).sum(axis=1) - w[carried].sum() * plan
+    root = plan
+    while True:
+        off = fixed + (w[carried].sum() - 1.0) * root
+        for side, (knee, ankle) in legs.items():
+            off = off + w[knee] * two_bone_ik(root + hips[side], ankles[side],
+                                              *skeleton.bone_lengths[[knee, ankle]])
+        new = plan + (off[0] - off)
+        if np.abs(new - root).max() <= _ROOT_TOL:
+            return new
+        root = new
+
+
 def _build_vertical(script, skeleton, hips):
-    """stand / hop / jump: still stance, optional crouch-push-flight-land arc."""
+    """stand / hop / jump: still stance, optional crouch-push-flight-land COM arc."""
     p = _script_params(script, dict(
         root_height=0.82, flight_time=0.0, push_time=0.5, land_time=0.5,
         lead_pad=0.3, tuck=0.25))
@@ -94,55 +116,40 @@ def _build_vertical(script, skeleton, hips):
     T = round(script.duration * fps)
 
     nodes = np.zeros(n_seg + 1)
-    flight_frames = None
+    lift = np.zeros(T)
+    expected = np.ones((T, 4), dtype=bool)
     if p["flight_time"] > 0:
-        n_lead = _grid_count(p["lead_pad"], "lead_pad")
+        i0 = _grid_count(p["lead_pad"], "lead_pad")   # the push's first node
         n_push = _grid_count(p["push_time"], "push_time")
         n_fl = _grid_count(p["flight_time"], "flight_time")
         n_land = _grid_count(p["land_time"], "land_time")
-        if n_lead + n_push + n_fl + n_land > n_seg - 2:
+        if i0 + n_push + n_fl + n_land > n_seg - 2:
             raise ValueError(
                 "script phases leave less than 0.2 s of still tail: "
-                f"{(n_lead + n_push + n_fl + n_land) * COM_KNOT_DT} s of "
+                f"{(i0 + n_push + n_fl + n_land) * COM_KNOT_DT} s of "
                 f"{script.duration} s used")
+        # design_stance_accel keeps stance accelerations >= -g: no pulling force
         v1 = 0.5 * GRAVITY * p["flight_time"]
-        i0 = n_lead
         nodes[i0:i0 + n_push + 1] = design_stance_accel(
             n_push, COM_KNOT_DT, 0.0, -GRAVITY, v_start=0.0, dv=v1, dz=0.0)
         nodes[i0 + n_push:i0 + n_push + n_fl + 1] = -GRAVITY
         nodes[i0 + n_push + n_fl:i0 + n_push + n_fl + n_land + 1] = design_stance_accel(
             n_land, COM_KNOT_DT, -GRAVITY, 0.0, v_start=-v1, dv=v1, dz=0.0)
-        if nodes.min() < -GRAVITY - 1e-9:
-            raise ValueError(
-                f"contact force would go negative (min accel {nodes.min():.2f}); "
-                "increase push_time or land_time")
         f1 = round((p["lead_pad"] + p["push_time"]) * fps)
         f2 = f1 + round(p["flight_time"] * fps)
-        flight_frames = (f1, f2)
+        inner = np.arange(f1 + 1, f2)
+        lift[inner] = p["tuck"] * swing_lift((inner - f1) / (f2 - f1))
+        # the heuristic's backward displacement test marks the touchdown frame
+        # as moving, so the expected flight run ends at f2 inclusive
+        expected[f1 + 1:f2 + 1] = False
 
     times = np.arange(T) / fps
     z, _, _ = sample_pwl_accel(nodes, COM_KNOT_DT, times, v0=0.0, z0=p["root_height"])
-    root_pos = np.zeros((T, 3))
-    root_pos[:, 2] = z
-
-    lift = np.zeros(T)
-    if flight_frames is not None:
-        f1, f2 = flight_frames
-        inner = np.arange(f1 + 1, f2)
-        tau = (inner - f1) / (f2 - f1)
-        lift[inner] = p["tuck"] * swing_lift(tau)
-
-    ankles = {side: np.column_stack([np.broadcast_to(hip[:2], (T, 2)),
-                                     ANKLE_DROP + lift])
+    ankles = {side: np.column_stack([np.broadcast_to(hip[:2], (T, 2)), ANKLE_DROP + lift])
               for side, hip in hips.items()}
-
-    expected = np.ones((T, 4), dtype=bool)
-    if flight_frames is not None:
-        # the heuristic's backward displacement test marks the touchdown frame
-        # as moving, so the expected flight run ends at f2 inclusive
-        f1, f2 = flight_frames
-        expected[f1 + 1:f2 + 1] = False
-    return root_pos, arms_down_angles(skeleton, T), ankles, expected
+    angles = arms_down_angles(skeleton, T)
+    plan = np.column_stack([np.zeros((T, 2)), z])
+    return _root_under_com_plan(skeleton, hips, plan, angles, ankles), angles, ankles, expected
 
 
 def _build_walk(script, skeleton, hips):
@@ -289,17 +296,12 @@ def _camera_pose(script, target, rng):
 def generate(script, seed=0):
     """Build one clip on the default skeleton. Deterministic in (script, seed)."""
     skel = default_skeleton()
-    if script.mass_override == "upper_body":
-        skel = upper_body_skeleton(skel)
     rng = np.random.default_rng(seed)
 
     rest = skel.rest_positions()   # root at the origin: the hips' root offsets
     hips = {side: rest[skel.joint_id(f"{side}_hip")] for side in ("left", "right")}
     root_pos, angles, ankles, expected = _BUILDERS[script.kind](script, skel, hips)
-    for side, hip in hips.items():
-        legs = [skel.joint_id(f"{side}_{j}") for j in ("hip", "knee", "ankle")]
-        angles[:, legs] = np.stack(
-            solve_leg(skel, side, root_pos + hip, ankles[side]), axis=1)
+    _pose_legs(skel, hips, root_pos, angles, ankles)
     motion_world = JointAngleMotion(skel, script.fps, root_pos, angles)
     floor_world = FloorPlane(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 

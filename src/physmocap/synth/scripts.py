@@ -29,15 +29,12 @@ class MotionScript:
     camera_distance: float = 5.5
     camera_height: float = 1.0
     camera_yaw: float | None = None
-    mass_override: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown script kind '{self.kind}', expected one of {KINDS}")
         if self.duration <= 0 or self.fps <= 0:
             raise ValueError("duration and fps must be positive")
-        if self.mass_override not in (None, "upper_body"):
-            raise ValueError(f"unknown mass_override '{self.mass_override}'")
 
     def to_json(self):
         out = dataclasses.asdict(self)

@@ -144,6 +144,11 @@ def test_eval_and_report_flag_unconverged_physics(tmp_path):
     assert methods["physics"]["mean_grf"] == 0.0
     assert "converged" not in methods["input"]
     assert isinstance(methods["input"]["body_mpjpe"], float)
+    # the GT scored against itself, and the kinematic file is the GT motion
+    for key in ("feet_mpjpe", "body_mpjpe", "body_align1_mpjpe"):
+        assert methods["gt"][key] == 0.0
+    for key in ("mean_grf", "max_grf", "ballistic_grf"):
+        assert methods["gt"][key] == methods["kinematic"][key]
 
     assert cli.main(["report", "--dir", str(batch)]) == 0
     table = json.loads((batch / "summary.json").read_text())["methods"]
@@ -179,10 +184,10 @@ def test_optimize_writes_report_and_outputs(tmp_path):
             "dynamics_linear", "dynamics_angular", "leg_reach", "foot_length",
             "stance_on_floor", "above_floor", "force_cone"}
         assert stage["max_violation"] == max(stage["violations"].values())
-    # trust-constr's stop reason: here its iteration cap (status 0)
+    # trust-constr's stop reason, named from its status: here the iteration cap
     fit, dynamics = report["stages"]
-    assert fit["message"] == "" and dynamics["status"] == 0
-    assert dynamics["message"].startswith("The maximum number")
+    assert fit["stop"] == "" and dynamics["status"] == 0
+    assert dynamics["stop"] == "max_iters"
     init = report["kinematic_stages"][0]
     assert init["name"] == "init" and init["cost"] is None
     contact = report["kinematic_stages"][1]

@@ -60,7 +60,7 @@ def test_locate_boundaries():
 @pytest.fixture(scope="module")
 def hop_clip():
     script = MotionScript(
-        name="hop", kind="hop", duration=2.0, mass_override="upper_body",
+        name="hop", kind="hop", duration=2.0,
         params=dict(flight_time=0.3, push_time=0.5, land_time=0.5, tuck=0.25))
     return generate(script, seed=3)
 

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from physmocap.core.kinematics import compute_com_inertia, forward_kinematics
+from physmocap.metrics import plausibility_report
 from physmocap.synth import (MotionScript, classifier_suite, exact_suite, generate,
-                             plausibility_suite, upper_body_skeleton, write_dataset)
+                             generate_suite, plausibility_suite, write_dataset)
 from physmocap.synth.profiles import (design_stance_accel, integrate_pwl_accel,
                                       sample_pwl_accel, swing_lift, swing_shift)
 from physmocap.synth.rig import solve_leg, two_bone_ik
@@ -115,8 +116,7 @@ def test_solve_leg_fk_roundtrip(skeleton):
 def _hop_script(**overrides):
     params = dict(flight_time=0.3, push_time=0.5, land_time=0.5, tuck=0.25)
     params.update(overrides)
-    return MotionScript("hop_t", "hop", duration=2.0, mass_override="upper_body",
-                        params=params, camera_yaw=0.7)
+    return MotionScript("hop_t", "hop", duration=2.0, params=params, camera_yaw=0.7)
 
 
 def test_hop_flight_is_exactly_ballistic():
@@ -134,14 +134,25 @@ def test_hop_flight_is_exactly_ballistic():
         assert np.linalg.norm(acc - g) < 1e-10
 
 
-def test_hop_com_is_root_plus_constant_offset():
+def test_hop_com_keeps_its_floor_tangent_coordinates():
     clip = generate(_hop_script(), seed=3)
     states = compute_com_inertia(clip.motion)
-    offset = states.r - clip.motion.root_pos
-    assert np.ptp(offset, axis=0).max() < 1e-12
-    # frozen orientation and upper body: zero angular velocity, constant inertia
+    n = clip.floor.normal
+    tangent = states.r - np.outer(states.r @ n, n)
+    assert np.ptp(tangent, axis=0).max() < 1e-12
+    # the root never rotates: a constant orientation
     assert np.ptp(states.theta, axis=0).max() < 1e-12
-    assert np.ptp(states.I_b, axis=0).max() < 1e-12
+
+
+def test_plausibility_hop_and_jump_gt_fly_without_contact_force():
+    """The GT COM is ballistic in flight under the skeleton's own segment
+    table, which kinfit and the physics targets also use."""
+    scripts = plausibility_suite()
+    clips = generate_suite(scripts, seed=0)
+    for script, clip in zip(scripts, clips):
+        if script.name in ("hop_n0", "jump_n0"):
+            report = plausibility_report(clip.motion, clip.floor, clip.contacts)
+            assert report.ballistic_grf < 1.0, script.name
 
 
 def test_hop_contacts_match_design():
@@ -245,15 +256,6 @@ def test_noisy_pose_perturbs_observations():
     assert (clip.pose.conf < 0.3).mean() > 0.01
 
 
-def test_upper_body_skeleton_zeroes_leg_mass(skeleton):
-    skel = upper_body_skeleton(skeleton)
-    total = sum(s.mass_fraction for s in skel.segments)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    for seg in skel.segments:
-        for joint in (seg.proximal, seg.distal):
-            assert "knee" not in joint and "ankle" not in joint
-
-
 def test_write_dataset_roundtrip(tmp_path):
     import json
 
@@ -278,3 +280,6 @@ def test_bad_script_params_rejected():
         generate(MotionScript("x", "walk", params=dict(strid=0.5)))
     with pytest.raises(ValueError, match="unknown script kind"):
         MotionScript("x", "sprint")
+    # script files from before the single mass model still name the field
+    with pytest.raises(ValueError, match="unknown MotionScript fields"):
+        MotionScript.from_json(dict(name="x", kind="hop", mass_override="upper_body"))
