@@ -152,6 +152,11 @@ def _grf_trace(out_dir, traj, motion, mass):
 def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
     """Kinematic init, reduced physics solve, full-body upgrade. Writes the
     sequence directory and returns the report payload."""
+    if (contacts.n_frames, contacts.fps) != (seq.n_frames, seq.fps):
+        raise ValueError(f"contact labels have {contacts.n_frames} frames at "
+                         f"{contacts.fps:g} fps, the pose {seq.n_frames} at {seq.fps:g}")
+    if not contacts.labels.any():
+        raise ValueError("contact labels have no contact frame")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -422,9 +427,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "label" and not (args.model or args.baseline):
+    if args.command == "label" and bool(args.model) == bool(args.baseline):
         print(json.dumps({"error": {"type": "UsageError",
-                                    "message": "need --model or --baseline"}}),
+                                    "message": "need one of --model and --baseline"}}),
               file=sys.stderr)
         return 2
     try:

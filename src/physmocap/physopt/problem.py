@@ -8,25 +8,25 @@ the contact phases of the labels. Dynamics are enforced at the COM knots:
     I_w w' + w x I_w w = sum_i f_i x (r - p_i)
 
 with w the world angular velocity of the Euler track and I_w the body
-inertia from the kinematic fit rotated by the current orientation. Leg
-reach holds on a 0.08 s grid, each foot joint within its own chain. A
-stance foot is one constant per phase: one row puts it on the floor
-(stance_on_floor), and one row keeps the rest toe-heel distance of each
-pair of toe and heel stance phases that share a frame or meet at a phase
-bound (foot_length). A sampled foot row that reads stance constants alone
-would repeat one of those rows, so above_floor has rows only at the
-dynamics samples where that foot joint reads a flight spline, and
-foot_length's 0.08 s samples only where its toe or heel does. Forces stay in a friction cone
-of four faces, sampled at the force spline knots and segment midpoints;
-its normal row bounds f.n by FORCE_MAX from above only, since f.n >= 0 is
-the sum of two faces.
+inertia from the kinematic fit rotated by the current orientation. Leg reach
+holds on a 0.08 s grid, each foot joint within its own chain. A stance foot
+is one constant per phase, on the floor by construction of the dynamics
+stage's variables (solve.stage_map), so no row states it. One row keeps the
+rest toe-heel distance of each pair of toe and heel stance phases that share
+a frame or meet at a phase bound (foot_length). A sampled foot row that
+reads stance constants alone holds by construction or repeats one of those,
+so above_floor has rows only at the dynamics samples where that foot joint
+reads a flight spline, and foot_length's 0.08 s samples only where its toe
+or heel does. Forces stay in a friction cone of four faces, sampled at the
+force spline knots and segment midpoints; its normal row bounds f.n by
+FORCE_MAX from above only, since f.n >= 0 is the sum of two faces.
 
 Every sampled track value is S @ x for a constant sparse sample matrix S
 (trajectory.Samples), and every constant is built once with the problem.
 The objective sum_k w_k |S_k x - b_k|^2 is (A x - b)^T W (A x - b) for one
 stack A of the terms' rows, their targets b and per-row weights W: gradient
 2 A^T W (A x - b) and constant Hessian 2 A^T W A, summed term by term. The
-four linear constraint groups are constant rows, A_g x - b_g. The nonlinear
+three linear constraint groups are constant rows, A_g x - b_g. The nonlinear
 groups read one matrix per sample grid, its rows interleaved sample by
 sample (DYN_SAMPLES, KIN_SAMPLES), and the foot length one map of toe - heel
 differences; each group's Jacobian is one sparse product: the block-diagonal
@@ -236,11 +236,12 @@ class ReducedProblem:
         self.dyn, self.dyn_ends = _interleave(dyn, nd)
         self.kin, self.kin_ends = _interleave(kin, nk)
 
-        # A sampled foot row that reads stance constants alone repeats a
-        # per-phase row: stance_on_floor, or the foot length of a pair of toe
-        # and heel stance phases that share a frame or meet at a phase bound.
-        # Such samples get no row, so no equality row is stated twice.
+        # A sampled foot row that reads stance constants alone is met by
+        # construction (on the floor) or repeats the foot length of a pair of
+        # toe and heel stance phases that share a frame or meet at a phase
+        # bound. Such samples get no row, so no equality row is stated twice.
         stance = eye[_xyz([ph.const_col for _, ph in layout.stance])]
+        self.stance_height = _per_sample(up[None], stance)
         other = np.ones(layout.n_vars)
         other[stance.indices] = 0.0
 
@@ -270,7 +271,6 @@ class ReducedProblem:
         cone = layout.force_knot_sampler().S
         sizes = {"dynamics_linear": 3 * nd, "dynamics_angular": 3 * nd,
                  "leg_reach": 4 * nk, "foot_length": self.foot_diff.shape[0] // 3,
-                 "stance_on_floor": len(layout.stance),
                  "above_floor": floor_rows.shape[0], "force_cone": 5 * cone.shape[0] // 3}
         ends = np.cumsum(list(sizes.values()))
         self.groups = {name: slice(end - size, end)
@@ -310,8 +310,7 @@ class ReducedProblem:
                 scale["dynamics_linear"]
                 * (m * acc - _per_sample(np.tile(np.eye(3), 4), dyn["forces", 0])),
                 np.tile(scale["dynamics_linear"] * m * self.gravity, nd)),
-            # stance constants on the floor, flight feet on or above it
-            "stance_on_floor": (_per_sample(up[None], stance), self.floor_h),
+            # flight feet on or above the floor
             "above_floor": (floor_rows, self.floor_h),
             # friction cones: f.n <= FORCE_MAX, |f.t| <= mu f.n per tangent
             "force_cone": (_per_sample(scale["force_cone"] * faces, cone), 0.0)}
@@ -425,8 +424,10 @@ class ReducedProblem:
     # -- reporting ---------------------------------------------------------
 
     def violation_by_group(self, x):
-        """Max violation of each constraint group at x."""
+        """Max violation of each constraint group at x, and stance_on_floor,
+        which has no rows: the stance constants' largest |n.c - floor_h|."""
         vals = self.constraint_fun(x)
         over = np.maximum(vals - self.c_ub, 0.0) + np.maximum(self.c_lb - vals, 0.0)
-        return {name: float(over[sl].max()) if sl.stop > sl.start else 0.0
-                for name, sl in self.groups.items()}
+        heights = self.stance_height @ x - self.floor_h
+        return {**{name: float(over[sl].max(initial=0.0)) for name, sl in self.groups.items()},
+                "stance_on_floor": float(np.abs(heights).max(initial=0.0))}

@@ -7,12 +7,11 @@ contact wrench between the feet in contact. Stage "dynamics" runs the full
 nonlinear program from there. The contact phase durations are those of the
 labels throughout.
 
-The dynamics stage holds the COM boundary velocity knots
-(``TrajectoryLayout.bound_vel_cols``) at their fitted values by leaving
-their columns out of its decision vector, not by an ``lb == ub`` bound:
-trust-constr's interior point does not keep its iterates on such bounds.
-Gradient, Hessian and Jacobian reach the stage's vector through the same
-column selection.
+The dynamics stage moves z, with x = x_fixed + P z (stage_map). z holds
+every knot column but the COM boundary velocities, which keep their fitted
+values (trust-constr's interior point does not keep its iterates on
+lb == ub bounds), and the stance constants, which it holds as two
+floor-plane coordinates each: stance feet are on the floor by construction.
 
 scipy.optimize is imported in _run_stage, its only user, ahead of the stage's
 timer, so runs without a physics stage do not load it (checked by
@@ -28,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from ..core.rotation import skew
-from .problem import FORCE_MAX, ReducedProblem
+from .problem import FORCE_MAX, ReducedProblem, _xyz
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
 VIOLATION_TOL = 1e-6
@@ -89,17 +88,11 @@ def initial_guess(problem):
         x[lay.com_knot_cols(which, k)[0][:, None] + xyz] = tg.interp(track, t)
     x[lay.bound_vel_cols] = np.concatenate([tg.r_bound_vel, tg.theta_bound_vel]).ravel()
 
-    # one exact Newton step on the quadratic tracking objective over the
-    # knot columns that are neither stance nor held
-    free = np.ones(lay.n_vars, dtype=bool)
-    for _, ph in lay.stance:    # its constant, then its force knots
-        free[ph.const_col:ph.force_col + 6 * (ph.n_segs + 1)] = False
-    free[lay.bound_vel_cols] = False
-    cols = np.flatnonzero(free)
-
+    # one exact Newton step on the quadratic tracking objective over the columns
+    # z holds as they are; it reads no force column, so those step by zero
+    cols = stage_map(problem, x)[2]
     _, grad, hess = problem.objective(x)
-    sub = hess[cols][:, cols].tocsc()
-    sub = sub + sparse.eye(len(cols), format="csc") * 1e-9
+    sub = hess[cols][:, cols].tocsc() + sparse.eye(len(cols), format="csc") * 1e-9
     x[cols] += splu(sub).solve(-grad[cols])
 
     # static forces: distribute the net contact wrench of the fitted motion
@@ -130,23 +123,29 @@ def initial_guess(problem):
     return x
 
 
-def _run_stage(problem, x0, stage, max_iters, iterates=None):
-    """One trust-constr stage, named stage, over every column but the COM
-    boundary velocities, which keep their values in x0.
+def stage_map(problem, x0):
+    """x = x_fixed + P @ z over the dynamics stage's variables z: the returned x
+    columns as they are, then per stance constant c = floor_h n + tangents^T z_c.
+    P's columns are orthonormal, so z = P^T (x - x_fixed)."""
+    lay, n = problem.layout, problem.layout.n_vars
+    const = _xyz([ph.const_col for _, ph in lay.stance])
+    x_fixed = np.zeros(n)
+    x_fixed[lay.bound_vel_cols] = x0[lay.bound_vel_cols]
+    x_fixed[const] = np.tile(problem.floor_h * problem.up, len(lay.stance))
+    cols = np.setdiff1d(np.arange(n), np.concatenate([lay.bound_vel_cols, const]))
+    eye = sparse.identity(n, format="csr")
+    P = sparse.hstack([eye[:, cols], eye[:, const] @ sparse.kron(
+        sparse.eye(len(lay.stance)), problem.tans.T)], format="csr")
+    return x_fixed, P, cols
 
-    The stage's decision vector z holds the moved columns in order, and
-    x = x_fixed + P @ z. The returned x, and the iterates appended to the
-    list iterates, are full-length vectors.
-    """
+
+def _run_stage(problem, x0, stage, max_iters, iterates=None):
+    """One trust-constr stage, named stage, over stage_map's z. The returned
+    x, and the iterates appended to the list iterates, are full-length."""
     from scipy.optimize import NonlinearConstraint, minimize
 
-    x0 = np.asarray(x0, dtype=float)
-    n, held = problem.layout.n_vars, problem.layout.bound_vel_cols
-    free = np.setdiff1d(np.arange(n), held)
-    P = sparse.identity(n, format="csr")[:, free]
+    x_fixed, P, _ = stage_map(problem, x0)
     PT = P.T.tocsr()
-    x_fixed = np.zeros(n)
-    x_fixed[held] = x0[held]
 
     def full(z):
         return x_fixed + P @ z
@@ -159,7 +158,7 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
         lambda z: problem.constraint_fun(full(z)), problem.c_lb, problem.c_ub,
         jac=lambda z: problem.constraint_jac(full(z)) @ P)
     t0 = time.perf_counter()
-    res = minimize(lambda z: problem.objective_fun(full(z)), x0[free],
+    res = minimize(lambda z: problem.objective_fun(full(z)), PT @ (x0 - x_fixed),
                    jac=lambda z: PT @ problem.objective_grad(full(z)),
                    hess=lambda z: hess, method="trust-constr",
                    constraints=[nlc], callback=callback,

@@ -1,16 +1,21 @@
 import argparse
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from physmocap import cli
 from physmocap.contact.heuristic import velocity_baseline_3d
-from physmocap.contact.sequence import load_contacts
+from physmocap.contact.sequence import ContactSequence, load_contacts
 from physmocap.core import io as core_io
 from physmocap.synth import dataset as synth_dataset
+from physmocap.synth.generate import generate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _tiny_dataset(tmp_path):
@@ -92,10 +97,12 @@ def test_cli_failure_emits_json_error(tmp_path, capsys):
 
 
 def test_label_requires_model_or_baseline(tmp_path, capsys):
-    rc = cli.main(["label", "--pose", "x", "--out", "y"])
-    assert rc == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"]["type"] == "UsageError"
+    """label takes exactly one of --model and --baseline."""
+    for given in ([], ["--model", "m", "--baseline", "3d"]):
+        rc = cli.main(["label", "--pose", "x", "--out", "y", *given])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "UsageError"
 
 
 def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
@@ -158,8 +165,11 @@ def test_eval_and_report_flag_unconverged_physics(tmp_path):
     assert "converged" in header
 
 
-def test_optimize_writes_report_and_outputs(tmp_path):
-    """optimize end to end on an exact-suite hop with its GT floor."""
+def test_optimize_writes_report_and_outputs(tmp_path, monkeypatch):
+    """optimize end to end on an exact-suite hop with its GT floor; its
+    report names every violation group that the benchmark checks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    groups = importlib.import_module("workloads").VIOLATION_GROUPS
     hop = next(s for s in synth_dataset.exact_suite() if s.name == "hop_a")
     scripts_file = tmp_path / "scripts.json"
     scripts_file.write_text(json.dumps([hop.to_json()]))
@@ -180,9 +190,7 @@ def test_optimize_writes_report_and_outputs(tmp_path):
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert [s["name"] for s in report["stages"]] == ["fit", "dynamics"]
     for stage in report["stages"]:
-        assert set(stage["violations"]) == {
-            "dynamics_linear", "dynamics_angular", "leg_reach", "foot_length",
-            "stance_on_floor", "above_floor", "force_cone"}
+        assert sorted(stage["violations"]) == sorted(groups)
         assert stage["max_violation"] == max(stage["violations"].values())
     # trust-constr's stop reason, named from its status: here the iteration cap
     fit, dynamics = report["stages"]
@@ -199,6 +207,29 @@ def test_optimize_writes_report_and_outputs(tmp_path):
         "root_acceleration", "contact_still", "floor_height", "angle_smooth"}
     for name in ("physics.motion.json", "forces.npy", "grf_trace.csv"):
         assert (out / name).exists()
+
+
+@pytest.fixture(scope="module")
+def hop_a():
+    return generate(next(s for s in synth_dataset.exact_suite() if s.name == "hop_a"),
+                    seed=0)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: ContactSequence(c.fps, c.labels[:40]), "40 frames"),
+    (lambda c: ContactSequence(2 * c.fps, c.labels), "at 60 fps"),
+    (lambda c: ContactSequence(c.fps, np.concatenate([c.labels, c.labels[:20]])),
+     "80 frames"),
+    (lambda c: ContactSequence(c.fps, np.zeros_like(c.labels)), "no contact frame"),
+])
+def test_optimize_rejects_labels_that_do_not_fit_the_pose(hop_a, change, message,
+                                                          tmp_path):
+    """Labels of another length or frame rate than the pose, or without a
+    contact frame, are refused before any stage runs."""
+    with pytest.raises(ValueError, match=message):
+        cli.optimize_sequence(hop_a.pose, change(hop_a.contacts), tmp_path,
+                              max_iters=1, floor=hop_a.floor)
+    assert not any(tmp_path.iterdir())
 
 
 def test_kinematic_run_does_not_load_scipy_optimize():

@@ -1,14 +1,22 @@
-"""The benchmark's tracer hooks name live program functions.
+"""The benchmark's tracer hooks name live program functions, and its
+output check names the violation groups that the program reports.
 
 perfbench/spans.py wraps program functions by module or class attribute
-name. A rename in src/ that it does not follow would otherwise show only
-when the benchmark runs.
+name, and perfbench/workloads.py fails a run whose physics report lacks a
+group of VIOLATION_GROUPS. A change in src/ that they do not follow would
+otherwise show only when the benchmark runs.
 """
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from physmocap.core.kinematics import compute_com_inertia
+from physmocap.physopt import (ReducedProblem, TrajectoryLayout, initial_guess,
+                               targets_from_kinematic)
+from physmocap.synth import dataset
+from physmocap.synth.generate import generate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +48,13 @@ def test_traced_restores_every_hook(spans):
         assert vars(owner)[attr] is originals[group, attr], (group, attr)
     for module, attr, fn in holders:
         assert vars(module)[attr] is fn, (module.__name__, attr)
+
+
+def test_violation_groups_are_the_benchmarks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    groups = importlib.import_module("workloads").VIOLATION_GROUPS
+    clip = generate(next(s for s in dataset.exact_suite() if s.name == "stand_a"), seed=0)
+    targets = targets_from_kinematic(clip.motion, compute_com_inertia(clip.motion),
+                                     clip.floor)
+    problem = ReducedProblem(TrajectoryLayout(clip.contacts), targets)
+    assert sorted(problem.violation_by_group(initial_guess(problem))) == sorted(groups)

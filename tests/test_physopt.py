@@ -11,7 +11,7 @@ from physmocap.core.rotation import euler_to_matrix
 from physmocap.metrics import implied_grf
 from physmocap.physopt.problem import (FRICTION_RATIO, OBJECTIVE_TERMS,
                                        ReducedProblem, targets_from_kinematic)
-from physmocap.physopt.solve import initial_guess, solve_reduced
+from physmocap.physopt.solve import initial_guess, solve_reduced, stage_map
 from physmocap.physopt.spline import (hermite_eval, hermite_weights, locate,
                                       segment_count)
 from physmocap.physopt.trajectory import TrajectoryLayout
@@ -275,8 +275,6 @@ def _reference_constraints(problem, x):
         at = ~(contact[:, toe] & contact[:, heel])
         rows.append(((pk[at, toe] - pk[at, heel]) ** 2).sum(axis=1) - tg.l_foot[side] ** 2)
     out["foot_length"] = np.concatenate(rows)
-    out["stance_on_floor"] = np.array([x[ph.const_col:ph.const_col + 3] @ up - floor_h
-                                       for _, ph in lay.stance])
     out["above_floor"] = (p @ up - floor_h)[~lay.in_contact(td)]
     fk = lay.force_knot_sampler().values(x)
     mu_up = FRICTION_RATIO * up
@@ -317,17 +315,16 @@ def rank_clips():
 
 def test_equality_and_floor_rows_have_full_rank(rank_clips):
     """At the initial guess, the equality rows and the above_floor rows have
-    full row rank in the dynamics stage's columns: no row repeats another, so
-    the NLP meets LICQ there. walk_00 has dynamics samples within rounding of
-    a flight phase's start, which read the tied stance constant alone."""
-    names = ("dynamics_linear", "dynamics_angular", "foot_length",
-             "stance_on_floor", "above_floor")
+    full row rank in the dynamics stage's variables (stage_map): no row
+    repeats another, so the NLP meets LICQ there. walk_00 has dynamics
+    samples within rounding of a flight phase's start, which read the tied
+    stance constant alone."""
+    names = ("dynamics_linear", "dynamics_angular", "foot_length", "above_floor")
     for clip in rank_clips:
         problem = _gt_problem(clip)
-        lay = problem.layout
+        x0 = initial_guess(problem)
         rows = np.concatenate([np.arange(problem.n_rows)[problem.groups[g]] for g in names])
-        free = np.setdiff1d(np.arange(lay.n_vars), lay.bound_vel_cols)
-        J = problem.constraint_jac(initial_guess(problem))[rows][:, free].toarray()
+        J = (problem.constraint_jac(x0)[rows] @ stage_map(problem, x0)[1]).toarray()
         assert np.linalg.matrix_rank(J) == len(rows), clip.name
 
 
@@ -413,7 +410,7 @@ def test_each_foot_joint_reaches_only_its_own_chain(hop_clip):
 
 
 def test_linear_groups_are_affine(hop_setup):
-    """The four linear groups have one constant Jacobian, which maps a step
+    """The three linear groups have one constant Jacobian, which maps a step
     to the change of their values."""
     layout, targets, _ = hop_setup
     problem = ReducedProblem(layout, targets)
@@ -423,7 +420,7 @@ def test_linear_groups_are_affine(hop_setup):
     Jx = Jx.copy()
     cy, Jy = problem.constraints(y)
     cd = problem.constraint_fun(x + d)
-    for name in ("dynamics_linear", "stance_on_floor", "above_floor", "force_cone"):
+    for name in ("dynamics_linear", "above_floor", "force_cone"):
         sl = problem.groups[name]
         assert (Jx[sl] != Jy[sl]).nnz == 0, name
         step = Jx[sl] @ d
@@ -546,7 +543,8 @@ def test_implied_grf_reads_the_forces_optimize_writes(hop_setup, tmp_path):
 
 def test_stages_hold_their_fixed_columns(hop_setup):
     """The dynamics stage holds the COM boundary velocity knots bit-for-bit
-    at every solver iterate, and fit and dynamics are the only stages."""
+    and every stance constant on the floor at every solver iterate, and fit
+    and dynamics are the only stages."""
     layout, targets, clip = hop_setup
     iterates = []
     _, report, _ = solve_reduced(targets, clip.contacts, max_iters=3,
@@ -556,6 +554,9 @@ def test_stages_hold_their_fixed_columns(hop_setup):
     vel_cols = [layout.com_knot_cols(which, k)[1]
                 for which in (0, 1) for k in (0, layout.n_com)]
     bound_vel = np.concatenate([targets.r_bound_vel, targets.theta_bound_vel])
+    up, floor_h = clip.floor.normal, clip.floor.normal @ clip.floor.point
     for xk in iterates:
         for vc, v in zip(vel_cols, bound_vel):
             assert np.array_equal(xk[vc:vc + 3], v)
+        for _, ph in layout.stance:
+            assert abs(up @ xk[ph.const_col:ph.const_col + 3] - floor_h) <= 1e-12
