@@ -11,9 +11,11 @@ with w the world angular velocity of the Euler track and I_w the body
 inertia from the kinematic fit rotated by the current orientation. Leg reach
 holds on a 0.08 s grid, each foot joint within its own chain. A stance foot
 is one constant per phase, on the floor by construction of the dynamics
-stage's variables (solve.stage_map), so no row states it. One row keeps the
-rest toe-heel distance of each pair of toe and heel stance phases that share
-a frame or meet at a phase bound (foot_length). A sampled foot row that
+stage's variables, so no row states it: the problem maps them to x by
+x = x_fixed + P z, which also holds the COM boundary velocities at the
+targets' own. One row keeps the rest toe-heel distance of each pair of toe
+and heel stance phases that share a frame or meet at a phase bound
+(foot_length). A sampled foot row that
 reads stance constants alone holds by construction or repeats one of those,
 so above_floor has rows only at the dynamics samples where that foot joint
 reads a flight spline, and foot_length's 0.08 s samples only where its toe
@@ -34,7 +36,7 @@ matrix of its per-sample derivative blocks times that matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -64,12 +66,6 @@ class ReducedTargets:
     floor: object
     l_leg: np.ndarray        # 4, per foot joint
     l_foot: np.ndarray       # 2, per side
-    r_bound_vel: np.ndarray = field(init=False)   # 2 x 3
-    theta_bound_vel: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.r_bound_vel = _boundary_velocities(self.r, self.fps)
-        self.theta_bound_vel = _boundary_velocities(self.theta, self.fps)
 
     def interp(self, arr, t):
         """Linear interpolation of per-frame data at time(s) t."""
@@ -236,14 +232,30 @@ class ReducedProblem:
         self.dyn, self.dyn_ends = _interleave(dyn, nd)
         self.kin, self.kin_ends = _interleave(kin, nk)
 
+        # The dynamics stage's map x = x_fixed + P z. z holds every column
+        # but the COM boundary velocities, which hold the targets' own, and
+        # the stance constants, each floor_h n plus tangents^T z_c: stance
+        # feet are on the floor by construction. P's columns are
+        # orthonormal, so z = P^T (x - x_fixed).
+        const = _xyz([ph.const_col for _, ph in layout.stance])
+        bound = layout.bound_vel_cols
+        self.x_fixed = np.zeros(layout.n_vars)
+        self.x_fixed[bound] = np.concatenate(
+            [_boundary_velocities(targets.r, targets.fps),
+             _boundary_velocities(targets.theta, targets.fps)]).ravel()
+        self.x_fixed[const] = np.tile(self.floor_h * up, len(layout.stance))
+        self.free = np.setdiff1d(np.arange(layout.n_vars), np.concatenate([bound, const]))
+        self.P = sparse.hstack([eye[:, self.free], eye[:, const] @ sparse.kron(
+            sparse.eye(len(layout.stance)), self.tans.T)], format="csr")
+
         # A sampled foot row that reads stance constants alone is met by
         # construction (on the floor) or repeats the foot length of a pair of
         # toe and heel stance phases that share a frame or meet at a phase
         # bound. Such samples get no row, so no equality row is stated twice.
-        stance = eye[_xyz([ph.const_col for _, ph in layout.stance])]
+        stance = eye[const]
         self.stance_height = _per_sample(up[None], stance)
         other = np.ones(layout.n_vars)
-        other[stance.indices] = 0.0
+        other[const] = 0.0
 
         def moves(feet):
             """Per sample and foot joint: whether it reads a non-stance column."""

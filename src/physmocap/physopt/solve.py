@@ -7,11 +7,12 @@ contact wrench between the feet in contact. Stage "dynamics" runs the full
 nonlinear program from there. The contact phase durations are those of the
 labels throughout.
 
-The dynamics stage moves z, with x = x_fixed + P z (stage_map). z holds
-every knot column but the COM boundary velocities, which keep their fitted
-values (trust-constr's interior point does not keep its iterates on
-lb == ub bounds), and the stance constants, which it holds as two
-floor-plane coordinates each: stance feet are on the floor by construction.
+The dynamics stage moves z, with x = x_fixed + P z, the map that
+ReducedProblem builds from its layout, targets and floor. z holds every
+knot column but the COM boundary velocities, which hold the targets' own
+(trust-constr's interior point does not keep its iterates on lb == ub
+bounds), and the stance constants, which it holds as two floor-plane
+coordinates each: stance feet are on the floor by construction.
 
 scipy.optimize is imported in _run_stage, its only user, ahead of the stage's
 timer, so runs without a physics stage do not load it (checked by
@@ -27,7 +28,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from ..core.rotation import skew
-from .problem import FORCE_MAX, ReducedProblem, _xyz
+from .problem import FORCE_MAX, ReducedProblem
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
 VIOLATION_TOL = 1e-6
@@ -68,7 +69,7 @@ def initial_guess(problem):
     """Linear least-squares knot fit plus a static contact-force guess."""
     lay, tg = problem.layout, problem.tg
     up, floor_h = problem.up, problem.floor_h
-    x = np.zeros(lay.n_vars)
+    x = problem.x_fixed.copy()
     xyz = np.arange(3)
 
     # stance constants: phase-mean foot target projected onto the floor
@@ -78,7 +79,7 @@ def initial_guess(problem):
         x[ph.const_col:ph.const_col + 3] = c
 
     # free flight knots and COM knots start at the interpolated targets,
-    # at zero velocity except for the COM's boundary velocities
+    # at zero velocity except for the COM's held boundary velocities
     joint, pos, t = lay.flight_knots
     feet = tg.interp(tg.feet, np.minimum(t, tg.times[-1]))
     x[pos[:, None] + xyz] = feet[np.arange(len(t)), joint]
@@ -86,11 +87,11 @@ def initial_guess(problem):
     t = np.minimum(k * lay.com_delta, tg.times[-1])
     for which, track in ((0, tg.r), (1, tg.theta)):
         x[lay.com_knot_cols(which, k)[0][:, None] + xyz] = tg.interp(track, t)
-    x[lay.bound_vel_cols] = np.concatenate([tg.r_bound_vel, tg.theta_bound_vel]).ravel()
 
-    # one exact Newton step on the quadratic tracking objective over the columns
-    # z holds as they are; it reads no force column, so those step by zero
-    cols = stage_map(problem, x)[2]
+    # one exact Newton step on the quadratic tracking objective over the free
+    # columns, those z holds as they are; it reads no force column, so those
+    # step by zero
+    cols = problem.free
     _, grad, hess = problem.objective(x)
     sub = hess[cols][:, cols].tocsc() + sparse.eye(len(cols), format="csc") * 1e-9
     x[cols] += splu(sub).solve(-grad[cols])
@@ -123,28 +124,12 @@ def initial_guess(problem):
     return x
 
 
-def stage_map(problem, x0):
-    """x = x_fixed + P @ z over the dynamics stage's variables z: the returned x
-    columns as they are, then per stance constant c = floor_h n + tangents^T z_c.
-    P's columns are orthonormal, so z = P^T (x - x_fixed)."""
-    lay, n = problem.layout, problem.layout.n_vars
-    const = _xyz([ph.const_col for _, ph in lay.stance])
-    x_fixed = np.zeros(n)
-    x_fixed[lay.bound_vel_cols] = x0[lay.bound_vel_cols]
-    x_fixed[const] = np.tile(problem.floor_h * problem.up, len(lay.stance))
-    cols = np.setdiff1d(np.arange(n), np.concatenate([lay.bound_vel_cols, const]))
-    eye = sparse.identity(n, format="csr")
-    P = sparse.hstack([eye[:, cols], eye[:, const] @ sparse.kron(
-        sparse.eye(len(lay.stance)), problem.tans.T)], format="csr")
-    return x_fixed, P, cols
-
-
 def _run_stage(problem, x0, stage, max_iters, iterates=None):
-    """One trust-constr stage, named stage, over stage_map's z. The returned
+    """One trust-constr stage, named stage, over the problem's z. The returned
     x, and the iterates appended to the list iterates, are full-length."""
     from scipy.optimize import NonlinearConstraint, minimize
 
-    x_fixed, P, _ = stage_map(problem, x0)
+    x_fixed, P = problem.x_fixed, problem.P
     PT = P.T.tocsr()
 
     def full(z):

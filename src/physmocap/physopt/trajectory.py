@@ -79,7 +79,8 @@ class TrajectoryLayout:
         self.com_base = (0, 6 * (self.n_com + 1))
         col = 12 * (self.n_com + 1)
         # velocity columns of the first and last COM knots (r, then theta):
-        # they hold the targets' boundary velocities, and no stage moves them
+        # ReducedProblem's x_fixed holds the targets' boundary velocities
+        # there, and its stage map leaves them out of z
         self.bound_vel_cols = (
             np.array([self.com_knot_cols(which, k)[1] for which in (0, 1)
                       for k in (0, self.n_com)])[:, None] + np.arange(3)).ravel()

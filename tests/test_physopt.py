@@ -10,8 +10,9 @@ from physmocap.core.kinematics import GRAVITY, compute_com_inertia
 from physmocap.core.rotation import euler_to_matrix
 from physmocap.metrics import implied_grf
 from physmocap.physopt.problem import (FRICTION_RATIO, OBJECTIVE_TERMS,
-                                       ReducedProblem, targets_from_kinematic)
-from physmocap.physopt.solve import initial_guess, solve_reduced, stage_map
+                                       ReducedProblem, _boundary_velocities,
+                                       targets_from_kinematic)
+from physmocap.physopt.solve import initial_guess, solve_reduced
 from physmocap.physopt.spline import (hermite_eval, hermite_weights, locate,
                                       segment_count)
 from physmocap.physopt.trajectory import TrajectoryLayout
@@ -315,7 +316,7 @@ def rank_clips():
 
 def test_equality_and_floor_rows_have_full_rank(rank_clips):
     """At the initial guess, the equality rows and the above_floor rows have
-    full row rank in the dynamics stage's variables (stage_map): no row
+    full row rank in the dynamics stage's variables (problem.P): no row
     repeats another, so the NLP meets LICQ there. walk_00 has dynamics
     samples within rounding of a flight phase's start, which read the tied
     stance constant alone."""
@@ -324,7 +325,7 @@ def test_equality_and_floor_rows_have_full_rank(rank_clips):
         problem = _gt_problem(clip)
         x0 = initial_guess(problem)
         rows = np.concatenate([np.arange(problem.n_rows)[problem.groups[g]] for g in names])
-        J = (problem.constraint_jac(x0)[rows] @ stage_map(problem, x0)[1]).toarray()
+        J = (problem.constraint_jac(x0)[rows] @ problem.P).toarray()
         assert np.linalg.matrix_rank(J) == len(rows), clip.name
 
 
@@ -553,7 +554,8 @@ def test_stages_hold_their_fixed_columns(hop_setup):
     assert iterates
     vel_cols = [layout.com_knot_cols(which, k)[1]
                 for which in (0, 1) for k in (0, layout.n_com)]
-    bound_vel = np.concatenate([targets.r_bound_vel, targets.theta_bound_vel])
+    bound_vel = np.concatenate([_boundary_velocities(targets.r, targets.fps),
+                                _boundary_velocities(targets.theta, targets.fps)])
     up, floor_h = clip.floor.normal, clip.floor.normal @ clip.floor.point
     for xk in iterates:
         for vc, v in zip(vel_cols, bound_vel):
