@@ -171,8 +171,6 @@ def adam_step(state, grads, opt, lr, weight_decay=0.0):
     for key in ("W", "b", "gamma", "beta"):
         params = getattr(state, key)
         for i, g in enumerate(grads[key]):
-            if g is None:
-                continue
             if key == "W" and weight_decay:
                 g = g + weight_decay * params[i]
             slot = (key, i)

@@ -5,9 +5,10 @@ written with Python's shortest round-trip repr, so save/load is bit-exact for
 finite values; non-finite values are rejected on both sides. Contact files
 live next to their type (contact.sequence) and reuse the helpers here.
 
-A motion's skeleton block holds only what SkeletonModel cannot derive; the
-leg-layout keys of older files (foot_joints, hip_joints, l_foot, l_leg) are
-ignored on load.
+Files hold only what their type cannot derive, and keys of older files
+that held derived values are ignored on load: the leg-layout keys of a
+motion's skeleton block (foot_joints, hip_joints, l_foot, l_leg), and a
+floor's tangents, which FloorPlane derives from its normal.
 """
 from __future__ import annotations
 
@@ -172,7 +173,6 @@ def save_floor(floor, path):
         "kind": "floor_plane",
         "normal": check_finite(floor.normal, "normal").tolist(),
         "point": check_finite(floor.point, "point").tolist(),
-        "tangents": check_finite(floor.tangents, "tangents").tolist(),
     })
 
 
@@ -181,5 +181,4 @@ def load_floor(path):
     return FloorPlane(
         normal=_array(raw, "normal", (3,)),
         point=_array(raw, "point", (3,)),
-        tangents=_array(raw, "tangents", (2, 3)),
     )

@@ -7,7 +7,7 @@ as immutable values; operations return new instances.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,14 +54,16 @@ class PoseSequence:
             raise ValueError(f"fps must be positive, got {self.fps}")
         if np.any(self.conf < -1e-9) or np.any(self.conf > 1.0 + 1e-9):
             raise ValueError("confidences must lie in [0, 1]")
+        if not (np.isfinite(self.focal) and self.focal > 0):
+            raise ValueError(f"focal must be finite and positive, got {self.focal}")
+        size = np.asarray(self.image_size, dtype=float)
+        if size.shape != (2,) or not np.all(np.isfinite(size) & (size > 0)):
+            raise ValueError(
+                f"image_size must be two finite positive numbers, got {self.image_size}")
 
     @property
     def n_frames(self):
         return self.joints2d.shape[0]
-
-    @property
-    def n_joints(self):
-        return self.joints2d.shape[1]
 
     @property
     def principal_point(self):
@@ -96,36 +98,31 @@ class JointAngleMotion:
     def n_frames(self):
         return self.root_pos.shape[0]
 
-    @property
-    def duration(self):
-        return self.n_frames / self.fps
-
     def with_frames(self, root_pos, joint_angles):
         return replace(self, root_pos=root_pos, joint_angles=joint_angles)
 
 
 @dataclass(frozen=True, eq=False)
 class FloorPlane:
-    """Ground plane: unit normal, a point on the plane, and two unit tangents."""
+    """Ground plane: unit normal and a point on the plane.
+
+    Its two unit tangents are derived from the normal, never given, so the
+    frame (t1, t2, n) is orthonormal for every floor: t1 is n x ref made
+    unit, with ref the x axis, or the y axis where |n.x| > 0.9; t2 = n x t1.
+    """
     normal: np.ndarray
     point: np.ndarray
-    tangents: np.ndarray = None  # 2 x 3
+    tangents: np.ndarray = field(init=False)  # 2 x 3
 
     def __post_init__(self):
         n = _unit(self.normal, "floor normal")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        if self.tangents is None:
-            ref = np.array([1.0, 0.0, 0.0])
-            if abs(n @ ref) > 0.9:
-                ref = np.array([0.0, 1.0, 0.0])
-            t1 = _unit(np.cross(n, ref), "floor tangent")
-            t2 = np.cross(n, t1)
-            object.__setattr__(self, "tangents", np.stack([t1, t2]))
-        else:
-            object.__setattr__(self, "tangents", np.asarray(self.tangents, dtype=float))
-        if self.tangents.shape != (2, 3):
-            raise ValueError(f"tangents shape {self.tangents.shape}")
+        ref = np.array([1.0, 0.0, 0.0])
+        if abs(n @ ref) > 0.9:
+            ref = np.array([0.0, 1.0, 0.0])
+        t1 = _unit(np.cross(n, ref), "floor tangent")
+        object.__setattr__(self, "tangents", np.stack([t1, np.cross(n, t1)]))
 
     def height(self, points):
         """Signed distance along the normal; positive above the floor."""
@@ -133,8 +130,7 @@ class FloorPlane:
 
     def transformed(self, R, t):
         R = np.asarray(R)
-        return FloorPlane(R @ self.normal, R @ self.point + np.asarray(t),
-                          self.tangents @ R.T)
+        return FloorPlane(R @ self.normal, R @ self.point + np.asarray(t))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,17 +11,17 @@ with w the world angular velocity of the Euler track and I_w the body
 inertia from the kinematic fit rotated by the current orientation. Leg reach
 holds on a 0.08 s grid, each foot joint within its own chain. A stance foot
 is one constant per phase, on the floor by construction of the dynamics
-stage's variables, so no row states it: the problem maps them to x by
-x = x_fixed + P z, which also holds the COM boundary velocities at the
+stage's variables z, so no row states it: the problem maps z to the knots
+by x = x_fixed + P z, which also holds the COM boundary velocities at the
 targets' own. One row keeps the rest toe-heel distance of each pair of toe
 and heel stance phases that share a frame or meet at a phase bound
-(foot_length). A sampled foot row that
-reads stance constants alone holds by construction or repeats one of those,
-so above_floor has rows only at the dynamics samples where that foot joint
-reads a flight spline, and foot_length's 0.08 s samples only where its toe
-or heel does. Forces stay in a friction cone of four faces, sampled at the
-force spline knots and segment midpoints; its normal row bounds f.n by
-FORCE_MAX from above only, since f.n >= 0 is the sum of two faces.
+(foot_length). A sampled foot row that reads stance constants alone holds
+by construction or repeats one of those, so above_floor has rows only at
+the dynamics samples where that foot joint reads a flight spline, and
+foot_length's 0.08 s samples only where its toe or heel does. Forces stay
+in a friction cone of four faces, sampled at the force spline knots and
+segment midpoints; its normal row bounds f.n by FORCE_MAX from above only,
+since f.n >= 0 is the sum of two faces.
 
 Every sampled track value is S @ x for a constant sparse sample matrix S
 (trajectory.Samples), and every constant is built once with the problem.
@@ -240,9 +240,8 @@ class ReducedProblem:
         const = _xyz([ph.const_col for _, ph in layout.stance])
         bound = layout.bound_vel_cols
         self.x_fixed = np.zeros(layout.n_vars)
-        self.x_fixed[bound] = np.concatenate(
-            [_boundary_velocities(targets.r, targets.fps),
-             _boundary_velocities(targets.theta, targets.fps)]).ravel()
+        self.x_fixed[bound] = np.concatenate([_boundary_velocities(track, targets.fps)
+                                              for track in (targets.r, targets.theta)]).ravel()
         self.x_fixed[const] = np.tile(self.floor_h * up, len(layout.stance))
         self.free = np.setdiff1d(np.arange(layout.n_vars), np.concatenate([bound, const]))
         self.P = sparse.hstack([eye[:, self.free], eye[:, const] @ sparse.kron(

@@ -18,10 +18,10 @@ from physmocap.synth.generate import generate
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tiny_dataset(tmp_path):
-    scripts = [dict(name="stand_t", kind="stand", duration=1.2, fps=30.0,
+def _tiny_dataset(tmp_path, names=("stand_t",)):
+    scripts = [dict(name=name, kind="stand", duration=1.2, fps=30.0,
                     params=dict(), pixel_noise=2.0, depth_noise=0.01,
-                    conf_drop=0.0)]
+                    conf_drop=0.0) for name in names]
     scripts_file = tmp_path / "scripts.json"
     scripts_file.write_text(json.dumps(scripts))
     out = tmp_path / "data"
@@ -40,6 +40,23 @@ def test_generate_writes_manifest_and_provenance(tmp_path):
     assert prov["command"] == "generate"
     assert set(prov["versions"]) >= {"numpy", "scipy", "physmocap"}
     assert len(prov["config_hash"]) == 16
+
+
+def test_train_then_label_with_the_classifier(tmp_path):
+    """train writes a classifier and its provenance; label --model reads it."""
+    out, entry = _tiny_dataset(tmp_path, names=("stand_t", "stand_u"))
+    model = tmp_path / "clf" / "classifier.npz"
+    rc = cli.main(["train", "--dataset", str(out / "manifest.json"),
+                   "--out", str(model), "--epochs", "1"])
+    assert rc == 0
+    prov = json.loads(model.with_suffix(".provenance.json").read_text())
+    assert prov["command"] == "train" and prov["best_epoch"] == 0
+    labels_file = tmp_path / "labels.json"
+    rc = cli.main(["label", "--pose", str(out / entry["pose"]),
+                   "--model", str(model), "--out", str(labels_file)])
+    assert rc == 0
+    seq = core_io.load_pose_sequence(out / entry["pose"])
+    assert load_contacts(labels_file).labels.shape == (seq.n_frames, 4)
 
 
 def test_label_baseline_roundtrip(tmp_path):
@@ -113,14 +130,15 @@ def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
     assert np.array_equal(contacts.labels, velocity_baseline_3d(seq).labels)
 
 
-def test_batch_with_workers_isolates_failures(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_with_workers_isolates_failures(tmp_path, workers):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"clips": [
         {"name": name, "pose": f"{name}.pose.json",
          "contacts": f"{name}.contacts.json"} for name in ("a", "b")]}))
     out = tmp_path / "batch"
     rc = cli.main(["batch", "--manifest", str(manifest), "--out", str(out),
-                   "--workers", "2"])
+                   "--workers", workers])
     assert rc == 0
     summary = json.loads((out / "batch.json").read_text())
     assert sorted(summary["failed"]) == ["a", "b"]

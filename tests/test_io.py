@@ -75,6 +75,54 @@ def test_floor_round_trip(tmp_path):
     assert np.array_equal(back.tangents, floor.tangents)
 
 
+def _frame_error(floor):
+    F = np.vstack([floor.tangents, floor.normal])
+    return np.abs(F @ F.T - np.eye(3)).max()
+
+
+def test_floor_frame_is_orthonormal(rng):
+    """The tangents derived from any normal, random or on either side of the
+    switch of reference axis at |n.x| = 0.9, form an orthonormal frame with it."""
+    normals = list(rng.normal(size=(2000, 3)) * rng.uniform(0.1, 10.0, (2000, 1)))
+    for nx in 0.9 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9]):
+        for phi in np.linspace(0.0, 2 * np.pi, 7):
+            rest = np.sqrt(1.0 - nx * nx)
+            normals += [np.array([s * nx, rest * np.cos(phi), rest * np.sin(phi)])
+                        for s in (1.0, -1.0)]
+    for n in normals:
+        assert _frame_error(FloorPlane(n, np.zeros(3))) <= 1e-15, n
+    R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    moved = FloorPlane([0.0, 0.0, 1.0], np.zeros(3)).transformed(R, np.ones(3))
+    assert _frame_error(moved) <= 1e-15
+
+
+def test_floor_file_tangents_ignored(tmp_path):
+    """An older floor file's tangents, even ones off the plane, load as the
+    frame the normal gives."""
+    path = tmp_path / "floor.json"
+    io.write_json(path, {"format_version": 1, "kind": "floor_plane",
+                         "normal": [0.0, 0.0, 1.0], "point": [0.0, 0.0, 0.0],
+                         "tangents": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]})
+    back = io.load_floor(path)
+    assert np.array_equal(back.tangents, FloorPlane([0.0, 0.0, 1.0], np.zeros(3)).tangents)
+    assert _frame_error(back) <= 1e-15
+    io.save_floor(back, path)
+    assert "tangents" not in json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field, value", [("focal", 0.0), ("focal", float("nan")),
+                                          ("image_size", [1920.0])],
+                         ids=["zero focal", "nan focal", "one image size"])
+def test_bad_camera_rejected_on_load(tmp_path, rng, field, value):
+    path = tmp_path / "pose.json"
+    io.save_pose_sequence(_pose_sequence(rng), path)
+    raw = json.loads(path.read_text())
+    raw[field] = value
+    io.write_json(path, raw)
+    with pytest.raises(ValueError, match=field):
+        io.load_pose_sequence(path)
+
+
 def test_wrong_kind_rejected(tmp_path, rng):
     seq = _pose_sequence(rng)
     path = tmp_path / "pose.json"

@@ -58,3 +58,18 @@ def test_violation_groups_are_the_benchmarks(monkeypatch):
                                      clip.floor)
     problem = ReducedProblem(TrajectoryLayout(clip.contacts), targets)
     assert sorted(problem.violation_by_group(initial_guess(problem))) == sorted(groups)
+
+
+@pytest.mark.parametrize("workload", ["noisy_walk", "clean_hop", "exact_physics"])
+def test_benchmark_clips_pass_their_output_check(workload, monkeypatch, tmp_path):
+    """Each workload's seed-0 clips run through perfbench's own run_clip and
+    pass its output check, at the workload's physics budget (the quick one
+    for the exact_physics oracle), so a program change that breaks what the
+    benchmark reads fails here rather than in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    budget = (workloads.QUICK_BUDGET if workload == "exact_physics"
+              else workloads.PHYSICS_BUDGET[workload])
+    for case in workloads.build_cases(workload, seed=0):
+        row = workloads.run_clip(case, workload, budget, tmp_path)
+        assert row["error"] is None, (case.name, row["error"])
