@@ -73,8 +73,8 @@ def save_contacts(contacts, path):
 
 def load_contacts(path):
     raw = core_io.read_json(path, "contact_sequence")
-    labels = np.asarray(core_io.need(raw, "labels"), dtype=int).astype(bool)
-    out = ContactSequence(fps=float(core_io.need(raw, "fps")), labels=labels)
+    labels = core_io.numbers(raw, "labels").astype(int).astype(bool)
+    out = ContactSequence(fps=float(core_io.numbers(raw, "fps", ())), labels=labels)
     phases = core_io.need(raw, "phases")
     for f, name in enumerate(CONTACT_JOINT_NAMES):
         runs = [(kind, int(n)) for kind, n in core_io.need(phases, name, "phases")]

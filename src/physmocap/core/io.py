@@ -29,15 +29,16 @@ class SchemaError(ValueError):
 def check_finite(arr, field):
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
+        bad = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise SchemaError(f"non-finite value in {field} at index {tuple(bad)}")
     return arr
 
 
 def write_json(path, payload):
-    # json.dumps without indent runs the C encoder; json.dump never does
+    # json.dumps runs the C encoder (json.dump never does); the "\n" is written, not appended
     with open(path, "w") as f:
-        f.write(json.dumps(payload) + "\n")
+        f.write(json.dumps(payload))
+        f.write("\n")
 
 
 def read_json(path, kind):
@@ -65,10 +66,15 @@ def need(raw, field, path=""):
     return raw[field]
 
 
-def _array(raw, field, shape, path=""):
-    arr = np.asarray(need(raw, field, path), dtype=float)
+def numbers(raw, field, shape=None, path=""):
+    """The field as a finite float array, of the given shape if one is given;
+    a value that is not that raises a SchemaError naming the field."""
     where = f"{path}.{field}" if path else field
-    if arr.shape != tuple(shape):
+    try:
+        arr = np.asarray(need(raw, field, path), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: not numbers ({e})") from e
+    if shape is not None and arr.shape != tuple(shape):
         raise SchemaError(f"{where}: shape {arr.shape}, expected {tuple(shape)}")
     return check_finite(arr, where)
 
@@ -97,12 +103,12 @@ def load_pose_sequence(path):
     J = len(names)
     return PoseSequence(
         joint_names=names,
-        fps=float(need(raw, "fps")),
-        joints2d=_array(raw, "joints2d", (T, J, 2)),
-        conf=_array(raw, "conf", (T, J)),
-        joints3d=_array(raw, "joints3d", (T, J, 3)),
-        focal=float(need(raw, "focal")),
-        image_size=tuple(need(raw, "image_size")),
+        fps=float(numbers(raw, "fps", ())),
+        joints2d=numbers(raw, "joints2d", (T, J, 2)),
+        conf=numbers(raw, "conf", (T, J)),
+        joints3d=numbers(raw, "joints3d", (T, J, 3)),
+        focal=float(numbers(raw, "focal", ())),
+        image_size=tuple(numbers(raw, "image_size", (2,)).tolist()),
     )
 
 
@@ -126,18 +132,18 @@ def _skeleton_from_payload(raw, path="skeleton"):
     J = len(names)
     segs = tuple(
         MassSegment(need(s, "name", f"{path}.segments[{i}]"),
-                    float(need(s, "mass_fraction", f"{path}.segments[{i}]")),
+                    float(numbers(s, "mass_fraction", (), f"{path}.segments[{i}]")),
                     need(s, "proximal", f"{path}.segments[{i}]"),
                     need(s, "distal", f"{path}.segments[{i}]"),
-                    float(need(s, "com_ratio", f"{path}.segments[{i}]")))
+                    float(numbers(s, "com_ratio", (), f"{path}.segments[{i}]")))
         for i, s in enumerate(need(raw, "segments", path))
     )
     return SkeletonModel(
         joint_names=names,
-        parents=tuple(int(p) for p in need(raw, "parents", path)),
-        bone_dirs=_array(raw, "bone_dirs", (J, 3), path),
-        bone_lengths=_array(raw, "bone_lengths", (J,), path),
-        mass_total=float(need(raw, "mass_total", path)),
+        parents=tuple(int(p) for p in numbers(raw, "parents", (J,), path)),
+        bone_dirs=numbers(raw, "bone_dirs", (J, 3), path),
+        bone_lengths=numbers(raw, "bone_lengths", (J,), path),
+        mass_total=float(numbers(raw, "mass_total", (), path)),
         segments=segs,
     )
 
@@ -161,9 +167,9 @@ def load_motion(path):
     T = len(need(raw, "root_pos"))
     return JointAngleMotion(
         skeleton=skel,
-        fps=float(need(raw, "fps")),
-        root_pos=_array(raw, "root_pos", (T, 3)),
-        joint_angles=_array(raw, "joint_angles", (T, skel.n_joints, 3)),
+        fps=float(numbers(raw, "fps", ())),
+        root_pos=numbers(raw, "root_pos", (T, 3)),
+        joint_angles=numbers(raw, "joint_angles", (T, skel.n_joints, 3)),
     )
 
 
@@ -179,6 +185,6 @@ def save_floor(floor, path):
 def load_floor(path):
     raw = read_json(path, "floor_plane")
     return FloorPlane(
-        normal=_array(raw, "normal", (3,)),
-        point=_array(raw, "point", (3,)),
+        normal=numbers(raw, "normal", (3,)),
+        point=numbers(raw, "point", (3,)),
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator
 
 from ..core.kinematics import fk_jacobian, fk_positions_rotations, frame_layout
 from ..core.rotation import wrap_angle
@@ -204,37 +203,33 @@ class KinematicProblem:
         return FrameJacobian(self, fk.reshape(T, 3 * J, -1),
                              proj.reshape(T, -1, nf))
 
-    def cost_breakdown(self, x):
-        """Sum of squares per term, for reporting."""
-        r = self.residuals(x)
+    def cost_breakdown(self, r):
+        """Sum of squares per term of the residuals r, for reporting."""
         bounds = np.cumsum([0] + [size for _, size in self.layout])
         return {name: float(np.sum(r[a:b] ** 2))
                 for (name, _), a, b in zip(self.layout, bounds[:-1], bounds[1:])}
 
 
-class FrameJacobian(LinearOperator):
+class FrameJacobian:
     """A KinematicProblem's Jacobian at one x, from per-frame blocks: fk[t],
     fk_jacobian's block of frame t (3J positions by nf variables), and proj[t],
     its weighted projection rows. With M and G they give every row."""
 
     def __init__(self, problem, fk, proj):
-        super().__init__(float, (problem.n_resid, problem.n_vars))
         self.problem, self.fk, self.proj = problem, fk, proj
+        self.shape = (problem.n_resid, problem.n_vars)
 
-    def _matvec(self, v):
+    def __matmul__(self, v):
         p, v = self.problem, v.reshape(self.problem.T, -1, 1)
         return np.concatenate([(self.proj @ v).ravel(), p.M @ (self.fk @ v).ravel(),
                                np.sqrt(ANGLE_WEIGHT) * (p.G @ v.ravel())])
 
-    def _rmatvec(self, r):
-        p = self.problem
-        r_proj, r_lin, r_ang = np.split(r, np.cumsum([self.proj[..., 0].size, p.M.shape[0]]))
-        g = (r_proj.reshape(p.T, 1, -1) @ self.proj
-             + (r_lin @ p.M).reshape(p.T, 1, -1) @ self.fk)
-        return g.ravel() + np.sqrt(ANGLE_WEIGHT) * (r_ang @ p.G)
+    @property
+    def T(self):
+        return _Transposed(self)
 
     def toarray(self):
-        return self.matmat(np.eye(self.shape[1]))
+        return np.stack([self @ e for e in np.eye(self.shape[1])], axis=1)
 
     def normal_blocks(self, out):
         """Writes J^T J's blocks H[t + o, t], o = 0, 1, 2, into out[t, o]
@@ -258,3 +253,17 @@ class FrameJacobian(LinearOperator):
                     np.matmul(at, b, out=out[:n, o, :hi, :hi])
                     out[:n, o, hi:] = out[:n, o, :hi, hi:] = out[n:, o] = 0.0
         np.einsum("toii->toi", out)[...] += p.const_diag
+
+
+class _Transposed:
+    """J.T of a FrameJacobian J, for J.T @ r."""
+
+    def __init__(self, jac):
+        self.jac = jac
+
+    def __matmul__(self, r):
+        jac, p = self.jac, self.jac.problem
+        r_proj, r_lin, r_ang = np.split(r, np.cumsum([jac.proj[..., 0].size, p.M.shape[0]]))
+        g = (r_proj.reshape(p.T, 1, -1) @ jac.proj
+             + (r_lin @ p.M).reshape(p.T, 1, -1) @ jac.fk)
+        return g.ravel() + np.sqrt(ANGLE_WEIGHT) * (r_ang @ p.G)

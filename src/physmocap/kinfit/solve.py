@@ -22,6 +22,7 @@ GTOL = 1e-8   # stop when the gradient's max entry is below this times (1 + cost
 @dataclass
 class StageResult:
     x: np.ndarray
+    r: np.ndarray   # the residuals at x
     cost: float
     n_iters: int
     stop: str
@@ -63,8 +64,10 @@ def solve_stage(problem, x0, max_iters):
     J^T J is a band of frame-pair blocks two frames deep, problem.kd below
     the diagonal (164 for the default skeleton, whose frame layout keeps each
     root subtree's columns together; 3 nf - 1 = 188 without it). The
-    Jacobian writes the blocks into a buffer kept across iterations; each
-    damped matrix is copied from it into one band buffer and factored there.
+    Jacobian writes the blocks into a buffer kept across iterations and is
+    then dropped, so one Jacobian is alive at a time: the next builds into
+    freed memory. Each damped matrix is copied from the blocks into one band
+    buffer and factored there.
     Damping is scaled by the diagonal of J^T J, which keeps the mixed
     translation/angle units well conditioned; a matrix that is not positive
     definite raises the damping. Stops on a relative cost decrease below FTOL
@@ -89,6 +92,7 @@ def solve_stage(problem, x0, max_iters):
             stop = "gtol"
             break
         J.normal_blocks(blocks[:, :3])
+        del J
         d = np.maximum(sheared[..., 0].ravel(), 1e-10)
         for _ in range(12):
             band_rows[...] = sheared
@@ -114,7 +118,7 @@ def solve_stage(problem, x0, max_iters):
         if drop < FTOL * max(cost, 1e-12):
             stop = "ftol"
             break
-    return StageResult(x=x, cost=cost, n_iters=it, stop=stop, n_factorizations=n_chol)
+    return StageResult(x=x, r=r, cost=cost, n_iters=it, stop=stop, n_factorizations=n_chol)
 
 
 def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
@@ -149,7 +153,7 @@ def run_kinematic_init(seq, skeleton, contacts, max_iters=30, floor=None):
     report.stages.append(("contact", res.cost, res.n_iters,
                           time.perf_counter() - t0))
     report.stops["contact"] = {"stop": res.stop, "factorizations": res.n_factorizations}
-    report.cost_breakdown = problem.cost_breakdown(res.x)
+    report.cost_breakdown = problem.cost_breakdown(res.r)
 
     states = compute_com_inertia(motion)
     return motion, floor, contacts, states, report

@@ -14,8 +14,9 @@ knot column but the COM boundary velocities, which hold the targets' own
 bounds), and the stance constants, which it holds as two floor-plane
 coordinates each: stance feet are on the floor by construction.
 
-scipy.optimize is imported in _run_stage, its only user, ahead of the stage's
-timer, so runs without a physics stage do not load it (checked by
+scipy.optimize (in _run_stage) and scipy.sparse.linalg (splu, in initial_guess)
+are imported by their only users, ahead of the stages' timers: slow imports
+whose memory a run without a physics stage never needs (checked by
 tests/test_cli.py test_kinematic_run_does_not_load_scipy_optimize).
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ..core.rotation import skew
 from .problem import FORCE_MAX, ReducedProblem
@@ -67,6 +67,8 @@ class PhysOptReport:
 
 def initial_guess(problem):
     """Linear least-squares knot fit plus a static contact-force guess."""
+    from scipy.sparse.linalg import splu
+
     lay, tg = problem.layout, problem.tg
     up, floor_h = problem.up, problem.floor_h
     x = problem.x_fixed.copy()
@@ -169,6 +171,7 @@ def solve_reduced(targets, contacts, max_iters, duration_stage=None,
     """
     layout = TrajectoryLayout(contacts)
     problem = ReducedProblem(layout, targets)
+    import scipy.sparse.linalg  # noqa: F401 (initial_guess's, loaded before its timer)
     t0 = time.perf_counter()
     x0 = initial_guess(problem)
     fit_time = time.perf_counter() - t0

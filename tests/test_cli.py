@@ -251,9 +251,10 @@ def test_optimize_rejects_labels_that_do_not_fit_the_pose(hop_a, change, message
 
 
 def test_kinematic_run_does_not_load_scipy_optimize():
-    """Only a physics stage needs scipy.optimize, a slow and large import:
-    the CLI module and a kinematic run must not load it. A fresh interpreter,
-    because pytest's own process has already imported it."""
+    """Only a physics stage needs scipy.optimize and scipy.sparse.linalg,
+    slow and large imports: the CLI module and a kinematic run must load
+    neither. A fresh interpreter, because pytest's own process has already
+    imported them."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"""
 import sys
@@ -261,7 +262,8 @@ sys.path.insert(0, {str(src)!r})
 from physmocap import cli
 clip = cli.generate(cli.MotionScript(name="w", kind="walk", duration=0.5), seed=3)
 cli.run_kinematic_init(clip.pose, cli.default_skeleton(), clip.contacts, max_iters=1)
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+heavy = ("scipy.optimize", "scipy.sparse.linalg")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60)

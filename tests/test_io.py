@@ -110,10 +110,14 @@ def test_floor_file_tangents_ignored(tmp_path):
     assert "tangents" not in json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("field, value", [("focal", 0.0), ("focal", float("nan")),
-                                          ("image_size", [1920.0])],
-                         ids=["zero focal", "nan focal", "one image size"])
+@pytest.mark.parametrize("field, value", [
+    ("focal", 0.0), ("focal", float("nan")), ("image_size", [1920.0]),
+    ("focal", None), ("fps", None), ("image_size", 1920), ("fps", "abc"),
+], ids=["zero focal", "nan focal", "one image size", "null focal", "null fps",
+        "scalar image size", "string fps"])
 def test_bad_camera_rejected_on_load(tmp_path, rng, field, value):
+    # a bad value is refused with an error that names its field, whatever
+    # its type
     path = tmp_path / "pose.json"
     io.save_pose_sequence(_pose_sequence(rng), path)
     raw = json.loads(path.read_text())

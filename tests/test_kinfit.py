@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import cholesky_banded
 
 from physmocap.contact.sequence import ContactSequence
 from physmocap.core import JointAngleMotion
-from physmocap.core.ik import BLOCK, _solve, ik_solve_frame
+from physmocap.core.ik import _solve, ik_solve_frame
 from physmocap.core.kinematics import (fk_jacobian, fk_positions_rotations,
                                        forward_kinematics, frame_layout,
                                        project_perspective)
@@ -138,9 +139,9 @@ def test_ik_round_trip(skeleton, rng):
 def test_ik_batch_frames_are_independent(skeleton, rng):
     # frame 0 starts at its targets (no step lowers a zero cost, so it stops
     # after its first iteration's tries; iterated on, its damping would
-    # overflow), the others far from theirs, more frames than one block;
-    # each frame must land where it lands when solved alone
-    motion = random_motion(skeleton, rng, n_frames=BLOCK + 2, angle_scale=0.35)
+    # overflow), the others far from theirs; each frame must land where it
+    # lands when solved alone
+    motion = random_motion(skeleton, rng, n_frames=18, angle_scale=0.35)
     targets = forward_kinematics(motion)
     root0 = targets[:, 0].copy()
     angles0 = np.zeros_like(motion.joint_angles)
@@ -350,6 +351,25 @@ def test_lm_reuses_the_accepted_trials_fk(skeleton, rng, monkeypatch):
     assert calls["fk"] == calls["residuals"]   # the start's and one per trial
 
 
+def test_lm_holds_one_jacobian_at_a_time(skeleton, rng, monkeypatch):
+    # each iteration drops its Jacobian once its gradient and normal blocks
+    # are formed, so the next one is built into freed memory
+    problem, x0 = _toy_problem(skeleton, rng)
+    built, live_at_call = [], []
+
+    def tracked(x):
+        live_at_call.append(sum(ref() is not None for ref in built))
+        jac = jacobian(x)
+        built.append(weakref.ref(jac))
+        return jac
+
+    jacobian = problem.jacobian
+    monkeypatch.setattr(problem, "jacobian", tracked)
+    solve_stage(problem, x0 + rng.normal(0.0, 0.02, x0.shape), max_iters=4)
+    assert len(live_at_call) >= 3
+    assert live_at_call == [0] * len(live_at_call)
+
+
 def test_lm_stage_reports_why_it_stopped(skeleton, monkeypatch):
     # run_kinematic_init keeps the contact stage's stop reason and the count
     # of banded factorizations it ran, for report.json's stage entry
@@ -365,8 +385,10 @@ def test_lm_stage_reports_why_it_stopped(skeleton, monkeypatch):
         factored.clear()
         *_, report = run_kinematic_init(clip.pose, skeleton, clip.contacts,
                                         max_iters=max_iters, floor=clip.floor)
-        (name, _, iters, _), = report.stages[1:]
+        (name, cost, iters, _), = report.stages[1:]
         assert name == "contact"
+        # the per-term costs are those of the stage's final residuals
+        assert abs(sum(report.cost_breakdown.values()) - cost) <= 1e-12 * cost
         assert report.stops == {
             "contact": {"stop": stop, "factorizations": len(factored)}}
         assert len(factored) >= iters
@@ -395,7 +417,7 @@ def test_problem_residual_layout(skeleton, rng):
     problem, x0 = _toy_problem(skeleton, rng)
     r = problem.residuals(x0)
     assert r.shape == (problem.n_resid,)
-    breakdown = problem.cost_breakdown(x0)
+    breakdown = problem.cost_breakdown(r)
     # x0 is the ground truth: data-driven terms vanish, smoothness terms do not
     assert breakdown["projection"] < 1e-18
     assert breakdown["data3d"] < 1e-18
