@@ -59,10 +59,12 @@ def read_json(path, kind):
     return raw
 
 
-def need(raw, field, path=""):
+def need(raw, field, path="", kind=object):
+    where = f"{path}.{field}" if path else field
     if field not in raw:
-        where = f"{path}.{field}" if path else field
         raise SchemaError(f"missing field {where!r}")
+    if not isinstance(raw[field], kind):
+        raise SchemaError(f"{where}: {type(raw[field]).__name__}, expected {kind.__name__}")
     return raw[field]
 
 
@@ -98,8 +100,8 @@ def save_pose_sequence(seq, path):
 
 def load_pose_sequence(path):
     raw = read_json(path, "pose_sequence")
-    names = tuple(need(raw, "joint_names"))
-    T = len(need(raw, "conf"))
+    names = tuple(need(raw, "joint_names", kind=list))
+    T = len(need(raw, "conf", kind=list))
     J = len(names)
     return PoseSequence(
         joint_names=names,
@@ -128,7 +130,7 @@ def _skeleton_payload(skel):
 
 
 def _skeleton_from_payload(raw, path="skeleton"):
-    names = tuple(need(raw, "joint_names", path))
+    names = tuple(need(raw, "joint_names", path, list))
     J = len(names)
     segs = tuple(
         MassSegment(need(s, "name", f"{path}.segments[{i}]"),
@@ -136,7 +138,7 @@ def _skeleton_from_payload(raw, path="skeleton"):
                     need(s, "proximal", f"{path}.segments[{i}]"),
                     need(s, "distal", f"{path}.segments[{i}]"),
                     float(numbers(s, "com_ratio", (), f"{path}.segments[{i}]")))
-        for i, s in enumerate(need(raw, "segments", path))
+        for i, s in enumerate(need(raw, "segments", path, list))
     )
     return SkeletonModel(
         joint_names=names,
@@ -164,7 +166,7 @@ def save_motion(motion, path):
 def load_motion(path):
     raw = read_json(path, "motion")
     skel = _skeleton_from_payload(need(raw, "skeleton"))
-    T = len(need(raw, "root_pos"))
+    T = len(need(raw, "root_pos", kind=list))
     return JointAngleMotion(
         skeleton=skel,
         fps=float(numbers(raw, "fps", ())),

@@ -33,6 +33,7 @@ from ..core.rotation import wrap_angle
 # KinematicProblem's tables; ANGLE_WEIGHT is the angle_smooth term's.
 PROJECTION_WEIGHT = 0.5
 ANGLE_WEIGHT = 0.1
+FRAME_CHUNK = 32   # frames per pass of FrameJacobian.normal_blocks
 
 
 def _frame_diff(T, n):
@@ -65,6 +66,9 @@ class KinematicProblem:
         self.kd = 2 * nf + max(hi - lo for _, lo, hi in spans) - 1
         self.n_vars = T * nf
         self.proj_joints = np.array(skeleton.joints_with_2d(), dtype=int)
+        starts = np.flatnonzero(np.diff(self.proj_joints, prepend=-2) != 1)
+        self.proj_runs = [(slice(a, b), slice(self.proj_joints[a], self.proj_joints[a] + b - a))
+                          for a, b in zip(starts, np.r_[starts[1:], self.proj_joints.size])]
         cx, cy = seq.principal_point
         self.target2d = (seq.joints2d[:, self.proj_joints]
                          - np.array([cx, cy])) / seq.focal
@@ -199,7 +203,10 @@ class KinematicProblem:
         dproj = np.zeros(p.shape[:2] + (2, 3))   # T x A x 2 x 3
         dproj[..., [0, 1], [0, 1]] = 1.0 / z[..., None]
         dproj[..., 2] = -p[..., :2] / z[..., None] ** 2
-        proj = (dproj * self.proj_w[..., None, None]) @ fk[:, self.proj_joints]
+        dproj *= self.proj_w[..., None, None]
+        proj = np.empty(p.shape[:2] + (2, nf))   # from slices of fk, not a gathered copy
+        for rows, joints in self.proj_runs:   # runs of consecutive projected joints
+            np.matmul(dproj[:, rows], fk[:, joints], out=proj[:, rows])
         return FrameJacobian(self, fk.reshape(T, 3 * J, -1),
                              proj.reshape(T, -1, nf))
 
@@ -234,24 +241,27 @@ class FrameJacobian:
     def normal_blocks(self, out):
         """Writes J^T J's blocks H[t + o, t], o = 0, 1, 2, into out[t, o]
         (T x 3 x nf x nf); blocks past the last frame are zero. Per root subtree
-        and o, one product of its rows over its column range adds its share."""
+        and o, one product of its rows over its column range adds its share; the
+        rows are gathered FRAME_CHUNK frames at a time, not for the whole clip."""
         p, T = self.problem, self.problem.T
         fk, proj = self.fk.reshape(T, p.J, 3, -1), self.proj.reshape(T, -1, 2, p.cols.size)
-        for i, (lo, hi, joints, feet_w, projected) in enumerate(p.spans):
-            a = np.concatenate([fk[:, joints, :, lo:hi].reshape(T, -1, hi - lo),
-                                proj[:, projected, :, lo:hi].reshape(T, -1, hi - lo)], axis=1)
-            k, n_rel = 3 * joints.size, 3 * joints.size - feet_w.shape[-1]
-            a[:, :n_rel, p.cols[:3] - lo] = 0.0   # root-relative: no translation
-            for o in range(3):   # projection rows pair a frame with itself only
-                n, m = T - o, k if o else a.shape[1]
-                b = np.concatenate([p.rel_coef[o, :n, None, None] * a[:n, :n_rel],
-                                    feet_w[:n, o] @ a[:n, n_rel:k], a[:n, k:m]], axis=1)
-                at = np.swapaxes(a[o:, :m], 1, 2)
-                if i:
-                    out[:n, o, lo:hi, lo:hi] += at @ b
-                else:   # the first range starts at column 0: written, the rest zeroed
-                    np.matmul(at, b, out=out[:n, o, :hi, :hi])
-                    out[:n, o, hi:] = out[:n, o, :hi, hi:] = out[n:, o] = 0.0
+        for s in range(0, T, FRAME_CHUNK):
+            e, f = min(s + FRAME_CHUNK, T), min(s + FRAME_CHUNK + 2, T)   # out[s:e] reads s:f
+            for i, (lo, hi, joints, feet_w, projected) in enumerate(p.spans):
+                a = np.concatenate([fk[s:f, joints, :, lo:hi].reshape(f - s, -1, hi - lo),
+                                    proj[s:f, projected, :, lo:hi].reshape(f - s, -1, hi - lo)], 1)
+                k, n_rel = 3 * joints.size, 3 * joints.size - feet_w.shape[-1]
+                a[:, :n_rel, p.cols[:3] - lo] = 0.0   # root-relative: no translation
+                for o in range(3):   # projection rows pair a frame with itself only
+                    n, m = max(min(e, T - o) - s, 0), k if o else a.shape[1]
+                    b = np.concatenate([p.rel_coef[o, s:s + n, None, None] * a[:n, :n_rel],
+                                        feet_w[s:s + n, o] @ a[:n, n_rel:k], a[:n, k:m]], axis=1)
+                    at, block = np.swapaxes(a[o:o + n, :m], 1, 2), out[s:s + n, o]
+                    if i:
+                        block[:, lo:hi, lo:hi] += at @ b
+                    else:   # the first range starts at column 0: written, the rest zeroed
+                        np.matmul(at, b, out=block[:, :hi, :hi])
+                        block[:, hi:] = block[:, :hi, hi:] = out[s + n:e, o] = 0.0
         np.einsum("toii->toi", out)[...] += p.const_diag
 
 

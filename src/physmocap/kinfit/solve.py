@@ -49,13 +49,18 @@ def splu(ab):
     return cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
 
 
-def _sheared(blocks):
-    """LAPACK's lower band of H, ab[d, t nf + c] at [t, c, d], as a strided view
-    of blocks[t, o] = H[t + o, t] (T x 4 x nf x nf, blocks[:, 3] zero)."""
-    T, _, nf, _ = blocks.shape
-    step = blocks.itemsize
-    return as_strided(blocks, (T, nf, 3 * nf), (4 * nf * nf * step, (nf + 1) * step,
-                                                nf * step), writeable=False)
+def normal_buffer(problem):
+    """(blocks, lower_band): blocks[t, o] = H[t + o, t] (T x 3 x nf x nf), which
+    FrameJacobian.normal_blocks fills, and lower_band(ab), which copies H's lower
+    band into LAPACK's ab ((kd + 1) x n, Fortran order) through a strided view,
+    zeroing the entries it reads three frames down (the next frame's block)."""
+    T, nf, kd = problem.T, problem.n_vars // problem.T, problem.kd
+    planes = np.zeros((3 * T + 1, nf, nf))   # the extra zero plane keeps the view in bounds
+    s0, s1, s2 = planes.strides
+    sheared = as_strided(planes, (T, nf, kd + 1), (3 * s0, s1 + s2, s1), writeable=False)
+    near = (np.arange(nf)[:, None] + np.arange(kd + 1) < 3 * nf).astype(float)   # [c, d]
+    return (planes[:3 * T].reshape(T, 3, nf, nf),
+            lambda ab: np.multiply(sheared, near, out=ab.T.reshape(T, nf, kd + 1)))
 
 
 def solve_stage(problem, x0, max_iters):
@@ -63,11 +68,11 @@ def solve_stage(problem, x0, max_iters):
 
     J^T J is a band of frame-pair blocks two frames deep, problem.kd below
     the diagonal (164 for the default skeleton, whose frame layout keeps each
-    root subtree's columns together; 3 nf - 1 = 188 without it). The
-    Jacobian writes the blocks into a buffer kept across iterations and is
-    then dropped, so one Jacobian is alive at a time: the next builds into
-    freed memory. Each damped matrix is copied from the blocks into one band
-    buffer and factored there.
+    root subtree's columns together; 3 nf - 1 = 188 without it). Beside the
+    blocks' buffer (normal_buffer), each phase of an iteration holds only its
+    own large arrays: the Jacobian (FK blocks, projection rows) while it is
+    built and writes the blocks; then one band buffer, into which each damped
+    matrix is copied and factored, beside the trial's residuals and FK.
     Damping is scaled by the diagonal of J^T J, which keeps the mixed
     translation/angle units well conditioned; a matrix that is not positive
     definite raises the damping. Stops on a relative cost decrease below FTOL
@@ -76,14 +81,10 @@ def solve_stage(problem, x0, max_iters):
     factorizations.
     """
     x = np.asarray(x0, dtype=float).copy()
-    n, T = x.size, problem.T
-    nf = n // T
     r = problem.residuals(x)
     cost = float(r @ r)
     lam = 1e-4
-    blocks = np.zeros((T, 4, nf, nf))
-    band = np.empty((problem.kd + 1, n), order="F")
-    sheared, band_rows = _sheared(blocks)[..., :len(band)], band.T.reshape(T, nf, -1)
+    blocks, lower_band = normal_buffer(problem)
     it, stop, n_chol = 0, "max_iters", 0
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
@@ -91,11 +92,12 @@ def solve_stage(problem, x0, max_iters):
         if np.abs(g).max() < GTOL * (1.0 + cost):
             stop = "gtol"
             break
-        J.normal_blocks(blocks[:, :3])
+        J.normal_blocks(blocks)
         del J
-        d = np.maximum(sheared[..., 0].ravel(), 1e-10)
+        d = np.maximum(blocks[:, 0].diagonal(0, 1, 2).ravel(), 1e-10)
+        band = np.empty((problem.kd + 1, x.size), order="F")
         for _ in range(12):
-            band_rows[...] = sheared
+            lower_band(band)
             band[0] += lam * d
             n_chol += 1
             try:
@@ -112,6 +114,7 @@ def solve_stage(problem, x0, max_iters):
         else:   # no descent direction left at any damping
             stop = "no_descent"
             break
+        del band
         drop = cost - c_new
         x, r, cost = x_new, r_new, c_new
         lam = max(lam / 3.0, 1e-12)

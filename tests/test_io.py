@@ -127,6 +127,25 @@ def test_bad_camera_rejected_on_load(tmp_path, rng, field, value):
         io.load_pose_sequence(path)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("pose", "conf"), ("pose", "joint_names"), ("motion", "root_pos"),
+])
+def test_number_for_a_list_names_the_field(tmp_path, rng, skeleton, kind, field):
+    # the frame count and the joint names are read from lists; a number there
+    # is refused with an error that names the field, like any other bad value
+    path = tmp_path / "file.json"
+    if kind == "pose":
+        io.save_pose_sequence(_pose_sequence(rng), path)
+    else:
+        io.save_motion(random_motion(skeleton, rng, n_frames=3), path)
+    raw = json.loads(path.read_text())
+    raw[field] = 3
+    io.write_json(path, raw)
+    load = io.load_pose_sequence if kind == "pose" else io.load_motion
+    with pytest.raises(io.SchemaError, match=field):
+        load(path)
+
+
 def test_wrong_kind_rejected(tmp_path, rng):
     seq = _pose_sequence(rng)
     path = tmp_path / "pose.json"

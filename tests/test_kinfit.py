@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +19,8 @@ from physmocap.core.types import FloorPlane, PoseSequence
 from physmocap.kinfit import (KinematicProblem, estimate_bone_lengths, fit_floor,
                               fit_floor_from_motion, initialize_from_3d,
                               run_kinematic_init, solve_stage)
-from physmocap.kinfit.solve import _sheared, splu
+from physmocap.kinfit.problem import FrameJacobian
+from physmocap.kinfit.solve import normal_buffer, splu
 from physmocap.synth import MotionScript, generate
 
 from conftest import random_motion
@@ -278,10 +280,10 @@ def test_undamped_normal_equations_factor(skeleton, rng, with_floor):
     problem, x0 = _toy_problem(skeleton, rng, with_floor)
     T, K = problem.T, len(skeleton.posed_joints())
     assert problem.n_vars == T * (3 + 3 * K)
-    nf = problem.n_vars // T
-    blocks = np.zeros((T, 4, nf, nf))
-    problem.jacobian(x0 + rng.normal(0.0, 0.02, x0.shape)).normal_blocks(blocks[:, :3])
-    band = np.asfortranarray(_sheared(blocks).reshape(problem.n_vars, 3 * nf).T)
+    blocks, lower_band = normal_buffer(problem)
+    problem.jacobian(x0 + rng.normal(0.0, 0.02, x0.shape)).normal_blocks(blocks)
+    band = np.empty((problem.kd + 1, problem.n_vars), order="F")
+    lower_band(band)
     cholesky_banded(band, lower=True)
 
 
@@ -294,18 +296,34 @@ def test_normal_equations_match_dense_products(skeleton, rng, with_floor):
     dense = jac.toarray()
     H, g = dense.T @ dense, dense.T @ r
     # the LM's band: H's frame-pair blocks, read as LAPACK's lower band
-    n, T = problem.n_vars, problem.T
-    nf = n // T
-    blocks = np.zeros((T, 4, nf, nf))
-    blocks[:, :3] = np.nan   # normal_blocks must write every entry
-    jac.normal_blocks(blocks[:, :3])
-    band = _sheared(blocks).reshape(n, 3 * nf).T
-    want = np.zeros((3 * nf, n))
-    for d in range(3 * nf):
+    n, kd = problem.n_vars, problem.kd
+    blocks, lower_band = normal_buffer(problem)
+    blocks[...] = np.nan   # normal_blocks must write every entry
+    jac.normal_blocks(blocks)
+    band = np.full((kd + 1, n), np.nan, order="F")
+    lower_band(band)
+    want = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
         want[d, :n - d] = np.diagonal(H, -d)
     assert np.abs(band - want).max() <= 1e-12 * np.abs(H).max()
     assert not np.tril(H, -problem.kd - 1).any()   # nothing below the band
     assert np.abs(jac.T @ r - g).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_normal_blocks_do_not_depend_on_the_frame_chunk(skeleton, rng, monkeypatch):
+    # the rows are gathered a chunk of frames at a time; any chunk writes the
+    # same blocks, bit for bit, including chunks whose last frames pair with
+    # no later frame
+    problem, x0 = _toy_problem(skeleton, rng)
+    jac = problem.jacobian(x0 + rng.normal(0.0, 0.02, x0.shape))
+    whole, _ = normal_buffer(problem)
+    jac.normal_blocks(whole)
+    for chunk in (1, 4, 5):
+        monkeypatch.setattr("physmocap.kinfit.problem.FRAME_CHUNK", chunk)
+        blocks, _ = normal_buffer(problem)
+        blocks[...] = np.nan
+        jac.normal_blocks(blocks)
+        assert np.array_equal(blocks, whole)
 
 
 def test_subtree_layout_narrows_the_band(skeleton, rng):
@@ -368,6 +386,45 @@ def test_lm_holds_one_jacobian_at_a_time(skeleton, rng, monkeypatch):
     solve_stage(problem, x0 + rng.normal(0.0, 0.02, x0.shape), max_iters=4)
     assert len(live_at_call) >= 3
     assert live_at_call == [0] * len(live_at_call)
+
+
+def test_lm_phases_hold_only_their_own_buffers(skeleton, rng, monkeypatch):
+    # the band is made after the Jacobian is dropped and dropped before the
+    # next Jacobian is built, so beside the normal blocks the stage holds the
+    # larger of the two at a time. The slack, half the bound, is for the rows
+    # normal_blocks gathers from the Jacobian (at 6 frames one chunk is the
+    # whole clip, about the Jacobian's size again), the residuals and the FK;
+    # the band alive beside the Jacobian, or a fourth plane of blocks, exceeds it
+    problem, x0 = _toy_problem(skeleton, rng)
+    x0 = x0 + rng.normal(0.0, 0.02, x0.shape)
+    bands, live_at_call = [], []
+
+    def factor(ab):
+        bands.append(weakref.ref(ab))
+        return splu(ab)
+
+    def tracked(jac, out):
+        live_at_call.append(sum(ref() is not None for ref in bands))
+        return normal_blocks(jac, out)
+
+    normal_blocks = FrameJacobian.normal_blocks
+    monkeypatch.setattr("physmocap.kinfit.solve.splu", factor)
+    monkeypatch.setattr(FrameJacobian, "normal_blocks", tracked)
+    jac = problem.jacobian(x0)
+    nf = problem.n_vars // problem.T
+    bound = 8 * (3 * problem.T + 1) * nf * nf + max(8 * (problem.kd + 1) * problem.n_vars,
+                                                   jac.fk.nbytes + jac.proj.nbytes)
+    del jac
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_stage(problem, x0, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(live_at_call) == 3 and bands
+    assert live_at_call == [0, 0, 0]
+    assert peak <= 1.5 * bound
 
 
 def test_lm_stage_reports_why_it_stopped(skeleton, monkeypatch):
