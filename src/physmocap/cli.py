@@ -26,10 +26,11 @@ from .contact.predict import load_classifier, predict_contacts, save_classifier
 from .contact.sequence import ContactSequence, load_contacts, save_contacts
 from .contact.train import build_windows, train_classifier
 from .core import io as core_io
+from .core.kinematics import GRAVITY
 from .core.skeleton import default_skeleton
 from .fullbody import upgrade_fullbody
 from .kinfit.solve import run_kinematic_init
-from .metrics import GRAVITY, plausibility_report, positions_report
+from .metrics import plausibility_report, positions_report
 from .physopt.problem import targets_from_kinematic
 from .physopt.solve import solve_reduced
 from .synth import dataset as synth_dataset
@@ -136,17 +137,12 @@ def _grf_trace(out_dir, traj, motion, mass):
     forces = out["forces"]                       # T x 4 x 3
     total = forces.sum(axis=1)
     np.save(Path(out_dir) / "forces.npy", total)
-    with open(Path(out_dir) / "grf_trace.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "fx", "fy", "fz", "percent_bw",
-                    "f_left_toe", "f_left_heel", "f_right_toe", "f_right_heel",
-                    "com_x", "com_y", "com_z"])
-        pct_bw = np.linalg.norm(total, axis=1) / (mass * GRAVITY) * 100.0
-        mags = np.linalg.norm(forces, axis=2)
-        for k, t in enumerate(times):
-            w.writerow([f"{t:.4f}", *(f"{v:.4f}" for v in total[k]),
-                        f"{pct_bw[k]:.3f}", *(f"{v:.4f}" for v in mags[k]),
-                        *(f"{v:.5f}" for v in out["r"][k])])
+    pct_bw = np.linalg.norm(total, axis=1) / (mass * GRAVITY) * 100.0
+    np.savetxt(Path(out_dir) / "grf_trace.csv",
+               np.column_stack([times, total, pct_bw, np.linalg.norm(forces, axis=2), out["r"]]),
+               fmt=["%.4f"] * 4 + ["%.3f"] + ["%.4f"] * 4 + ["%.5f"] * 3, delimiter=",",
+               header="t,fx,fy,fz,percent_bw,f_left_toe,f_left_heel,f_right_toe,"
+                      "f_right_heel,com_x,com_y,com_z", comments="", newline="\r\n")
 
 
 def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):

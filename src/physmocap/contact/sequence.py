@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import io as core_io
-from ..core.skeleton import CONTACT_JOINT_NAMES
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,8 +20,8 @@ class ContactSequence:
         if labels.ndim != 2 or labels.shape[1] != 4:
             raise ValueError(f"labels shape {labels.shape}, expected (T, 4)")
         object.__setattr__(self, "labels", labels.astype(bool))
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not np.isfinite(self.fps) or self.fps <= 0:
+            raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
     @property
     def n_frames(self):
@@ -46,40 +45,13 @@ class ContactSequence:
                 for s, n in zip(starts, lengths)]
 
 
-def labels_from_phases(phase_runs, fps):
-    """Rebuild the per-frame label column from (kind, n_frames) runs."""
-    cols = []
-    for kind, n in phase_runs:
-        if kind not in ("contact", "flight"):
-            raise ValueError(f"unknown phase kind {kind!r}")
-        cols.append(np.full(int(n), kind == "contact"))
-    return np.concatenate(cols) if cols else np.zeros(0, dtype=bool)
-
-
 def save_contacts(contacts, path):
-    payload = {
-        "format_version": core_io.FORMAT_VERSION,
-        "kind": "contact_sequence",
-        "fps": contacts.fps,
-        "joint_names": list(CONTACT_JOINT_NAMES),
-        "labels": contacts.labels.astype(int).tolist(),
-        "phases": {
-            CONTACT_JOINT_NAMES[f]: [[kind, n] for kind, n in contacts.phases(f)]
-            for f in range(4)
-        },
-    }
-    core_io.write_json(path, payload)
+    core_io.write_json(path, {
+        "format_version": core_io.FORMAT_VERSION, "kind": "contact_sequence",
+        "fps": contacts.fps, "labels": contacts.labels.astype(int).tolist()})
 
 
 def load_contacts(path):
     raw = core_io.read_json(path, "contact_sequence")
-    labels = core_io.numbers(raw, "labels").astype(int).astype(bool)
-    out = ContactSequence(fps=float(core_io.numbers(raw, "fps", ())), labels=labels)
-    phases = core_io.need(raw, "phases")
-    for f, name in enumerate(CONTACT_JOINT_NAMES):
-        runs = [(kind, int(n)) for kind, n in core_io.need(phases, name, "phases")]
-        rebuilt = labels_from_phases(runs, out.fps)
-        if not np.array_equal(rebuilt, labels[:, f]):
-            raise core_io.SchemaError(
-                f"phases.{name} does not reconstruct the label column")
-    return out
+    return ContactSequence(fps=float(core_io.numbers(raw, "fps", ())),
+                           labels=core_io.numbers(raw, "labels").astype(int).astype(bool))

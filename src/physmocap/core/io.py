@@ -7,8 +7,10 @@ live next to their type (contact.sequence) and reuse the helpers here.
 
 Files hold only what their type cannot derive, and keys of older files
 that held derived values are ignored on load: the leg-layout keys of a
-motion's skeleton block (foot_joints, hip_joints, l_foot, l_leg), and a
-floor's tangents, which FloorPlane derives from its normal.
+motion's skeleton block (foot_joints, hip_joints, l_foot, l_leg), a
+floor's tangents, which FloorPlane derives from its normal, and a contact
+file's phases, which ContactSequence derives from its labels, and
+joint_names, the constant CONTACT_JOINT_NAMES.
 """
 from __future__ import annotations
 

@@ -50,8 +50,8 @@ class PoseSequence:
             raise ValueError(f"conf shape {self.conf.shape}, expected {(T, J)}")
         if self.joints3d.shape != (T, J, 3):
             raise ValueError(f"joints3d shape {self.joints3d.shape}, expected {(T, J, 3)}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not np.isfinite(self.fps) or self.fps <= 0:
+            raise ValueError(f"fps must be finite and positive, got {self.fps}")
         if np.any(self.conf < -1e-9) or np.any(self.conf > 1.0 + 1e-9):
             raise ValueError("confidences must lie in [0, 1]")
         if not (np.isfinite(self.focal) and self.focal > 0):
@@ -91,8 +91,8 @@ class JointAngleMotion:
         if self.joint_angles.shape != (T, J, 3):
             raise ValueError(
                 f"joint_angles shape {self.joint_angles.shape}, expected {(T, J, 3)}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not np.isfinite(self.fps) or self.fps <= 0:
+            raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
     @property
     def n_frames(self):

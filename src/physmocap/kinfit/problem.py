@@ -48,11 +48,11 @@ class KinematicProblem:
     Pass contacts+floor to enable the contact stillness and floor height
     terms, as the pipeline always does. Without them only the data-driven
     and smoothness terms are active; only perfbench/micro.py builds that
-    form.
+    form. jacobian(x) returns a FrameJacobian: J @ v, the gradient J^T r
+    (rmatvec) and the blocks of J^T J (normal_blocks), none of which build J.
     """
 
     def __init__(self, seq, skeleton, contacts=None, floor=None):
-        self.seq = seq
         self.skeleton = skeleton
         self.contacts = contacts
         self.floor = floor
@@ -231,9 +231,13 @@ class FrameJacobian:
         return np.concatenate([(self.proj @ v).ravel(), p.M @ (self.fk @ v).ravel(),
                                np.sqrt(ANGLE_WEIGHT) * (p.G @ v.ravel())])
 
-    @property
-    def T(self):
-        return _Transposed(self)
+    def rmatvec(self, r):
+        """J^T r, from the blocks as J @ v is, without building J."""
+        p = self.problem
+        r_proj, r_lin, r_ang = np.split(r, np.cumsum([self.proj[..., 0].size, p.M.shape[0]]))
+        g = (r_proj.reshape(p.T, 1, -1) @ self.proj
+             + (r_lin @ p.M).reshape(p.T, 1, -1) @ self.fk)
+        return g.ravel() + np.sqrt(ANGLE_WEIGHT) * (r_ang @ p.G)
 
     def toarray(self):
         return np.stack([self @ e for e in np.eye(self.shape[1])], axis=1)
@@ -264,16 +268,3 @@ class FrameJacobian:
                         block[:, hi:] = block[:, :hi, hi:] = out[s + n:e, o] = 0.0
         np.einsum("toii->toi", out)[...] += p.const_diag
 
-
-class _Transposed:
-    """J.T of a FrameJacobian J, for J.T @ r."""
-
-    def __init__(self, jac):
-        self.jac = jac
-
-    def __matmul__(self, r):
-        jac, p = self.jac, self.jac.problem
-        r_proj, r_lin, r_ang = np.split(r, np.cumsum([jac.proj[..., 0].size, p.M.shape[0]]))
-        g = (r_proj.reshape(p.T, 1, -1) @ jac.proj
-             + (r_lin @ p.M).reshape(p.T, 1, -1) @ jac.fk)
-        return g.ravel() + np.sqrt(ANGLE_WEIGHT) * (r_ang @ p.G)

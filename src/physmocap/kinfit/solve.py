@@ -71,8 +71,9 @@ def solve_stage(problem, x0, max_iters):
     root subtree's columns together; 3 nf - 1 = 188 without it). Beside the
     blocks' buffer (normal_buffer), each phase of an iteration holds only its
     own large arrays: the Jacobian (FK blocks, projection rows) while it is
-    built and writes the blocks; then one band buffer, into which each damped
-    matrix is copied and factored, beside the trial's residuals and FK.
+    built and gives the gradient J^T r (FrameJacobian.rmatvec) and the
+    blocks; then one band buffer, into which each damped matrix is copied
+    and factored, beside the trial's residuals and FK.
     Damping is scaled by the diagonal of J^T J, which keeps the mixed
     translation/angle units well conditioned; a matrix that is not positive
     definite raises the damping. Stops on a relative cost decrease below FTOL
@@ -88,7 +89,7 @@ def solve_stage(problem, x0, max_iters):
     it, stop, n_chol = 0, "max_iters", 0
     for it in range(1, max_iters + 1):
         J = problem.jacobian(x)
-        g = J.T @ r
+        g = J.rmatvec(r)
         if np.abs(g).max() < GTOL * (1.0 + cost):
             stop = "gtol"
             break

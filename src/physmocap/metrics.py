@@ -12,7 +12,7 @@ variant that aligns the root of the first frame only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,11 +47,8 @@ class PlausibilityReport:
     body_align1_mpjpe: float | None = None
 
     def as_dict(self):
-        def fmt(v):
-            return "n/a" if v is None else float(v)
-        return {k: fmt(getattr(self, k)) for k in (
-            "mean_grf", "max_grf", "ballistic_grf", "floating", "penetration",
-            "skate", "feet_mpjpe", "body_mpjpe", "body_align1_mpjpe")}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: "n/a" if v is None else float(v) for k, v in values.items()}
 
 
 def _central_second_difference(track, fps):

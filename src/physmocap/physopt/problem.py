@@ -288,28 +288,23 @@ class ReducedProblem:
                        for (name, size), end in zip(sizes.items(), ends)}
         self.n_rows = int(ends[-1])
 
-        lb, ub = np.zeros((2, self.n_rows))
-        sl = self.groups
-        lb[sl["leg_reach"]] = -np.inf               # leg reach: <= 0
-        ub[sl["above_floor"]] = np.inf              # above floor: >= 0
-        cone_rows = np.arange(sl["force_cone"].start, self.n_rows)
-        ub[cone_rows] = np.inf
-        # the normal row is f.n <= FORCE_MAX alone: f.n >= 0 is the sum of two faces
-        lb[cone_rows[::5]], ub[cone_rows[::5]] = -np.inf, FORCE_MAX
-
         # Nondimensionalise the rows so the solver sees everything at O(1):
         # force rows in units of body weight, torque rows in units of body
         # weight times leg length.  Geometry rows are already metre-scale.
         # Without this the Newton system mixes magnitudes ~1e3 apart and the
         # interior point stalls with a collapsed trust region.  Each group's
-        # scale is folded into its constants below.
+        # scale is folded into its constants and bounds below.
         weight = targets.mass * GRAVITY
         self.scale = scale = {"dynamics_linear": 1.0 / weight,
                               "dynamics_angular": 1.0 / (weight * targets.l_leg.max()),
                               "force_cone": 1.0 / weight}
-        self.row_scale = np.concatenate([np.full(size, scale.get(name, 1.0))
-                                         for name, size in sizes.items()])
-        self.c_lb, self.c_ub = lb * self.row_scale, ub * self.row_scale
+        self.c_lb, self.c_ub = lb, ub = np.zeros((2, self.n_rows))
+        lb[self.groups["leg_reach"]] = -np.inf      # leg reach: <= 0
+        ub[self.groups["above_floor"]] = np.inf     # above floor: >= 0
+        cone_rows = np.arange(self.groups["force_cone"].start, self.n_rows)
+        ub[cone_rows] = np.inf
+        # the normal row is f.n <= FORCE_MAX alone: f.n >= 0 is the sum of two faces
+        lb[cone_rows[::5]], ub[cone_rows[::5]] = -np.inf, FORCE_MAX * scale["force_cone"]
 
         # linear groups: constant rows A and right-hand sides b, c = A x - b
         m, acc = targets.mass, layout.sampler("r", self.dyn_times, 2).S
@@ -343,7 +338,6 @@ class ReducedProblem:
                                     for g, *_ in OBJECTIVE_TERMS], term_rows)
 
         self._c_memo = _Memo()
-        self._o_memo = _Memo()
 
     # -- constraint assembly ----------------------------------------------
 
@@ -409,19 +403,12 @@ class ReducedProblem:
 
     # -- objective ---------------------------------------------------------
 
-    def _objective(self, x):
-        res = self.obj_A @ x - self.obj_b
-        w_res = self.obj_w * res
-        return res @ w_res, self.obj_A.T @ (2.0 * w_res), self.hess
-
-    def objective(self, x):
-        return self._o_memo.get(np.asarray(x, dtype=float), self._objective)
-
     def objective_fun(self, x):
-        return self.objective(x)[0]
+        res = self.obj_A @ x - self.obj_b
+        return res @ (self.obj_w * res)
 
     def objective_grad(self, x):
-        return self.objective(x)[1]
+        return self.obj_A.T @ (2.0 * (self.obj_w * (self.obj_A @ x - self.obj_b)))
 
     def objective_hess(self, x):
         return self.hess

@@ -94,9 +94,8 @@ def initial_guess(problem):
     # columns, those z holds as they are; it reads no force column, so those
     # step by zero
     cols = problem.free
-    _, grad, hess = problem.objective(x)
-    sub = hess[cols][:, cols].tocsc() + sparse.eye(len(cols), format="csc") * 1e-9
-    x[cols] += splu(sub).solve(-grad[cols])
+    sub = problem.hess[cols][:, cols].tocsc() + sparse.eye(len(cols), format="csc") * 1e-9
+    x[cols] += splu(sub).solve(-problem.objective_grad(x)[cols])
 
     # static forces: distribute the net contact wrench of the fitted motion
     # between the feet in contact at each force knot (least-squares over

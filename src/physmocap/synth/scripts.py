@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 KINDS = ("stand", "walk", "hop", "jump", "dance")
@@ -33,12 +34,20 @@ class MotionScript:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown script kind '{self.kind}', expected one of {KINDS}")
-        if self.duration <= 0 or self.fps <= 0:
-            raise ValueError("duration and fps must be positive")
+        for name, ok, rule in (("duration", self.duration > 0, "finite and > 0"),
+                               ("fps", self.fps > 0, "finite and > 0"),
+                               ("camera_distance", self.camera_distance > 0, "finite and > 0"),
+                               ("pixel_noise", self.pixel_noise >= 0, "finite and >= 0"),
+                               ("depth_noise", self.depth_noise >= 0, "finite and >= 0"),
+                               ("conf_drop", 0 <= self.conf_drop <= 1, "in [0, 1]"),
+                               ("camera_height", True, "finite"),
+                               ("camera_yaw", True, "finite or null")):
+            value = getattr(self, name)
+            if not (ok and (value is None or math.isfinite(value))):
+                raise ValueError(f"script {self.name!r}: {name} must be {rule}, got {value!r}")
 
     def to_json(self):
-        out = dataclasses.asdict(self)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload):

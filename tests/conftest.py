@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from physmocap.core import default_skeleton
+from physmocap.core.skeleton import default_skeleton
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def rng():
 
 def random_motion(skeleton, rng, n_frames=4, fps=30.0, angle_scale=0.4):
     """Small random joint-angle motion, well away from gimbal lock."""
-    from physmocap.core import JointAngleMotion
+    from physmocap.core.types import JointAngleMotion
 
     J = skeleton.n_joints
     root = rng.normal(0.0, 0.5, (n_frames, 3)) + np.array([0.0, 0.0, 1.0])

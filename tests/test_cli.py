@@ -113,6 +113,26 @@ def test_cli_failure_emits_json_error(tmp_path, capsys):
     assert "error" in record and record["error"]["type"]
 
 
+
+@pytest.mark.parametrize("field, value", [
+    ("fps", float("nan")), ("duration", float("inf")), ("camera_distance", 0.0),
+    ("pixel_noise", -3.0), ("depth_noise", float("nan")), ("conf_drop", 1.5),
+    ("camera_height", float("-inf")), ("camera_yaw", float("nan"))])
+def test_generate_rejects_out_of_range_scripts(tmp_path, capsys, field, value):
+    """json reads NaN and Infinity: a script value outside its field's range
+    fails the command, with an error naming the field, before any clip is
+    written."""
+    script = dict(name="stand_t", kind="stand", duration=1.2)
+    script[field] = value
+    scripts_file = tmp_path / "scripts.json"
+    scripts_file.write_text(json.dumps([script]))
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--scripts", str(scripts_file), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError"
+    assert f"{field} must be" in error["message"]
+    assert not out.exists()
+
 def test_label_requires_model_or_baseline(tmp_path, capsys):
     """label takes exactly one of --model and --baseline."""
     for given in ([], ["--model", "m", "--baseline", "3d"]):

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import json
 
-from physmocap.contact.sequence import (
-    ContactSequence,
-    labels_from_phases,
-    load_contacts,
-    save_contacts,
-)
-from physmocap.core.io import SchemaError, write_json
+import numpy as np
+
+from physmocap.contact.sequence import ContactSequence, load_contacts, save_contacts
+from physmocap.core.io import FORMAT_VERSION, write_json
 
 
 def _random_contacts(rng, T=40):
@@ -23,7 +19,8 @@ def test_phases_alternate_and_reconstruct(rng):
         kinds = [k for k, _ in runs]
         for a, b in zip(kinds, kinds[1:]):
             assert a != b
-        rebuilt = labels_from_phases(runs, contacts.fps)
+        lengths = [n for _, n in runs]
+        rebuilt = np.repeat([kind == "contact" for kind in kinds], lengths)
         assert np.array_equal(rebuilt, contacts.labels[:, f])
 
 
@@ -43,18 +40,25 @@ def test_round_trip(tmp_path, rng):
     assert back.fps == contacts.fps
 
 
-def test_inconsistent_phases_rejected(tmp_path, rng):
+def test_saved_file_holds_fps_and_labels_only(tmp_path, rng):
+    path = tmp_path / "contacts.json"
+    save_contacts(_random_contacts(rng), path)
+    assert set(json.loads(path.read_text())) == {"format_version", "kind", "fps", "labels"}
+
+
+def test_legacy_phases_and_joint_names_are_ignored(tmp_path, rng):
+    """Older files also held each foot joint's phases and the joint names,
+    both derived from the labels; the labels alone are read."""
     contacts = _random_contacts(rng, T=10)
     path = tmp_path / "contacts.json"
-    save_contacts(contacts, path)
-    import json
-    raw = json.loads(path.read_text())
-    raw["phases"]["left_toe"] = [["contact", 10]]
-    if np.all(contacts.labels[:, 0]):
-        raw["phases"]["left_toe"] = [["flight", 10]]
-    write_json(path, raw)
-    with pytest.raises(SchemaError, match="left_toe"):
-        load_contacts(path)
+    wrong = [["flight" if contacts.labels[0, 0] else "contact", 10]]
+    write_json(path, {"format_version": FORMAT_VERSION, "kind": "contact_sequence",
+                      "fps": contacts.fps, "joint_names": ["left_toe"],
+                      "labels": contacts.labels.astype(int).tolist(),
+                      "phases": {"left_toe": wrong}})
+    back = load_contacts(path)
+    assert np.array_equal(back.labels, contacts.labels)
+    assert back.fps == contacts.fps
 
 
 def test_single_frame_sequence():

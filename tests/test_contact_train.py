@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from physmocap.contact import build_windows, predict_contacts, train_classifier
-from physmocap.synth import MotionScript, generate
+from physmocap.contact.predict import predict_contacts
+from physmocap.contact.train import build_windows, train_classifier
+from physmocap.synth.generate import generate
+from physmocap.synth.scripts import MotionScript
 
 NOISY = dict(pixel_noise=4.0, depth_noise=0.015, conf_drop=0.04)
 

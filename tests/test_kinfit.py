@@ -10,18 +10,18 @@ from scipy import sparse
 from scipy.linalg import cholesky_banded
 
 from physmocap.contact.sequence import ContactSequence
-from physmocap.core import JointAngleMotion
 from physmocap.core.ik import _solve, ik_solve_frame
 from physmocap.core.kinematics import (fk_jacobian, fk_positions_rotations,
                                        forward_kinematics, frame_layout,
                                        project_perspective)
+from physmocap.core.types import JointAngleMotion
 from physmocap.core.types import FloorPlane, PoseSequence
-from physmocap.kinfit import (KinematicProblem, estimate_bone_lengths, fit_floor,
-                              fit_floor_from_motion, initialize_from_3d,
-                              run_kinematic_init, solve_stage)
-from physmocap.kinfit.problem import FrameJacobian
-from physmocap.kinfit.solve import normal_buffer, splu
-from physmocap.synth import MotionScript, generate
+from physmocap.kinfit.floor import fit_floor, fit_floor_from_motion
+from physmocap.kinfit.init import estimate_bone_lengths, initialize_from_3d
+from physmocap.kinfit.problem import FrameJacobian, KinematicProblem
+from physmocap.kinfit.solve import normal_buffer, run_kinematic_init, solve_stage, splu
+from physmocap.synth.generate import generate
+from physmocap.synth.scripts import MotionScript
 
 from conftest import random_motion
 
@@ -307,7 +307,7 @@ def test_normal_equations_match_dense_products(skeleton, rng, with_floor):
         want[d, :n - d] = np.diagonal(H, -d)
     assert np.abs(band - want).max() <= 1e-12 * np.abs(H).max()
     assert not np.tril(H, -problem.kd - 1).any()   # nothing below the band
-    assert np.abs(jac.T @ r - g).max() <= 1e-12 * np.abs(g).max()
+    assert np.abs(jac.rmatvec(r) - g).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_normal_blocks_do_not_depend_on_the_frame_chunk(skeleton, rng, monkeypatch):

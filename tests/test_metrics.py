@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from physmocap.contact.sequence import ContactSequence
-from physmocap.core.kinematics import (compute_com_inertia,
+from physmocap.core.kinematics import (GRAVITY, compute_com_inertia,
                                        fk_positions_rotations,
                                        forward_kinematics, segment_points,
                                        transform_motion)
 from physmocap.core.skeleton import default_skeleton
 from physmocap.core.types import FloorPlane, JointAngleMotion
-from physmocap.metrics import (GRAVITY, _com_forces, grf_metrics,
-                               plausibility_report, positions_report)
+from physmocap.metrics import (_com_forces, grf_metrics, plausibility_report,
+                               positions_report)
 from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from physmocap.core.kinematics import compute_com_inertia
-from physmocap.physopt import (ReducedProblem, TrajectoryLayout, initial_guess,
-                               targets_from_kinematic)
+from physmocap.physopt.problem import ReducedProblem, targets_from_kinematic
+from physmocap.physopt.solve import initial_guess
+from physmocap.physopt.trajectory import TrajectoryLayout
 from physmocap.synth import dataset
 from physmocap.synth.generate import generate
 

@@ -226,7 +226,7 @@ def test_problem_gradients_match_fd(hop_setup):
     problem = ReducedProblem(layout, targets)
     rng = np.random.default_rng(7)
     x = _random_x(layout, rng)
-    _, grad, _ = problem.objective(x)
+    grad = problem.objective_grad(x)
     _, jac = problem.constraints(x)
     for _ in range(6):
         d = rng.normal(size=layout.n_vars)
@@ -284,6 +284,13 @@ def _reference_constraints(problem, x):
     return out
 
 
+def _unscaled_constraints(problem, x):
+    """constraint_fun(x) with each group's nondimensionalising scale undone."""
+    c = problem.constraint_fun(x).copy()
+    for name, s in problem.scale.items():
+        c[problem.groups[name]] /= s
+    return c
+
 def test_constraints_match_an_independent_reference(hop_setup):
     """constraint_fun equals the model's equations evaluated directly from
     the layout's samples, group by group and row by row, at random x."""
@@ -292,7 +299,7 @@ def test_constraints_match_an_independent_reference(hop_setup):
     rng = np.random.default_rng(10)
     for _ in range(3):
         x = _random_x(layout, rng)
-        c = problem.constraint_fun(x) / problem.row_scale
+        c = _unscaled_constraints(problem, x)
         ref = _reference_constraints(problem, x)
         assert list(ref) == list(problem.groups)
         for name, sl in problem.groups.items():
@@ -341,7 +348,7 @@ def test_dropped_sample_rows_are_implied(name, rank_clips):
     for _, ph in lay.stance:
         c = x[ph.const_col:ph.const_col + 3]
         c -= (up @ c - problem.floor_h) * up
-    vals = problem.constraint_fun(x) / problem.row_scale
+    vals = _unscaled_constraints(problem, x)
 
     heights = (lay.sampler("feet", problem.dyn_times).values(x) @ up - problem.floor_h).ravel()
     dropped = np.abs(heights) <= 1e-12
@@ -474,7 +481,7 @@ def test_gradients_match_fd_at_solver_iterates(hop_setup):
     step = max(1, len(iterates) // 20)
     checked = 0
     for x in iterates[::step]:
-        _, grad, _ = problem.objective(x)
+        grad = problem.objective_grad(x)
         _, jac = problem.constraints(x)
         d = rng.normal(size=layout.n_vars)
         d /= np.linalg.norm(d)

@@ -4,8 +4,9 @@ and so is every defaulted parameter of its public functions.
 A public top-level name that only tests call is code nobody runs: it is
 kept working at a cost and tells a reader it matters. The pipeline (src/)
 or the benchmark (perfbench/) must name each one somewhere besides its own
-definition. Package __init__ re-exports do not count as uses. Likewise a
-default that every program call keeps is an option with one value in use.
+definition. Likewise a default that every program call keeps is an option
+with one value in use. A name is imported from the module that defines it:
+no package __init__.py re-exports one.
 """
 import ast
 from pathlib import Path
@@ -27,8 +28,18 @@ DEFAULT_EXEMPT = {
 
 
 def _program_files():
-    files = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
-    return files + sorted((ROOT / "perfbench").rglob("*.py"))
+    return sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def test_package_inits_bind_no_names():
+    """No package __init__.py imports or binds a name but the top level's
+    __version__: a docstring is all that the others may hold."""
+    for path in PACKAGE.rglob("__init__.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            version = (path.parent == PACKAGE and isinstance(node, ast.Assign)
+                       and [ast.unparse(t) for t in node.targets] == ["__version__"])
+            assert docstring or version, f"{path.relative_to(ROOT)}: {ast.unparse(node)}"
 
 
 def _names_used(tree):

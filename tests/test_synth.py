@@ -4,11 +4,13 @@ import pytest
 
 from physmocap.core.kinematics import compute_com_inertia, forward_kinematics
 from physmocap.metrics import plausibility_report
-from physmocap.synth import (MotionScript, classifier_suite, exact_suite, generate,
-                             generate_suite, plausibility_suite, write_dataset)
+from physmocap.synth.dataset import (classifier_suite, exact_suite, generate_suite,
+                                     plausibility_suite, write_dataset)
+from physmocap.synth.generate import generate
 from physmocap.synth.profiles import (design_stance_accel, integrate_pwl_accel,
                                       sample_pwl_accel, swing_lift, swing_shift)
 from physmocap.synth.rig import solve_leg, two_bone_ik
+from physmocap.synth.scripts import MotionScript
 
 
 def test_integrate_constant_accel_matches_closed_form():
