@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .contact.heuristic import velocity_baseline_2d, velocity_baseline_3d
 from .contact.predict import load_classifier, predict_contacts, save_classifier
-from .contact.sequence import ContactSequence, load_contacts, save_contacts
+from .contact.sequence import load_contacts, save_contacts
 from .contact.train import build_windows, train_classifier
 from .core import io as core_io
 from .core.kinematics import GRAVITY
@@ -34,7 +34,6 @@ from .metrics import plausibility_report, positions_report
 from .physopt.problem import targets_from_kinematic
 from .physopt.solve import solve_reduced
 from .synth import dataset as synth_dataset
-from .synth.generate import generate
 from .synth.scripts import MotionScript
 
 MAX_ITERS = 1500   # physics-stage iterations of optimize and batch (--max-iters)
@@ -205,9 +204,9 @@ def cmd_optimize(args):
 
 # -- batch ------------------------------------------------------------------
 
-def _batch_contacts(entry, root, args, seq):
+def _batch_contacts(gt_contacts, args, seq):
     if args.contacts_from == "files":
-        return load_contacts(root / entry["contacts"])
+        return gt_contacts
     if args.contacts_from == "classifier":
         return predict_contacts(load_classifier(args.model), seq)
     return velocity_baseline_3d(seq)
@@ -215,14 +214,13 @@ def _batch_contacts(entry, root, args, seq):
 
 def _run_batch_entry(entry, root, args):
     seq = core_io.load_pose_sequence(root / entry["pose"])
-    contacts = _batch_contacts(entry, root, args, seq)
-    floor = core_io.load_floor(root / entry["floor"]) if args.gt_floor else None
-    seq_dir = Path(args.out) / entry["name"]
-    payload = optimize_sequence(seq, contacts, seq_dir, floor=floor,
-                                max_iters=args.max_iters)
-    gt_motion = core_io.load_motion(root / entry["motion"])
     gt_floor = core_io.load_floor(root / entry["floor"])
     gt_contacts = load_contacts(root / entry["contacts"])
+    contacts = _batch_contacts(gt_contacts, args, seq)
+    seq_dir = Path(args.out) / entry["name"]
+    payload = optimize_sequence(seq, contacts, seq_dir, max_iters=args.max_iters,
+                                floor=gt_floor if args.gt_floor else None)
+    gt_motion = core_io.load_motion(root / entry["motion"])
     _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts,
                 payload["converged"])
     return payload["converged"]

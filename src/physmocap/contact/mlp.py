@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LAYER_SIZES = (351, 1024, 512, 128, 32, 20)
+HIDDEN_SIZES = (1024, 512, 128, 32)
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1   # weight of the batch statistics in the running ones
 ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator guard
@@ -29,8 +29,7 @@ PARAMS = ("W", "b", "gamma", "beta", "run_mean", "run_var")
 
 @dataclass
 class MlpState:
-    """Parameters and batch-norm running statistics."""
-    sizes: tuple
+    """The trained classifier: parameters and batch-norm running statistics."""
     W: list            # per layer, (out, in)
     b: list            # per layer, (out,)
     gamma: list        # per hidden layer
@@ -38,12 +37,8 @@ class MlpState:
     run_mean: list
     run_var: list
 
-    @property
-    def n_layers(self):
-        return len(self.W)
 
-
-def init_mlp(sizes=LAYER_SIZES, seed=0):
+def init_mlp(sizes, seed):
     rng = np.random.default_rng(seed)
     W, b, gamma, beta, run_mean, run_var = [], [], [], [], [], []
     for i in range(len(sizes) - 1):
@@ -55,8 +50,7 @@ def init_mlp(sizes=LAYER_SIZES, seed=0):
             beta.append(np.zeros(fan_out))
             run_mean.append(np.zeros(fan_out))
             run_var.append(np.ones(fan_out))
-    return MlpState(sizes=tuple(sizes), W=W, b=b, gamma=gamma, beta=beta,
-                    run_mean=run_mean, run_var=run_var)
+    return MlpState(W, b, gamma, beta, run_mean, run_var)
 
 
 def mlp_forward(state, X, dropout_mask=None):
@@ -71,10 +65,10 @@ def mlp_forward(state, X, dropout_mask=None):
     h = np.asarray(X, dtype=float)
     if h.ndim == 1:
         h = h[None]
-    n_hidden = state.n_layers - 1
-    cache = {"inputs": [], "z": [], "xhat": [], "mean": [], "var": [],
-             "y": [], "dropout_mask": dropout_mask}
-    for i in range(state.n_layers):
+    n_hidden = len(state.gamma)
+    cache = {"inputs": [], "xhat": [], "mean": [], "var": [], "y": [],
+             "dropout_mask": dropout_mask}
+    for i in range(len(state.W)):
         cache["inputs"].append(h)
         z = h @ state.W[i].T + state.b[i]
         if i < n_hidden:
@@ -89,7 +83,6 @@ def mlp_forward(state, X, dropout_mask=None):
             h = np.maximum(y, 0.0)
             if training and i == DROPOUT_LAYER:
                 h = h * dropout_mask / (1.0 - DROPOUT_P)
-            cache["z"].append(z)
             cache["xhat"].append(xhat)
             cache["mean"].append(mu)
             cache["var"].append(var)
@@ -124,11 +117,11 @@ def bce_loss(logits, targets, mask):
 
 def mlp_backward(state, cache, dlogits):
     """Gradients of the scalar loss w.r.t. all parameters (training-mode graph)."""
-    n_hidden = state.n_layers - 1
-    grads = {"W": [None] * state.n_layers, "b": [None] * state.n_layers,
+    n_layers, n_hidden = len(state.W), len(state.gamma)
+    grads = {"W": [None] * n_layers, "b": [None] * n_layers,
              "gamma": [None] * n_hidden, "beta": [None] * n_hidden}
     g = dlogits
-    for i in reversed(range(state.n_layers)):
+    for i in reversed(range(n_layers)):
         if i < n_hidden:
             if i == DROPOUT_LAYER:
                 g = g * cache["dropout_mask"] / (1.0 - DROPOUT_P)

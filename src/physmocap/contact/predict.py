@@ -1,8 +1,7 @@
-"""Trained classifier wrapper: inference with window voting, checkpoint I/O."""
+"""The trained classifier, an MlpState: window-voting inference, checkpoint I/O."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,23 +9,15 @@ from . import features as feat
 from .mlp import PARAMS, MlpState, mlp_forward
 from .sequence import ContactSequence
 
-
-@dataclass(frozen=True, eq=False)
-class ContactClassifier:
-    """Frozen trained network; the features module's constants fix its input."""
-    state: MlpState
-    seed: int = 0
-
-
 # feature constants a checkpoint records; loading rejects any other values
 _FEATURE_META = {"feature_scale": feat.FEATURE_SCALE, "window": feat.WINDOW,
                  "pred_window": feat.PRED_WINDOW}
 
 
-def predict_window_probs(classifier, seq):
+def predict_window_probs(state, seq):
     """Per-target-frame contact probabilities, T x 5 x 4 (window frame, joint)."""
     X = feat.make_features_batch(seq, np.arange(seq.n_frames))
-    logits, _ = mlp_forward(classifier.state, X)
+    logits, _ = mlp_forward(state, X)
     probs = 1.0 / (1.0 + np.exp(-logits))
     return probs.reshape(seq.n_frames, feat.PRED_WINDOW, 4)
 
@@ -45,22 +36,18 @@ def vote_labels(window_preds, n_frames):
     return 2 * pos >= total[:, None]
 
 
-def predict_contacts(classifier, seq):
-    """Contact labels for every frame of a pose sequence."""
-    probs = predict_window_probs(classifier, seq)
+def predict_contacts(state, seq):
+    """Contact labels for every frame of a pose sequence, from a trained MlpState."""
+    probs = predict_window_probs(state, seq)
     labels = vote_labels(probs > 0.5, seq.n_frames)
     return ContactSequence(fps=seq.fps, labels=labels)
 
 
-def save_classifier(classifier, path):
-    state = classifier.state
-    meta = {
-        "format_version": 1,
-        "kind": "contact_classifier",
-        "layer_sizes": list(state.sizes),
-        "seed": classifier.seed,
-        **_FEATURE_META,
-    }
+def save_classifier(state, path):
+    """Write a trained MlpState's arrays (W0, b0, gamma0, ...) and the feature
+    constants it needs to an .npz. The arrays fix the layer sizes; the seed
+    is in the provenance file that train writes beside the checkpoint."""
+    meta = {"format_version": 1, "kind": "contact_classifier", **_FEATURE_META}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     arrays |= {f"{key}{i}": a for key in PARAMS
                for i, a in enumerate(getattr(state, key))}
@@ -68,8 +55,9 @@ def save_classifier(classifier, path):
 
 
 def load_classifier(path):
-    """Read a save_classifier checkpoint. Older checkpoints also store the
-    dropout settings; inference never drops out, so they are ignored."""
+    """Read a save_classifier checkpoint into an MlpState. Older checkpoints
+    also store the layer sizes, the seed and the dropout settings, which
+    inference does not read."""
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("kind") != "contact_classifier" or meta.get("format_version") != 1:
@@ -78,10 +66,8 @@ def load_classifier(path):
         if meta.get(key) != value:
             raise ValueError(f"{path}: {key} is {meta.get(key)!r}; this program's "
                              f"features need {value!r}")
-    sizes = tuple(meta["layer_sizes"])
-    n_layers = len(sizes) - 1
+    n_layers = sum(1 for name in data.files if name.startswith("W"))
     # W and b per layer, the batch-norm arrays (PARAMS[2:]) per hidden layer
-    state = MlpState(sizes, **{
+    return MlpState(**{
         key: [data[f"{key}{i}"] for i in range(n_layers - (key in PARAMS[2:]))]
         for key in PARAMS})
-    return ContactClassifier(state=state, seed=meta["seed"])

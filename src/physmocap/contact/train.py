@@ -11,8 +11,8 @@ from . import features as feat
 from .mlp import (
     DROPOUT_LAYER,
     DROPOUT_P,
+    HIDDEN_SIZES,
     AdamState,
-    LAYER_SIZES,
     adam_step,
     bce_loss,
     init_mlp,
@@ -20,7 +20,6 @@ from .mlp import (
     mlp_loss_and_grads,
     update_running_stats,
 )
-from .predict import ContactClassifier
 
 LEARNING_RATE = 1e-4
 WEIGHT_DECAY = 1e-4
@@ -97,14 +96,14 @@ def _eval_loss(state, X, Y, mask):
 
 
 def train_classifier(dataset, seed, max_epochs, verbose=False):
-    """Train on a WindowDataset. Returns (ContactClassifier, history dict).
+    """Train on a WindowDataset. Returns the best validation epoch's MlpState
+    and a history dict: per-epoch train_loss and val_loss, and best_epoch.
 
-    split_motions(seed) assigns motion names to train/val/test; windows of
-    test motions are never touched here. The seed also draws the initial
-    weights, batch order, noise and dropout. Gaussian noise (NOISE_SIGMA) is
-    added to the normalized position features of each training batch.
-    Training stops after max_epochs, or after PATIENCE epochs without a
-    validation gain, and keeps the best validation epoch's parameters.
+    split_motions(seed) assigns motion names to train/val/test; windows of test
+    motions are never touched here. The seed also draws the initial weights,
+    batch order, noise and dropout. Gaussian noise (NOISE_SIGMA) is added to
+    the normalized position features of each training batch. Training stops
+    after max_epochs, or after PATIENCE epochs without a validation gain.
     """
     split = split_motions(dataset.group, seed)
     train_ds = _subset(dataset, [n for n, s in split.items() if s == "train"])
@@ -112,7 +111,7 @@ def train_classifier(dataset, seed, max_epochs, verbose=False):
     if len(train_ds.X) == 0 or len(val_ds.X) == 0:
         raise ValueError("empty train or val split; need at least 2 motions")
 
-    state = init_mlp(sizes=(feat.FEATURE_DIM,) + LAYER_SIZES[1:], seed=seed)
+    state = init_mlp((feat.FEATURE_DIM, *HIDDEN_SIZES, 4 * feat.PRED_WINDOW), seed)
     opt = AdamState()
     rng = np.random.default_rng(seed + 1)
     pos_mask = feat.position_feature_mask()
@@ -129,8 +128,7 @@ def train_classifier(dataset, seed, max_epochs, verbose=False):
             X = train_ds.X[idx].copy()
             X[:, pos_mask] += rng.normal(0.0, NOISE_SIGMA,
                                          (len(idx), int(pos_mask.sum())))
-            drop = rng.random((len(idx), state.sizes[DROPOUT_LAYER + 1]))
-            drop = drop >= DROPOUT_P
+            drop = rng.random((len(idx), len(state.b[DROPOUT_LAYER]))) >= DROPOUT_P
             loss, grads, cache = mlp_loss_and_grads(
                 state, X, train_ds.Y[idx], train_ds.mask[idx], dropout_mask=drop)
             update_running_stats(state, cache)
@@ -150,5 +148,4 @@ def train_classifier(dataset, seed, max_epochs, verbose=False):
             if stale >= PATIENCE:
                 break
     history["best_epoch"] = best_epoch
-    history["best_val_loss"] = best_val
-    return ContactClassifier(state=best, seed=seed), history
+    return best, history

@@ -138,8 +138,7 @@ def compute_com_inertia(motion):
     I_b = np.einsum("s,ts,ij->tij", masses, sq, eye) \
         - np.einsum("s,tsi,tsj->tij", masses, d_body, d_body)
     theta = np.unwrap(motion.joint_angles[:, 0], axis=0)
-    return CentroidalStates(fps=motion.fps, mass=float(M), r=r, theta=theta,
-                            I_b=I_b)
+    return CentroidalStates(mass=float(M), r=r, theta=theta, I_b=I_b)
 
 
 def transform_motion(motion, R, t):

@@ -1,16 +1,15 @@
-"""Skeleton layout and mass model.
+"""Skeleton layout and mass model, from two tables.
 
-The default skeleton has 28 joints: the 25 OpenPose-style body and foot
-keypoints plus 3 spine joints between pelvis and neck. The spine joints have
-no 2D detections. Rest-pose bone offsets are given in the shared zero-angle
-frame (z up, character facing +x, arms along +-y).
+Joints: 28, the 25 OpenPose-style body and foot keypoints plus 3 spine joints
+between pelvis and neck, which have no 2D detections. Rest-pose bone offsets
+are in the shared zero-angle frame (z up, character facing +x, arms along
++-y). Point-mass segments: 14, with De Leva 1996 mass fractions and adjusted
+COM ratios.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
-from importlib import resources
 
 import numpy as np
 
@@ -65,11 +64,10 @@ def _unit_rows(dirs, tol):
     return dirs
 
 
-# rest-pose bone vector (unit direction, length in m) per joint name; the
+# rest-pose bone directions (unit) and lengths (m) per joint; the
 # directions are normalized here once, so a copy never divides them again
 _REST_DIRS = _unit_rows([direction for _, _, direction, _ in _JOINTS], 0.0)
-_REST_BONES = {name: (_REST_DIRS[j], length)
-               for j, (name, _, _, length) in enumerate(_JOINTS)}
+_REST_LENGTHS = np.array([length for *_, length in _JOINTS])
 
 # joints without any 2D detection (dropped from reprojection terms)
 SPINE_JOINTS = ("spine_lower", "spine_middle", "spine_upper")
@@ -99,15 +97,23 @@ class MassSegment:
     com_ratio: float
 
 
-def load_default_segments():
-    """Segment table shipped with the package."""
-    raw = json.loads(
-        resources.files("physmocap.data").joinpath("segment_masses.json").read_text()
-    )
-    return tuple(
-        MassSegment(s["name"], s["mass_fraction"], s["proximal"], s["distal"], s["com_ratio"])
-        for s in raw["segments"]
-    )
+# fractions sum to 1; com_ratio runs from the proximal joint to the distal
+_SEGMENTS = (
+    MassSegment("head", 0.0694, "neck", "nose", 0.7),
+    MassSegment("trunk", 0.4346, "pelvis", "neck", 0.5),
+    MassSegment("left_upper_arm", 0.0271, "left_shoulder", "left_elbow", 0.577),
+    MassSegment("right_upper_arm", 0.0271, "right_shoulder", "right_elbow", 0.577),
+    MassSegment("left_forearm", 0.0162, "left_elbow", "left_wrist", 0.457),
+    MassSegment("right_forearm", 0.0162, "right_elbow", "right_wrist", 0.457),
+    MassSegment("left_hand", 0.0061, "left_wrist", "left_wrist", 0.0),
+    MassSegment("right_hand", 0.0061, "right_wrist", "right_wrist", 0.0),
+    MassSegment("left_thigh", 0.1416, "left_hip", "left_knee", 0.41),
+    MassSegment("right_thigh", 0.1416, "right_hip", "right_knee", 0.41),
+    MassSegment("left_shank", 0.0433, "left_knee", "left_ankle", 0.446),
+    MassSegment("right_shank", 0.0433, "right_knee", "right_ankle", 0.446),
+    MassSegment("left_foot", 0.0137, "left_heel", "left_toe", 0.44),
+    MassSegment("right_foot", 0.0137, "right_heel", "right_toe", 0.44),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +131,10 @@ class SkeletonModel:
     """
     joint_names: tuple = JOINT_NAMES
     parents: tuple = PARENTS
-    bone_dirs: np.ndarray = None    # J x 3
-    bone_lengths: np.ndarray = None  # J
+    bone_dirs: np.ndarray = field(default_factory=_REST_DIRS.copy)        # J x 3
+    bone_lengths: np.ndarray = field(default_factory=_REST_LENGTHS.copy)  # J
     mass_total: float = 73.0
-    segments: tuple = None
+    segments: tuple = _SEGMENTS
     foot_joint_ids: tuple = field(init=False)
     foot_hip_ids: tuple = field(init=False)
     l_foot: tuple = field(init=False)
@@ -138,16 +144,10 @@ class SkeletonModel:
     def __post_init__(self):
         set_ = partial(object.__setattr__, self)
         set_("_name_to_id", {n: i for i, n in enumerate(self.joint_names)})
-        if self.bone_dirs is None or self.bone_lengths is None:
-            rest = [_REST_BONES[name] for name in self.joint_names]
-            set_("bone_dirs", np.array([d for d, _ in rest]))
-            set_("bone_lengths", np.array([l for _, l in rest]))
         # rows already unit to rounding keep their bits: dividing by a norm
         # one ulp off 1 would move them on every copy and file round trip
         set_("bone_dirs", _unit_rows(self.bone_dirs, 1e-12))
         set_("bone_lengths", np.array(self.bone_lengths, dtype=float))
-        if self.segments is None:
-            set_("segments", load_default_segments())
         validate_skeleton(self)
         feet = tuple(self._name_to_id[n] for n in CONTACT_JOINT_NAMES)
         chains = []   # per foot joint, the joints from its hip down to it

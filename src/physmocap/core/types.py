@@ -136,7 +136,6 @@ class FloorPlane:
 @dataclass(frozen=True, eq=False)
 class CentroidalStates:
     """Centroidal trajectory over a clip, stored as arrays (one row per frame)."""
-    fps: float
     mass: float
     r: np.ndarray          # T x 3
     theta: np.ndarray      # T x 3, unwrapped over time per component

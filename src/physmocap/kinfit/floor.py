@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..contact.sequence import ContactSequence
 from ..core.types import FloorPlane
 
 HUBER_DELTA = 0.01   # meters; inliers lie within 3*max(delta, robust scale)

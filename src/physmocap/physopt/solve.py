@@ -41,7 +41,6 @@ class StageReport:
     violations: dict
     n_iters: int
     status: int
-    success: bool
     wall_time: float
     stop: str = ""       # why the solver stopped, from its status; the fit stage has none
 
@@ -61,7 +60,7 @@ class PhysOptReport:
 
     @property
     def converged(self):
-        return bool(self.stages and self.stages[-1].success
+        return bool(self.stages and self.stages[-1].stop in ("gtol", "xtol")
                     and self.max_violation < VIOLATION_TOL)
 
 
@@ -154,7 +153,7 @@ def _run_stage(problem, x0, stage, max_iters, iterates=None):
         name=stage, objective=float(res.fun),
         violations=problem.violation_by_group(x),
         n_iters=int(res.niter), status=int(res.status),
-        success=bool(res.status in (1, 2)), wall_time=time.perf_counter() - t0,
+        wall_time=time.perf_counter() - t0,
         stop=("max_iters", "gtol", "xtol", "callback")[res.status])
     return x, report
 
@@ -179,7 +178,7 @@ def solve_reduced(targets, contacts, max_iters, duration_stage=None,
     report.stages.append(StageReport(
         name="fit", objective=problem.objective_fun(x0),
         violations=problem.violation_by_group(x0),
-        n_iters=0, status=0, success=True, wall_time=fit_time))
+        n_iters=0, status=0, wall_time=fit_time))
     x, st = _run_stage(problem, x0, "dynamics", max_iters, collect_iterates)
     report.stages.append(st)
     report.objective_terms = problem.objective_breakdown(x)

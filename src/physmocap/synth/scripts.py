@@ -4,8 +4,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 KINDS = ("stand", "walk", "hop", "jump", "dance")
+
+
+def _finite_number(value):   # an int or float, not a bool
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -34,17 +40,28 @@ class MotionScript:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown script kind '{self.kind}', expected one of {KINDS}")
-        for name, ok, rule in (("duration", self.duration > 0, "finite and > 0"),
-                               ("fps", self.fps > 0, "finite and > 0"),
-                               ("camera_distance", self.camera_distance > 0, "finite and > 0"),
-                               ("pixel_noise", self.pixel_noise >= 0, "finite and >= 0"),
-                               ("depth_noise", self.depth_noise >= 0, "finite and >= 0"),
-                               ("conf_drop", 0 <= self.conf_drop <= 1, "in [0, 1]"),
-                               ("camera_height", True, "finite"),
-                               ("camera_yaw", True, "finite or null")):
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
+                and Path(self.name).name == self.name):
+            raise ValueError(f"script name must be a bare file name, got {self.name!r}")
+        for name, ok, rule in (
+                ("duration", lambda v: v > 0, "a finite number > 0"),
+                ("fps", lambda v: v > 0, "a finite number > 0"),
+                ("camera_distance", lambda v: v > 0, "a finite number > 0"),
+                ("pixel_noise", lambda v: v >= 0, "a finite number >= 0"),
+                ("depth_noise", lambda v: v >= 0, "a finite number >= 0"),
+                ("conf_drop", lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+                ("camera_height", lambda v: True, "a finite number"),
+                ("camera_yaw", lambda v: True, "a finite number or null")):
             value = getattr(self, name)
-            if not (ok and (value is None or math.isfinite(value))):
+            if not (name == "camera_yaw" and value is None
+                    or _finite_number(value) and ok(value)):
                 raise ValueError(f"script {self.name!r}: {name} must be {rule}, got {value!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"script {self.name!r}: params must be a dict, got {self.params!r}")
+        for key, value in self.params.items():
+            if not _finite_number(value):
+                raise ValueError(f"script {self.name!r}: param {key!r} must be a finite "
+                                 f"number, got {value!r}")
 
     def to_json(self):
         return dataclasses.asdict(self)

@@ -117,11 +117,23 @@ def test_cli_failure_emits_json_error(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("fps", float("nan")), ("duration", float("inf")), ("camera_distance", 0.0),
     ("pixel_noise", -3.0), ("depth_noise", float("nan")), ("conf_drop", 1.5),
-    ("camera_height", float("-inf")), ("camera_yaw", float("nan"))])
+    ("camera_height", float("-inf")), ("camera_yaw", float("nan")),
+    pytest.param("fps", "30", id="fps-string"),
+    pytest.param("duration", None, id="duration-null"),
+    pytest.param("fps", True, id="fps-true"),
+    pytest.param("params", [1], id="params-list"),
+    pytest.param("params", "x", id="params-string"),
+    pytest.param("params", {"root_height": "0.84"}, id="param-string"),
+    pytest.param("params", {"root_height": float("nan")}, id="param-nan"),
+    pytest.param("name", "../escaped", id="name-parent"),
+    pytest.param("name", "sub/clip", id="name-subdir"),
+    pytest.param("name", "..", id="name-dotdot"),
+    pytest.param("name", "", id="name-empty")])
 def test_generate_rejects_out_of_range_scripts(tmp_path, capsys, field, value):
-    """json reads NaN and Infinity: a script value outside its field's range
-    fails the command, with an error naming the field, before any clip is
-    written."""
+    """json reads NaN and Infinity, and any type: a script value of the wrong
+    type or outside its field's range fails the command, with an error naming
+    the field (or the param key), before any clip is written inside or
+    outside --out."""
     script = dict(name="stand_t", kind="stand", duration=1.2)
     script[field] = value
     scripts_file = tmp_path / "scripts.json"
@@ -130,8 +142,9 @@ def test_generate_rejects_out_of_range_scripts(tmp_path, capsys, field, value):
     assert cli.main(["generate", "--scripts", str(scripts_file), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["type"] == "ValueError"
-    assert f"{field} must be" in error["message"]
-    assert not out.exists()
+    named = f"param {next(iter(value))!r}" if isinstance(value, dict) else field
+    assert f"{named} must be" in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scripts.json"]
 
 def test_label_requires_model_or_baseline(tmp_path, capsys):
     """label takes exactly one of --model and --baseline."""
@@ -146,7 +159,7 @@ def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
     out, entry = _tiny_dataset(tmp_path)
     seq = core_io.load_pose_sequence(out / entry["pose"])
     args = argparse.Namespace(contacts_from="baseline3d")
-    contacts = cli._batch_contacts(entry, out, args, seq)
+    contacts = cli._batch_contacts(load_contacts(out / entry["contacts"]), args, seq)
     assert np.array_equal(contacts.labels, velocity_baseline_3d(seq).labels)
 
 
@@ -280,7 +293,8 @@ def test_kinematic_run_does_not_load_scipy_optimize():
 import sys
 sys.path.insert(0, {str(src)!r})
 from physmocap import cli
-clip = cli.generate(cli.MotionScript(name="w", kind="walk", duration=0.5), seed=3)
+from physmocap.synth.generate import generate
+clip = generate(cli.MotionScript(name="w", kind="walk", duration=0.5), seed=3)
 cli.run_kinematic_init(clip.pose, cli.default_skeleton(), clip.contacts, max_iters=1)
 heavy = ("scipy.optimize", "scipy.sparse.linalg")
 print(sorted(m for m in sys.modules if m.startswith(heavy)))

@@ -21,7 +21,7 @@ def test_bce_gradient_matches_finite_differences_every_layer():
     X = rng.normal(0, 1, (7, 12))
     y = (rng.random((7, 8)) < 0.5).astype(float)
     mask = rng.random((7, 8)) < 0.9
-    drop = rng.random((7, state.sizes[mlp.DROPOUT_LAYER + 1])) >= mlp.DROPOUT_P
+    drop = rng.random((7, len(state.b[mlp.DROPOUT_LAYER]))) >= mlp.DROPOUT_P
 
     _, grads, _ = mlp.mlp_loss_and_grads(state, X, y, mask, dropout_mask=drop)
     h = 1e-6
@@ -87,7 +87,7 @@ def test_adam_reduces_loss_on_tiny_problem():
     opt = mlp.AdamState()
     first = None
     for it in range(500):
-        drop = rng.random((32, state.sizes[mlp.DROPOUT_LAYER + 1])) >= mlp.DROPOUT_P
+        drop = rng.random((32, len(state.b[mlp.DROPOUT_LAYER]))) >= mlp.DROPOUT_P
         loss, grads, cache = mlp.mlp_loss_and_grads(
             state, X, y, np.ones(y.shape, dtype=bool), drop)
         mlp.update_running_stats(state, cache)
@@ -98,7 +98,8 @@ def test_adam_reduces_loss_on_tiny_problem():
 
 
 def test_init_is_reproducible():
-    a = mlp.init_mlp(seed=42)
-    b = mlp.init_mlp(seed=42)
+    sizes = (351, *mlp.HIDDEN_SIZES, 20)
+    a = mlp.init_mlp(sizes, seed=42)
+    b = mlp.init_mlp(sizes, seed=42)
     for wa, wb in zip(a.W, b.W):
         assert np.array_equal(wa, wb)

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from physmocap.contact import mlp
-from physmocap.contact.features import window_labels
+from physmocap.contact.features import FEATURE_DIM, window_labels
 from physmocap.contact.predict import (
-    ContactClassifier,
     load_classifier,
+    predict_contacts,
     save_classifier,
     vote_labels,
 )
 from physmocap.contact.sequence import ContactSequence
+from physmocap.core.skeleton import JOINT_NAMES
+from physmocap.core.types import PoseSequence
 
 
 def test_vote_labels_interior_majority():
@@ -62,28 +64,52 @@ def test_vote_of_training_targets_gives_labels_back(rng):
     assert np.array_equal(vote_labels(y.reshape(T, 5, 4) > 0.5, T), c.labels)
 
 
+def _assert_same_state(a, b):
+    for key in mlp.PARAMS:
+        assert len(getattr(a, key)) == len(getattr(b, key)), key
+        for x, y in zip(getattr(a, key), getattr(b, key)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), key
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     state = mlp.init_mlp(sizes=(12, 16, 10, 6, 5, 8), seed=9)
-    clf = ContactClassifier(state=state, seed=9)
     path = tmp_path / "clf.npz"
-    save_classifier(clf, path)
+    save_classifier(state, path)
     back = load_classifier(path)
-    assert back.seed == 9
-    assert back.state.sizes == state.sizes
-    for a, b in zip(state.W, back.state.W):
-        assert np.array_equal(a, b)
-    for a, b in zip(state.run_var, back.state.run_var):
-        assert np.array_equal(a, b)
+    _assert_same_state(state, back)
     X = np.random.default_rng(1).normal(0, 1, (3, 12))
     la, _ = mlp.mlp_forward(state, X)
-    lb, _ = mlp.mlp_forward(back.state, X)
+    lb, _ = mlp.mlp_forward(back, X)
     assert np.array_equal(la, lb)
 
 
-def test_checkpoint_with_other_feature_constants_rejected(tmp_path):
-    clf = ContactClassifier(state=mlp.init_mlp(sizes=(12, 16, 10, 6, 5, 8), seed=9))
+def test_checkpoint_with_older_meta_loads(tmp_path, rng):
+    """Checkpoints that also store the layer sizes, the seed and the dropout
+    settings load to the same arrays and labels."""
+    state = mlp.init_mlp((FEATURE_DIM, 16, 10, 6, 5, 20), seed=4)
     path = tmp_path / "clf.npz"
-    save_classifier(clf, path)
+    save_classifier(state, path)
+    arrays = dict(np.load(path))
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta |= {"layer_sizes": [FEATURE_DIM, 16, 10, 6, 5, 20], "seed": 4,
+             "dropout_p": 0.3, "dropout_layer": 1}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    older = tmp_path / "older.npz"
+    np.savez(older, **arrays)
+    back = load_classifier(older)
+    _assert_same_state(state, back)
+    T, J = 12, len(JOINT_NAMES)
+    seq = PoseSequence(joint_names=JOINT_NAMES, fps=30.0,
+                       joints2d=rng.normal(0, 50, (T, J, 2)), conf=np.ones((T, J)),
+                       joints3d=rng.normal(0, 0.3, (T, J, 3)))
+    assert np.array_equal(predict_contacts(back, seq).labels,
+                          predict_contacts(state, seq).labels)
+
+
+def test_checkpoint_with_other_feature_constants_rejected(tmp_path):
+    state = mlp.init_mlp(sizes=(12, 16, 10, 6, 5, 8), seed=9)
+    path = tmp_path / "clf.npz"
+    save_classifier(state, path)
     arrays = dict(np.load(path))
     meta = json.loads(bytes(arrays["meta"]).decode())
     meta["feature_scale"] = 0.004

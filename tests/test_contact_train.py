@@ -30,7 +30,7 @@ def _train(dataset):
 def test_training_is_bit_reproducible_from_seed(dataset):
     (a, _), (b, _) = _train(dataset), _train(dataset)
     for key in ("W", "b", "gamma", "beta", "run_mean", "run_var"):
-        for x, y in zip(getattr(a.state, key), getattr(b.state, key)):
+        for x, y in zip(getattr(a, key), getattr(b, key)):
             assert np.array_equal(x, y)
 
 
@@ -39,8 +39,7 @@ def test_training_history_and_prediction_shapes(dataset, clips):
     n = len(history["train_loss"])
     assert n == len(history["val_loss"]) == 2
     assert 0 <= history["best_epoch"] < n
-    assert history["best_val_loss"] == history["val_loss"][history["best_epoch"]]
-    assert history["best_val_loss"] <= min(history["val_loss"]) + 1e-6
+    assert history["val_loss"][history["best_epoch"]] <= min(history["val_loss"]) + 1e-6
     for clip in clips:
         labels = predict_contacts(clf, clip.pose).labels
         assert labels.shape == (clip.pose.n_frames, 4)

@@ -122,3 +122,25 @@ def test_every_default_is_passed_by_the_program():
                       if (fn, param) not in DEFAULT_EXEMPT
                       and not passed(fn, param, index))
     assert not unpassed, unpassed
+
+
+def test_every_import_is_used():
+    """A name a module imports but never reads is a dependency on nothing.
+    `from __future__` imports and lines marked `# noqa: F401` (an import made
+    for its side effect) are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {bound}")
+    assert not unused, unused
