@@ -15,7 +15,8 @@ import json
 import sys
 import time
 import traceback
-from functools import partial
+from functools import lru_cache, partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .metrics import plausibility_report, positions_report
 from .physopt.problem import targets_from_kinematic
 from .physopt.solve import solve_reduced
 from .synth import dataset as synth_dataset
-from .synth.scripts import MotionScript
+from .synth.scripts import MotionScript, is_bare_name
 
 MAX_ITERS = 1500   # physics-stage iterations of optimize and batch (--max-iters)
 
@@ -82,11 +83,16 @@ def cmd_generate(args):
 # -- train ------------------------------------------------------------------
 
 def _manifest_clips(manifest_path):
-    root = Path(manifest_path).parent
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    for entry in manifest["clips"]:
-        yield entry, root
+    """(entry, dataset directory) per clip of a write_dataset manifest. A clip
+    name must be a bare file name: batch writes to --out/<name>."""
+    entries = core_io.need(core_io.read_json(manifest_path, "physmocap_dataset"),
+                           "clips", kind=list)
+    for i, entry in enumerate(entries):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not is_bare_name(name):
+            raise core_io.SchemaError(
+                f"{manifest_path}: clips[{i}].name must be a bare file name, got {name!r}")
+    return [(entry, Path(manifest_path).parent) for entry in entries]
 
 
 def cmd_train(args):
@@ -146,17 +152,22 @@ def _grf_trace(out_dir, traj, motion, mass):
 
 def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
     """Kinematic init, reduced physics solve, full-body upgrade. Writes the
-    sequence directory and returns the report payload."""
+    sequence directory and returns the report payload. The pose must hold
+    the skeleton's joints in its order, and the labels fit its frames."""
     if (contacts.n_frames, contacts.fps) != (seq.n_frames, seq.fps):
         raise ValueError(f"contact labels have {contacts.n_frames} frames at "
                          f"{contacts.fps:g} fps, the pose {seq.n_frames} at {seq.fps:g}")
     if not contacts.labels.any():
         raise ValueError("contact labels have no contact frame")
+    skeleton = default_skeleton()
+    for j, (name, want) in enumerate(zip_longest(seq.joint_names, skeleton.joint_names)):
+        if name != want:
+            raise ValueError(f"pose joint {j} is {name!r}, the skeleton's is {want!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     motion, floor, contacts, states, kin_report = run_kinematic_init(
-        seq, default_skeleton(), contacts, floor=floor)
+        seq, skeleton, contacts, floor=floor)
     core_io.save_motion(motion, out_dir / "kinematic.motion.json")
     core_io.save_floor(floor, out_dir / "floor.json")
     save_contacts(contacts, out_dir / "contacts.used.json")
@@ -204,11 +215,16 @@ def cmd_optimize(args):
 
 # -- batch ------------------------------------------------------------------
 
+@lru_cache(maxsize=1)   # every clip shares it: a process (a worker) loads it once
+def _batch_classifier(path):
+    return load_classifier(path)
+
+
 def _batch_contacts(gt_contacts, args, seq):
     if args.contacts_from == "files":
         return gt_contacts
     if args.contacts_from == "classifier":
-        return predict_contacts(load_classifier(args.model), seq)
+        return predict_contacts(_batch_classifier(args.model), seq)
     return velocity_baseline_3d(seq)
 
 

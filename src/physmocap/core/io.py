@@ -5,20 +5,24 @@ written with Python's shortest round-trip repr, so save/load is bit-exact for
 finite values; non-finite values are rejected on both sides. Contact files
 live next to their type (contact.sequence) and reuse the helpers here.
 
-Files hold only what their type cannot derive, and keys of older files
-that held derived values are ignored on load: the leg-layout keys of a
-motion's skeleton block (foot_joints, hip_joints, l_foot, l_leg), a
-floor's tangents, which FloorPlane derives from its normal, and a contact
-file's phases, which ContactSequence derives from its labels, and
-joint_names, the constant CONTACT_JOINT_NAMES.
+Files hold only what their type cannot derive. A motion's skeleton block
+holds bone_lengths only; an older file's copies of core.skeleton's tables
+(joint_names, parents, bone_dirs, mass_total, segments) must equal them,
+or the load fails naming the key. Keys of older files that held derived
+values are ignored on load: the leg-layout keys of a motion's skeleton block
+(foot_joints, hip_joints, l_foot, l_leg), a floor's tangents, which
+FloorPlane derives from its normal, and a contact file's phases, which
+ContactSequence derives from its labels, and joint_names, the constant
+CONTACT_JOINT_NAMES.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
-from .skeleton import MassSegment, SkeletonModel
+from .skeleton import SkeletonModel
 from .types import FloorPlane, PoseSequence, JointAngleMotion
 
 FORMAT_VERSION = 1
@@ -116,40 +120,14 @@ def load_pose_sequence(path):
     )
 
 
-def _skeleton_payload(skel):
-    return {
-        "joint_names": list(skel.joint_names),
-        "parents": list(skel.parents),
-        "bone_dirs": skel.bone_dirs.tolist(),
-        "bone_lengths": skel.bone_lengths.tolist(),
-        "mass_total": skel.mass_total,
-        "segments": [
-            {"name": s.name, "mass_fraction": s.mass_fraction, "proximal": s.proximal,
-             "distal": s.distal, "com_ratio": s.com_ratio}
-            for s in skel.segments
-        ],
-    }
-
-
-def _skeleton_from_payload(raw, path="skeleton"):
-    names = tuple(need(raw, "joint_names", path, list))
-    J = len(names)
-    segs = tuple(
-        MassSegment(need(s, "name", f"{path}.segments[{i}]"),
-                    float(numbers(s, "mass_fraction", (), f"{path}.segments[{i}]")),
-                    need(s, "proximal", f"{path}.segments[{i}]"),
-                    need(s, "distal", f"{path}.segments[{i}]"),
-                    float(numbers(s, "com_ratio", (), f"{path}.segments[{i}]")))
-        for i, s in enumerate(need(raw, "segments", path, list))
-    )
-    return SkeletonModel(
-        joint_names=names,
-        parents=tuple(int(p) for p in numbers(raw, "parents", (J,), path)),
-        bone_dirs=numbers(raw, "bone_dirs", (J, 3), path),
-        bone_lengths=numbers(raw, "bone_lengths", (J,), path),
-        mass_total=float(numbers(raw, "mass_total", (), path)),
-        segments=segs,
-    )
+# the body tables as an older motion file's skeleton block restated them
+_BODY_TABLES = {
+    "joint_names": list(SkeletonModel.joint_names),
+    "parents": list(SkeletonModel.parents),
+    "bone_dirs": SkeletonModel.bone_dirs.tolist(),
+    "mass_total": SkeletonModel.mass_total,
+    "segments": [asdict(s) for s in SkeletonModel.segments],
+}
 
 
 def save_motion(motion, path):
@@ -159,7 +137,7 @@ def save_motion(motion, path):
         "format_version": FORMAT_VERSION,
         "kind": "motion",
         "fps": motion.fps,
-        "skeleton": _skeleton_payload(motion.skeleton),
+        "skeleton": {"bone_lengths": motion.skeleton.bone_lengths.tolist()},
         "root_pos": motion.root_pos.tolist(),
         "joint_angles": motion.joint_angles.tolist(),
     })
@@ -167,7 +145,12 @@ def save_motion(motion, path):
 
 def load_motion(path):
     raw = read_json(path, "motion")
-    skel = _skeleton_from_payload(need(raw, "skeleton"))
+    block = need(raw, "skeleton", kind=dict)
+    for key, table in _BODY_TABLES.items():
+        if key in block and block[key] != table:
+            raise SchemaError(f"skeleton.{key}: not this program's body table")
+    skel = SkeletonModel(numbers(block, "bone_lengths", (SkeletonModel.n_joints,),
+                                 "skeleton"))
     T = len(need(raw, "root_pos", kind=list))
     return JointAngleMotion(
         skeleton=skel,

@@ -108,14 +108,11 @@ def segment_points(skeleton, positions):
 
     Returns (points ... x S x 3, masses S).
     """
-    pts = []
-    masses = []
-    for s in skeleton.segments:
-        a = positions[..., skeleton.joint_id(s.proximal), :]
-        b = positions[..., skeleton.joint_id(s.distal), :]
-        pts.append(a + s.com_ratio * (b - a))
-        masses.append(s.mass_fraction * skeleton.mass_total)
-    return np.stack(pts, axis=-2), np.array(masses)
+    segs = skeleton.segments
+    a = positions[..., [skeleton.joint_id(s.proximal) for s in segs], :]
+    b = positions[..., [skeleton.joint_id(s.distal) for s in segs], :]
+    ratio = np.array([[s.com_ratio] for s in segs])
+    return a + ratio * (b - a), np.array([s.mass_fraction * skeleton.mass_total for s in segs])
 
 
 def compute_com_inertia(motion):

@@ -1,15 +1,19 @@
-"""Skeleton layout and mass model, from two tables.
+"""The one body: a skeleton layout and mass model, from two tables.
 
 Joints: 28, the 25 OpenPose-style body and foot keypoints plus 3 spine joints
 between pelvis and neck, which have no 2D detections. Rest-pose bone offsets
 are in the shared zero-angle frame (z up, character facing +x, arms along
 +-y). Point-mass segments: 14, with De Leva 1996 mass fractions and adjusted
 COM ratios.
+
+The program fits this one body, scaled to the subject: a SkeletonModel varies
+only in its bone lengths, and what the tables alone give is computed once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,21 +56,13 @@ _JOINTS = (
 JOINT_NAMES = tuple(name for name, *_ in _JOINTS)
 PARENTS = tuple(-1 if parent is None else JOINT_NAMES.index(parent)
                 for _, parent, *_ in _JOINTS)
+_JOINT_IDS = {name: j for j, name in enumerate(JOINT_NAMES)}
 
-
-def _unit_rows(dirs, tol):
-    """dirs with each nonzero row whose norm is off 1 by more than tol
-    divided by that norm, so FK lengths are exact."""
-    dirs = np.array(dirs, dtype=float)
-    norms = np.linalg.norm(dirs, axis=1)
-    off = (norms > 1e-12) & (np.abs(norms - 1.0) > tol)
-    dirs[off] /= norms[off, None]
-    return dirs
-
-
-# rest-pose bone directions (unit) and lengths (m) per joint; the
-# directions are normalized here once, so a copy never divides them again
-_REST_DIRS = _unit_rows([direction for _, _, direction, _ in _JOINTS], 0.0)
+# rest-pose bone directions (unit; the root row is zero) and lengths (m) per
+# joint. Each bone row is divided by its norm once, so FK lengths are exact.
+_BONE_DIRS = np.array([direction for _, _, direction, _ in _JOINTS])
+_BONE_DIRS[1:] /= np.linalg.norm(_BONE_DIRS[1:], axis=1, keepdims=True)
+_BONE_DIRS.flags.writeable = False
 _REST_LENGTHS = np.array([length for *_, length in _JOINTS])
 
 # joints without any 2D detection (dropped from reprojection terms)
@@ -85,6 +81,15 @@ LOWER_BODY_JOINT_NAMES = (
     "left_toe", "right_toe",
     "left_toe_end", "right_toe_end",
 )
+
+
+def _leg(j):   # the joints from j's hip, its ancestor that hangs from the root, down to j
+    return (*_leg(PARENTS[j]), j) if PARENTS[j] > 0 else (j,)
+
+
+_LEGS = tuple(_leg(_JOINT_IDS[name]) for name in CONTACT_JOINT_NAMES)
+_WITH_2D = tuple(j for j, name in enumerate(JOINT_NAMES) if name not in SPINE_JOINTS)
+_POSED = tuple(sorted(set(PARENTS[1:])))
 
 
 @dataclass(frozen=True)
@@ -118,58 +123,43 @@ _SEGMENTS = (
 
 @dataclass(frozen=True, eq=False)
 class SkeletonModel:
-    """Kinematic tree plus the mass model.
-
-    bone_dirs[j] is the unit rest direction of the bone parent(j) -> j in the
-    parent's frame (all frames coincide in the zero-angle pose); the root row
-    is zero. bone_lengths are in meters. Joint angles everywhere are intrinsic
-    Z-Y-X Euler. The leg layout is derived, so dataclasses.replace recomputes
-    it: foot_joint_ids (CONTACT_JOINT_NAMES), foot_hip_ids (per foot joint,
-    its ancestor that hangs from the root), l_foot (per side, the rest
-    toe-heel distance) and l_leg (per foot joint, the bone lengths summed
-    from its hip down to it).
+    """The one body, scaled to a subject: bone_lengths (m, per joint, the
+    root's 0) is its only init field, and dataclasses.replace of it
+    recomputes l_foot (per side, the rest toe-heel distance) and l_leg (per
+    foot joint, the bone lengths summed from its hip down to it). Every
+    skeleton shares the class attributes, which the tables give: bone_dirs[j]
+    is the unit rest direction of the bone parent(j) -> j in the parent's
+    frame (all frames coincide in the zero-angle pose), foot_joint_ids are
+    CONTACT_JOINT_NAMES', and foot_hip_ids their hips, the joints that hang
+    from the root. Joint angles everywhere are intrinsic Z-Y-X Euler.
     """
-    joint_names: tuple = JOINT_NAMES
-    parents: tuple = PARENTS
-    bone_dirs: np.ndarray = field(default_factory=_REST_DIRS.copy)        # J x 3
     bone_lengths: np.ndarray = field(default_factory=_REST_LENGTHS.copy)  # J
-    mass_total: float = 73.0
-    segments: tuple = _SEGMENTS
-    foot_joint_ids: tuple = field(init=False)
-    foot_hip_ids: tuple = field(init=False)
     l_foot: tuple = field(init=False)
     l_leg: tuple = field(init=False)
-    _name_to_id: dict = field(init=False, repr=False, compare=False)
+
+    joint_names: ClassVar[tuple] = JOINT_NAMES
+    parents: ClassVar[tuple] = PARENTS
+    bone_dirs: ClassVar[np.ndarray] = _BONE_DIRS                  # J x 3, read-only
+    n_joints: ClassVar[int] = len(JOINT_NAMES)
+    mass_total: ClassVar[float] = 73.0                            # kg
+    segments: ClassVar[tuple] = _SEGMENTS
+    foot_joint_ids: ClassVar[tuple] = tuple(leg[-1] for leg in _LEGS)
+    foot_hip_ids: ClassVar[tuple] = tuple(leg[0] for leg in _LEGS)
 
     def __post_init__(self):
+        lengths = np.array(self.bone_lengths, dtype=float)
+        if lengths.shape != (self.n_joints,) or not np.all(lengths >= 0):
+            raise ValueError(f"bone_lengths must be {self.n_joints} lengths >= 0, got {lengths}")
         set_ = partial(object.__setattr__, self)
-        set_("_name_to_id", {n: i for i, n in enumerate(self.joint_names)})
-        # rows already unit to rounding keep their bits: dividing by a norm
-        # one ulp off 1 would move them on every copy and file round trip
-        set_("bone_dirs", _unit_rows(self.bone_dirs, 1e-12))
-        set_("bone_lengths", np.array(self.bone_lengths, dtype=float))
-        validate_skeleton(self)
-        feet = tuple(self._name_to_id[n] for n in CONTACT_JOINT_NAMES)
-        chains = []   # per foot joint, the joints from its hip down to it
-        for j in feet:
-            chain = [j]
-            while self.parents[chain[0]] > 0:
-                chain.insert(0, self.parents[chain[0]])
-            chains.append(chain)
-        set_("foot_joint_ids", feet)
-        set_("foot_hip_ids", tuple(chain[0] for chain in chains))
+        set_("bone_lengths", lengths)
         rest = self.rest_positions()
+        feet = self.foot_joint_ids
         set_("l_foot", tuple(float(np.linalg.norm(rest[toe] - rest[heel]))
                              for toe, heel in (feet[:2], feet[2:])))
-        set_("l_leg", tuple(float(sum(self.bone_lengths[j] for j in chain[1:]))
-                            for chain in chains))
+        set_("l_leg", tuple(float(sum(lengths[j] for j in leg[1:])) for leg in _LEGS))
 
     def joint_id(self, name):
-        return self._name_to_id[name]
-
-    @property
-    def n_joints(self):
-        return len(self.joint_names)
+        return _JOINT_IDS[name]
 
     def rest_positions(self):
         """Joint positions in the zero-angle pose, root at the origin. J x 3."""
@@ -178,50 +168,11 @@ class SkeletonModel:
             pos[j] = pos[self.parents[j]] + self.bone_dirs[j] * self.bone_lengths[j]
         return pos
 
-    def joints_with_2d(self):
-        """Indices of joints that carry 2D detections (everything but the spine)."""
-        skip = {self._name_to_id[n] for n in SPINE_JOINTS if n in self._name_to_id}
-        return tuple(j for j in range(self.n_joints) if j not in skip)
+    def joints_with_2d(self):   # the joints that carry 2D detections: all but the spine
+        return _WITH_2D
 
-    def posed_joints(self):
-        """Indices of joints with at least one child: the joints whose angles
-        move some joint position (a leaf's angles move none)."""
-        return tuple(sorted(set(self.parents[1:])))
-
-
-def validate_skeleton(skel):
-    J = len(skel.joint_names)
-    if len(skel.parents) != J:
-        raise ValueError(f"parents has {len(skel.parents)} entries for {J} joints")
-    if skel.parents[0] != -1:
-        raise ValueError(f"joint 0 must be the root, got parent {skel.parents[0]}")
-    for j in range(1, J):
-        p = skel.parents[j]
-        if not 0 <= p < j:
-            raise ValueError(
-                f"joint {j} ({skel.joint_names[j]}) has parent {p}; "
-                "parents must precede children")
-    if skel.bone_dirs.shape != (J, 3):
-        raise ValueError(f"bone_dirs shape {skel.bone_dirs.shape}, expected {(J, 3)}")
-    if skel.bone_lengths.shape != (J,):
-        raise ValueError(f"bone_lengths shape {skel.bone_lengths.shape}, expected {(J,)}")
-    if np.any(skel.bone_lengths < 0):
-        raise ValueError("negative bone length")
-    norms = np.linalg.norm(skel.bone_dirs[1:], axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-3):
-        bad = 1 + int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(
-            f"bone_dirs[{bad}] ({skel.joint_names[bad]}) has norm {norms[bad - 1]:.6f}, "
-            "expected unit vectors")
-    total = sum(s.mass_fraction for s in skel.segments)
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"segment mass fractions sum to {total:.8f}, expected 1")
-    for s in skel.segments:
-        for joint in (s.proximal, s.distal):
-            if joint not in skel._name_to_id:
-                raise ValueError(f"segment {s.name} references unknown joint {joint!r}")
-    if skel.mass_total <= 0:
-        raise ValueError(f"mass_total must be positive, got {skel.mass_total}")
+    def posed_joints(self):   # the joints whose angles move a position: those with a child
+        return _POSED
 
 
 def default_skeleton():

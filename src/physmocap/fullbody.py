@@ -24,10 +24,9 @@ FREE_END_NAMES = ("left_toe_end", "right_toe_end")
 
 
 def _upgrade_weights(skeleton):
-    names = list(skeleton.joint_names)
     w = np.ones(skeleton.n_joints)
     for name in LEG_JOINT_NAMES + FREE_END_NAMES:
-        w[names.index(name)] = 0.0
+        w[skeleton.joint_id(name)] = 0.0
     for j in skeleton.foot_joint_ids:
         w[j] = FOOT_TARGET_WEIGHT
     return w

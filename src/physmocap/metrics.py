@@ -124,8 +124,7 @@ def _mpjpe(positions, skeleton, gt):
 
     def mpjpe(pos, names):
         ids = [skeleton.joint_id(n) for n in names]
-        ids_gt = [gt.skeleton.joint_id(n) for n in names]
-        err = np.linalg.norm(pos[:, ids] - gt_pos[:, ids_gt], axis=2)
+        err = np.linalg.norm(pos[:, ids] - gt_pos[:, ids], axis=2)
         return float(err.mean() * 1000.0)
 
     shift = positions[0, 0] - gt_pos[0, 0]

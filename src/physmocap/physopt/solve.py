@@ -28,10 +28,11 @@ import numpy as np
 from scipy import sparse
 
 from ..core.rotation import skew
-from .problem import FORCE_MAX, ReducedProblem
+from .problem import FORCE_MAX, FRICTION_RATIO, ReducedProblem
 from .trajectory import CentroidalTrajectory, TrajectoryLayout
 
 VIOLATION_TOL = 1e-6
+GUESS_MARGIN = 0.9   # the static force guess's share of FORCE_MAX and of the friction cone
 
 
 @dataclass
@@ -98,7 +99,7 @@ def initial_guess(problem):
 
     # static forces: distribute the net contact wrench of the fitted motion
     # between the feet in contact at each force knot (least-squares over
-    # force and torque balance), each force clipped into the friction cone.
+    # force and torque balance), each force kept GUESS_MARGIN inside its bounds.
     # A phase's last knot sits at its end, which in_contact puts in the next
     # phase, so its flags are read half a frame earlier, in its last frame.
     knots = [(i, ph.force_col + 6 * k, ph.start + k * (ph.duration / ph.n_segs),
@@ -116,9 +117,9 @@ def initial_guess(problem):
                                 np.concatenate(skew(a[ids]), axis=1)])
             f = np.linalg.lstsq(A, w, rcond=None)[0].reshape(-1, 3)[
                 np.searchsorted(ids, i)]
-        fn = np.clip(up @ f, 0.0, 0.9 * FORCE_MAX)
-        ft = np.array([tdir @ f for tdir in problem.tans])
-        ft = np.clip(ft, -0.45 * fn, 0.45 * fn)
+        fn = np.clip(up @ f, 0.0, GUESS_MARGIN * FORCE_MAX)
+        ft_max = GUESS_MARGIN * FRICTION_RATIO * fn
+        ft = np.clip([tdir @ f for tdir in problem.tans], -ft_max, ft_max)
         x[b:b + 3] = fn * up + ft[0] * problem.tans[0] + ft[1] * problem.tans[1]
         x[b + 3:b + 6] = 0.0
     return x

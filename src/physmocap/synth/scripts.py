@@ -14,6 +14,11 @@ def _finite_number(value):   # an int or float, not a bool
             and math.isfinite(value))
 
 
+def is_bare_name(name):   # a clip's name: its outputs are named after it
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and Path(name).name == name)
+
+
 @dataclass(frozen=True)
 class MotionScript:
     """Recipe for one synthetic clip.
@@ -40,8 +45,7 @@ class MotionScript:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown script kind '{self.kind}', expected one of {KINDS}")
-        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
-                and Path(self.name).name == self.name):
+        if not is_bare_name(self.name):
             raise ValueError(f"script name must be a bare file name, got {self.name!r}")
         for name, ok, rule in (
                 ("duration", lambda v: v > 0, "a finite number > 0"),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from physmocap import cli
 from physmocap.contact.heuristic import velocity_baseline_3d
-from physmocap.contact.sequence import ContactSequence, load_contacts
+from physmocap.contact.sequence import ContactSequence, load_contacts, save_contacts
 from physmocap.core import io as core_io
 from physmocap.synth import dataset as synth_dataset
 from physmocap.synth.generate import generate
@@ -166,9 +167,10 @@ def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_batch_with_workers_isolates_failures(tmp_path, workers):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"clips": [
-        {"name": name, "pose": f"{name}.pose.json",
-         "contacts": f"{name}.contacts.json"} for name in ("a", "b")]}))
+    manifest.write_text(json.dumps({
+        "kind": "physmocap_dataset", "format_version": 1,
+        "clips": [{"name": name, "pose": f"{name}.pose.json",
+                   "contacts": f"{name}.contacts.json"} for name in ("a", "b")]}))
     out = tmp_path / "batch"
     rc = cli.main(["batch", "--manifest", str(manifest), "--out", str(out),
                    "--workers", workers])
@@ -179,6 +181,69 @@ def test_batch_with_workers_isolates_failures(tmp_path, workers):
         record = json.loads((out / name / "error.json").read_text())
         assert record["error"]["type"] == "FileNotFoundError"
         assert isinstance(record["trace"], list) and record["trace"]
+
+
+def _error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_batch_refuses_a_file_that_is_not_a_manifest(tmp_path, capsys):
+    out, entry = _tiny_dataset(tmp_path)
+    runs = tmp_path / "runs"
+    rc = cli.main(["batch", "--manifest", str(out / entry["pose"]),
+                   "--out", str(runs / "out")])
+    assert rc == 1
+    error = _error(capsys)
+    assert error["type"] == "SchemaError" and "physmocap_dataset" in error["message"]
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/clip", "..", "", None])
+def test_batch_refuses_clip_names_that_are_not_file_names(tmp_path, capsys, name):
+    """batch writes a clip's outputs to --out/<name>: a name with a directory
+    part is refused before any clip runs, so nothing lands outside --out."""
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text(json.dumps({
+        "kind": "physmocap_dataset", "format_version": 1,
+        "clips": [{"name": "a", "pose": "a.pose.json"},
+                  {"name": name, "pose": "b.pose.json"}]}))
+    runs = tmp_path / "runs"
+    rc = cli.main(["batch", "--manifest", str(manifest), "--out", str(runs / "out")])
+    assert rc == 1
+    error = _error(capsys)
+    assert error["type"] == "SchemaError" and "clips[1].name" in error["message"]
+    assert not runs.exists()
+
+
+def test_batch_loads_the_classifier_once(tmp_path, monkeypatch):
+    """Every clip of a batch shares one classifier, so a process loads its
+    checkpoint once, not once per clip."""
+    from physmocap.contact import features as feat
+    from physmocap.contact.mlp import HIDDEN_SIZES, init_mlp
+    from physmocap.contact.predict import load_classifier, save_classifier
+
+    out, _ = _tiny_dataset(tmp_path, names=("stand_t", "stand_u"))
+    model = tmp_path / "classifier.npz"
+    save_classifier(init_mlp((feat.FEATURE_DIM, *HIDDEN_SIZES, 4 * feat.PRED_WINDOW), 0),
+                    model)
+    loads, labelled = [], []
+    monkeypatch.setattr(cli, "load_classifier",
+                        lambda path: loads.append(path) or load_classifier(path))
+
+    def optimize(seq, contacts, out_dir, **_):   # the labels are all this test needs
+        labelled.append(contacts.labels.shape)
+        raise RuntimeError("labelled")
+
+    monkeypatch.setattr(cli, "optimize_sequence", optimize)
+    cli._batch_classifier.cache_clear()
+    rc = cli.main(["batch", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "runs"), "--contacts-from", "classifier",
+                   "--model", str(model)])
+    cli._batch_classifier.cache_clear()
+    assert rc == 0
+    assert len(labelled) == 2
+    assert loads == [str(model)]
 
 
 def test_eval_and_report_flag_unconverged_physics(tmp_path):
@@ -281,6 +346,34 @@ def test_optimize_rejects_labels_that_do_not_fit_the_pose(hop_a, change, message
         cli.optimize_sequence(hop_a.pose, change(hop_a.contacts), tmp_path,
                               max_iters=1, floor=hop_a.floor)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("order, message", [
+    ("reversed", "pose joint 1 is 'right_toe_end', the skeleton's is 'spine_lower'"),
+    ("first 25", "pose joint 25 is None, the skeleton's is 'right_heel'"),
+])
+def test_optimize_refuses_a_pose_of_other_joints(hop_a, tmp_path, capsys, order, message):
+    """The fit reads the pose's joints in the skeleton's order: a pose that
+    lists other joints, or the same ones in another order, fails the command
+    before anything is written."""
+    pose = hop_a.pose
+    J = len(pose.joint_names)
+    ids = [0, *range(J - 1, 0, -1)] if order == "reversed" else list(range(25))
+    seq = dataclasses.replace(pose, joint_names=tuple(pose.joint_names[j] for j in ids),
+                              joints2d=pose.joints2d[:, ids], conf=pose.conf[:, ids],
+                              joints3d=pose.joints3d[:, ids])
+    core_io.save_pose_sequence(seq, tmp_path / "pose.json")
+    save_contacts(hop_a.contacts, tmp_path / "contacts.json")
+    core_io.save_floor(hop_a.floor, tmp_path / "floor.json")
+    out = tmp_path / "run"
+    rc = cli.main(["optimize", "--pose", str(tmp_path / "pose.json"),
+                   "--contacts", str(tmp_path / "contacts.json"),
+                   "--floor", str(tmp_path / "floor.json"),
+                   "--out", str(out), "--max-iters", "1"])
+    assert rc == 1
+    error = _error(capsys)
+    assert error["type"] == "ValueError" and message in error["message"]
+    assert not out.exists()
 
 
 def test_kinematic_run_does_not_load_scipy_optimize():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -190,3 +191,52 @@ def test_syntax_error_reports_line(tmp_path):
     path.write_text('{"format_version": 1,\n "kind": oops}\n')
     with pytest.raises(io.SchemaError, match="line 2"):
         io.load_floor(path)
+
+
+def _older_motion_file(path, skeleton, motion):
+    """Save motion as older files were: the skeleton block restated the body
+    tables beside the bone lengths."""
+    io.save_motion(motion, path)
+    raw = json.loads(path.read_text())
+    assert list(raw["skeleton"]) == ["bone_lengths"]
+    raw["skeleton"].update(
+        joint_names=list(skeleton.joint_names), parents=list(skeleton.parents),
+        bone_dirs=skeleton.bone_dirs.tolist(), mass_total=skeleton.mass_total,
+        segments=[dataclasses.asdict(s) for s in skeleton.segments])
+    return raw
+
+
+def test_older_motion_file_with_the_tables_loads(tmp_path, skeleton, rng):
+    lengths = skeleton.bone_lengths * rng.uniform(0.9, 1.1, skeleton.n_joints)
+    motion = random_motion(dataclasses.replace(skeleton, bone_lengths=lengths), rng)
+    path = tmp_path / "motion.json"
+    io.write_json(path, _older_motion_file(path, skeleton, motion))
+    back = io.load_motion(path)
+    assert np.array_equal(back.root_pos, motion.root_pos)
+    assert np.array_equal(back.joint_angles, motion.joint_angles)
+    assert np.array_equal(back.skeleton.bone_lengths, lengths)
+
+
+def _other_segments(segments):
+    segments[1]["mass_fraction"] += 0.01    # e.g. another trunk mass
+    return segments
+
+
+@pytest.mark.parametrize("key, change", [
+    ("joint_names", lambda names: names[:1] + names[:0:-1]),
+    ("parents", lambda parents: parents[:-1] + [0]),
+    ("bone_dirs", lambda dirs: dirs[:1] + [[0.0, 0.0, 1.0]] * (len(dirs) - 1)),
+    ("mass_total", lambda mass: 80.0),
+    ("segments", _other_segments),
+    ("segments", lambda segments: segments[:-2]),
+], ids=["joint order", "parents", "bone_dirs", "mass_total", "segment mass",
+        "fewer segments"])
+def test_older_motion_file_with_other_tables_refused(tmp_path, skeleton, rng, key, change):
+    """Only the bone lengths vary: a file whose stored tables are not the
+    program's is refused, by the key that differs, not reread."""
+    path = tmp_path / "motion.json"
+    raw = _older_motion_file(path, skeleton, random_motion(skeleton, rng))
+    raw["skeleton"][key] = change(raw["skeleton"][key])
+    io.write_json(path, raw)
+    with pytest.raises(io.SchemaError, match=f"skeleton.{key}"):
+        io.load_motion(path)
