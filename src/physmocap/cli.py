@@ -1,10 +1,11 @@
 """Pipeline command line: generate data, train and apply the contact
 classifier, run the optimization end to end, and aggregate reports.
 
-Every command writes a provenance record (argument hash, seed, library
-versions) next to its outputs, exits 0 on success, and on failure emits a
-machine-readable error record on stderr with a nonzero exit code. Batch
-runs isolate per-sequence failures and report a convergence rate.
+Every command but report writes a provenance record (argument hash, seed,
+library versions) next to its outputs. Every command exits 0 on success,
+and on failure emits a machine-readable error record on stderr with a
+nonzero exit code. Batch runs isolate per-sequence failures and report a
+convergence rate.
 """
 from __future__ import annotations
 
@@ -40,24 +41,22 @@ from .synth.scripts import MotionScript, is_bare_name
 MAX_ITERS = 1500   # physics-stage iterations of optimize and batch (--max-iters)
 
 
-def _versions():
+def _write_provenance(path, args, seed=None, **extra):
+    """Record the command's arguments, their hash, the seed and the library
+    versions: in <path>/provenance.json for a directory output, beside a
+    file output as <path minus suffix>.provenance.json. extra adds fields."""
     import scipy
-    return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__, "physmocap": __version__}
-
-
-def _provenance(args, seed=None):
+    path = Path(path)
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return {"command": args.command, "args": {k: str(v) for k, v in payload.items()},
-            "config_hash": hashlib.sha256(blob).hexdigest()[:16],
-            "seed": seed, "versions": _versions(),
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-
-
-def _write_provenance(out_dir, args, seed=None):
-    core_io.write_json(Path(out_dir) / "provenance.json",
-                       _provenance(args, seed))
+    core_io.write_json(
+        path / "provenance.json" if path.is_dir() else path.with_suffix(".provenance.json"),
+        {"command": args.command, "args": {k: str(v) for k, v in payload.items()},
+         "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+         "seed": seed, "versions": {"python": sys.version.split()[0],
+                                    "numpy": np.__version__, "scipy": scipy.__version__,
+                                    "physmocap": __version__},
+         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")} | extra)
 
 
 # -- generate ---------------------------------------------------------------
@@ -69,8 +68,10 @@ SUITES = {"exact": synth_dataset.exact_suite,
 
 def cmd_generate(args):
     if args.scripts:
-        with open(args.scripts) as fh:
-            scripts = [MotionScript.from_json(p) for p in json.load(fh)]
+        raw = core_io.load_json(args.scripts)
+        if not (isinstance(raw, list) and all(isinstance(p, dict) for p in raw)):
+            raise core_io.SchemaError(f"{args.scripts}: not a JSON list of script objects")
+        scripts = [MotionScript.from_json(p) for p in raw]
     else:
         scripts = SUITES[args.suite]()
     clips = synth_dataset.generate_suite(scripts, seed=args.seed)
@@ -108,43 +109,48 @@ def cmd_train(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_classifier(classifier, out)
-    core_io.write_json(out.with_suffix(".provenance.json"),
-                       _provenance(args, seed=args.seed)
-                       | {"best_epoch": history["best_epoch"],
-                          "val_loss": history["val_loss"][history["best_epoch"]]})
+    _write_provenance(out, args, seed=args.seed, best_epoch=history["best_epoch"],
+                      val_loss=history["val_loss"][history["best_epoch"]])
     print(f"saved classifier to {out} (best epoch {history['best_epoch']})")
     return 0
 
 
 # -- label ------------------------------------------------------------------
 
+@lru_cache(maxsize=1)   # a process (a batch worker) loads it once for all its clips
+def _classifier(path):
+    return load_classifier(path)
+
+
+def _labels(source, seq, model):
+    """Contact labels of the pose from one source: "classifier" (the
+    classifier file model), "baseline2d" or "baseline3d" (model unread)."""
+    return {"classifier": lambda: predict_contacts(_classifier(model), seq),
+            "baseline2d": lambda: velocity_baseline_2d(seq),
+            "baseline3d": lambda: velocity_baseline_3d(seq)}[source]()
+
+
 def cmd_label(args):
     seq = core_io.load_pose_sequence(args.pose)
-    if args.model:
-        contacts = predict_contacts(load_classifier(args.model), seq)
-    elif args.baseline == "2d":
-        contacts = velocity_baseline_2d(seq)
-    else:
-        contacts = velocity_baseline_3d(seq)
+    contacts = _labels("classifier" if args.model else f"baseline{args.baseline}",
+                       seq, args.model)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_contacts(contacts, out)
-    core_io.write_json(out.with_suffix(".provenance.json"), _provenance(args))
+    _write_provenance(out, args)
     print(f"wrote contact labels to {out}")
     return 0
 
 
 # -- optimize ---------------------------------------------------------------
 
-def _grf_trace(out_dir, traj, motion, mass):
-    times = np.arange(motion.n_frames) / motion.fps
-    out = traj.sample(times)
-    forces = out["forces"]                       # T x 4 x 3
+def _grf_trace(out_dir, times, samples, mass):
+    forces, r = samples["forces"], samples["r"]  # T x 4 x 3, T x 3
     total = forces.sum(axis=1)
     np.save(Path(out_dir) / "forces.npy", total)
     pct_bw = np.linalg.norm(total, axis=1) / (mass * GRAVITY) * 100.0
     np.savetxt(Path(out_dir) / "grf_trace.csv",
-               np.column_stack([times, total, pct_bw, np.linalg.norm(forces, axis=2), out["r"]]),
+               np.column_stack([times, total, pct_bw, np.linalg.norm(forces, axis=2), r]),
                fmt=["%.4f"] * 4 + ["%.3f"] + ["%.4f"] * 4 + ["%.5f"] * 3, delimiter=",",
                header="t,fx,fy,fz,percent_bw,f_left_toe,f_left_heel,f_right_toe,"
                       "f_right_heel,com_x,com_y,com_z", comments="", newline="\r\n")
@@ -174,11 +180,12 @@ def optimize_sequence(seq, contacts, out_dir, max_iters, floor=None):
 
     targets = targets_from_kinematic(motion, states, floor)
     traj, phys_report, _ = solve_reduced(targets, contacts, max_iters=max_iters)
+    samples = traj.sample(targets.times)   # at the frames
     t_up = time.perf_counter()
-    final = upgrade_fullbody(motion, traj)
+    final = upgrade_fullbody(motion, states, samples)
     upgrade_time = time.perf_counter() - t_up
     core_io.save_motion(final, out_dir / "physics.motion.json")
-    _grf_trace(out_dir, traj, final, targets.mass)
+    _grf_trace(out_dir, targets.times, samples, targets.mass)
 
     payload = {
         "converged": phys_report.converged,
@@ -215,31 +222,28 @@ def cmd_optimize(args):
 
 # -- batch ------------------------------------------------------------------
 
-@lru_cache(maxsize=1)   # every clip shares it: a process (a worker) loads it once
-def _batch_classifier(path):
-    return load_classifier(path)
-
-
-def _batch_contacts(gt_contacts, args, seq):
-    if args.contacts_from == "files":
-        return gt_contacts
-    if args.contacts_from == "classifier":
-        return predict_contacts(_batch_classifier(args.model), seq)
-    return velocity_baseline_3d(seq)
-
-
-def _run_batch_entry(entry, root, args):
-    seq = core_io.load_pose_sequence(root / entry["pose"])
-    gt_floor = core_io.load_floor(root / entry["floor"])
-    gt_contacts = load_contacts(root / entry["contacts"])
-    contacts = _batch_contacts(gt_contacts, args, seq)
+def _run_batch_clip(clip, args):
+    """(name, converged) of one (manifest entry, dataset directory) pair,
+    which is run and scored in its sequence directory; converged is None
+    when it failed, with the failure written to the directory's error.json."""
+    entry, root = clip
     seq_dir = Path(args.out) / entry["name"]
-    payload = optimize_sequence(seq, contacts, seq_dir, max_iters=args.max_iters,
-                                floor=gt_floor if args.gt_floor else None)
-    gt_motion = core_io.load_motion(root / entry["motion"])
-    _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts,
-                payload["converged"])
-    return payload["converged"]
+    try:
+        seq = core_io.load_pose_sequence(root / entry["pose"])
+        gt_floor = core_io.load_floor(root / entry["floor"])
+        gt_contacts = load_contacts(root / entry["contacts"])
+        contacts = (gt_contacts if args.contacts_from == "files"
+                    else _labels(args.contacts_from, seq, args.model))
+        payload = optimize_sequence(seq, contacts, seq_dir, max_iters=args.max_iters,
+                                    floor=gt_floor if args.gt_floor else None)
+        gt_motion = core_io.load_motion(root / entry["motion"])
+        _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts,
+                    payload["converged"])
+        return entry["name"], bool(payload["converged"])
+    except Exception as exc:   # isolate failures, summarize at the end
+        seq_dir.mkdir(parents=True, exist_ok=True)
+        core_io.write_json(seq_dir / "error.json", _error_record(exc))
+        return entry["name"], None
 
 
 def _write_eval(seq_dir, seq, gt_motion, gt_floor, gt_contacts, converged):
@@ -273,22 +277,9 @@ def _error_record(exc):
             "trace": traceback.format_exc().splitlines()[-3:]}
 
 
-def _run_batch_pair(pair, args):
-    """(name, converged) of one manifest entry; None when it failed, with
-    the failure written to the sequence's error.json."""
-    entry, root = pair
-    try:
-        return entry["name"], bool(_run_batch_entry(entry, root, args))
-    except Exception as exc:   # isolate failures, summarize at the end
-        seq_dir = Path(args.out) / entry["name"]
-        seq_dir.mkdir(parents=True, exist_ok=True)
-        core_io.write_json(seq_dir / "error.json", _error_record(exc))
-        return entry["name"], None
-
-
 def cmd_batch(args):
     entries = list(_manifest_clips(args.manifest))
-    run_one = partial(_run_batch_pair, args=args)
+    run_one = partial(_run_batch_clip, args=args)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -322,39 +313,46 @@ def cmd_eval(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     core_io.write_json(out, report.as_dict())
-    core_io.write_json(out.with_suffix(".provenance.json"), _provenance(args))
+    _write_provenance(out, args)
     print(f"wrote {out}")
     return 0
 
 
+def _read_field(path, field, kind):
+    """A field of the JSON object in path; a SchemaError names the file and
+    the field if the file holds no such field of that kind."""
+    raw = core_io.load_json(path)
+    try:
+        return core_io.need(raw if isinstance(raw, dict) else {}, field, kind=kind)
+    except core_io.SchemaError as exc:
+        raise core_io.SchemaError(f"{path}: {exc}") from None
+
+
 def cmd_report(args):
-    rows = []
-    for eval_path in sorted(Path(args.dir).glob("*/eval.json")):
-        with open(eval_path) as fh:
-            rows.append(json.load(fh))
+    rows = [_read_field(path, "methods", dict)
+            for path in sorted(Path(args.dir).glob("*/eval.json"))]
     if not rows:
         print("no eval.json files found", file=sys.stderr)
         return 1
 
-    methods = sorted({m for row in rows for m in row["methods"]})
+    methods = sorted({m for row in rows for m in row})
     # every key of every method, in the order of first appearance
     keys = list(dict.fromkeys(key for row in rows
-                              for scores in row["methods"].values()
+                              for scores in row.values()
                               for key in scores))
     table = {}
     for method in methods:
         agg = {}
-        for key in keys:
-            vals = [row["methods"][method][key] for row in rows
-                    if isinstance(row["methods"][method].get(key), float)]
+        for key in keys:   # a clip without the method is left out of its means
+            vals = [row[method][key] for row in rows
+                    if isinstance(row.get(method, {}).get(key), float)]
             agg[key] = float(np.mean(vals)) if vals else "n/a"
         table[method] = agg
 
     batch_path = Path(args.dir) / "batch.json"
     summary = {"n_sequences": len(rows), "methods": table}
     if batch_path.exists():
-        with open(batch_path) as fh:
-            summary["convergence_rate"] = json.load(fh)["convergence_rate"]
+        summary["convergence_rate"] = _read_field(batch_path, "convergence_rate", float)
     out = Path(args.out) if args.out else Path(args.dir) / "summary.json"
     core_io.write_json(out, summary)
     with open(out.with_suffix(".csv"), "w", newline="") as fh:

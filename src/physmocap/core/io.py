@@ -47,12 +47,16 @@ def write_json(path, payload):
         f.write("\n")
 
 
-def read_json(path, kind):
+def load_json(path):
     with open(path) as f:
         try:
-            raw = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+
+
+def read_json(path, kind):
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
     got_kind = raw.get("kind")

@@ -5,7 +5,8 @@ import numpy as np
 
 from dataclasses import replace
 
-CONF_THRESHOLD = 0.3   # detections below this confidence are interpolated over
+CONF_THRESHOLD = 0.3   # a confident detection; lower ones are interpolated over here
+                       # and left out of kinfit.init's bone-length estimate
 
 
 def preprocess_low_confidence(seq):

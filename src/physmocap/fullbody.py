@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core.ik import ik_solve_frame
-from .core.kinematics import compute_com_inertia, forward_kinematics
+from .core.kinematics import forward_kinematics
 from .core.types import JointAngleMotion
 
 FOOT_TARGET_WEIGHT = 10.0
@@ -32,9 +32,12 @@ def _upgrade_weights(skeleton):
     return w
 
 
-def upgrade_fullbody(kin_motion, traj):
+def upgrade_fullbody(kin_motion, kin_states, samples):
     """Rebuild a full-body motion around the optimized reduced trajectory.
 
+    kin_states is compute_com_inertia(kin_motion), the kinematic COM the
+    upgrade shifts from; samples holds the trajectory's "r", "theta" and
+    "feet" tracks at the motion's frame times (CentroidalTrajectory.sample).
     Each frame is solved by damped least-squares IK, warm-started from the
     kinematic pose carried to the new COM and orientation; all frames go to
     ik_solve_frame as one batch. A foot target beyond its own chain's reach
@@ -43,12 +46,11 @@ def upgrade_fullbody(kin_motion, traj):
     """
     skeleton = kin_motion.skeleton
     positions = forward_kinematics(kin_motion)
-    out = traj.sample(np.arange(kin_motion.n_frames) / kin_motion.fps)
-    shift = out["r"] - compute_com_inertia(kin_motion).r
+    shift = samples["r"] - kin_states.r
 
     targets = positions + shift[:, None, :]
     hips = targets[:, list(skeleton.foot_hip_ids)]
-    feet = np.array(out["feet"], dtype=float)
+    feet = np.array(samples["feet"], dtype=float)
     d = feet - hips
     reach = np.linalg.norm(d, axis=-1)
     l_leg = np.array(skeleton.l_leg)    # per foot joint, its own chain
@@ -56,7 +58,7 @@ def upgrade_fullbody(kin_motion, traj):
     feet[far] = hips[far] + d[far] * (l_leg / reach)[far, None] * (1.0 - 1e-9)
     targets[:, list(skeleton.foot_joint_ids)] = feet
     angles0 = kin_motion.joint_angles.copy()
-    angles0[:, 0] = out["theta"]
+    angles0[:, 0] = samples["theta"]
     root_out, ang_out = ik_solve_frame(skeleton, targets, _upgrade_weights(skeleton),
                                        kin_motion.root_pos + shift, angles0)
     if far.any():

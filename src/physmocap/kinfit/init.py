@@ -6,21 +6,21 @@ from dataclasses import replace
 import numpy as np
 
 from ..core.ik import ik_solve_frame
+from ..core.preprocess import CONF_THRESHOLD
 
-MIN_CONF = 0.3   # bone samples need both endpoints at least this confident
 IK_ITERS = 60    # iterations of the frame-0 fit
 
 
 def estimate_bone_lengths(seq, skeleton):
     """Median observed parent-child distance per bone.
 
-    Frames where either endpoint has low confidence are skipped; bones never
-    observed confidently keep the rest-pose length.
+    Frames where either endpoint's confidence is below CONF_THRESHOLD are
+    skipped; bones never observed confidently keep the rest-pose length.
     """
     lengths = skeleton.bone_lengths.copy()
     for j in range(1, skeleton.n_joints):
         par = skeleton.parents[j]
-        ok = (seq.conf[:, j] >= MIN_CONF) & (seq.conf[:, par] >= MIN_CONF)
+        ok = (seq.conf[:, j] >= CONF_THRESHOLD) & (seq.conf[:, par] >= CONF_THRESHOLD)
         if not np.any(ok):
             continue
         d = np.linalg.norm(seq.joints3d[ok, j] - seq.joints3d[ok, par], axis=-1)

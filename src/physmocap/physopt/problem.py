@@ -101,21 +101,6 @@ def targets_from_kinematic(motion, states, floor):
         l_leg=np.array(skeleton.l_leg), l_foot=np.array(skeleton.l_foot))
 
 
-class _Memo:
-    """Single-entry cache keyed on the variable vector."""
-
-    def __init__(self):
-        self.key = None
-        self.value = None
-
-    def get(self, x, compute):
-        key = x.tobytes()
-        if key != self.key:
-            self.value = compute(x)
-            self.key = key
-        return self.value
-
-
 def _blocks(blocks):
     """Block-diagonal CSR matrix of per-sample derivative blocks (m, r, c).
     Block s spans columns c s to c s + c - 1: sample s's rows of a sample matrix."""
@@ -337,7 +322,7 @@ class ReducedProblem:
         self.obj_group = np.repeat([self.objective_groups.index(g)
                                     for g, *_ in OBJECTIVE_TERMS], term_rows)
 
-        self._c_memo = _Memo()
+        self._c_key = self._c_value = None   # the last x's bytes, its constraints
 
     # -- constraint assembly ----------------------------------------------
 
@@ -393,7 +378,11 @@ class ReducedProblem:
     # -- public constraint interface --------------------------------------
 
     def constraints(self, x):
-        return self._c_memo.get(np.asarray(x, dtype=float), self._constraints)
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key != self._c_key:
+            self._c_value, self._c_key = self._constraints(x), key
+        return self._c_value
 
     def constraint_fun(self, x):
         return self.constraints(x)[0]

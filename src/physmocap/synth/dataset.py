@@ -1,7 +1,6 @@
 """Standard script collections and dataset serialization."""
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +120,6 @@ def write_dataset(clips, out_dir):
             floor=f"{stem}.floor.json", contacts=f"{stem}.contacts.json",
         ))
     manifest = out / "manifest.json"
-    with open(manifest, "w") as fh:
-        json.dump(dict(kind="physmocap_dataset", format_version=1, clips=entries),
-                  fh, indent=1)
+    core_io.write_json(manifest, dict(kind="physmocap_dataset", format_version=1,
+                                      clips=entries))
     return manifest

@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import importlib
 import json
@@ -105,6 +104,42 @@ def test_report_aggregates_eval_files(tmp_path):
     assert cli.main(["report", "--dir", str(batch)]) == 0
 
 
+def test_report_counts_a_method_missing_from_a_clip_as_na(tmp_path):
+    """Eval files written before the gt row existed mix with newer ones: a
+    clip without a method is left out of that method's means."""
+    batch = tmp_path / "batch"
+    for name, methods in (("a", {"physics": {"mean_grf": 100.0}}),
+                          ("b", {"physics": {"mean_grf": 104.0},
+                                 "gt": {"mean_grf": 99.0}})):
+        (batch / name).mkdir(parents=True)
+        (batch / name / "eval.json").write_text(json.dumps({"name": name,
+                                                            "methods": methods}))
+    assert cli.main(["report", "--dir", str(batch)]) == 0
+    table = json.loads((batch / "summary.json").read_text())["methods"]
+    assert table == {"gt": {"mean_grf": 99.0}, "physics": {"mean_grf": 102.0}}
+
+
+@pytest.mark.parametrize("name, payload, field", [
+    ("x/eval.json", {"name": "x"}, "'methods'"),
+    ("x/eval.json", {"name": "x", "methods": [1]}, "methods: list, expected dict"),
+    ("x/eval.json", [], "'methods'"),
+    ("batch.json", {"n_sequences": 1}, "'convergence_rate'"),
+])
+def test_report_refuses_malformed_eval_and_batch_files(tmp_path, capsys, name, payload,
+                                                       field):
+    """An eval.json without a methods object, or a batch.json without a
+    convergence_rate, fails report with a SchemaError naming file and field."""
+    batch = tmp_path / "batch"
+    (batch / "x").mkdir(parents=True)
+    (batch / "x" / "eval.json").write_text(json.dumps(
+        {"name": "x", "methods": {"physics": {"mean_grf": 100.0}}}))
+    (batch / name).write_text(json.dumps(payload))
+    assert cli.main(["report", "--dir", str(batch)]) == 1
+    error = _error(capsys)
+    assert error["type"] == "SchemaError"
+    assert str(batch / name) in error["message"] and field in error["message"]
+
+
 def test_cli_failure_emits_json_error(tmp_path, capsys):
     rc = cli.main(["eval", "--pred", "missing.json", "--gt", "missing.json",
                    "--floor", "missing.json", "--contacts", "missing.json",
@@ -147,6 +182,22 @@ def test_generate_rejects_out_of_range_scripts(tmp_path, capsys, field, value):
     assert f"{named} must be" in error["message"]
     assert [p.name for p in tmp_path.iterdir()] == ["scripts.json"]
 
+@pytest.mark.parametrize("text", ['{"name": "a", "kind": "stand"}', '["stand"]',
+                                  '[{"name": "a", "kind": "stand"}, 1]', '[{"name"'])
+def test_generate_refuses_a_scripts_file_that_is_not_a_list_of_objects(tmp_path, capsys,
+                                                                        text):
+    """A --scripts file must hold a JSON list of script objects; any other
+    content fails the command with a SchemaError naming the file, and
+    nothing is written."""
+    scripts_file = tmp_path / "scripts.json"
+    scripts_file.write_text(text)
+    assert cli.main(["generate", "--scripts", str(scripts_file),
+                     "--out", str(tmp_path / "data")]) == 1
+    error = _error(capsys)
+    assert error["type"] == "SchemaError" and str(scripts_file) in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scripts.json"]
+
+
 def test_label_requires_model_or_baseline(tmp_path, capsys):
     """label takes exactly one of --model and --baseline."""
     for given in ([], ["--model", "m", "--baseline", "3d"]):
@@ -159,8 +210,7 @@ def test_label_requires_model_or_baseline(tmp_path, capsys):
 def test_batch_contacts_baseline3d_uses_the_loaded_pose(tmp_path):
     out, entry = _tiny_dataset(tmp_path)
     seq = core_io.load_pose_sequence(out / entry["pose"])
-    args = argparse.Namespace(contacts_from="baseline3d")
-    contacts = cli._batch_contacts(load_contacts(out / entry["contacts"]), args, seq)
+    contacts = cli._labels("baseline3d", seq, None)
     assert np.array_equal(contacts.labels, velocity_baseline_3d(seq).labels)
 
 
@@ -236,11 +286,11 @@ def test_batch_loads_the_classifier_once(tmp_path, monkeypatch):
         raise RuntimeError("labelled")
 
     monkeypatch.setattr(cli, "optimize_sequence", optimize)
-    cli._batch_classifier.cache_clear()
+    cli._classifier.cache_clear()
     rc = cli.main(["batch", "--manifest", str(out / "manifest.json"),
                    "--out", str(tmp_path / "runs"), "--contacts-from", "classifier",
                    "--model", str(model)])
-    cli._batch_classifier.cache_clear()
+    cli._classifier.cache_clear()
     assert rc == 0
     assert len(labelled) == 2
     assert loads == [str(model)]
@@ -329,6 +379,29 @@ def test_optimize_writes_report_and_outputs(tmp_path, monkeypatch):
 def hop_a():
     return generate(next(s for s in synth_dataset.exact_suite() if s.name == "hop_a"),
                     seed=0)
+
+
+def test_optimize_samples_the_trajectory_and_the_kinematic_com_once(hop_a, tmp_path,
+                                                                   monkeypatch):
+    """One optimize run samples the physics trajectory at the frames once and
+    computes the kinematic motion's COM and inertia once; the upgrade and the
+    GRF trace share both."""
+    from physmocap.core.kinematics import compute_com_inertia
+    from physmocap.physopt.trajectory import CentroidalTrajectory
+
+    calls = []
+    sample = CentroidalTrajectory.sample
+    monkeypatch.setattr(CentroidalTrajectory, "sample",
+                        lambda traj, times: calls.append("sample") or sample(traj, times))
+    for module in list(sys.modules.values()):   # every module that calls it by name
+        if (getattr(module, "__name__", "").startswith("physmocap")
+                and vars(module).get("compute_com_inertia") is compute_com_inertia):
+            monkeypatch.setattr(module, "compute_com_inertia",
+                                lambda motion: calls.append("com")
+                                or compute_com_inertia(motion))
+    cli.optimize_sequence(hop_a.pose, hop_a.contacts, tmp_path, max_iters=1,
+                          floor=hop_a.floor)
+    assert sorted(calls) == ["com", "sample"]
 
 
 @pytest.mark.parametrize("change, message", [

@@ -10,34 +10,25 @@ from physmocap.synth.generate import generate
 from physmocap.synth.scripts import MotionScript
 
 
-class _EchoTrajectory:
-    """Duck-typed reduced trajectory that replays fixed tracks."""
-
-    def __init__(self, r, theta, feet):
-        self._r, self._theta, self._feet = r, theta, feet
-
-    def sample(self, times):
-        return {"r": self._r.copy(), "theta": self._theta.copy(),
-                "feet": self._feet.copy()}
-
-
 @pytest.fixture(scope="module")
 def stand_clip():
     return generate(MotionScript(name="s", kind="stand", duration=1.0), seed=7)
 
 
 def _echo_of(motion):
+    """The motion's own reduced tracks, as CentroidalTrajectory.sample
+    returns them at the frames, and its joint positions."""
     states = compute_com_inertia(motion)
     positions, _ = fk_positions_rotations(
         motion.skeleton, motion.root_pos, motion.joint_angles)
     feet = positions[:, list(motion.skeleton.foot_joint_ids)]
-    return _EchoTrajectory(states.r, states.theta, feet), positions
+    return {"r": states.r.copy(), "theta": states.theta.copy(), "feet": feet}, positions
 
 
 def test_upgrade_is_fixed_point_on_own_trajectory(stand_clip):
     motion = stand_clip.motion
-    traj, _ = _echo_of(motion)
-    out = upgrade_fullbody(motion, traj)
+    samples, _ = _echo_of(motion)
+    out = upgrade_fullbody(motion, compute_com_inertia(motion), samples)
     diff = np.abs(wrap_angle(out.joint_angles - motion.joint_angles))
     assert diff.max() < 1e-6
     assert np.abs(out.root_pos - motion.root_pos).max() < 1e-6
@@ -46,10 +37,10 @@ def test_upgrade_is_fixed_point_on_own_trajectory(stand_clip):
 def test_upgrade_follows_com_shift_with_feet_pinned(stand_clip):
     motion = stand_clip.motion
     skel = motion.skeleton
-    traj, positions = _echo_of(motion)
+    samples, positions = _echo_of(motion)
     d = 0.05 * stand_clip.floor.normal      # 5 cm straight up
-    traj._r = traj._r + d
-    out = upgrade_fullbody(motion, traj)
+    samples["r"] = samples["r"] + d
+    out = upgrade_fullbody(motion, compute_com_inertia(motion), samples)
     new_pos, _ = fk_positions_rotations(skel, out.root_pos, out.joint_angles)
 
     neck = skel.joint_id("neck")
@@ -63,13 +54,13 @@ def test_upgrade_follows_com_shift_with_feet_pinned(stand_clip):
 
 def test_upgrade_warns_and_projects_unreachable_feet(stand_clip):
     motion = stand_clip.motion
-    traj, positions = _echo_of(motion)
-    sunk = traj._feet.copy()
+    samples, positions = _echo_of(motion)
+    sunk = samples["feet"].copy()
     sunk[:, :, :] = positions[:, list(motion.skeleton.foot_joint_ids)]
     sunk -= 2.0 * stand_clip.floor.normal   # 2 m below: beyond any leg
-    traj._feet = sunk
+    samples["feet"] = sunk
     with pytest.warns(UserWarning, match="reach") as record:
-        out = upgrade_fullbody(motion, traj)
+        out = upgrade_fullbody(motion, compute_com_inertia(motion), samples)
     # the bench parses this count from the message: keep its wording
     counts = [re.match(r"(\d+) frames had foot targets beyond leg reach",
                        str(w.message)) for w in record]

@@ -543,7 +543,7 @@ def test_implied_grf_reads_the_forces_optimize_writes(hop_setup, tmp_path):
     the forces.npy that optimize writes for the same trajectory."""
     _, targets, clip = hop_setup
     traj, _, _ = solve_reduced(targets, clip.contacts, max_iters=3)
-    _grf_trace(tmp_path, traj, clip.motion, targets.mass)
+    _grf_trace(tmp_path, targets.times, traj.sample(targets.times), targets.mass)
     forces = implied_grf(traj)
     assert np.abs(forces).max() > 0.0
     assert np.array_equal(forces, np.load(tmp_path / "forces.npy"))
